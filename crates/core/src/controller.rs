@@ -14,7 +14,6 @@ use prepare_metrics::{
     ScalableResource, SloLog, StampedSample, TimeSeries, Timestamp, VmId,
 };
 use prepare_par::ParConfig;
-use std::collections::{BTreeMap, BTreeSet};
 
 /// The three anomaly management schemes compared throughout §III.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -294,6 +293,73 @@ impl<'a> ClusterIo<'a> {
     }
 }
 
+/// Everything the control loop keeps per managed VM: one record per slot.
+// xtask: checkpoint
+#[derive(Debug, Clone)]
+struct VmRecord {
+    /// The accumulated metric series.
+    series: TimeSeries,
+    /// The anomaly predictor, once fault localization has implicated the
+    /// VM in a training round.
+    predictor: Option<AnomalyPredictor>,
+    /// k-of-W debounce over the predictor's votes.
+    filter: AlertFilter,
+    /// The open prevention episode, if any.
+    episode: Option<Episode>,
+    /// Last completed-or-started migration — guards against ping-ponging
+    /// the VM between hosts across back-to-back episodes.
+    last_migration: Option<Timestamp>,
+    /// Set when an episode was abandoned after repeated action failures:
+    /// no new episode opens for the VM until the stated time.
+    suppressed_until: Option<Timestamp>,
+    /// Hold-last-value imputation state: papers over short monitoring
+    /// gaps until the staleness budget runs out.
+    imputer: LastValueImputer,
+    /// True while the VM's monitoring evidence is past its staleness
+    /// budget. The controller abstains from predictive votes for it (the
+    /// k-of-W window freezes) and freezes its open episode.
+    degraded: bool,
+}
+
+impl VmRecord {
+    fn is_suppressed(&self, now: Timestamp) -> bool {
+        self.suppressed_until.is_some_and(|until| now < until)
+    }
+}
+
+impl Persist for VmRecord {
+    fn store(&self, w: &mut Writer) {
+        self.series.store(w);
+        self.predictor.store(w);
+        self.filter.store(w);
+        self.episode.store(w);
+        self.last_migration.store(w);
+        self.suppressed_until.store(w);
+        self.imputer.store(w);
+        self.degraded.store(w);
+    }
+    fn load(r: &mut Reader<'_>) -> Result<Self, PersistError> {
+        Ok(VmRecord {
+            series: TimeSeries::load(r)?,
+            predictor: Option::load(r)?,
+            filter: AlertFilter::load(r)?,
+            episode: Option::load(r)?,
+            last_migration: Option::load(r)?,
+            suppressed_until: Option::load(r)?,
+            imputer: LastValueImputer::load(r)?,
+            degraded: bool::load(r)?,
+        })
+    }
+}
+
+/// The slots of `vms` sorted by VM id, and whether every id is distinct.
+fn slots_by_id(vms: &[VmId]) -> (Vec<usize>, bool) {
+    let mut by_id: Vec<usize> = (0..vms.len()).collect();
+    by_id.sort_unstable_by_key(|&slot| vms[slot]);
+    let distinct = by_id.windows(2).all(|w| vms[w[0]] != vms[w[1]]);
+    (by_id, distinct)
+}
+
 /// The PREPARE controller for one distributed application.
 ///
 /// Feed it one batch of per-VM samples per sampling interval via
@@ -310,11 +376,18 @@ impl<'a> ClusterIo<'a> {
 pub struct PrepareController {
     config: PrepareConfig,
     scheme: Scheme,
+    /// The managed VMs in constructor order. Slot `i` — of `table` and of
+    /// the trainer alike — belongs to `vms[i]`.
     vms: Vec<VmId>,
-    series: BTreeMap<VmId, TimeSeries>,
+    /// All per-VM state, one record per slot.
+    table: Vec<VmRecord>,
+    /// The slots sorted by VM id, built once. It is the `VmId → slot`
+    /// lookup (binary search) and the walk order of everything that
+    /// follows id order rather than constructor order: validation,
+    /// retries and [`PrepareController::degraded_vms`].
+    // xtask: ephemeral -- pure function of vms, rebuilt on restore
+    by_id: Vec<usize>,
     slo: SloLog,
-    predictors: BTreeMap<VmId, AnomalyPredictor>,
-    filters: BTreeMap<VmId, AlertFilter>,
     inference: CauseInference,
     // xtask: ephemeral -- pure function of config, rebuilt on restore
     planner: PreventionPlanner,
@@ -326,28 +399,14 @@ pub struct PrepareController {
     /// point: PREPARE pays its confirmation delay *before* the anomaly
     /// lands, the reactive baseline pays it *while the SLO is broken*.
     violation_filter: AlertFilter,
-    episodes: BTreeMap<VmId, Episode>,
-    /// Last completed-or-started migration per VM — guards against
-    /// ping-ponging a VM between hosts across back-to-back episodes.
-    last_migration: BTreeMap<VmId, Timestamp>,
-    /// VMs whose episodes were abandoned after repeated action failures:
-    /// no new episode opens for them until the stated time.
-    suppressed_until: BTreeMap<VmId, Timestamp>,
-    /// Hold-last-value imputation state, one per managed VM: papers over
-    /// short monitoring gaps until the staleness budget runs out.
-    imputers: BTreeMap<VmId, LastValueImputer>,
-    /// VMs whose monitoring evidence is past its staleness budget. The
-    /// controller abstains from predictive votes for them (the k-of-W
-    /// window freezes) and freezes their open episodes.
-    degraded: BTreeSet<VmId>,
     trained_at: Option<Timestamp>,
     last_retrain: Option<Timestamp>,
     last_workload_change: bool,
     /// The incremental training state (`config.online_training`): every
     /// usable sample is folded into per-VM count arenas at ingest, and
     /// training rounds *derive* models from the maintained statistics
-    /// instead of rescanning each VM's series. Slot `i` holds `vms[i]`.
-    /// `None` runs the from-scratch reference path on every round.
+    /// instead of rescanning each VM's series. `None` runs the
+    /// from-scratch reference path on every round.
     trainer: Option<FleetTrainer>,
     events: Vec<ControllerEvent>,
 }
@@ -386,50 +445,65 @@ impl PrepareController {
     ///
     /// # Panics
     ///
-    /// Panics if `vms` is empty or the configuration is inconsistent.
+    /// Panics if `vms` is empty or names a VM twice, or if the
+    /// configuration is inconsistent.
     pub fn new(vms: Vec<VmId>, config: PrepareConfig, scheme: Scheme) -> Self {
         assert!(!vms.is_empty(), "controller needs at least one VM");
+        let (by_id, distinct) = slots_by_id(&vms);
+        assert!(distinct, "controller VM ids must be distinct");
         config.validate();
         let recency = config.predictor.sampling_interval.as_secs() * 3;
         let inference =
             CauseInference::with_par(&vms, config.workload_change_quorum, recency, config.par);
         let planner = PreventionPlanner::new(config.policy, config.scale_factor)
             .with_migration_target_policy(config.migration_policy);
-        let filters = vms
-            .iter()
-            .map(|&vm| (vm, AlertFilter::new(config.filter_k, config.filter_w)))
-            .collect();
-        let series = vms.iter().map(|&vm| (vm, TimeSeries::new())).collect();
-        let imputers = vms
-            .iter()
-            .map(|&vm| (vm, LastValueImputer::new()))
-            .collect();
         let violation_filter = AlertFilter::new(config.filter_k, config.filter_w);
+        let blank = VmRecord {
+            series: TimeSeries::new(),
+            predictor: None,
+            filter: violation_filter.clone(),
+            episode: None,
+            last_migration: None,
+            suppressed_until: None,
+            imputer: LastValueImputer::new(),
+            degraded: false,
+        };
         let trainer = config
             .online_training
             .then(|| FleetTrainer::new(vms.len(), &config.predictor));
         PrepareController {
             config,
             scheme,
+            table: vec![blank; vms.len()],
             vms,
-            series,
+            by_id,
             slo: SloLog::new(),
-            predictors: BTreeMap::new(),
-            filters,
             inference,
             planner,
             violation_filter,
-            episodes: BTreeMap::new(),
-            last_migration: BTreeMap::new(),
-            suppressed_until: BTreeMap::new(),
-            imputers,
-            degraded: BTreeSet::new(),
             trained_at: None,
             last_retrain: None,
             last_workload_change: false,
             trainer,
             events: Vec::new(),
         }
+    }
+
+    /// The slot of `vm`, if this controller manages it.
+    fn slot_of(&self, vm: VmId) -> Option<usize> {
+        self.by_id
+            .binary_search_by_key(&vm, |&slot| self.vms[slot])
+            .ok()
+            .map(|at| self.by_id[at])
+    }
+
+    /// The record of `vm`, if this controller manages it.
+    fn record(&self, vm: VmId) -> Option<&VmRecord> {
+        self.table.get(self.slot_of(vm)?)
+    }
+
+    fn any_episode_open(&self) -> bool {
+        self.table.iter().any(|rec| rec.episode.is_some())
     }
 
     /// Whether the per-VM models have been trained yet.
@@ -454,23 +528,27 @@ impl PrepareController {
 
     /// The accumulated metric series of one VM.
     pub fn series(&self, vm: VmId) -> Option<&TimeSeries> {
-        self.series.get(&vm)
+        self.record(vm).map(|rec| &rec.series)
     }
 
     /// The trained predictor of one VM, if training has happened.
     pub fn predictor(&self, vm: VmId) -> Option<&AnomalyPredictor> {
-        self.predictors.get(&vm)
+        self.record(vm)?.predictor.as_ref()
     }
 
     /// Whether `vm`'s monitoring evidence is currently past its staleness
     /// budget (the controller is abstaining for it).
     pub fn is_degraded(&self, vm: VmId) -> bool {
-        self.degraded.contains(&vm)
+        self.record(vm).is_some_and(|rec| rec.degraded)
     }
 
     /// VMs currently past their staleness budget, in id order.
     pub fn degraded_vms(&self) -> Vec<VmId> {
-        self.degraded.iter().copied().collect()
+        self.by_id
+            .iter()
+            .filter(|&&slot| self.table[slot].degraded)
+            .map(|&slot| self.vms[slot])
+            .collect()
     }
 
     /// Ingests one sampling round: a sample per VM plus the application's
@@ -530,8 +608,8 @@ impl PrepareController {
         slo_violated: bool,
         cluster: &mut Cluster,
     ) -> Vec<ControllerEvent> {
-        let mut io = ClusterIo::live(cluster);
-        self.round(now, readings, slo_violated, &mut io)
+        self.on_readings_recorded(now, readings, slo_violated, cluster)
+            .0
     }
 
     /// [`PrepareController::on_readings`], additionally returning every
@@ -589,67 +667,60 @@ impl PrepareController {
     ) -> Vec<ControllerEvent> {
         let events_before = self.events.len();
 
-        // Resolve this round's usable per-VM evidence.
-        let mut usable: Vec<(VmId, MetricSample)> = Vec::with_capacity(self.vms.len());
-        let mut arrived: BTreeSet<VmId> = BTreeSet::new();
-        let mut covered: BTreeSet<VmId> = BTreeSet::new();
+        // Resolve this round's usable evidence, by slot. A usable sample
+        // joins its VM's series on the spot.
+        let mut usable: Vec<(usize, MetricSample)> = Vec::with_capacity(self.table.len());
+        let mut covered = vec![false; self.table.len()];
         for (vm, stamped) in readings {
-            assert!(self.series.contains_key(vm), "sample for unmanaged VM {vm}");
-            arrived.insert(*vm);
-            if let Some(imputer) = self.imputers.get_mut(vm) {
-                imputer.observe(stamped);
-            }
+            let Some(slot) = self.slot_of(*vm) else {
+                // xtask-allow: panic -- documented contract of the ingest entry points
+                panic!("sample for unmanaged VM {vm}");
+            };
+            // xtask-allow: index-in-loop -- slot_of only returns slots of the table
+            let rec = &mut self.table[slot];
+            rec.imputer.observe(stamped);
             if !self.config.staleness.is_exceeded(now, stamped) {
                 // Re-time to the arrival round so the series stays
                 // monotonic even for late deliveries (a no-op for fresh
                 // samples, whose own time already is `now`).
-                usable.push((*vm, MetricSample::new(now, stamped.sample.values)));
-                covered.insert(*vm);
-            }
-        }
-        for &vm in &self.vms {
-            if arrived.contains(&vm) {
-                continue;
-            }
-            // Nothing arrived: hold the last value while it is still
-            // within budget. The imputed sample keeps its original
-            // collection stamps, so this path shuts itself off once the
-            // gap outlives the budget.
-            if let Some(imputed) = self.imputers.get(&vm).and_then(|i| i.impute(now)) {
-                if !self.config.staleness.is_exceeded(now, &imputed) {
-                    usable.push((vm, imputed.sample));
-                    covered.insert(vm);
-                }
+                let sample = MetricSample::new(now, stamped.sample.values);
+                rec.series.push(sample);
+                usable.push((slot, sample));
+                // xtask-allow: index-in-loop -- one flag per table slot
+                covered[slot] = true;
             }
         }
 
-        // Edge-triggered degradation bookkeeping, in VM-id order.
-        for &vm in &self.vms {
-            let was = self.degraded.contains(&vm);
-            let is = !covered.contains(&vm);
-            if is == was {
+        // One walk in constructor order fills the gaps and does the
+        // edge-triggered degradation bookkeeping.
+        let slots = self.table.iter_mut().zip(&self.vms).zip(covered);
+        for (slot, ((rec, &vm), mut covered)) in slots.enumerate() {
+            if !covered {
+                // Nothing usable arrived: hold the last value while it is
+                // still within budget. The imputed sample keeps its
+                // original collection stamps, so this path shuts itself
+                // off once the gap outlives the budget — and it cannot
+                // revive a reading that arrived this round already stale.
+                let imputed = rec.imputer.impute(now);
+                if let Some(held) = imputed.filter(|i| !self.config.staleness.is_exceeded(now, i)) {
+                    rec.series.push(held.sample);
+                    usable.push((slot, held.sample));
+                    covered = true;
+                }
+            }
+            if rec.degraded != covered {
                 continue;
             }
-            if is {
-                self.degraded.insert(vm);
-                if self.scheme != Scheme::NoIntervention {
-                    self.events
-                        .push(ControllerEvent::MonitoringDegraded { at: now, vm });
-                }
-            } else {
-                self.degraded.remove(&vm);
-                if self.scheme != Scheme::NoIntervention {
-                    self.events
-                        .push(ControllerEvent::MonitoringRecovered { at: now, vm });
-                }
+            rec.degraded = !covered;
+            if self.scheme != Scheme::NoIntervention {
+                self.events.push(if covered {
+                    ControllerEvent::MonitoringRecovered { at: now, vm }
+                } else {
+                    ControllerEvent::MonitoringDegraded { at: now, vm }
+                });
             }
         }
 
-        for (vm, sample) in &usable {
-            if let Some(series) = self.series.get_mut(vm) {
-                series.push(*sample);
-            }
-        }
         self.slo.record(now, slo_violated);
         if let Some(trainer) = self.trainer.as_mut() {
             // Fold the round's evidence into the online count arenas.
@@ -659,13 +730,16 @@ impl PrepareController {
             // ingest-time label equals the label a from-scratch rebuild
             // would derive from the log later.
             let label = Label::from_violation(slo_violated);
-            for (vm, sample) in &usable {
-                if let Some(slot) = self.vms.iter().position(|v| v == vm) {
-                    trainer.push(slot, &sample.values, label);
-                }
+            for (slot, sample) in &usable {
+                trainer.push(*slot, &sample.values, label);
             }
         }
-        self.inference.observe(&usable);
+        // Cause inference is keyed by VM id, not by slot.
+        let by_vm: Vec<(VmId, MetricSample)> = usable
+            .iter()
+            .map(|&(slot, sample)| (self.vms[slot], sample))
+            .collect();
+        self.inference.observe(&by_vm);
         let violation_confirmed = self.violation_filter.push(slo_violated);
 
         if self.scheme != Scheme::NoIntervention {
@@ -686,15 +760,18 @@ impl PrepareController {
     /// one shard of VMs per worker. Each predictor consumes only its own
     /// VM's samples in arrival order, so the resulting model positions
     /// are bit-identical to the sequential loop for any worker count.
-    fn observe_predictors(&mut self, samples: &[(VmId, MetricSample)]) {
-        let mut per_vm: BTreeMap<VmId, Vec<&MetricSample>> = BTreeMap::new();
-        for (vm, sample) in samples {
-            per_vm.entry(*vm).or_default().push(sample);
+    fn observe_predictors(&mut self, usable: &[(usize, MetricSample)]) {
+        let mut batches: Vec<Vec<&MetricSample>> = vec![Vec::new(); self.table.len()];
+        for (slot, sample) in usable {
+            // xtask-allow: index-in-loop -- one batch per table slot
+            batches[*slot].push(sample);
         }
         let mut work: Vec<(&mut AnomalyPredictor, Vec<&MetricSample>)> = self
-            .predictors
+            .table
             .iter_mut()
-            .filter_map(|(vm, p)| per_vm.remove(vm).map(|batch| (p, batch)))
+            .zip(batches)
+            .filter(|(_, batch)| !batch.is_empty())
+            .filter_map(|(rec, batch)| rec.predictor.as_mut().map(|p| (p, batch)))
             .collect();
         prepare_par::par_for_each_mut(&self.config.par, &mut work, |(p, batch)| {
             for sample in batch.iter() {
@@ -703,66 +780,71 @@ impl PrepareController {
         });
     }
 
-    /// Fits one predictor per implicated VM, one shard of VMs per worker.
+    /// One training pass: fault localization (the PAL step of §II-B),
+    /// then a fit per implicated VM, one shard of VMs per worker. Only
+    /// VMs whose metrics genuinely deviated during a violation get
+    /// anomaly predictors; ripple victims (e.g. downstream PEs starved of
+    /// input) stay model-less so they cannot be blamed for states that
+    /// are normal for them. A VM whose fit fails keeps the model it had.
+    /// Returns whether any model landed.
+    ///
     /// Training reads only the VM's own series plus the shared SLO log,
     /// so the fitted models are bit-identical to the sequential loop for
-    /// any worker count; VMs whose fit fails come back as `None`.
-    ///
-    /// With online training the models are *derived* from the fleet
-    /// trainer's maintained count arenas instead of re-scanning each
-    /// series — [`FleetTrainer::derive_cached_batch`] is bit-identical
-    /// to the from-scratch `train` call the reference arm makes, so the
-    /// two arms produce the same traces (the CI harness diffs them).
-    /// The batch call memoizes per-slot derivations on a window
-    /// generation counter, so only VMs whose windows changed since the
-    /// last round actually re-derive.
-    fn train_implicated(&mut self, implicated: &[VmId]) -> Vec<Option<(VmId, AnomalyPredictor)>> {
-        if let Some(trainer) = self.trainer.as_mut() {
-            trainer.refresh(&self.config.par);
-            let slots: Vec<Option<usize>> = implicated
-                .iter()
-                .map(|vm| self.vms.iter().position(|v| v == vm))
-                .collect();
-            let wanted: Vec<usize> = slots.iter().filter_map(|s| *s).collect();
-            let derived = trainer.derive_cached_batch(&wanted, &self.config.par);
-            let by_slot: BTreeMap<usize, AnomalyPredictor> = wanted
-                .into_iter()
-                .zip(derived)
-                .filter_map(|(slot, r)| r.ok().map(|p| (slot, p)))
-                .collect();
-            return implicated
-                .iter()
-                .zip(slots)
-                .map(|(vm, slot)| {
-                    let slot = slot?;
-                    by_slot.get(&slot).map(|p| (*vm, p.clone()))
+    /// any worker count. With online training the models are *derived*
+    /// from the fleet trainer's maintained count arenas instead of
+    /// re-scanning each series — [`FleetTrainer::derive_cached_batch`] is
+    /// bit-identical to the from-scratch `train` call the reference arm
+    /// makes, so the two arms produce the same traces (the CI harness
+    /// diffs them). The batch call memoizes per-slot derivations on a
+    /// window generation counter, so only VMs whose windows changed since
+    /// the last round actually re-derive.
+    fn train_models(&mut self, now: Timestamp) -> bool {
+        let series: Vec<&TimeSeries> = self.table.iter().map(|rec| &rec.series).collect();
+        let implicated = crate::implicated_vms_par(&series, &self.slo, &self.config.par);
+        let fits: Vec<Option<AnomalyPredictor>> = match self.trainer.as_mut() {
+            Some(trainer) => {
+                trainer.refresh(&self.config.par);
+                let derived = trainer.derive_cached_batch(&implicated, &self.config.par);
+                derived.into_iter().map(Result::ok).collect()
+            }
+            None => {
+                let wanted = implicated.iter().map(|&slot| series[slot]).collect();
+                prepare_par::par_map(&self.config.par, wanted, |series: &TimeSeries| {
+                    AnomalyPredictor::train(series, &self.slo, &self.config.predictor).ok()
                 })
-                .collect();
+            }
+        };
+        let mut vms = Vec::new();
+        for (slot, fit) in implicated.into_iter().zip(fits) {
+            let Some(p) = fit else {
+                continue;
+            };
+            // xtask-allow: index-in-loop -- implicated slots index the series, one per table slot
+            self.table[slot].predictor = Some(p);
+            // xtask-allow: index-in-loop -- vms and table share their slots
+            vms.push(self.vms[slot]);
         }
-        prepare_par::par_map(&self.config.par, implicated.to_vec(), |vm| {
-            let series = self.series.get(&vm)?;
-            AnomalyPredictor::train(series, &self.slo, &self.config.predictor)
-                .ok()
-                .map(|p| (vm, p))
-        })
+        if vms.is_empty() {
+            return false;
+        }
+        vms.sort_unstable();
+        self.events
+            .push(ControllerEvent::ModelsTrained { at: now, vms });
+        true
     }
 
     /// Trains per-VM models once the first (completed) anomaly has been
     /// observed — "our prediction model learns the anomaly during the
-    /// first fault injection" (§III-B). Fault localization (the PAL step
-    /// of §II-B) runs first: only VMs whose metrics genuinely deviated
-    /// during the violation get anomaly predictors; ripple victims (e.g.
-    /// downstream PEs starved of input) stay model-less so they cannot be
-    /// blamed for states that are normal for them.
+    /// first fault injection" (§III-B).
     fn maybe_train(&mut self, now: Timestamp) {
         if self.is_trained() {
             return;
         }
+        // The lowest-id VM's series is the yardstick for the fleet.
         let enough = self
-            .series
-            .values()
-            .next()
-            .is_some_and(|s| s.len() >= self.config.min_training_samples);
+            .by_id
+            .first()
+            .is_some_and(|&slot| self.table[slot].series.len() >= self.config.min_training_samples);
         let anomaly_seen = self.slo.first_violation().is_some();
         let anomaly_over = !self.slo.is_violated_at(now);
         // Train only after the SLO has been quiet for a while, so the
@@ -775,21 +857,10 @@ impl PrepareController {
         if !(enough && anomaly_seen && anomaly_over && quiet_long_enough) {
             return;
         }
-        let implicated = crate::implicated_vms_par(&self.series, &self.slo, &self.config.par);
-        let trained: BTreeMap<VmId, AnomalyPredictor> = self
-            .train_implicated(&implicated)
-            .into_iter()
-            .flatten()
-            .collect();
-        if trained.is_empty() {
-            return; // try again next round with more data
+        // No model landed: try again next round with more data.
+        if self.train_models(now) {
+            self.trained_at = Some(now);
         }
-        let mut vms: Vec<VmId> = trained.keys().copied().collect();
-        vms.sort_unstable();
-        self.predictors = trained;
-        self.trained_at = Some(now);
-        self.events
-            .push(ControllerEvent::ModelsTrained { at: now, vms });
     }
 
     /// Periodic model refresh (§II-B): re-runs fault localization and
@@ -805,23 +876,11 @@ impl PrepareController {
         let Some(anchor) = self.last_retrain.or(self.trained_at) else {
             return;
         };
-        if now.since(anchor) < interval || slo_violated || !self.episodes.is_empty() {
+        if now.since(anchor) < interval || slo_violated || self.any_episode_open() {
             return;
         }
         self.last_retrain = Some(now);
-        let implicated = crate::implicated_vms_par(&self.series, &self.slo, &self.config.par);
-        let mut refreshed = Vec::new();
-        for (vm, p) in self.train_implicated(&implicated).into_iter().flatten() {
-            self.predictors.insert(vm, p);
-            refreshed.push(vm);
-        }
-        if !refreshed.is_empty() {
-            refreshed.sort_unstable();
-            self.events.push(ControllerEvent::ModelsTrained {
-                at: now,
-                vms: refreshed,
-            });
-        }
+        self.train_models(now);
     }
 
     /// Attributes blamed with positive strength, most responsible first.
@@ -841,27 +900,21 @@ impl PrepareController {
         violation_confirmed: bool,
         io: &mut ClusterIo<'_>,
     ) {
-        let mut confirmed: Vec<(VmId, Vec<AttributeKind>)> = Vec::new();
+        let mut confirmed: Vec<(usize, VmId, Vec<AttributeKind>)> = Vec::new();
 
         if self.scheme == Scheme::Prepare {
             // Per-VM Markov + TAN scoring is the round's hot path: shard
             // it across workers, then replay the results sequentially in
-            // `vms` order so events and filter updates land exactly as
+            // slot order so events and filter updates land exactly as
             // the sequential loop would emit them.
-            let predictions = self.predict_all(std::slice::from_ref(&self.config.look_ahead));
-            for (vm, mut preds) in predictions.into_iter().flatten() {
-                // Exactly one horizon was requested, so exactly one
-                // prediction comes back.
-                let Some(prediction) = preds.pop() else {
-                    continue;
-                };
+            for (slot, vm, prediction) in self.predict_all(self.config.look_ahead) {
+                // xtask-allow: index-in-loop -- predict_all only returns slots of the table
+                let rec = &mut self.table[slot];
                 // No trustworthy evidence this round: the prediction ran
                 // on coasting model state, so it is neither an alert nor
                 // a "normal" vote — the k-of-W window holds its ground.
-                if self.degraded.contains(&vm) {
-                    if let Some(f) = self.filters.get_mut(&vm) {
-                        f.push_vote(Vote::Abstain);
-                    }
+                if rec.degraded {
+                    rec.filter.push_vote(Vote::Abstain);
                     continue;
                 }
                 if prediction.is_alert() {
@@ -871,12 +924,8 @@ impl PrepareController {
                         score: prediction.score,
                     });
                 }
-                let confirm = self
-                    .filters
-                    .get_mut(&vm)
-                    .is_some_and(|f| f.push(prediction.is_alert()));
-                if confirm {
-                    confirmed.push((vm, Self::positive_ranking(&prediction)));
+                if rec.filter.push(prediction.is_alert()) {
+                    confirmed.push((slot, vm, Self::positive_ranking(&prediction)));
                 }
             }
         }
@@ -894,8 +943,10 @@ impl PrepareController {
         let settled = self
             .trained_at
             .is_some_and(|t| now.since(t).as_secs() >= TRAINING_SETTLE_SECS);
-        for (vm, ranking) in confirmed {
-            if !settled || self.episodes.contains_key(&vm) || self.is_suppressed(vm, now) {
+        for (slot, vm, ranking) in confirmed {
+            // xtask-allow: index-in-loop -- confirmed slots come from predict_all
+            let rec = &mut self.table[slot];
+            if !settled || rec.episode.is_some() || rec.is_suppressed(now) {
                 continue;
             }
             self.events.push(ControllerEvent::AlertConfirmed {
@@ -903,82 +954,76 @@ impl PrepareController {
                 vm,
                 ranked_attributes: ranking.clone(),
             });
-            self.episodes.insert(vm, Episode::open(vm, now, ranking));
-            self.act(vm, now, slo_violated, io);
+            rec.episode = Some(Episode::open(vm, now, ranking));
+            self.act(slot, now, slo_violated, io);
         }
 
         // Reactive path: the violation is already here and no predictive
         // episode covers it — PREPARE's fallback, and the only path for
         // the reactive baseline scheme.
-        if violation_confirmed && self.episodes.is_empty() {
-            for (vm, ranking) in self.reactive_diagnosis() {
+        if violation_confirmed && !self.any_episode_open() {
+            for (slot, vm, ranking) in self.reactive_diagnosis() {
+                // xtask-allow: index-in-loop -- diagnosed slots come from predict_all
+                let rec = &mut self.table[slot];
                 // A degraded VM cannot be diagnosed — its model has seen
                 // no fresh data, so blaming it would be guesswork.
-                if self.is_suppressed(vm, now) || self.degraded.contains(&vm) {
+                if rec.is_suppressed(now) || rec.degraded {
                     continue;
                 }
                 self.events
                     .push(ControllerEvent::ReactiveTriggered { at: now, vm });
-                self.episodes.insert(vm, Episode::open(vm, now, ranking));
-                self.act(vm, now, slo_violated, io);
+                rec.episode = Some(Episode::open(vm, now, ranking));
+                self.act(slot, now, slo_violated, io);
             }
         }
     }
 
-    fn is_suppressed(&self, vm: VmId, now: Timestamp) -> bool {
-        self.suppressed_until
-            .get(&vm)
-            .is_some_and(|&until| now < until)
-    }
-
-    /// Scores every managed VM's predictor at the given horizons, sharded
-    /// per VM with results merged back into `vms` order. Each VM answers
-    /// all horizons from one Markov propagation pass
-    /// ([`AnomalyPredictor::predict_horizons`]). Prediction is a
-    /// read-only pass over independent per-VM models, so the scores are
-    /// bit-identical to querying each VM in a sequential loop.
-    fn predict_all(
-        &self,
-        horizons: &[Duration],
-    ) -> Vec<Option<(VmId, Vec<prepare_anomaly::Prediction>)>> {
-        prepare_par::par_map(&self.config.par, self.vms.clone(), |vm| {
-            self.predictors
-                .get(&vm)
-                .map(|p| (vm, p.predict_horizons(horizons)))
-        })
+    /// Scores every predictor at `horizon`, sharded per VM with results
+    /// merged back into slot order; slots without a predictor are not
+    /// visited. Prediction is a read-only pass over independent per-VM
+    /// models, so the scores are bit-identical to querying each VM in a
+    /// sequential loop.
+    fn predict_all(&self, horizon: Duration) -> Vec<(usize, VmId, prepare_anomaly::Prediction)> {
+        let holders: Vec<(usize, VmId, &AnomalyPredictor)> = self
+            .table
+            .iter()
+            .zip(&self.vms)
+            .enumerate()
+            .filter_map(|(slot, (rec, &vm))| rec.predictor.as_ref().map(|p| (slot, vm, p)))
+            .collect();
+        // One horizon asked, one prediction back.
+        let scored = prepare_par::par_map(&self.config.par, holders, |(slot, vm, p)| {
+            let prediction = p.predict_horizons(&[horizon]).pop()?;
+            Some((slot, vm, prediction))
+        });
+        scored.into_iter().flatten().collect()
     }
 
     /// Diagnoses the current (not predicted) state: faulty VMs are those
     /// whose models classify the present sample abnormal; if none does,
-    /// the highest-scoring VM is blamed. The per-VM scoring is sharded
-    /// like the predictive path; the fold below replays it in `vms`
-    /// order, so tie-breaking is identical to the sequential loop.
-    fn reactive_diagnosis(&self) -> Vec<(VmId, Vec<AttributeKind>)> {
-        let mut faulty = Vec::new();
-        let mut best: Option<(VmId, f64, Vec<AttributeKind>)> = None;
-        let now_states = self.predict_all(&[Duration::ZERO]);
-        for (vm, now_state) in now_states
-            .into_iter()
-            .flatten()
-            .filter_map(|(vm, mut preds)| preds.pop().map(|p| (vm, p)))
-        {
-            let ranking = Self::positive_ranking(&now_state);
-            if now_state.is_alert() {
-                faulty.push((vm, ranking.clone()));
-            }
-            if best.as_ref().is_none_or(|(_, s, _)| now_state.score > *s) {
-                best = Some((vm, now_state.score, ranking));
-            }
+    /// the highest-scoring VM is blamed, the lowest slot among equals.
+    fn reactive_diagnosis(&self) -> Vec<(usize, VmId, Vec<AttributeKind>)> {
+        let now_states = self.predict_all(Duration::ZERO);
+        let blame = |(slot, vm, state): &(usize, VmId, prepare_anomaly::Prediction)| {
+            (*slot, *vm, Self::positive_ranking(state))
+        };
+        let alerting = now_states.iter().filter(|(_, _, state)| state.is_alert());
+        let faulty: Vec<_> = alerting.map(blame).collect();
+        if !faulty.is_empty() {
+            return faulty;
         }
-        if faulty.is_empty() {
-            if let Some((vm, _, ranking)) = best {
-                faulty.push((vm, ranking));
+        let best = now_states.iter().reduce(|best, next| {
+            if next.2.score > best.2.score {
+                next
+            } else {
+                best
             }
-        }
-        faulty
+        });
+        best.map(blame).into_iter().collect()
     }
 
-    /// Plans and executes the next prevention action for an episode.
+    /// Plans and executes the next prevention action for the episode
+    /// open at `slot`.
     ///
     /// `slo_violated` gates the migration fallback under the
     /// scaling-first policy: live migration is disruptive (a brown-out of
@@ -987,20 +1032,21 @@ impl PrepareController {
     /// but healthy state must not trigger it. Under the migration-first
     /// policy, early (pre-violation) migration is the whole point
     /// (Fig. 9), so it stays allowed.
-    fn act(&mut self, vm: VmId, now: Timestamp, slo_violated: bool, io: &mut ClusterIo<'_>) {
-        let Some(episode) = self.episodes.get_mut(&vm) else {
+    fn act(&mut self, slot: usize, now: Timestamp, slo_violated: bool, io: &mut ClusterIo<'_>) {
+        let rec = &mut self.table[slot];
+        let Some(episode) = rec.episode.as_mut() else {
             return;
         };
+        let vm = episode.vm;
         // A transiently rejected action is waiting out its backoff; the
         // scheduled retry — not this call — owns the next attempt.
         if episode.retry_at.is_some_and(|t| now < t) {
             return;
         }
         episode.retry_at = None;
-        let recently_migrated = self
+        let recently_migrated = rec
             .last_migration
-            .get(&vm)
-            .is_some_and(|&t| now.since(t).as_secs() < MIGRATION_COOLDOWN_SECS);
+            .is_some_and(|t| now.since(t).as_secs() < MIGRATION_COOLDOWN_SECS);
         let migration_warranted = match self.config.policy {
             crate::PreventionPolicy::MigrationFirst => true,
             crate::PreventionPolicy::ScalingFirst => slo_violated,
@@ -1013,12 +1059,12 @@ impl PrepareController {
             allow_migration,
             &episode.ineffective_resources,
         );
-        let failure = match action {
+        let (reason, kind) = match action {
             Some(a) => match io.execute(&self.planner, a, now) {
                 None => {
                     let was_migration = matches!(a, PlannedAction::Migrate { .. });
                     if was_migration {
-                        self.last_migration.insert(vm, now);
+                        rec.last_migration = Some(now);
                     }
                     if let PlannedAction::Migrate { target, .. } = a {
                         episode.migration_target = Some(target);
@@ -1037,7 +1083,7 @@ impl PrepareController {
                         action: a.to_string(),
                         attribute,
                     });
-                    None
+                    return;
                 }
                 Some(err)
                     if err.transient && episode.transient_attempts < TRANSIENT_RETRY_LIMIT =>
@@ -1060,95 +1106,87 @@ impl PrepareController {
                         attempt: episode.transient_attempts,
                         retry_at,
                     });
-                    None
+                    return;
                 }
-                Some(err) => {
-                    let kind = if err.transient {
-                        ActionFailureKind::RetriesExhausted
-                    } else {
-                        ActionFailureKind::ExecutionFailed
-                    };
-                    Some((err.message, kind))
-                }
-            },
-            None => Some((
-                "no applicable prevention action".to_string(),
-                ActionFailureKind::NoApplicableAction,
-            )),
-        };
-        if let Some((reason, kind)) = failure {
-            let Some(episode) = self.episodes.get_mut(&vm) else {
-                return;
-            };
-            episode.transient_attempts = 0;
-            if kind == ActionFailureKind::RetriesExhausted {
                 // The hypervisor stayed busy through the whole backoff
                 // schedule: give up on this candidate and fall through to
                 // the next-ranked attribute.
-                episode.advance_candidate();
-            }
-            episode.failures += 1;
-            let abandon = episode.failures >= MAX_EPISODE_FAILURES;
-            self.events.push(ControllerEvent::ActionFailed {
+                Some(err) if err.transient => {
+                    episode.advance_candidate();
+                    (err.message, ActionFailureKind::RetriesExhausted)
+                }
+                Some(err) => (err.message, ActionFailureKind::ExecutionFailed),
+            },
+            None => (
+                "no applicable prevention action".to_string(),
+                ActionFailureKind::NoApplicableAction,
+            ),
+        };
+        episode.transient_attempts = 0;
+        episode.failures += 1;
+        let abandon = episode.failures >= MAX_EPISODE_FAILURES;
+        self.events.push(ControllerEvent::ActionFailed {
+            at: now,
+            vm,
+            reason,
+            kind,
+        });
+        if abandon {
+            rec.episode = None;
+            rec.filter.reset();
+            let suppressed_until = now + Duration::from_secs(SUPPRESSION_SECS);
+            rec.suppressed_until = Some(suppressed_until);
+            self.events.push(ControllerEvent::ActionAbandoned {
                 at: now,
                 vm,
-                reason,
-                kind,
+                suppressed_until,
             });
-            if abandon {
-                self.episodes.remove(&vm);
-                if let Some(f) = self.filters.get_mut(&vm) {
-                    f.reset();
-                }
-                let suppressed_until = now + Duration::from_secs(SUPPRESSION_SECS);
-                self.suppressed_until.insert(vm, suppressed_until);
-                self.events.push(ControllerEvent::ActionAbandoned {
-                    at: now,
-                    vm,
-                    suppressed_until,
-                });
-            }
         }
     }
 
-    /// Re-attempts actions whose transient-rejection backoff has elapsed.
+    /// Re-attempts actions whose transient-rejection backoff has elapsed,
+    /// in VM-id order.
     ///
     /// A due retry for a VM whose monitoring is degraded stays parked:
     /// actuating a VM the controller is blind on could not be validated
     /// (and would race the very infrastructure fault that blinded it), so
     /// the attempt fires on the first round after monitoring recovers.
     fn process_retries(&mut self, now: Timestamp, slo_violated: bool, io: &mut ClusterIo<'_>) {
-        let due: Vec<VmId> = self
-            .episodes
+        let due: Vec<usize> = self
+            .by_id
             .iter()
-            .filter(|(vm, ep)| {
-                !self.degraded.contains(*vm) && ep.retry_at.is_some_and(|t| now >= t)
+            .copied()
+            .filter(|&slot| {
+                let rec = &self.table[slot];
+                let retry_at = rec.episode.as_ref().and_then(|ep| ep.retry_at);
+                !rec.degraded && retry_at.is_some_and(|t| now >= t)
             })
-            .map(|(&vm, _)| vm)
             .collect();
-        for vm in due {
-            self.act(vm, now, slo_violated, io);
+        for slot in due {
+            self.act(slot, now, slo_violated, io);
         }
     }
 
-    /// Runs the look-back/look-ahead validation over open episodes.
+    /// Runs the look-back/look-ahead validation over open episodes, in
+    /// VM-id order.
     fn validate_episodes(&mut self, now: Timestamp, slo_violated: bool, io: &mut ClusterIo<'_>) {
         let window = self.config.validation_window;
-        let mut resolved = Vec::new();
-        let mut escalate = Vec::new();
-        let mut retry = Vec::new();
 
         // Observe migration outcomes first: an issued migration that is
         // no longer in flight either switched over (the VM now lives on
         // its target) or was torn down mid-copy and rolled back to the
         // source host. A rollback un-marks the episode's migration so the
         // move can be re-planned once the infrastructure recovers.
-        let mut rolled_back = Vec::new();
-        for (&vm, ep) in self.episodes.iter_mut() {
+        for &slot in &self.by_id {
+            // xtask-allow: index-in-loop -- by_id permutes the table's slots
+            let rec = &mut self.table[slot];
+            let Some(ep) = rec.episode.as_mut() else {
+                continue;
+            };
             let Some(target) = ep.migration_target else {
                 continue;
             };
-            let (migrating, host) = io.vm_state(vm);
+            let (migrating, host) = io.vm_state(ep.vm);
             if migrating {
                 continue;
             }
@@ -1158,29 +1196,35 @@ impl PrepareController {
                 // Fresh attempt after the validation window, via the
                 // stalled-episode path.
                 ep.last_action_at = None;
-                rolled_back.push((vm, target));
+                rec.last_migration = None;
+                self.events.push(ControllerEvent::ActionRolledBack {
+                    at: now,
+                    vm: ep.vm,
+                    target: target.to_string(),
+                });
             }
         }
-        for (vm, target) in rolled_back {
-            self.last_migration.remove(&vm);
-            self.events.push(ControllerEvent::ActionRolledBack {
-                at: now,
-                vm,
-                target: target.to_string(),
-            });
-        }
 
-        for (&vm, episode) in &self.episodes {
+        // Verdicts that act on the cluster wait until every episode has
+        // been judged against the same cluster state.
+        let mut escalate = Vec::new();
+        let mut retry = Vec::new();
+        for &slot in &self.by_id {
+            // xtask-allow: index-in-loop -- by_id permutes the table's slots
+            let rec = &mut self.table[slot];
+            let Some(episode) = &rec.episode else {
+                continue;
+            };
             // No trustworthy samples for this VM: freeze the episode
             // rather than judge an action on held-over data.
-            if self.degraded.contains(&vm) {
+            if rec.degraded {
                 continue;
             }
             // A stalled episode whose action could never be issued gets a
             // fresh attempt each validation window.
             if episode.last_action_at.is_none() {
                 if now.since(episode.opened) >= window {
-                    retry.push(vm);
+                    retry.push(slot);
                 }
                 continue;
             }
@@ -1192,43 +1236,35 @@ impl PrepareController {
             // escalate a working mitigation into a disruptive one.
             let still_anomalous = slo_violated;
             let changed = match (episode.active_attribute(), episode.last_action_at) {
-                (Some(attr), Some(acted)) => {
-                    // Episodes only open on VMs that have delivered
-                    // readings, so a series always exists; a missing one
-                    // just reads as "no usage change yet".
-                    let series = self.series.get(&vm);
-                    debug_assert!(series.is_some(), "episode open for {vm:?} without a series");
-                    series.is_some_and(|series| usage_changed(series, attr, acted, window))
-                }
+                (Some(attr), Some(acted)) => usage_changed(&rec.series, attr, acted, window),
                 // Migration-only episodes: "usage change" is the host move
                 // itself having completed.
-                (None, Some(_)) => !io.vm_state(vm).0 && episode.migrated,
+                (None, Some(_)) => !io.vm_state(episode.vm).0 && episode.migrated,
                 _ => false,
             };
             match episode.validate(now, window, still_anomalous, changed) {
-                ValidationOutcome::Resolved => resolved.push(vm),
-                ValidationOutcome::Ineffective => escalate.push(vm),
+                ValidationOutcome::Resolved => {
+                    let vm = episode.vm;
+                    rec.episode = None;
+                    rec.filter.reset();
+                    self.events
+                        .push(ControllerEvent::ValidationSucceeded { at: now, vm });
+                }
+                ValidationOutcome::Ineffective => escalate.push(slot),
                 // A retry that has already hit the per-candidate cap means
                 // the blamed metric responds to scaling without fixing the
                 // anomaly — wrong metric; move down the ranking.
-                ValidationOutcome::Retry if episode.candidate_exhausted() => escalate.push(vm),
-                ValidationOutcome::Retry => retry.push(vm),
+                ValidationOutcome::Retry if episode.candidate_exhausted() => escalate.push(slot),
+                ValidationOutcome::Retry => retry.push(slot),
                 ValidationOutcome::Pending => {}
             }
         }
 
-        for vm in resolved {
-            self.episodes.remove(&vm);
-            if let Some(f) = self.filters.get_mut(&vm) {
-                f.reset();
-            }
-            self.events
-                .push(ControllerEvent::ValidationSucceeded { at: now, vm });
-        }
-        for vm in escalate {
-            self.events
-                .push(ControllerEvent::ValidationIneffective { at: now, vm });
-            if let Some(ep) = self.episodes.get_mut(&vm) {
+        for slot in escalate {
+            // xtask-allow: index-in-loop -- escalated slots were read off by_id above
+            if let Some(ep) = self.table[slot].episode.as_mut() {
+                self.events
+                    .push(ControllerEvent::ValidationIneffective { at: now, vm: ep.vm });
                 // The blamed metric did not respond (or responded without
                 // fixing anything): retire both the metric and — once a
                 // resource's scaling has provably not helped — the whole
@@ -1236,10 +1272,10 @@ impl PrepareController {
                 ep.mark_resource_ineffective();
                 ep.advance_candidate();
             }
-            self.act(vm, now, slo_violated, io);
+            self.act(slot, now, slo_violated, io);
         }
-        for vm in retry {
-            self.act(vm, now, slo_violated, io);
+        for slot in retry {
+            self.act(slot, now, slo_violated, io);
         }
     }
 
@@ -1253,25 +1289,29 @@ impl PrepareController {
     /// byte-identity the recovery-equivalence proofs compare. A recovered
     /// controller's log legitimately carries extra crash/recovery events,
     /// so the log must not perturb [`PrepareController::model_fingerprint`].
-    fn store_core(&self, w: &mut Writer) {
+    ///
+    /// The table is written as exactly `vms.len()` records with no length
+    /// of its own: the VM count is stored once.
+    pub(crate) fn store_core(&self, w: &mut Writer) {
         self.config.store_state(w);
         self.scheme.store(w);
         self.vms.store(w);
-        self.series.store(w);
+        for rec in &self.table {
+            rec.store(w);
+        }
         self.slo.store(w);
-        self.predictors.store(w);
-        self.filters.store(w);
         self.inference.store_state(w);
         self.violation_filter.store(w);
-        self.episodes.store(w);
-        self.last_migration.store(w);
-        self.suppressed_until.store(w);
-        self.imputers.store(w);
-        self.degraded.store(w);
         self.trained_at.store(w);
         self.last_retrain.store(w);
         self.last_workload_change.store(w);
         self.trainer.store(w);
+    }
+
+    /// Serializes the event log, the part of the state that follows the
+    /// core in [`PrepareController::store_state`].
+    pub(crate) fn store_events(&self, w: &mut Writer) {
+        self.events.store(w);
     }
 
     /// Serializes the complete controller state — models, filters, vote
@@ -1281,7 +1321,7 @@ impl PrepareController {
     /// is rebuilt on restore.
     pub fn store_state(&self, w: &mut Writer) {
         self.store_core(w);
-        self.events.store(w);
+        self.store_events(w);
     }
 
     /// Restores a controller checkpointed by
@@ -1291,8 +1331,9 @@ impl PrepareController {
     /// # Errors
     ///
     /// Returns a [`PersistError`] when the bytes are truncated, carry
-    /// unknown tags, or violate controller invariants (empty VM set,
-    /// inconsistent tunables).
+    /// unknown tags, or violate controller invariants: an empty VM set, a
+    /// VM id stored twice, an episode filed under another VM's slot, a
+    /// trainer sized for a different fleet, or inconsistent tunables.
     pub fn load_state(r: &mut Reader<'_>, par: ParConfig) -> Result<Self, PersistError> {
         let config = PrepareConfig::load_state(r, par)?;
         let scheme = Scheme::load(r)?;
@@ -1300,21 +1341,28 @@ impl PrepareController {
         if vms.is_empty() {
             return Err(PersistError::Invalid("PrepareController vms"));
         }
-        let series = BTreeMap::load(r)?;
+        let (by_id, distinct) = slots_by_id(&vms);
+        if !distinct {
+            return Err(PersistError::Invalid("PrepareController duplicate VM id"));
+        }
+        let mut table = Vec::with_capacity(vms.len().min(r.remaining()));
+        for &vm in &vms {
+            let rec = VmRecord::load(r)?;
+            if rec.episode.as_ref().is_some_and(|ep| ep.vm != vm) {
+                return Err(PersistError::Invalid("PrepareController episode slot"));
+            }
+            table.push(rec);
+        }
         let slo = SloLog::load(r)?;
-        let predictors = BTreeMap::load(r)?;
-        let filters = BTreeMap::load(r)?;
         let inference = CauseInference::load_state(r, config.par)?;
         let violation_filter = AlertFilter::load(r)?;
-        let episodes = BTreeMap::load(r)?;
-        let last_migration = BTreeMap::load(r)?;
-        let suppressed_until = BTreeMap::load(r)?;
-        let imputers = BTreeMap::load(r)?;
-        let degraded = BTreeSet::load(r)?;
         let trained_at = Option::load(r)?;
         let last_retrain = Option::load(r)?;
         let last_workload_change = bool::load(r)?;
-        let trainer = Option::load(r)?;
+        let trainer = Option::<FleetTrainer>::load(r)?;
+        if trainer.as_ref().is_some_and(|t| t.slots() != vms.len()) {
+            return Err(PersistError::Invalid("PrepareController trainer slots"));
+        }
         let events = Vec::load(r)?;
         let planner = PreventionPlanner::new(config.policy, config.scale_factor)
             .with_migration_target_policy(config.migration_policy);
@@ -1322,18 +1370,12 @@ impl PrepareController {
             config,
             scheme,
             vms,
-            series,
+            table,
+            by_id,
             slo,
-            predictors,
-            filters,
             inference,
             planner,
             violation_filter,
-            episodes,
-            last_migration,
-            suppressed_until,
-            imputers,
-            degraded,
             trained_at,
             last_retrain,
             last_workload_change,
@@ -1374,6 +1416,11 @@ mod tests {
 
     fn mk_controller(scheme: Scheme) -> PrepareController {
         PrepareController::new(vec![VmId(0), VmId(1)], PrepareConfig::default(), scheme)
+    }
+
+    /// The episode open at `slot`.
+    fn episode(ctl: &PrepareController, slot: usize) -> &Episode {
+        ctl.table[slot].episode.as_ref().expect("an open episode")
     }
 
     fn sample_for(t: u64, cpu: f64, free_mem: f64) -> MetricSample {
@@ -1595,13 +1642,14 @@ mod tests {
         c.create_vm(h0, 100.0, 2048.0).unwrap();
         c.create_vm(h0, 100.0, 2048.0).unwrap();
         let mut ctl = mk_controller(Scheme::Prepare);
-        ctl.episodes.insert(
+        ctl.table[0].episode = Some(Episode::open(
             VmId(0),
-            Episode::open(VmId(0), Timestamp::ZERO, vec![AttributeKind::FreeMem]),
-        );
+            Timestamp::ZERO,
+            vec![AttributeKind::FreeMem],
+        ));
         for round in 1..=MAX_EPISODE_FAILURES {
             let now = Timestamp::from_secs(round as u64 * 30);
-            ctl.act(VmId(0), now, true, &mut ClusterIo::live(&mut c));
+            ctl.act(0, now, true, &mut ClusterIo::live(&mut c));
             let failed = ctl
                 .events
                 .iter()
@@ -1609,14 +1657,14 @@ mod tests {
                 .count();
             assert_eq!(failed, round, "exactly one failure per failed round");
             if round < MAX_EPISODE_FAILURES {
-                assert_eq!(ctl.episodes[&VmId(0)].failures, round);
+                assert_eq!(episode(&ctl, 0).failures, round);
             }
         }
         assert!(
-            !ctl.episodes.contains_key(&VmId(0)),
+            ctl.table[0].episode.is_none(),
             "episode abandons at the failure cap"
         );
-        assert!(ctl.suppressed_until.contains_key(&VmId(0)));
+        assert!(ctl.table[0].suppressed_until.is_some());
         // Abandonment is observable: the terminal event names the VM and
         // the end of its suppression window.
         let last_round = Timestamp::from_secs(MAX_EPISODE_FAILURES as u64 * 30);
@@ -1649,13 +1697,14 @@ mod tests {
         let mut c = test_cluster();
         c.set_hypervisor_busy(true);
         let mut ctl = mk_controller(Scheme::Prepare);
-        ctl.episodes.insert(
+        ctl.table[0].episode = Some(Episode::open(
             VmId(0),
-            Episode::open(VmId(0), Timestamp::ZERO, vec![AttributeKind::CpuTotal]),
-        );
-        ctl.act(VmId(0), Timestamp::ZERO, true, &mut ClusterIo::live(&mut c));
+            Timestamp::ZERO,
+            vec![AttributeKind::CpuTotal],
+        ));
+        ctl.act(0, Timestamp::ZERO, true, &mut ClusterIo::live(&mut c));
         {
-            let ep = &ctl.episodes[&VmId(0)];
+            let ep = episode(&ctl, 0);
             assert_eq!(ep.transient_attempts, 1);
             assert_eq!(ep.failures, 0, "a deferred action is not a failure");
             assert_eq!(
@@ -1669,12 +1718,12 @@ mod tests {
         ));
         // Before the backoff elapses, act() is a no-op.
         ctl.act(
-            VmId(0),
+            0,
             Timestamp::from_secs(2),
             true,
             &mut ClusterIo::live(&mut c),
         );
-        assert_eq!(ctl.episodes[&VmId(0)].transient_attempts, 1);
+        assert_eq!(episode(&ctl, 0).transient_attempts, 1);
         // The control plane recovers; the due retry issues the action.
         c.set_hypervisor_busy(false);
         ctl.process_retries(
@@ -1686,7 +1735,7 @@ mod tests {
             ctl.events.last(),
             Some(ControllerEvent::ActionIssued { .. })
         ));
-        let ep = &ctl.episodes[&VmId(0)];
+        let ep = episode(&ctl, 0);
         assert_eq!(ep.transient_attempts, 0);
         assert_eq!(ep.retry_at, None);
         assert!(!c.actions().is_empty());
@@ -1699,18 +1748,15 @@ mod tests {
         let mut c = test_cluster();
         c.set_hypervisor_busy(true);
         let mut ctl = mk_controller(Scheme::Prepare);
-        ctl.episodes.insert(
+        ctl.table[0].episode = Some(Episode::open(
             VmId(0),
-            Episode::open(
-                VmId(0),
-                Timestamp::ZERO,
-                vec![AttributeKind::CpuTotal, AttributeKind::FreeMem],
-            ),
-        );
+            Timestamp::ZERO,
+            vec![AttributeKind::CpuTotal, AttributeKind::FreeMem],
+        ));
         let mut now = Timestamp::ZERO;
-        ctl.act(VmId(0), now, true, &mut ClusterIo::live(&mut c));
+        ctl.act(0, now, true, &mut ClusterIo::live(&mut c));
         for _ in 0..TRANSIENT_RETRY_LIMIT {
-            let Some(retry_at) = ctl.episodes[&VmId(0)].retry_at else {
+            let Some(retry_at) = episode(&ctl, 0).retry_at else {
                 break;
             };
             now = retry_at;
@@ -1732,7 +1778,7 @@ mod tests {
             ),
             "the attempt after the last backoff exhausts the schedule"
         );
-        let ep = &ctl.episodes[&VmId(0)];
+        let ep = episode(&ctl, 0);
         assert_eq!(ep.failures, 1, "exhaustion costs exactly one failure");
         assert_eq!(
             ep.active_attribute(),
@@ -1748,14 +1794,15 @@ mod tests {
         let mut c = test_cluster();
         c.set_hypervisor_busy(true);
         let mut ctl = mk_controller(Scheme::Prepare);
-        ctl.episodes.insert(
+        ctl.table[0].episode = Some(Episode::open(
             VmId(0),
-            Episode::open(VmId(0), Timestamp::ZERO, vec![AttributeKind::CpuTotal]),
-        );
+            Timestamp::ZERO,
+            vec![AttributeKind::CpuTotal],
+        ));
         let mut now = Timestamp::ZERO;
         let mut gaps = Vec::new();
-        ctl.act(VmId(0), now, true, &mut ClusterIo::live(&mut c));
-        while let Some(retry_at) = ctl.episodes[&VmId(0)].retry_at {
+        ctl.act(0, now, true, &mut ClusterIo::live(&mut c));
+        while let Some(retry_at) = episode(&ctl, 0).retry_at {
             gaps.push(retry_at.since(now).as_secs());
             now = retry_at;
             ctl.process_retries(now, true, &mut ClusterIo::live(&mut c));
@@ -1776,11 +1823,11 @@ mod tests {
         // escalate straight to migration (§II-D).
         let mut ep = Episode::open(VmId(0), Timestamp::ZERO, vec![AttributeKind::CpuTotal]);
         ep.ineffective_resources = vec![prepare_metrics::ScalableResource::Cpu];
-        ctl.episodes.insert(VmId(0), ep);
+        ctl.table[0].episode = Some(ep);
         let mut now = Timestamp::ZERO;
         let mut gaps = Vec::new();
-        ctl.act(VmId(0), now, true, &mut ClusterIo::live(&mut c));
-        while let Some(retry_at) = ctl.episodes[&VmId(0)].retry_at {
+        ctl.act(0, now, true, &mut ClusterIo::live(&mut c));
+        while let Some(retry_at) = episode(&ctl, 0).retry_at {
             gaps.push(retry_at.since(now).as_secs());
             now = retry_at;
             ctl.process_retries(now, true, &mut ClusterIo::live(&mut c));
@@ -1814,7 +1861,7 @@ mod tests {
             ),
             "the post-cap attempt exhausts the schedule"
         );
-        assert_eq!(ctl.episodes[&VmId(0)].failures, 1);
+        assert_eq!(episode(&ctl, 0).failures, 1);
         assert!(c.actions().is_empty(), "the VM never moved");
     }
 
@@ -1828,8 +1875,8 @@ mod tests {
         let mut ctl = mk_controller(Scheme::Prepare);
         let mut ep = Episode::open(VmId(0), Timestamp::ZERO, vec![AttributeKind::CpuTotal]);
         ep.ineffective_resources = vec![prepare_metrics::ScalableResource::Cpu];
-        ctl.episodes.insert(VmId(0), ep);
-        ctl.act(VmId(0), Timestamp::ZERO, true, &mut ClusterIo::live(&mut c));
+        ctl.table[0].episode = Some(ep);
+        ctl.act(0, Timestamp::ZERO, true, &mut ClusterIo::live(&mut c));
         assert!(
             matches!(
                 ctl.events.last(),
@@ -1841,7 +1888,7 @@ mod tests {
             "escalation issues a migration (attribute-less action)"
         );
         assert!(c.vm(VmId(0)).is_migrating());
-        let target = ctl.episodes[&VmId(0)].migration_target;
+        let target = episode(&ctl, 0).migration_target;
         assert!(target.is_some());
         // The infrastructure tears the migration down mid-copy.
         c.cancel_migration(VmId(0), Timestamp::from_secs(3))
@@ -1857,16 +1904,16 @@ mod tests {
             ),
             "the rollback is observable in the event log"
         );
-        let ep = &ctl.episodes[&VmId(0)];
+        let ep = episode(&ctl, 0);
         assert!(!ep.migrated, "a rolled-back move may be re-planned");
         assert_eq!(ep.migration_target, None);
         assert!(
-            !ctl.last_migration.contains_key(&VmId(0)),
+            ctl.table[0].last_migration.is_none(),
             "no cooldown for a migration that never happened"
         );
         // With the mark cleared, the very next act() re-plans the move.
         ctl.act(
-            VmId(0),
+            0,
             Timestamp::from_secs(40),
             true,
             &mut ClusterIo::live(&mut c),
@@ -1904,7 +1951,7 @@ mod tests {
             .count();
         assert_eq!(degraded_events, 1, "edge-triggered, not level-triggered");
         assert!(
-            ctl.filters[&VmId(0)].abstentions() > 0,
+            ctl.table[0].filter.abstentions() > 0,
             "degraded rounds abstain instead of voting"
         );
         // Fresh data returns: recovered exactly once.
@@ -2078,5 +2125,191 @@ mod tests {
     #[should_panic(expected = "at least one VM")]
     fn rejects_empty_vm_set() {
         let _ = PrepareController::new(vec![], PrepareConfig::default(), Scheme::Prepare);
+    }
+
+    #[test]
+    #[should_panic(expected = "must be distinct")]
+    fn rejects_duplicate_vm_ids() {
+        let vms = vec![VmId(0), VmId(1), VmId(0)];
+        let _ = PrepareController::new(vms, PrepareConfig::default(), Scheme::Prepare);
+    }
+
+    /// Images whose per-VM parts disagree load as errors, never as a
+    /// controller whose table and trainer are out of step.
+    #[test]
+    fn load_state_rejects_inconsistent_images() {
+        fn load_err(ctl: &PrepareController) -> PersistError {
+            let mut w = Writer::new();
+            ctl.store_state(&mut w);
+            let bytes = w.into_bytes();
+            PrepareController::load_state(&mut Reader::new(&bytes), ctl.config.par)
+                .expect_err("inconsistent image must not load")
+        }
+        let mut c = test_cluster();
+        let mut good = mk_controller(Scheme::Prepare);
+        drive(&mut good, &mut c, 0..10);
+
+        let mut ctl = good.clone();
+        ctl.trainer = Some(FleetTrainer::new(3, &ctl.config.predictor));
+        assert!(matches!(
+            load_err(&ctl),
+            PersistError::Invalid("PrepareController trainer slots")
+        ));
+
+        let mut ctl = good.clone();
+        ctl.vms = vec![VmId(0), VmId(0)];
+        assert!(matches!(
+            load_err(&ctl),
+            PersistError::Invalid("PrepareController duplicate VM id")
+        ));
+
+        let mut ctl = good.clone();
+        ctl.table[0].episode = Some(Episode::open(VmId(1), Timestamp::ZERO, vec![]));
+        assert!(matches!(
+            load_err(&ctl),
+            PersistError::Invalid("PrepareController episode slot")
+        ));
+    }
+
+    /// The slot order (constructor order) and the id order are both
+    /// observable, and each walk keeps its own: degradation and alert
+    /// events follow the order `vms` was given in, validation and retry
+    /// events follow VM-id order whatever that was. Two controllers over
+    /// the same VMs, one built ascending and one descending, fed the same
+    /// run, therefore emit the same events every round up to that
+    /// reordering.
+    #[test]
+    fn constructor_order_and_id_order_walks_are_both_kept() {
+        fn vm_of(e: &ControllerEvent) -> Option<VmId> {
+            match e {
+                ControllerEvent::MonitoringDegraded { vm, .. }
+                | ControllerEvent::MonitoringRecovered { vm, .. }
+                | ControllerEvent::AlertRaised { vm, .. }
+                | ControllerEvent::AlertConfirmed { vm, .. }
+                | ControllerEvent::ValidationSucceeded { vm, .. }
+                | ControllerEvent::ValidationIneffective { vm, .. }
+                | ControllerEvent::ActionRetried { vm, .. } => Some(*vm),
+                _ => None,
+            }
+        }
+        /// The VMs of the events of one kind, in emission order.
+        fn ids(events: &[ControllerEvent], kind: &ControllerEvent) -> Vec<VmId> {
+            events
+                .iter()
+                .filter(|e| std::mem::discriminant(*e) == std::mem::discriminant(kind))
+                .filter_map(vm_of)
+                .collect()
+        }
+        // One specimen per event kind, and whether the kind is emitted
+        // by a constructor-order walk (else by an id-order walk).
+        let at = Timestamp::ZERO;
+        let vm = VmId(0);
+        let kinds = [
+            (ControllerEvent::MonitoringDegraded { at, vm }, true),
+            (ControllerEvent::MonitoringRecovered { at, vm }, true),
+            (ControllerEvent::AlertRaised { at, vm, score: 0.0 }, true),
+            (
+                ControllerEvent::AlertConfirmed {
+                    at,
+                    vm,
+                    ranked_attributes: vec![],
+                },
+                true,
+            ),
+            (ControllerEvent::ValidationSucceeded { at, vm }, false),
+            (ControllerEvent::ValidationIneffective { at, vm }, false),
+            (
+                ControllerEvent::ActionRetried {
+                    at,
+                    vm,
+                    action: String::new(),
+                    attempt: 0,
+                    retry_at: at,
+                },
+                false,
+            ),
+        ];
+        // Rounds in which a kind fired for both VMs: without them the
+        // order assertions below would hold vacuously.
+        let mut paired = [0usize; 7];
+
+        let mut clusters = [test_cluster(), test_cluster()];
+        let mut ascending = PrepareController::new(
+            vec![VmId(0), VmId(1)],
+            PrepareConfig::default(),
+            Scheme::Prepare,
+        );
+        let mut descending = PrepareController::new(
+            vec![VmId(1), VmId(0)],
+            PrepareConfig::default(),
+            Scheme::Prepare,
+        );
+        for i in 0..480u64 {
+            let t = i * 5;
+            // Both VMs leak in step, so both are implicated, alert,
+            // actuate and validate in the same rounds. VM 1's CPU climbs
+            // with its leak, which keeps the two models' scores apart: a
+            // tied reactive diagnosis goes to the lower slot.
+            let free = match i % 120 {
+                phase @ 40..=89 => 500.0 - (phase - 39) as f64 * 10.0,
+                90..=109 => 0.0,
+                _ => 500.0,
+            };
+            let violated = free < 50.0;
+            // The third anomaly meets a busy hypervisor with an episode
+            // already open on both VMs, so both retry chains start in one
+            // round and stay in step; the fourth meets a monitoring
+            // blackout (degradation).
+            let now = Timestamp::from_secs(t);
+            for c in clusters.iter_mut() {
+                c.advance(now);
+                c.set_hypervisor_busy((290..310).contains(&i));
+            }
+            if i == 290 {
+                for ctl in [&mut ascending, &mut descending] {
+                    for (rec, &vm) in ctl.table.iter_mut().zip(&ctl.vms) {
+                        rec.episode = Some(Episode::open(vm, now, vec![AttributeKind::FreeMem]));
+                    }
+                }
+            }
+            let readings: Vec<(VmId, StampedSample)> = if (400..410).contains(&i) {
+                Vec::new()
+            } else {
+                [(VmId(0), 40.0), (VmId(1), 40.0 + (500.0 - free) / 20.0)]
+                    .map(|(vm, cpu)| (vm, StampedSample::fresh(sample_for(t, cpu, free))))
+                    .to_vec()
+            };
+            let [ca, cd] = &mut clusters;
+            let ea = ascending.on_readings(now, &readings, violated, ca);
+            let ed = descending.on_readings(now, &readings, violated, cd);
+
+            let multiset = |events: &[ControllerEvent]| {
+                let mut lines: Vec<String> = events.iter().map(|e| format!("{e:?}")).collect();
+                lines.sort();
+                lines
+            };
+            assert_eq!(multiset(&ea), multiset(&ed), "round {i}");
+            assert_eq!(ascending.degraded_vms(), descending.degraded_vms());
+            let alert_round = !ids(&ea, &kinds[3].0).is_empty();
+            for ((kind, constructor_order), paired) in kinds.iter().zip(&mut paired) {
+                // A retry scheduled in the round an alert confirms comes
+                // from the alert walk; later attempts from the retry walk.
+                if alert_round && matches!(kind, ControllerEvent::ActionRetried { .. }) {
+                    continue;
+                }
+                let (a, mut d) = (ids(&ea, kind), ids(&ed, kind));
+                assert!(a.is_sorted(), "round {i}: {kind:?} in {a:?}");
+                if *constructor_order {
+                    d.reverse();
+                }
+                assert_eq!(a, d, "round {i}: {kind:?}");
+                *paired += usize::from(a.len() > 1);
+            }
+        }
+        let [degraded, recovered, raised, _, succeeded, _, retried] = paired;
+        assert!(
+            degraded > 0 && recovered > 0 && raised > 0 && succeeded > 0 && retried > 0,
+            "both walks must be witnessed: {paired:?}"
+        );
     }
 }

@@ -37,28 +37,25 @@ const PAGING_FAULTS_PER_SEC: f64 = 100.0;
 /// coincidences and alert-storm on healthy state. Exhaustion is also
 /// precisely the condition PREPARE's prevention actions (resource
 /// scaling, migration to a bigger host) can actually fix.
-pub fn implicated_vms(series: &BTreeMap<VmId, TimeSeries>, slo: &SloLog) -> Vec<VmId> {
+///
+/// `series` holds one series per VM; the result is the implicated
+/// indices into it, ascending.
+pub fn implicated_vms(series: &[&TimeSeries], slo: &SloLog) -> Vec<usize> {
     implicated_vms_par(series, slo, &ParConfig::serial())
 }
 
 /// [`implicated_vms`] with the per-VM scoring sharded across the workers
 /// of `par`. The scores — and therefore the implicated set — are
 /// identical for every worker count: each VM is scored purely from its
-/// own series, and the merge is keyed on VM id.
-pub fn implicated_vms_par(
-    series: &BTreeMap<VmId, TimeSeries>,
-    slo: &SloLog,
-    par: &ParConfig,
-) -> Vec<VmId> {
-    let entries: Vec<(VmId, &TimeSeries)> = series.iter().map(|(&vm, ts)| (vm, ts)).collect();
-    let mut out: Vec<VmId> = prepare_par::par_map(par, entries, |(vm, ts)| {
-        (implication_score(ts, slo) >= 1.0).then_some(vm)
+/// own series, and the merge keeps input order.
+pub fn implicated_vms_par(series: &[&TimeSeries], slo: &SloLog, par: &ParConfig) -> Vec<usize> {
+    let entries: Vec<(usize, &TimeSeries)> = series.iter().copied().enumerate().collect();
+    prepare_par::par_map(par, entries, |(slot, ts)| {
+        (implication_score(ts, slo) >= 1.0).then_some(slot)
     })
     .into_iter()
     .flatten()
-    .collect();
-    out.sort_unstable();
-    out
+    .collect()
 }
 
 /// The implication score of one VM: the strongest resource-exhaustion
@@ -416,7 +413,7 @@ mod implication_tests {
     /// Two VMs, SLO violated t in [200, 400): VM0 exhausts its memory
     /// (free collapses, heavy paging) during the violation; VM1 only sees
     /// the ripple (its input traffic drops) and never exhausts anything.
-    fn fixture() -> (BTreeMap<VmId, TimeSeries>, SloLog) {
+    fn fixture() -> ([TimeSeries; 2], SloLog) {
         let mut s0 = TimeSeries::new();
         let mut s1 = TimeSeries::new();
         let mut slo = SloLog::new();
@@ -453,24 +450,21 @@ mod implication_tests {
             s1.push(MetricSample::new(t, v1));
             slo.record(t, violated);
         }
-        let mut map = BTreeMap::new();
-        map.insert(VmId(0), s0);
-        map.insert(VmId(1), s1);
-        (map, slo)
+        ([s0, s1], slo)
     }
 
     #[test]
     fn faulty_vm_is_implicated_ripples_are_not() {
         let (series, slo) = fixture();
-        let implicated = implicated_vms(&series, &slo);
-        assert_eq!(implicated, vec![VmId(0)]);
+        let implicated = implicated_vms(&series.each_ref(), &slo);
+        assert_eq!(implicated, vec![0]);
     }
 
     #[test]
     fn scores_separate_cleanly() {
         let (series, slo) = fixture();
-        let s0 = implication_score(&series[&VmId(0)], &slo);
-        let s1 = implication_score(&series[&VmId(1)], &slo);
+        let s0 = implication_score(&series[0], &slo);
+        let s1 = implication_score(&series[1], &slo);
         assert!(s0 > 1.0, "faulty VM score {s0}");
         assert!(
             s1 < 1.0,
@@ -497,9 +491,10 @@ mod implication_tests {
     #[test]
     fn parallel_implication_matches_sequential() {
         let (series, slo) = fixture();
-        let expect = implicated_vms(&series, &slo);
+        let expect = implicated_vms(&series.each_ref(), &slo);
         for workers in [1usize, 2, 7] {
-            let got = implicated_vms_par(&series, &slo, &ParConfig::with_workers(workers));
+            let got =
+                implicated_vms_par(&series.each_ref(), &slo, &ParConfig::with_workers(workers));
             assert_eq!(got, expect, "diverged at workers={workers}");
         }
     }
@@ -508,7 +503,7 @@ mod implication_tests {
     fn no_violations_means_no_implication() {
         let (series, _) = fixture();
         let quiet = SloLog::new();
-        assert!(implicated_vms(&series, &quiet).is_empty());
-        assert_eq!(implication_score(&series[&VmId(0)], &quiet), 0.0);
+        assert!(implicated_vms(&series.each_ref(), &quiet).is_empty());
+        assert_eq!(implication_score(&series[0], &quiet), 0.0);
     }
 }

@@ -45,6 +45,29 @@ use prepare_par::ParConfig;
 /// Magic + version sealing a checkpoint frame ("PRPCKP" + version 01).
 pub const CHECKPOINT_MAGIC: u64 = u64::from_le_bytes(*b"PRPCKP01");
 
+fn checksum(payload: &[u8]) -> u64 {
+    let mut fp = Fingerprint64::new();
+    fp.write_bytes(payload);
+    fp.finish()
+}
+
+/// Appends one frame: payload length, payload, FNV-1a checksum.
+fn put_frame(w: &mut Writer, payload: &[u8]) {
+    w.put_usize(payload.len());
+    w.put_raw(payload);
+    w.put_u64(checksum(payload));
+}
+
+/// Reads one frame back, rejecting a payload that fails its checksum.
+fn get_frame<'a>(r: &mut Reader<'a>) -> Result<&'a [u8], PersistError> {
+    let len = r.get_usize()?;
+    let payload = r.get_raw(len)?;
+    if r.get_u64()? != checksum(payload) {
+        return Err(PersistError::BadChecksum);
+    }
+    Ok(payload)
+}
+
 /// One journaled control round: everything needed to re-drive the round
 /// through the controller without a cluster.
 #[derive(Debug, Clone, PartialEq)]
@@ -113,14 +136,9 @@ impl Journal {
     pub fn append(&mut self, record: &TickRecord) {
         let mut payload = Writer::new();
         record.store(&mut payload);
-        let payload = payload.into_bytes();
-        let mut fp = Fingerprint64::new();
-        fp.write_bytes(&payload);
         let mut frame = Writer::new();
-        frame.put_usize(payload.len());
-        frame.put_raw(&payload);
-        frame.put_u64(fp.finish());
-        self.buf.extend_from_slice(&frame.into_bytes());
+        put_frame(&mut frame, payload.bytes());
+        self.buf.extend_from_slice(frame.bytes());
         self.records += 1;
     }
 
@@ -183,15 +201,7 @@ impl Journal {
                 };
             }
             let intact = (|| -> Result<TickRecord, PersistError> {
-                let len = r.get_usize()?;
-                let payload = r.get_raw(len)?;
-                let mut fp = Fingerprint64::new();
-                fp.write_bytes(payload);
-                let stored = r.get_u64()?;
-                if stored != fp.finish() {
-                    return Err(PersistError::BadChecksum);
-                }
-                let mut pr = Reader::new(payload);
+                let mut pr = Reader::new(get_frame(&mut r)?);
                 let record = TickRecord::load(&mut pr)?;
                 if !pr.is_exhausted() {
                     return Err(PersistError::Invalid("journal frame trailing bytes"));
@@ -227,14 +237,14 @@ impl Checkpoint {
         let mut payload = Writer::new();
         payload.put_u64(tick);
         controller.store_state(&mut payload);
-        let payload = payload.into_bytes();
-        let mut fp = Fingerprint64::new();
-        fp.write_bytes(&payload);
+        Self::seal(payload)
+    }
+
+    /// Frames a finished payload: magic, length, payload, checksum.
+    fn seal(payload: Writer) -> Vec<u8> {
         let mut w = Writer::new();
         w.put_u64(CHECKPOINT_MAGIC);
-        w.put_usize(payload.len());
-        w.put_raw(&payload);
-        w.put_u64(fp.finish());
+        put_frame(&mut w, payload.bytes());
         w.into_bytes()
     }
 
@@ -255,13 +265,7 @@ impl Checkpoint {
                 expected: CHECKPOINT_MAGIC,
             });
         }
-        let len = r.get_usize()?;
-        let payload = r.get_raw(len)?;
-        let mut fp = Fingerprint64::new();
-        fp.write_bytes(payload);
-        if r.get_u64()? != fp.finish() {
-            return Err(PersistError::BadChecksum);
-        }
+        let payload = get_frame(&mut r)?;
         if !r.is_exhausted() {
             return Err(PersistError::Invalid("checkpoint trailing bytes"));
         }
@@ -363,25 +367,32 @@ impl RecoveryManager {
         self.journal.barrier();
         self.tick += 1;
         if self.tick.is_multiple_of(self.checkpoint_every) {
-            // The event reports the *core* state size: a recovered run's
-            // full checkpoint legitimately carries extra crash/recovery
-            // events in its log, and the recovery-equivalence proofs
-            // compare post-recovery event streams byte-for-byte.
-            let bytes = self.controller.core_state_bytes();
+            // The state is serialized once, straight into the checkpoint
+            // payload. The core goes first and its length is what the
+            // event reports: a recovered run's full checkpoint
+            // legitimately carries extra crash/recovery events in its
+            // log, and the recovery-equivalence proofs compare
+            // post-recovery event streams byte-for-byte.
+            let mut payload = Writer::new();
+            payload.put_u64(self.tick);
+            let before_core = payload.len();
+            self.controller.store_core(&mut payload);
+            let bytes = payload.len() - before_core;
             let taken = ControllerEvent::CheckpointTaken { at: now, bytes };
             let truncated = ControllerEvent::JournalTruncated {
                 at: now,
                 records: self.journal.records(),
             };
-            // Both bookkeeping events land in the log *before* the
-            // checkpoint seals, so a restore from this checkpoint
+            // Both bookkeeping events land in the log *before* the log
+            // joins the payload, so a restore from this checkpoint
             // carries them — otherwise a crash on the next round would
             // rebuild a log missing its own truncation marker.
             self.controller.record_event(taken.clone());
             self.controller.record_event(truncated.clone());
             events.push(taken);
             events.push(truncated);
-            self.checkpoint = Checkpoint::write(&self.controller, self.tick);
+            self.controller.store_events(&mut payload);
+            self.checkpoint = Checkpoint::seal(payload);
             self.journal.truncate();
         }
         events
@@ -589,6 +600,44 @@ mod tests {
         ));
         // Truncated frame.
         assert!(Checkpoint::read(&image[..image.len() - 3], ParConfig::serial()).is_err());
+    }
+
+    /// The manager serializes the state once per seal, in two steps around
+    /// the bookkeeping events. The frame it keeps must be the frame the
+    /// one-step reference writer produces for the same controller, and
+    /// the reported size must be the core's.
+    #[test]
+    fn seal_once_frame_matches_checkpoint_write() {
+        let mut cluster = Cluster::new();
+        let host = cluster.add_host(prepare_cloudsim::HostSpec::vcl_default());
+        cluster
+            .create_vm(host, 100.0, 512.0)
+            .expect("host has room");
+        let controller = PrepareController::new(
+            vec![VmId(0)],
+            crate::PrepareConfig::default(),
+            crate::Scheme::Prepare,
+        );
+        let mut manager = RecoveryManager::new(controller, 3);
+        for t in 0..7u64 {
+            let rec = record(t * 5);
+            let events = manager.tick(rec.now, &rec.readings, rec.slo_violated, &mut cluster);
+            let sealed = (t + 1).is_multiple_of(3);
+            assert_eq!(manager.journal_records() == 0, sealed, "tick {t}");
+            if !sealed {
+                continue;
+            }
+            assert_eq!(
+                manager.crash_image().checkpoint,
+                Checkpoint::write(manager.controller(), manager.tick_count()),
+                "tick {t}"
+            );
+            let reported = events.iter().find_map(|e| match e {
+                ControllerEvent::CheckpointTaken { bytes, .. } => Some(*bytes),
+                _ => None,
+            });
+            assert_eq!(reported, Some(manager.controller().core_state_bytes()));
+        }
     }
 
     #[test]

@@ -333,7 +333,9 @@ fn reactive_trigger_answered(trace: &Trace<'_>) -> Vec<Violation> {
 }
 
 /// Retry chains count 1, 2, 3, … and never exceed the retry limit. A
-/// chain is broken (reset) by any non-retry action event for the VM.
+/// chain is broken (reset) by any non-retry action event for the VM, and
+/// by the validation verdict that closes its episode: an episode may
+/// resolve with a retry still pending, and the next one starts at 1.
 fn retry_attempts_bounded(trace: &Trace<'_>) -> Vec<Violation> {
     let mut out = Vec::new();
     let mut chains: Vec<(VmId, usize)> = Vec::new();
@@ -369,6 +371,7 @@ fn retry_attempts_bounded(trace: &Trace<'_>) -> Vec<Violation> {
         } else if let Some(vm) = issued_vm(e)
             .or_else(|| failed_vm(e))
             .or_else(|| abandoned_vm(e))
+            .or_else(|| validation_ok_vm(e))
         {
             chains.retain(|(v, _)| *v != vm);
         }
@@ -897,6 +900,29 @@ mod tests {
         ];
         let v = retry_attempts_bounded(&Trace::new(&log));
         assert_eq!(v.len(), 1, "attempt 5 exceeds the limit: {v:?}");
+    }
+
+    /// An episode that resolves with a retry still pending closes the
+    /// chain: the next episode's first retry is attempt 1 again.
+    #[test]
+    fn resolved_episode_closes_the_retry_chain() {
+        let retried = |at: u64, attempt: usize, backoff: u64| ControllerEvent::ActionRetried {
+            at: t(at),
+            vm: VmId(0),
+            action: "scale vm0 mem to 666MB".into(),
+            attempt,
+            retry_at: t(at + backoff),
+        };
+        let log = vec![
+            retried(100, 1, 5),
+            retried(105, 2, 10),
+            ControllerEvent::ValidationSucceeded {
+                at: t(110),
+                vm: VmId(0),
+            },
+            retried(300, 1, 5),
+        ];
+        assert_eq!(retry_attempts_bounded(&Trace::new(&log)), vec![]);
     }
 
     #[test]
