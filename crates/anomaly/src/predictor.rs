@@ -63,6 +63,12 @@ pub struct AnomalyPredictor {
     last_time: Option<Timestamp>,
 }
 
+/// Largest bin count a stored configuration may name. A restore sizes
+/// `bins³` count tables per attribute from this one number, before any
+/// other byte of the image can vouch for it; at 64 a single table is
+/// already 2 MB, far past anything a training window could fill.
+const MAX_STORED_BINS: usize = 64;
+
 impl Persist for PredictorConfig {
     fn store(&self, w: &mut Writer) {
         w.put_usize(self.bins);
@@ -73,7 +79,7 @@ impl Persist for PredictorConfig {
         let bins = r.get_usize()?;
         let sampling_interval = Duration::load(r)?;
         let markov = MarkovKind::load(r)?;
-        if bins == 0 {
+        if bins == 0 || bins > MAX_STORED_BINS {
             return Err(PersistError::Invalid("PredictorConfig bins"));
         }
         Ok(PredictorConfig {

@@ -40,6 +40,17 @@
 //! on the wrong bins — the slot is marked *dirty* and the next
 //! [`FleetTrainer::refresh`] rebuilds it wholesale; there is no
 //! incremental shortcut across a basis change.
+//!
+//! # Durable image
+//!
+//! The same contract sizes the checkpoint. Every count in the arenas is
+//! a function of a slot's retained window and running ranges, so
+//! [`FleetTrainer::store_state`] writes only those (plus the dirty flag
+//! and the generation), and [`FleetTrainer::load_state`] recounts each
+//! clean slot through the routine `refresh` uses for dirty ones. A seal
+//! costs O(window) bytes per slot instead of the dense `n³` arenas, and
+//! the restored counts are the live ones bit for bit because "delta
+//! apply ≡ rebuild" is exactly what the contract above already proves.
 
 use crate::{AnomalyPredictor, MarkovKind, PredictorConfig, ValueModel};
 use prepare_metrics::persist::{Persist, PersistError, Reader, Writer};
@@ -66,24 +77,32 @@ pub struct FleetTrainer {
     slots: usize,
     /// Combined-state transition counts, `slots × ATTRIBUTE_COUNT × n³`
     /// (empty for [`MarkovKind::Simple`], which has no combined table).
+    // xtask: ephemeral -- rebuilt from windows + ranges on load
     combined: Vec<f64>,
     /// First-order transition counts, `slots × ATTRIBUTE_COUNT × n²` —
     /// the whole model for [`MarkovKind::Simple`], the fallback table for
     /// [`MarkovKind::TwoDependent`].
+    // xtask: ephemeral -- rebuilt from windows + ranges on load
     fallback: Vec<f64>,
     /// TAN sufficient statistics, one per slot.
+    // xtask: ephemeral -- rebuilt from windows + ranges on load
     tan: Vec<TanStats>,
     /// Running per-attribute min/max over each slot's window
     /// (`slots × ATTRIBUTE_COUNT`); `None` until a finite value arrives.
+    /// Always the left fold of [`Discretizer::fit`] over the window as it
+    /// stands, dirty slot or not.
     ranges: Vec<Option<(f64, f64)>>,
     /// The per-attribute discretizers the counts were accumulated under
-    /// (`slots × ATTRIBUTE_COUNT`). Valid only while the slot is clean.
+    /// (`slots × ATTRIBUTE_COUNT`). Valid only while the slot is clean,
+    /// and then equal to `Discretizer::fit_span` of the slot's ranges.
+    // xtask: ephemeral -- fit_span(ranges) for a clean slot; rebuilt from windows + ranges on load
     basis: Vec<Discretizer>,
     /// Retained training windows: the labeled samples the maintained
     /// statistics summarize, in arrival order.
     windows: Vec<VecDeque<(MetricVector, Label)>>,
     /// Each window row discretized under the slot's basis; in sync with
     /// `windows` only while the slot is clean.
+    // xtask: ephemeral -- rebuilt from windows + ranges on load
     discrete: Vec<VecDeque<DiscreteVector>>,
     /// Slots whose basis shifted: counts are stale until the next
     /// [`FleetTrainer::refresh`].
@@ -99,85 +118,74 @@ pub struct FleetTrainer {
     cache: Vec<Option<(u64, AnomalyPredictor)>>,
 }
 
-impl Persist for FleetTrainer {
-    fn store(&self, w: &mut Writer) {
-        self.config.store(w);
-        w.put_usize(self.slots);
-        self.combined.store(w);
-        self.fallback.store(w);
-        self.tan.store(w);
-        self.ranges.store(w);
-        self.basis.store(w);
-        self.windows.store(w);
-        self.discrete.store(w);
-        self.dirty.store(w);
-        self.generation.store(w);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        let config = PredictorConfig::load(r)?;
-        let slots = r.get_usize()?;
-        let combined: Vec<f64> = Persist::load(r)?;
-        let fallback: Vec<f64> = Persist::load(r)?;
-        let tan: Vec<prepare_tan::TanStats> = Persist::load(r)?;
-        let ranges: Vec<Option<(f64, f64)>> = Persist::load(r)?;
-        let basis: Vec<Discretizer> = Persist::load(r)?;
-        let windows: Vec<VecDeque<(MetricVector, Label)>> = Persist::load(r)?;
-        let discrete: Vec<VecDeque<DiscreteVector>> = Persist::load(r)?;
-        let dirty: Vec<bool> = Persist::load(r)?;
-        let generation: Vec<u64> = Persist::load(r)?;
-        if slots == 0 {
-            return Err(PersistError::Invalid("FleetTrainer slot count"));
-        }
-        let n = config.bins;
-        let combined_want = match config.markov {
-            MarkovKind::Simple => 0,
-            MarkovKind::TwoDependent => slots * ATTRIBUTE_COUNT * n * n * n,
-        };
-        if combined.len() != combined_want
-            || fallback.len() != slots * ATTRIBUTE_COUNT * n * n
-            || tan.len() != slots
-            || ranges.len() != slots * ATTRIBUTE_COUNT
-            || basis.len() != slots * ATTRIBUTE_COUNT
-            || windows.len() != slots
-            || discrete.len() != slots
-            || dirty.len() != slots
-            || generation.len() != slots
-        {
-            return Err(PersistError::Invalid("FleetTrainer arena arity"));
-        }
-        // A clean slot keeps its discretized rows in sync with its
-        // retained window; a mismatch means the bytes are corrupt.
-        for ((is_dirty, rows), window) in dirty.iter().zip(&discrete).zip(&windows) {
-            if !is_dirty && rows.len() != window.len() {
-                return Err(PersistError::Invalid("FleetTrainer clean-slot window sync"));
-            }
-        }
-        Ok(FleetTrainer {
-            config,
-            slots,
-            combined,
-            fallback,
-            tan,
-            ranges,
-            basis,
-            windows,
-            discrete,
-            dirty,
-            generation,
-            cache: (0..slots).map(|_| None).collect(),
-        })
-    }
+/// Encoded size of one window sample: the metric vector's `f64`s and the
+/// label's tag byte.
+const SAMPLE_BYTES: usize = ATTRIBUTE_COUNT * 8 + 1;
+
+/// Encoded size of the smallest slot: `ATTRIBUTE_COUNT` absent ranges (a
+/// tag byte each), an empty window's length, the dirty flag, the
+/// generation.
+const MIN_SLOT_BYTES: usize = ATTRIBUTE_COUNT + 8 + 1 + 8;
+
+/// A range as compared everywhere in this module: by bit pattern, so a
+/// sign-of-zero change counts as a change.
+fn range_bits(range: Option<(f64, f64)>) -> Option<(u64, u64)> {
+    range.map(|(lo, hi)| (lo.to_bits(), hi.to_bits()))
 }
 
-/// One slot's freshly rebuilt state (the output of a dirty-slot rebuild,
-/// computed read-only and written back after the parallel phase).
-struct RebuiltSlot {
-    slot: usize,
-    basis: Vec<Discretizer>,
-    discrete: VecDeque<DiscreteVector>,
-    tan: TanStats,
-    combined: Vec<f64>,
-    fallback: Vec<f64>,
+/// One slot's determinants (shared) and everything derived from them
+/// (exclusive), borrowed out of the arenas for a from-rows recount.
+struct SlotView<'a> {
+    ranges: &'a [Option<(f64, f64)>],
+    window: &'a VecDeque<(MetricVector, Label)>,
+    basis: &'a mut [Discretizer],
+    discrete: &'a mut VecDeque<DiscreteVector>,
+    tan: &'a mut TanStats,
+    fallback: &'a mut [f64],
+    combined: &'a mut [f64],
+}
+
+impl SlotView<'_> {
+    /// The count-from-rows routine: refits the basis from the ranges,
+    /// re-discretizes the window and recounts the slot's arenas from
+    /// zero, in place. `combined` is empty for [`MarkovKind::Simple`].
+    fn recount(&mut self, n: usize) {
+        for (d, range) in self.basis.iter_mut().zip(self.ranges) {
+            *d = Discretizer::fit_span(*range, n);
+        }
+        self.tan.clear();
+        self.discrete.clear();
+        for (v, label) in self.window {
+            let row: DiscreteVector = AttributeKind::ALL
+                .iter()
+                .zip(self.basis.iter())
+                .map(|(&attr, d)| d.discretize(v.get(attr)))
+                .collect();
+            self.tan.add_row(&row, *label);
+            self.discrete.push_back(row);
+        }
+        let two_dep = !self.combined.is_empty();
+        self.fallback.fill(0.0);
+        self.combined.fill(0.0);
+        // The same flat addressing as the delta kernels: i walks
+        // 1..len, rows are ATTRIBUTE_COUNT wide, symbols < n.
+        for i in 1..self.discrete.len() {
+            for a in 0..ATTRIBUTE_COUNT {
+                // xtask-allow: index-in-loop -- i >= 1, rows ATTRIBUTE_COUNT wide
+                let prev1 = self.discrete[i - 1][a];
+                // xtask-allow: index-in-loop -- i < len
+                let next = self.discrete[i][a];
+                // xtask-allow: index-in-loop -- symbols < n from the discretizer
+                self.fallback[a * n * n + prev1 * n + next] += 1.0;
+                if two_dep && i >= 2 {
+                    // xtask-allow: index-in-loop -- i >= 2 checked on this branch
+                    let prev2 = self.discrete[i - 2][a];
+                    // xtask-allow: index-in-loop -- symbols < n from the discretizer
+                    self.combined[a * n * n * n + (prev2 * n + prev1) * n + next] += 1.0;
+                }
+            }
+        }
+    }
 }
 
 impl FleetTrainer {
@@ -212,6 +220,83 @@ impl FleetTrainer {
             generation: vec![0; slots],
             cache: (0..slots).map(|_| None).collect(),
         }
+    }
+
+    /// Serializes what determines the trainer: the configuration, then per
+    /// slot its `ATTRIBUTE_COUNT` ranges, its window (length, then the
+    /// labeled samples), its dirty flag and its generation. No count
+    /// travels; see the module docs.
+    pub fn store_state(&self, w: &mut Writer) {
+        self.config.store(w);
+        w.put_usize(self.slots);
+        let per_slot = self
+            .ranges
+            .chunks(ATTRIBUTE_COUNT)
+            .zip(&self.windows)
+            .zip(self.dirty.iter().zip(&self.generation));
+        for ((ranges, window), (dirty, generation)) in per_slot {
+            for range in ranges {
+                range.store(w);
+            }
+            window.store(w);
+            dirty.store(w);
+            generation.store(w);
+        }
+    }
+
+    /// Restores a trainer written by [`FleetTrainer::store_state`]. The
+    /// counts are not in the image: every clean, non-empty slot is
+    /// recounted from its window, sharded over the workers of `par`
+    /// exactly like [`FleetTrainer::refresh`] (so the result does not
+    /// depend on the worker count), and dirty slots stay dirty and
+    /// uncounted, as they were in the process that wrote the image.
+    ///
+    /// # Errors
+    ///
+    /// [`PersistError::Invalid`] when the image promises more slots or
+    /// samples than its remaining bytes can hold (checked before anything
+    /// is allocated for them) or stores a range that is not the fold of
+    /// its own window; any other [`PersistError`] on a torn buffer, an
+    /// unknown tag or a bin count [`PredictorConfig`] refuses to load.
+    pub fn load_state(
+        r: &mut Reader<'_>,
+        par: &prepare_par::ParConfig,
+    ) -> Result<Self, PersistError> {
+        let config = PredictorConfig::load(r)?;
+        let slots = r.get_usize()?;
+        if slots == 0 || slots > r.remaining() / MIN_SLOT_BYTES {
+            return Err(PersistError::Invalid("FleetTrainer slot count"));
+        }
+        let mut trainer = FleetTrainer::new(slots, &config);
+        let per_slot = trainer
+            .ranges
+            .chunks_mut(ATTRIBUTE_COUNT)
+            .zip(&mut trainer.windows)
+            .zip(trainer.dirty.iter_mut().zip(&mut trainer.generation));
+        for ((ranges, window), (dirty, generation)) in per_slot {
+            for range in ranges.iter_mut() {
+                *range = Persist::load(r)?;
+            }
+            let len = r.get_usize()?;
+            if len > r.remaining() / SAMPLE_BYTES {
+                return Err(PersistError::Invalid("FleetTrainer window length"));
+            }
+            window.reserve(len);
+            for _ in 0..len {
+                window.push_back(Persist::load(r)?);
+            }
+            *dirty = Persist::load(r)?;
+            *generation = Persist::load(r)?;
+            // `retire_front` and the basis refit both trust the ranges to
+            // be the fold of the window; hold the image to that.
+            for (range, &attr) in ranges.iter().zip(&AttributeKind::ALL) {
+                if range_bits(*range) != range_bits(Self::scan_range(window, attr)) {
+                    return Err(PersistError::Invalid("FleetTrainer range"));
+                }
+            }
+        }
+        trainer.recount_slots(par, |dirty, window| !dirty && !window.is_empty());
+        Ok(trainer)
     }
 
     /// Number of slots.
@@ -273,9 +358,7 @@ impl FleetTrainer {
                 None => (v, v),
                 Some((lo, hi)) => (lo.min(v), hi.max(v)),
             };
-            if r.map(|(lo, hi)| (lo.to_bits(), hi.to_bits()))
-                != Some((nlo.to_bits(), nhi.to_bits()))
-            {
+            if range_bits(*r) != range_bits(Some((nlo, nhi))) {
                 range_changed = true;
             }
             *r = Some((nlo, nhi));
@@ -364,9 +447,7 @@ impl FleetTrainer {
             }
             // xtask-allow: index-in-loop -- slot asserted in range above
             let rescanned = Self::scan_range(&self.windows[slot], attr);
-            if rescanned.map(|(l, h)| (l.to_bits(), h.to_bits()))
-                != Some((lo.to_bits(), hi.to_bits()))
-            {
+            if range_bits(rescanned) != range_bits(Some((lo, hi))) {
                 range_changed = true;
             }
             *r = rescanned;
@@ -445,94 +526,59 @@ impl FleetTrainer {
     /// its own slot's window, so the result is bit-identical for every
     /// worker count.
     pub fn refresh(&mut self, par: &prepare_par::ParConfig) {
-        let dirty_slots: Vec<usize> = (0..self.slots).filter(|&s| self.dirty[s]).collect();
-        if dirty_slots.is_empty() {
-            return;
-        }
-        let chunks = prepare_par::chunk_ranges(dirty_slots.len(), par.workers);
-        let rebuilt: Vec<Vec<RebuiltSlot>> = prepare_par::par_map(par, chunks, |range| {
-            range
-                .map(|k| self.rebuild_slot(dirty_slots[k]))
-                .collect::<Vec<RebuiltSlot>>()
-        });
-        for r in rebuilt.into_iter().flatten() {
-            // Scatter write-back: slot ids come from the dirty scan over
-            // 0..self.slots, so every index below is in range.
-            let slot = r.slot;
-            self.basis[slot * ATTRIBUTE_COUNT..(slot + 1) * ATTRIBUTE_COUNT]
-                .iter_mut()
-                .zip(r.basis)
-                .for_each(|(dst, d)| *dst = d);
-            // xtask-allow: index-in-loop -- slot < self.slots
-            self.discrete[slot] = r.discrete;
-            self.tan[slot] = r.tan; // xtask-allow: index-in-loop -- slot < self.slots
-            let n = self.config.bins;
-            let n2 = n * n;
-            self.fallback[slot * ATTRIBUTE_COUNT * n2..(slot + 1) * ATTRIBUTE_COUNT * n2]
-                .copy_from_slice(&r.fallback);
-            if self.config.markov == MarkovKind::TwoDependent {
-                let n3 = n2 * n;
-                self.combined[slot * ATTRIBUTE_COUNT * n3..(slot + 1) * ATTRIBUTE_COUNT * n3]
-                    .copy_from_slice(&r.combined);
-            }
-            self.dirty[slot] = false; // xtask-allow: index-in-loop -- slot < self.slots
+        if self.dirty.contains(&true) {
+            self.recount_slots(par, |dirty, _| dirty);
+            self.dirty.fill(false);
         }
     }
 
-    /// From-scratch rebuild of one slot's state, read-only (the write
-    /// back happens after the parallel phase).
-    fn rebuild_slot(&self, slot: usize) -> RebuiltSlot {
+    /// Recounts, in place, every slot whose dirty flag and window
+    /// `select` accepts. The selected slots are split into at most
+    /// `par.workers` contiguous runs; each worker owns the arena ranges
+    /// of its run and nothing else.
+    fn recount_slots(
+        &mut self,
+        par: &prepare_par::ParConfig,
+        select: impl Fn(bool, &VecDeque<(MetricVector, Label)>) -> bool,
+    ) {
         let n = self.config.bins;
-        let basis: Vec<Discretizer> = (0..ATTRIBUTE_COUNT)
-            .map(|a| Discretizer::fit_span(self.ranges[slot * ATTRIBUTE_COUNT + a], n))
+        let fallback_len = ATTRIBUTE_COUNT * n * n;
+        // `Simple` keeps no combined arena: its slots get empty slices.
+        let mut combined = self.combined.chunks_mut((fallback_len * n).max(1));
+        let views: Vec<SlotView<'_>> = self
+            .ranges
+            .chunks(ATTRIBUTE_COUNT)
+            .zip(&self.windows)
+            .zip(self.basis.chunks_mut(ATTRIBUTE_COUNT))
+            .zip(self.discrete.iter_mut().zip(&mut self.tan))
+            .zip(self.fallback.chunks_mut(fallback_len))
+            .zip(&self.dirty)
+            .filter_map(
+                |(((((ranges, window), basis), (discrete, tan)), fallback), &dirty)| {
+                    let combined = combined.next().unwrap_or_default();
+                    select(dirty, window).then_some(SlotView {
+                        ranges,
+                        window,
+                        basis,
+                        discrete,
+                        tan,
+                        fallback,
+                        combined,
+                    })
+                },
+            )
             .collect();
-        let window = &self.windows[slot];
-        let mut tan = TanStats::with_uniform_bins(ATTRIBUTE_COUNT, n);
-        let mut discrete: VecDeque<DiscreteVector> = VecDeque::with_capacity(window.len());
-        for (v, label) in window {
-            let row: DiscreteVector = AttributeKind::ALL
-                .iter()
-                .zip(&basis)
-                .map(|(&attr, d)| d.discretize(v.get(attr)))
+        let mut views = views.into_iter();
+        let mut shards: Vec<Vec<SlotView<'_>>> =
+            prepare_par::chunk_ranges(views.len(), par.workers)
+                .into_iter()
+                .map(|run| views.by_ref().take(run.len()).collect())
                 .collect();
-            tan.add_row(&row, *label);
-            discrete.push_back(row);
-        }
-        let two_dep = self.config.markov == MarkovKind::TwoDependent;
-        let mut fallback = vec![0.0; ATTRIBUTE_COUNT * n * n];
-        let mut combined = vec![
-            0.0;
-            if two_dep {
-                ATTRIBUTE_COUNT * n * n * n
-            } else {
-                0
+        prepare_par::par_for_each_mut(par, &mut shards, |shard| {
+            for view in shard {
+                view.recount(n);
             }
-        ];
-        // The same flat addressing as the delta kernels: i walks
-        // 1..len, rows are ATTRIBUTE_COUNT wide, symbols < n.
-        for i in 1..discrete.len() {
-            for a in 0..ATTRIBUTE_COUNT {
-                // xtask-allow: index-in-loop -- i >= 1, rows ATTRIBUTE_COUNT wide
-                let prev1 = discrete[i - 1][a];
-                let next = discrete[i][a]; // xtask-allow: index-in-loop -- i < len
-                                           // xtask-allow: index-in-loop -- symbols < n from the discretizer
-                fallback[a * n * n + prev1 * n + next] += 1.0;
-                if two_dep && i >= 2 {
-                    // xtask-allow: index-in-loop -- i >= 2 checked on this branch
-                    let prev2 = discrete[i - 2][a];
-                    // xtask-allow: index-in-loop -- symbols < n from the discretizer
-                    combined[a * n * n * n + (prev2 * n + prev1) * n + next] += 1.0;
-                }
-            }
-        }
-        RebuiltSlot {
-            slot,
-            basis,
-            discrete,
-            tan,
-            combined,
-            fallback,
-        }
+        });
     }
 
     /// Materializes a trained predictor from `slot`'s maintained state:
@@ -711,18 +757,10 @@ mod tests {
         want: &Result<AnomalyPredictor, TrainError>,
         context: &str,
     ) {
-        match (got, want) {
-            (Ok(a), Ok(b)) => {
-                assert_eq!(a, b, "{context}: derived model diverged");
-                assert_eq!(
-                    format!("{a:?}"),
-                    format!("{b:?}"),
-                    "{context}: Debug representation diverged"
-                );
-            }
-            (Err(a), Err(b)) => assert_eq!(a, b, "{context}: errors diverged"),
-            _ => panic!("{context}: one path errored, the other did not: {got:?} vs {want:?}"),
-        }
+        assert!(
+            same_outcome(got, want),
+            "{context}: outcomes diverged: {got:?} vs {want:?}"
+        );
     }
 
     #[test]
@@ -1043,6 +1081,51 @@ mod tests {
         assert_eq!(dup[2], Err(TrainError::EmptyDataset));
     }
 
+    fn image(trainer: &FleetTrainer) -> Vec<u8> {
+        let mut w = Writer::new();
+        trainer.store_state(&mut w);
+        w.into_bytes()
+    }
+
+    fn restore(bytes: &[u8], workers: usize) -> Result<FleetTrainer, PersistError> {
+        let mut r = Reader::new(bytes);
+        let par = prepare_par::ParConfig::with_workers(workers);
+        let trainer = FleetTrainer::load_state(&mut r, &par)?;
+        if !r.is_exhausted() {
+            return Err(PersistError::Invalid("trailing bytes after trainer"));
+        }
+        Ok(trainer)
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// One slot's fallback bits, combined bits, TAN statistics and basis.
+    type Derived = (Vec<u64>, Vec<u64>, TanStats, Vec<Discretizer>);
+
+    /// Everything the image leaves out, for the slots that are clean (a
+    /// dirty slot's counts are stale by definition and never read).
+    fn derived_state(t: &FleetTrainer) -> Vec<Derived> {
+        let n2 = ATTRIBUTE_COUNT * t.config.bins * t.config.bins;
+        let n3 = n2 * t.config.bins;
+        (0..t.slots)
+            .filter(|&s| !t.dirty[s])
+            .map(|s| {
+                let combined = match t.config.markov {
+                    MarkovKind::Simple => Vec::new(),
+                    MarkovKind::TwoDependent => bits(&t.combined[s * n3..(s + 1) * n3]),
+                };
+                (
+                    bits(&t.fallback[s * n2..(s + 1) * n2]),
+                    combined,
+                    t.tan[s].clone(),
+                    t.basis[s * ATTRIBUTE_COUNT..(s + 1) * ATTRIBUTE_COUNT].to_vec(),
+                )
+            })
+            .collect()
+    }
+
     /// A restored trainer is observationally identical: it derives the
     /// same models, and continuing the stream (pushes, retirements,
     /// refreshes) on both copies keeps them in lockstep — the crash
@@ -1064,9 +1147,11 @@ mod tests {
         trainer.push(2, &MetricVector::from_fn(|_| 9999.0), Label::Abnormal);
         assert!(trainer.is_dirty(2));
 
-        let bytes = prepare_metrics::persist::to_bytes(&trainer);
-        let mut restored: FleetTrainer = prepare_metrics::persist::from_bytes(&bytes).unwrap();
+        let bytes = image(&trainer);
+        let mut restored = restore(&bytes, 1).unwrap();
         assert!(restored.is_dirty(2));
+        assert_eq!(image(&restored), bytes);
+        assert_eq!(derived_state(&restored), derived_state(&trainer));
         assert_same_outcome(&restored.derive(0), &trainer.derive(0), "restored slot 0");
 
         for (slot, stream) in streams.iter().enumerate() {
@@ -1079,6 +1164,7 @@ mod tests {
         }
         trainer.refresh(&prepare_par::ParConfig::serial());
         restored.refresh(&prepare_par::ParConfig::serial());
+        assert_eq!(image(&restored), image(&trainer));
         for slot in 0..3 {
             assert_same_outcome(
                 &restored.derive(slot),
@@ -1088,18 +1174,119 @@ mod tests {
         }
     }
 
+    /// The image is the windows and little else: nothing per slot until a
+    /// sample arrives, then one encoded sample per push.
     #[test]
-    fn persist_load_rejects_slot_arity_mismatch() {
+    fn image_size_follows_the_windows() {
+        let mut trainer = FleetTrainer::new(8, &PredictorConfig::default());
+        let empty = image(&trainer).len();
+        // The configuration (bins, interval, chain tag), the slot count,
+        // then the smallest possible slot eight times.
+        assert_eq!(empty, 8 + 8 + 1 + 8 + 8 * MIN_SLOT_BYTES);
+        assert!(empty < 8 * 1024, "{empty} bytes for 8 empty slots");
+        // The first sample also materializes the slot's ranges.
+        let v = MetricVector::from_fn(|a| a.index() as f64);
+        trainer.push(3, &v, Label::Normal);
+        let one = image(&trainer).len();
+        assert_eq!(one - empty, SAMPLE_BYTES + ATTRIBUTE_COUNT * 16);
+        for k in 1..40 {
+            trainer.push(3, &v, Label::from_violation(k % 3 == 0));
+            assert_eq!(image(&trainer).len(), one + k * SAMPLE_BYTES);
+        }
+    }
+
+    #[test]
+    fn load_rejects_inconsistent_images() {
         let mut trainer = FleetTrainer::new(2, &PredictorConfig::default());
         for (v, label) in labeled_stream(40, 6) {
             trainer.push(0, &v, label);
         }
-        let mut bytes = prepare_metrics::persist::to_bytes(&trainer);
-        // The slot count sits right after the config (bins u64 + secs u64
-        // + markov tag byte); shrinking it desynchronizes every arena.
-        let off = 8 + 8 + 1;
-        bytes[off..off + 8].copy_from_slice(&1u64.to_le_bytes());
-        assert!(prepare_metrics::persist::from_bytes::<FleetTrainer>(&bytes).is_err());
+        let good = image(&trainer);
+        assert!(restore(&good, 1).is_ok());
+        let patched = |off: usize, word: u64| {
+            let mut bytes = good.clone();
+            bytes[off..off + 8].copy_from_slice(&word.to_le_bytes());
+            restore(&bytes, 1).map(|_| ())
+        };
+        // Layout: bins u64, sampling interval u64, markov tag, slot count,
+        // then slot 0: 13 × (tag, lo, hi), window length, samples.
+        let slots_at = 8 + 8 + 1;
+        let range0_at = slots_at + 8;
+        let window_len_at = range0_at + ATTRIBUTE_COUNT * 17;
+        assert_eq!(
+            patched(slots_at, 1),
+            Err(PersistError::Invalid("trailing bytes after trainer"))
+        );
+        // Promised sizes the buffer cannot hold are refused up front, not
+        // discovered by running off its end after allocating for them.
+        assert!(patched(slots_at, 3).is_err());
+        for huge in [1 << 40, u64::MAX - 38] {
+            assert_eq!(
+                patched(slots_at, huge),
+                Err(PersistError::Invalid("FleetTrainer slot count"))
+            );
+            assert_eq!(
+                patched(window_len_at, 38 + huge),
+                Err(PersistError::Invalid("FleetTrainer window length"))
+            );
+        }
+        for bins in [0, 65, 1 << 40] {
+            assert_eq!(
+                patched(0, bins),
+                Err(PersistError::Invalid("PredictorConfig bins"))
+            );
+        }
+        // A range that is not the fold of its window: nudged, or absent.
+        assert_eq!(
+            patched(range0_at + 1, (-1.0f64).to_bits()),
+            Err(PersistError::Invalid("FleetTrainer range"))
+        );
+        let mut bytes = good.clone();
+        bytes.drain(range0_at + 1..range0_at + 17);
+        bytes[range0_at] = 0;
+        assert_eq!(
+            restore(&bytes, 1).map(|_| ()),
+            Err(PersistError::Invalid("FleetTrainer range"))
+        );
+    }
+
+    /// No image makes the trainer panic, at load or afterwards: every
+    /// truncation is an error, and every single-bit change either is one
+    /// or yields a trainer that keeps working.
+    #[test]
+    fn damaged_images_error_or_load_a_working_trainer() {
+        let config = PredictorConfig {
+            bins: 3,
+            markov: MarkovKind::TwoDependent,
+            ..PredictorConfig::default()
+        };
+        let mut trainer = FleetTrainer::new(2, &config);
+        for (v, label) in labeled_stream(7, 2) {
+            trainer.push(0, &v, label);
+        }
+        trainer.refresh(&prepare_par::ParConfig::serial());
+        trainer.push(1, &MetricVector::from_fn(|_| 4.0), Label::Abnormal);
+        let good = image(&trainer);
+        for cut in 0..good.len() {
+            assert!(restore(&good[..cut], 1).is_err(), "cut at {cut}");
+        }
+        let serial = prepare_par::ParConfig::serial();
+        let mut loaded = 0;
+        for bit in 0..good.len() * 8 {
+            let mut bytes = good.clone();
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            let Ok(mut t) = restore(&bytes, 1) else {
+                continue;
+            };
+            loaded += 1;
+            for slot in 0..t.slots() {
+                t.push(slot, &MetricVector::from_fn(|_| 2.5), Label::Normal);
+                t.retire_front(slot);
+                t.refresh(&serial);
+                assert_same_outcome(&t.derive(slot), &t.train_reference(slot), "damaged");
+            }
+        }
+        assert!(loaded > 0, "some flips only move a sample inside its range");
     }
 
     proptest! {
@@ -1114,50 +1301,106 @@ mod tests {
                 markov: kind,
                 ..PredictorConfig::default()
             };
-            let mut trainer = FleetTrainer::new(1, &config);
+            let mut trainer = FleetTrainer::new(SLOTS, &config);
             for op in &ops {
-                match op {
-                    Op::Push(v, label) => {
-                        let vector = MetricVector::from_fn(|a| v[a.index() % v.len()]);
-                        trainer.push(0, &vector, *label);
-                    }
-                    Op::Retire => {
-                        if trainer.window_len(0) > 0 {
-                            trainer.retire_front(0);
-                        }
-                    }
-                }
+                apply(&mut trainer, op);
             }
             trainer.refresh(&prepare_par::ParConfig::serial());
-            let derived = trainer.derive(0);
-            let reference = trainer.train_reference(0);
-            match (&derived, &reference) {
-                (Ok(a), Ok(b)) => {
-                    prop_assert_eq!(a, b);
-                    prop_assert_eq!(format!("{a:?}"), format!("{b:?}"));
+            for slot in 0..SLOTS {
+                prop_assert!(same_outcome(&trainer.derive(slot), &trainer.train_reference(slot)));
+            }
+        }
+
+        // Checkpoint anywhere in a random sequence (empty and one-sample
+        // windows, dirty slots, fully evicted ones), restore under any
+        // worker count, replay the tail on both copies: the two trainers
+        // cannot be told apart, by their images or by what they derive.
+        #[test]
+        fn restore_mid_sequence_then_replay_matches_the_uninterrupted_run(
+            input in arb_ops(),
+            cut in 0usize..60,
+        ) {
+            let (kind, ops) = input;
+            let config = PredictorConfig {
+                markov: kind,
+                ..PredictorConfig::default()
+            };
+            let cut = cut.min(ops.len());
+            let mut live = FleetTrainer::new(SLOTS, &config);
+            for op in &ops[..cut] {
+                apply(&mut live, op);
+            }
+            let bytes = image(&live);
+            for workers in [1usize, 2, 7] {
+                let mut live = live.clone();
+                let mut restored = restore(&bytes, workers).expect("own image loads");
+                prop_assert_eq!(&image(&restored), &bytes);
+                prop_assert_eq!(derived_state(&restored), derived_state(&live));
+                for op in &ops[cut..] {
+                    apply(&mut live, op);
+                    apply(&mut restored, op);
                 }
-                (Err(a), Err(b)) => prop_assert_eq!(a, b),
-                _ => prop_assert!(false, "outcome kind diverged: {:?} vs {:?}", derived, reference),
+                prop_assert_eq!(&restored.dirty, &live.dirty);
+                prop_assert_eq!(&restored.generation, &live.generation);
+                prop_assert_eq!(image(&restored), image(&live));
+                restored.refresh(&prepare_par::ParConfig::with_workers(workers));
+                for slot in 0..SLOTS {
+                    prop_assert!(same_outcome(&restored.derive(slot), &restored.train_reference(slot)));
+                }
             }
         }
     }
 
+    const SLOTS: usize = 2;
+
     #[derive(Debug, Clone)]
     enum Op {
-        Push(Vec<f64>, Label),
-        Retire,
+        Push(usize, Vec<f64>, Label),
+        Retire(usize),
+        Refresh,
+    }
+
+    fn apply(trainer: &mut FleetTrainer, op: &Op) {
+        match op {
+            Op::Push(slot, v, label) => {
+                let vector = MetricVector::from_fn(|a| v[a.index() % v.len()]);
+                trainer.push(*slot, &vector, *label);
+            }
+            Op::Retire(slot) => {
+                if trainer.window_len(*slot) > 0 {
+                    trainer.retire_front(*slot);
+                }
+            }
+            Op::Refresh => trainer.refresh(&prepare_par::ParConfig::serial()),
+        }
+    }
+
+    /// Bit-level agreement of two training outcomes, error kind included.
+    fn same_outcome(
+        got: &Result<AnomalyPredictor, TrainError>,
+        want: &Result<AnomalyPredictor, TrainError>,
+    ) -> bool {
+        match (got, want) {
+            (Ok(a), Ok(b)) => a == b && format!("{a:?}") == format!("{b:?}"),
+            (Err(a), Err(b)) => a == b,
+            _ => false,
+        }
     }
 
     fn arb_ops() -> impl Strategy<Value = (MarkovKind, Vec<Op>)> {
         let value = proptest::collection::vec(0usize..200, 3);
-        let op = (value, any::<bool>(), 0usize..4).prop_map(|(vals, abnormal, retire)| {
-            if retire == 0 {
-                Op::Retire
-            } else {
-                let label = Label::from_violation(abnormal);
-                Op::Push(vals.into_iter().map(|x| x as f64 * 1.5).collect(), label)
-            }
-        });
+        let op = (value, any::<bool>(), 0usize..8, 0usize..SLOTS).prop_map(
+            |(vals, abnormal, choice, slot)| match choice {
+                0 | 1 => Op::Retire(slot),
+                2 => Op::Refresh,
+                _ => {
+                    let label = Label::from_violation(abnormal);
+                    // 199 stands for a sample the monitor could not read.
+                    let value = |x: usize| if x == 199 { f64::NAN } else { x as f64 * 1.5 };
+                    Op::Push(slot, vals.into_iter().map(value).collect(), label)
+                }
+            },
+        );
         (any::<bool>(), proptest::collection::vec(op, 1..60)).prop_map(|(simple, ops)| {
             let kind = if simple {
                 MarkovKind::Simple

@@ -116,9 +116,10 @@ pub fn print_trace_panel(app: AppKind, fault: FaultChoice, policy: PreventionPol
     let window = 420u64.min(results[0].1.ticks.len() as u64 - start);
     for dt in (0..window).step_by(10) {
         let idx = (start + dt) as usize;
+        // `window` keeps idx inside the first trace; a shorter one prints NaN.
         let row: Vec<f64> = results
             .iter()
-            .map(|(_, r)| r.ticks[idx].slo_metric)
+            .map(|(_, r)| r.ticks.get(idx).map_or(f64::NAN, |t| t.slo_metric))
             .collect();
         println!(
             "{:>6} {:>16.2} {:>16.2} {:>16.2}",
@@ -285,15 +286,15 @@ pub fn print_accuracy_table(title: &str, variants: &[(&str, AccuracyRows)]) {
         print!(" {:>9} {:>9}", format!("AT({name})"), format!("AF({name})"));
     }
     println!();
-    let rows = variants[0].1.len();
-    for i in 0..rows {
-        print!("{:>9}s", variants[0].1[i].0);
-        for (_, series) in variants {
-            print!(
-                " {:>8.1}% {:>8.1}%",
-                series[i].1 * 100.0,
-                series[i].2 * 100.0
-            );
+    let Some((_, first)) = variants.first() else {
+        return;
+    };
+    for (i, (look_ahead, _, _)) in first.iter().enumerate() {
+        print!("{look_ahead:>9}s");
+        // Every variant sweeps the same look-aheads; a shorter one leaves
+        // its cells blank.
+        for (_, at, af) in variants.iter().filter_map(|(_, series)| series.get(i)) {
+            print!(" {:>8.1}% {:>8.1}%", at * 100.0, af * 100.0);
         }
         println!();
     }

@@ -1305,7 +1305,10 @@ impl PrepareController {
         self.trained_at.store(w);
         self.last_retrain.store(w);
         self.last_workload_change.store(w);
-        self.trainer.store(w);
+        w.put_bool(self.trainer.is_some());
+        if let Some(trainer) = &self.trainer {
+            trainer.store_state(w);
+        }
     }
 
     /// Serializes the event log, the part of the state that follows the
@@ -1359,7 +1362,10 @@ impl PrepareController {
         let trained_at = Option::load(r)?;
         let last_retrain = Option::load(r)?;
         let last_workload_change = bool::load(r)?;
-        let trainer = Option::<FleetTrainer>::load(r)?;
+        let trainer = r
+            .get_bool()?
+            .then(|| FleetTrainer::load_state(r, &config.par))
+            .transpose()?;
         if trainer.as_ref().is_some_and(|t| t.slots() != vms.len()) {
             return Err(PersistError::Invalid("PrepareController trainer slots"));
         }

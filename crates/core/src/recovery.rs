@@ -5,7 +5,7 @@
 //!
 //! 1. **Checkpoint** — a framed snapshot of the complete controller
 //!    state ([`PrepareController::store_state`]): magic + version, a
-//!    length-prefixed payload, and an FNV-1a checksum over the payload.
+//!    length-prefixed payload, and a word-wise checksum over the payload.
 //!    Written every `checkpoint_every` ticks.
 //! 2. **Write-ahead journal** — one [`TickRecord`] per control round
 //!    appended *after* the round ran: the round's inputs (timestamp,
@@ -36,26 +36,56 @@
 //! would hold. Any epsilon would let real divergence (a lost vote, a
 //! double-counted training sample) hide inside the tolerance.
 
-use crate::{ControllerEvent, PrepareController};
+use crate::{ClusterReply, ControllerEvent, PrepareController};
 use prepare_cloudsim::Cluster;
-use prepare_metrics::persist::{Persist, PersistError, Reader, Writer};
-use prepare_metrics::{Fingerprint64, StampedSample, Timestamp, VmId};
+use prepare_metrics::persist::{store_seq, Persist, PersistError, Reader, Writer};
+use prepare_metrics::{StampedSample, Timestamp, VmId};
 use prepare_par::ParConfig;
 
-/// Magic + version sealing a checkpoint frame ("PRPCKP" + version 01).
-pub const CHECKPOINT_MAGIC: u64 = u64::from_le_bytes(*b"PRPCKP01");
+/// Magic + version sealing a checkpoint frame ("PRPCKP" + version 02).
+pub const CHECKPOINT_MAGIC: u64 = u64::from_le_bytes(*b"PRPCKP02");
 
+/// The frame checksum: FNV-1a's constants and its xor-then-multiply
+/// fold, taken one little-endian 64-bit word at a time with a xor-shift
+/// after each multiply, then byte by byte over the `len % 8` tail.
+///
+/// Each step `s ← mix((s ^ x) · P)` is a bijection of `s` for a fixed
+/// `x` (`P` is odd, `mix(s) = s ^ (s >> 32)` is invertible) and
+/// injective in `x` for a fixed `s`. So two payloads of one length that
+/// differ in exactly one word, or one tail byte, never share a sum: the
+/// states part at that step and no later step can rejoin them. The shift
+/// is there because a bare multiply only carries differences upward — a
+/// flipped top bit in two words would cancel.
 fn checksum(payload: &[u8]) -> u64 {
-    let mut fp = Fingerprint64::new();
-    fp.write_bytes(payload);
-    fp.finish()
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let step = |s: u64, x: u64| {
+        let s = (s ^ x).wrapping_mul(PRIME);
+        s ^ (s >> 32)
+    };
+    let (words, tail) = payload.as_chunks::<8>();
+    let s = words
+        .iter()
+        .fold(OFFSET, |s, w| step(s, u64::from_le_bytes(*w)));
+    tail.iter().fold(s, |s, &b| step(s, u64::from(b)))
 }
 
-/// Appends one frame: payload length, payload, FNV-1a checksum.
-fn put_frame(w: &mut Writer, payload: &[u8]) {
-    w.put_usize(payload.len());
-    w.put_raw(payload);
-    w.put_u64(checksum(payload));
+/// Starts a frame in place: reserves the length word and returns its
+/// offset for [`close_frame`]. The payload is whatever the caller writes
+/// to `w` in between — serialized once, straight into its final bytes.
+fn open_frame(w: &mut Writer) -> usize {
+    let at = w.len();
+    w.put_u64(0);
+    at
+}
+
+/// Ends the frame opened at `at`: patches the payload length into the
+/// reserved word and appends the payload's checksum.
+fn close_frame(w: &mut Writer, at: usize) {
+    let start = at + 8;
+    w.patch_u64(at, (w.len() - start) as u64);
+    let sum = checksum(&w.bytes()[start..]);
+    w.put_u64(sum);
 }
 
 /// Reads one frame back, rejecting a payload that fails its checksum.
@@ -79,15 +109,33 @@ pub struct TickRecord {
     /// The SLO status the round observed.
     pub slo_violated: bool,
     /// Every cluster reply the round consumed, in touch order.
-    pub replies: Vec<crate::ClusterReply>,
+    pub replies: Vec<ClusterReply>,
+}
+
+/// The encoding of a [`TickRecord`], from borrowed parts: the control
+/// loop journals the readings it was handed without owning a copy.
+fn store_tick(
+    w: &mut Writer,
+    now: Timestamp,
+    readings: &[(VmId, StampedSample)],
+    slo_violated: bool,
+    replies: &[ClusterReply],
+) {
+    now.store(w);
+    store_seq(w, readings.iter());
+    slo_violated.store(w);
+    store_seq(w, replies.iter());
 }
 
 impl Persist for TickRecord {
     fn store(&self, w: &mut Writer) {
-        self.now.store(w);
-        self.readings.store(w);
-        self.slo_violated.store(w);
-        self.replies.store(w);
+        store_tick(
+            w,
+            self.now,
+            &self.readings,
+            self.slo_violated,
+            &self.replies,
+        );
     }
     fn load(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         Ok(TickRecord {
@@ -116,7 +164,7 @@ pub struct JournalScan {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Journal {
     /// Encoded frames, in append order.
-    buf: Vec<u8>,
+    buf: Writer,
     /// Records appended (durable or not).
     records: usize,
     /// Bytes covered by the last [`Journal::barrier`].
@@ -134,11 +182,15 @@ impl Journal {
     /// Stages one record. Not durable until the next
     /// [`Journal::barrier`].
     pub fn append(&mut self, record: &TickRecord) {
-        let mut payload = Writer::new();
-        record.store(&mut payload);
-        let mut frame = Writer::new();
-        put_frame(&mut frame, payload.bytes());
-        self.buf.extend_from_slice(frame.bytes());
+        self.append_with(|w| record.store(w));
+    }
+
+    /// Stages one frame whose payload `body` serializes straight into the
+    /// journal's own buffer.
+    fn append_with(&mut self, body: impl FnOnce(&mut Writer)) {
+        let at = open_frame(&mut self.buf);
+        body(&mut self.buf);
+        close_frame(&mut self.buf, at);
         self.records += 1;
     }
 
@@ -181,7 +233,7 @@ impl Journal {
             .durable_bytes
             .saturating_add(torn_tail_bytes)
             .min(self.buf.len());
-        self.buf[..end].to_vec()
+        self.buf.bytes()[..end].to_vec()
     }
 
     /// Decodes a journal image frame by frame. A frame whose length
@@ -226,7 +278,7 @@ impl Journal {
 }
 
 /// Checkpoint framing: magic + version, length-prefixed payload
-/// (`tick` then the full controller state), FNV-1a checksum.
+/// (`tick` then the full controller state), payload checksum.
 #[derive(Debug)]
 pub struct Checkpoint;
 
@@ -234,18 +286,20 @@ impl Checkpoint {
     /// Serializes `controller` (as of tick index `tick`) into a sealed
     /// checkpoint frame.
     pub fn write(controller: &PrepareController, tick: u64) -> Vec<u8> {
-        let mut payload = Writer::new();
-        payload.put_u64(tick);
-        controller.store_state(&mut payload);
-        Self::seal(payload)
+        let (mut w, frame) = Self::begin(tick);
+        controller.store_state(&mut w);
+        close_frame(&mut w, frame);
+        w.into_bytes()
     }
 
-    /// Frames a finished payload: magic, length, payload, checksum.
-    fn seal(payload: Writer) -> Vec<u8> {
+    /// The head of a checkpoint: magic, an open frame, the tick index.
+    /// The caller writes the controller state and closes the frame.
+    fn begin(tick: u64) -> (Writer, usize) {
         let mut w = Writer::new();
         w.put_u64(CHECKPOINT_MAGIC);
-        put_frame(&mut w, payload.bytes());
-        w.into_bytes()
+        let frame = open_frame(&mut w);
+        w.put_u64(tick);
+        (w, frame)
     }
 
     /// Restores a controller (and its tick index) from a checkpoint
@@ -357,24 +411,18 @@ impl RecoveryManager {
         let (mut events, replies) =
             self.controller
                 .on_readings_recorded(now, readings, slo_violated, cluster);
-        let record = TickRecord {
-            now,
-            readings: readings.to_vec(),
-            slo_violated,
-            replies,
-        };
-        self.journal.append(&record);
+        self.journal
+            .append_with(|w| store_tick(w, now, readings, slo_violated, &replies));
         self.journal.barrier();
         self.tick += 1;
         if self.tick.is_multiple_of(self.checkpoint_every) {
             // The state is serialized once, straight into the checkpoint
-            // payload. The core goes first and its length is what the
+            // frame. The core goes first and its length is what the
             // event reports: a recovered run's full checkpoint
             // legitimately carries extra crash/recovery events in its
             // log, and the recovery-equivalence proofs compare
             // post-recovery event streams byte-for-byte.
-            let mut payload = Writer::new();
-            payload.put_u64(self.tick);
+            let (mut payload, frame) = Checkpoint::begin(self.tick);
             let before_core = payload.len();
             self.controller.store_core(&mut payload);
             let bytes = payload.len() - before_core;
@@ -392,7 +440,8 @@ impl RecoveryManager {
             events.push(taken);
             events.push(truncated);
             self.controller.store_events(&mut payload);
-            self.checkpoint = Checkpoint::seal(payload);
+            close_frame(&mut payload, frame);
+            self.checkpoint = payload.into_bytes();
             self.journal.truncate();
         }
         events
@@ -474,7 +523,7 @@ mod tests {
                 StampedSample::fresh(MetricSample::new(Timestamp::from_secs(t), v)),
             )],
             slo_violated: t.is_multiple_of(2),
-            replies: vec![crate::ClusterReply::Plan(None)],
+            replies: vec![ClusterReply::Plan(None)],
         }
     }
 
@@ -590,6 +639,17 @@ mod tests {
             Checkpoint::read(&bad, ParConfig::serial()).unwrap_err(),
             PersistError::BadMagic { .. }
         ));
+        // The previous layout's version is a different format, not a
+        // frame to try anyway.
+        let mut old = image.clone();
+        old[..8].copy_from_slice(b"PRPCKP01");
+        assert_eq!(
+            Checkpoint::read(&old, ParConfig::serial()).unwrap_err(),
+            PersistError::BadMagic {
+                found: u64::from_le_bytes(*b"PRPCKP01"),
+                expected: CHECKPOINT_MAGIC,
+            }
+        );
         // Flipped payload byte.
         let mut bad = image.clone();
         let mid = bad.len() / 2;
@@ -637,6 +697,195 @@ mod tests {
                 _ => None,
             });
             assert_eq!(reported, Some(manager.controller().core_state_bytes()));
+        }
+    }
+
+    /// Deterministic filler bytes.
+    fn noise(len: usize) -> Vec<u8> {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        (0..len)
+            .map(|_| {
+                x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                (x >> 56) as u8
+            })
+            .collect()
+    }
+
+    /// Writing the payload between `open_frame` and `close_frame` yields
+    /// the bytes of the construction it replaced: serialize the payload
+    /// on its own, then copy it between its length and its checksum.
+    #[test]
+    fn in_place_frame_equals_copy_then_frame() {
+        for len in [0usize, 1, 7, 8, 9, 64, 1000] {
+            let payload = noise(len);
+            let mut want = b"head".to_vec();
+            want.extend_from_slice(&(len as u64).to_le_bytes());
+            want.extend_from_slice(&payload);
+            want.extend_from_slice(&checksum(&payload).to_le_bytes());
+
+            let mut w = Writer::new();
+            w.put_raw(b"head");
+            let at = open_frame(&mut w);
+            w.put_raw(&payload);
+            close_frame(&mut w, at);
+            assert_eq!(w.bytes(), want, "payload of {len} bytes");
+
+            let mut r = Reader::new(&w.bytes()[4..]);
+            assert_eq!(get_frame(&mut r).expect("intact frame"), payload);
+            assert!(r.is_exhausted());
+        }
+    }
+
+    /// Every fold step is a bijection of the running state, so replacing
+    /// any one word (or tail byte) of a payload by any other value moves
+    /// the sum — for every bit of every position, and for values that
+    /// differ in many bits at once.
+    #[test]
+    fn checksum_moves_under_any_single_word_change() {
+        for len in [8usize, 16, 77, 80] {
+            let payload = noise(len);
+            let sum = checksum(&payload);
+            for bit in 0..len * 8 {
+                let mut other = payload.clone();
+                other[bit / 8] ^= 1 << (bit % 8);
+                assert_ne!(checksum(&other), sum, "len {len} bit {bit}");
+            }
+            let replacements = noise(8 * 64);
+            for (k, word) in replacements.chunks(8).enumerate() {
+                let at = (k * 8) % (len / 8 * 8);
+                if payload[at..at + 8] == *word {
+                    continue;
+                }
+                let mut other = payload.clone();
+                other[at..at + 8].copy_from_slice(word);
+                assert_ne!(checksum(&other), sum, "len {len} word at {at}");
+            }
+        }
+        // A changed top bit in two words must not cancel.
+        let mut a = vec![0u8; 24];
+        let sum = checksum(&a);
+        a[7] ^= 0x80;
+        a[15] ^= 0x80;
+        assert_ne!(checksum(&a), sum);
+        // Length matters even when the extra bytes are zero.
+        assert_ne!(checksum(&[0u8; 8]), checksum(&[0u8; 9]));
+    }
+
+    /// A small managed controller that has trained: 2 VMs, a 3-bin
+    /// first-order model, one short anomaly on VM 0, a seal after round
+    /// 12 and three journaled rounds after it.
+    fn trained_manager() -> RecoveryManager {
+        let mut cluster = Cluster::new();
+        for _ in 0..2 {
+            let host = cluster.add_host(prepare_cloudsim::HostSpec::vcl_default());
+            cluster
+                .create_vm(host, 100.0, 512.0)
+                .expect("host has room");
+        }
+        let config = crate::PrepareConfig {
+            predictor: prepare_anomaly::PredictorConfig {
+                bins: 3,
+                markov: prepare_anomaly::MarkovKind::Simple,
+                ..prepare_anomaly::PredictorConfig::default()
+            },
+            min_training_samples: 6,
+            post_anomaly_quiet: prepare_metrics::Duration::from_secs(10),
+            ..crate::PrepareConfig::default()
+        };
+        let controller =
+            PrepareController::new(vec![VmId(0), VmId(1)], config, crate::Scheme::Prepare);
+        let mut manager = RecoveryManager::new(controller, 12);
+        for i in 0..15u64 {
+            let now = Timestamp::from_secs(i * 5);
+            let sick = (4..7).contains(&i);
+            let reading = |vm: usize, level: f64| {
+                let v = MetricVector::from_fn(|a| level + a.index() as f64 + (i % 3) as f64);
+                (VmId(vm), StampedSample::fresh(MetricSample::new(now, v)))
+            };
+            let readings = [reading(0, if sick { 90.0 } else { 20.0 }), reading(1, 30.0)];
+            manager.tick(now, &readings, sick, &mut cluster);
+        }
+        assert!(manager.controller().is_trained(), "scenario must train");
+        assert_eq!(manager.journal_records(), 3);
+        manager
+    }
+
+    /// ROADMAP item 4's fuzz: truncate the checkpoint of a trained
+    /// controller at every byte, flip every one of its bits — each damaged
+    /// frame is an error. Then the same below the checksum: damage the
+    /// payload and re-seal it, so the loaders' own checks (not the frame's)
+    /// are what stands between the bytes and a panic.
+    #[test]
+    fn damaged_checkpoints_never_load() {
+        let image = trained_manager().crash_image().checkpoint;
+        let par = ParConfig::serial();
+        let (back, tick) = Checkpoint::read(&image, par).expect("intact frame");
+        assert!(back.is_trained());
+        assert_eq!(tick, 12);
+        for cut in 0..image.len() {
+            assert!(Checkpoint::read(&image[..cut], par).is_err(), "cut {cut}");
+        }
+        for bit in 0..image.len() * 8 {
+            let mut bad = image.clone();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            assert!(Checkpoint::read(&bad, par).is_err(), "bit {bit}");
+        }
+
+        let payload = &image[16..image.len() - 8];
+        let reseal = |payload: &[u8]| {
+            let mut w = Writer::new();
+            w.put_u64(CHECKPOINT_MAGIC);
+            let at = open_frame(&mut w);
+            w.put_raw(payload);
+            close_frame(&mut w, at);
+            w.into_bytes()
+        };
+        assert_eq!(reseal(payload), image);
+        for cut in 0..payload.len() {
+            assert!(
+                Checkpoint::read(&reseal(&payload[..cut]), par).is_err(),
+                "resealed cut {cut}"
+            );
+        }
+        // One bit per byte, walking the bit position: a changed float is a
+        // different valid state, a changed length or tag must be refused —
+        // either way the load returns.
+        let mut refused = 0;
+        for i in 0..payload.len() {
+            let mut bad = payload.to_vec();
+            bad[i] ^= 1 << (i % 8);
+            refused += usize::from(Checkpoint::read(&reseal(&bad), par).is_err());
+        }
+        assert!(refused > 0 && refused < payload.len());
+    }
+
+    /// The journal half: whatever happens to the image, the scan returns
+    /// the records in front of the damage, intact, and flags the rest as
+    /// a torn tail.
+    #[test]
+    fn damaged_journals_keep_the_intact_prefix() {
+        let image = trained_manager().crash_image().journal;
+        let records = Journal::scan(&image).records;
+        assert_eq!(records.len(), 3);
+        let mut ends = Vec::new();
+        let mut probe = Journal::new();
+        for rec in &records {
+            probe.append(rec);
+            ends.push(probe.bytes());
+        }
+        assert_eq!(ends.last(), Some(&image.len()));
+        let frames_before = |byte: usize| ends.iter().filter(|&&end| end <= byte).count();
+        for cut in 0..image.len() {
+            let scan = Journal::scan(&image[..cut]);
+            assert_eq!(scan.records, records[..frames_before(cut)], "cut {cut}");
+            assert_eq!(scan.torn_tail, cut > 0 && !ends.contains(&cut), "cut {cut}");
+        }
+        for bit in 0..image.len() * 8 {
+            let mut bad = image.clone();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            let scan = Journal::scan(&bad);
+            assert!(scan.torn_tail, "bit {bit}");
+            assert_eq!(scan.records, records[..frames_before(bit / 8)], "bit {bit}");
         }
     }
 

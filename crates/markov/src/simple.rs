@@ -263,7 +263,7 @@ impl Persist for SimpleMarkov {
         if n == 0 || !(alpha.is_finite() && alpha >= 0.0) {
             return Err(PersistError::Invalid("SimpleMarkov parameters"));
         }
-        if counts.len() != n * n {
+        if n.checked_mul(n) != Some(counts.len()) {
             return Err(PersistError::Invalid("SimpleMarkov counts arity"));
         }
         if current.is_some_and(|c| c >= n) {

@@ -378,7 +378,7 @@ impl Persist for TwoDependentMarkov {
         if n == 0 || !(alpha.is_finite() && alpha >= 0.0) {
             return Err(PersistError::Invalid("TwoDependentMarkov parameters"));
         }
-        if counts.len() != n * n * n || fallback.n_states() != n {
+        if n.checked_pow(3) != Some(counts.len()) || fallback.n_states() != n {
             return Err(PersistError::Invalid("TwoDependentMarkov counts arity"));
         }
         if prev.is_some_and(|p| p >= n) || current.is_some_and(|c| c >= n) {

@@ -66,7 +66,7 @@ impl fmt::Display for PersistError {
 impl std::error::Error for PersistError {}
 
 /// An append-only byte sink with fixed little-endian primitive layouts.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct Writer {
     buf: Vec<u8>,
 }
@@ -116,6 +116,22 @@ impl Writer {
     /// Appends raw bytes with no length prefix (caller frames them).
     pub fn put_raw(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
+    }
+
+    /// Overwrites the eight bytes at offset `at` with a little-endian
+    /// `u64` — how a frame writer fills in a length it reserved before
+    /// the payload was serialized behind it.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `at + 8` bytes have been written.
+    pub fn patch_u64(&mut self, at: usize, v: u64) {
+        self.buf[at..at + 8].copy_from_slice(&v.to_le_bytes());
+    }
+
+    /// Drops every byte written so far, keeping the allocation.
+    pub fn clear(&mut self) {
+        self.buf.clear();
     }
 
     /// Bytes written so far.
@@ -391,12 +407,19 @@ impl<T: Persist> Persist for Option<T> {
     }
 }
 
+/// Appends a sequence the way every collection here is laid out: its
+/// length, then each element. [`Vec`], [`VecDeque`] and [`BTreeSet`] decode
+/// it; callers holding only a borrowed slice encode through it directly.
+pub fn store_seq<'a, T: Persist + 'a>(w: &mut Writer, items: impl ExactSizeIterator<Item = &'a T>) {
+    w.put_usize(items.len());
+    for v in items {
+        v.store(w);
+    }
+}
+
 impl<T: Persist> Persist for Vec<T> {
     fn store(&self, w: &mut Writer) {
-        w.put_usize(self.len());
-        for v in self {
-            v.store(w);
-        }
+        store_seq(w, self.iter());
     }
     fn load(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         let len = r.get_usize()?;
@@ -413,10 +436,7 @@ impl<T: Persist> Persist for Vec<T> {
 
 impl<T: Persist> Persist for VecDeque<T> {
     fn store(&self, w: &mut Writer) {
-        w.put_usize(self.len());
-        for v in self {
-            v.store(w);
-        }
+        store_seq(w, self.iter());
     }
     fn load(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         let len = r.get_usize()?;
@@ -450,10 +470,7 @@ impl<K: Persist + Ord, V: Persist> Persist for BTreeMap<K, V> {
 
 impl<T: Persist + Ord> Persist for BTreeSet<T> {
     fn store(&self, w: &mut Writer) {
-        w.put_usize(self.len());
-        for v in self {
-            v.store(w);
-        }
+        store_seq(w, self.iter());
     }
     fn load(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         let len = r.get_usize()?;

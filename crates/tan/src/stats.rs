@@ -22,11 +22,9 @@ use crate::mutual_info::cmi_from_joints;
 use crate::naive::{log_prior_ratio_from_counts, RootCpt};
 use crate::tan::{Cpt, EdgeCpt};
 use crate::{TanClassifier, TrainError};
-use prepare_metrics::persist::{Persist, PersistError, Reader, Writer};
 use prepare_metrics::Label;
 
 /// Sufficient statistics for one TAN model, updated by row-level deltas.
-// xtask: checkpoint
 #[derive(Debug, Clone, PartialEq)]
 pub struct TanStats {
     cardinalities: Vec<usize>,
@@ -87,6 +85,20 @@ impl TanStats {
     /// Whether no rows are currently summarized.
     pub fn is_empty(&self) -> bool {
         self.rows == 0
+    }
+
+    /// Forgets every row and keeps the tables: the state [`TanStats::new`]
+    /// returns for the same cardinalities, bit for bit, without
+    /// reallocating them — what a from-rows recount starts from.
+    pub fn clear(&mut self) {
+        self.rows = 0;
+        self.class_counts = [0, 0];
+        for table in self.marg.iter_mut().flatten() {
+            table.fill(0.0);
+        }
+        for row in self.joints.iter_mut().flatten().flatten() {
+            row.fill(0.0);
+        }
     }
 
     /// `(normal, abnormal)` row counts.
@@ -234,45 +246,6 @@ impl TanStats {
     }
 }
 
-impl Persist for TanStats {
-    fn store(&self, w: &mut Writer) {
-        self.cardinalities.store(w);
-        w.put_usize(self.rows);
-        self.class_counts.store(w);
-        self.marg.store(w);
-        self.joints.store(w);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        let cardinalities: Vec<usize> = Persist::load(r)?;
-        let rows = r.get_usize()?;
-        let class_counts: [usize; 2] = Persist::load(r)?;
-        let marg: Vec<[Vec<f64>; 2]> = Persist::load(r)?;
-        let joints: Vec<[Vec<Vec<f64>>; 2]> = Persist::load(r)?;
-        let n = cardinalities.len();
-        if n == 0 || cardinalities.contains(&0) {
-            return Err(PersistError::Invalid("TanStats cardinalities"));
-        }
-        if rows != class_counts[0] + class_counts[1] {
-            return Err(PersistError::Invalid("TanStats row count"));
-        }
-        if marg.len() != n || joints.len() != n * (n - 1) / 2 {
-            return Err(PersistError::Invalid("TanStats table arity"));
-        }
-        for (m, &c) in marg.iter().zip(&cardinalities) {
-            if m.iter().any(|row| row.len() != c) {
-                return Err(PersistError::Invalid("TanStats marginal shape"));
-            }
-        }
-        Ok(TanStats {
-            cardinalities,
-            rows,
-            class_counts,
-            marg,
-            joints,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -312,50 +285,6 @@ mod tests {
                 .collect::<Vec<u64>>()
         };
         assert_eq!(bits(a), bits(b));
-    }
-
-    #[test]
-    fn persist_round_trip_continues_bit_identically() {
-        let (rows, cards) = leak_rows();
-        let mut stats = TanStats::new(cards);
-        // Load a partial window so the restored stats must continue
-        // mid-stream, not from scratch.
-        for (r, l) in &rows[..70] {
-            stats.add_row(r, *l);
-        }
-        let bytes = prepare_metrics::persist::to_bytes(&stats);
-        let mut restored: TanStats = prepare_metrics::persist::from_bytes(&bytes).unwrap();
-        assert_eq!(restored, stats);
-        // Slide the window on both copies and require identical models.
-        for (i, (r, l)) in rows[70..].iter().enumerate() {
-            stats.add_row(r, *l);
-            restored.add_row(r, *l);
-            let (old, ol) = &rows[i];
-            stats.retire_row(old, *ol);
-            restored.retire_row(old, *ol);
-        }
-        assert_bit_identical(
-            &restored.classifier().unwrap(),
-            &stats.classifier().unwrap(),
-        );
-    }
-
-    #[test]
-    fn persist_load_rejects_mismatched_row_count() {
-        let (rows, cards) = leak_rows();
-        let mut stats = TanStats::new(cards);
-        for (r, l) in &rows {
-            stats.add_row(r, *l);
-        }
-        let mut bytes = prepare_metrics::persist::to_bytes(&stats);
-        // The row count lives after the cardinalities (len + 3 values).
-        let off = 8 * 4;
-        bytes[off..off + 8].copy_from_slice(&1u64.to_le_bytes());
-        let err = prepare_metrics::persist::from_bytes::<TanStats>(&bytes).unwrap_err();
-        assert_eq!(
-            err,
-            prepare_metrics::persist::PersistError::Invalid("TanStats row count")
-        );
     }
 
     #[test]
@@ -435,6 +364,12 @@ mod tests {
         }
         assert_eq!(stats, fresh);
         assert_eq!(stats.classifier(), Err(TrainError::EmptyDataset));
+        // `clear` reaches the same state from a populated one.
+        for (r, l) in &rows {
+            stats.add_row(r, *l);
+        }
+        stats.clear();
+        assert_eq!(stats, fresh);
     }
 
     #[test]
