@@ -48,15 +48,11 @@ PREPARE_WORKERS=1 cargo test --offline --quiet --workspace
 echo "==> cargo test (PREPARE_WORKERS=4, sharded engine)"
 PREPARE_WORKERS=4 cargo test --offline --quiet --workspace
 
-# The two workspace runs above exercise the default engine: incremental
-# online training (PREPARE_ONLINE unset = enabled). Re-run the
-# end-to-end suites with the from-scratch referee pinned on — traces
-# must be byte-identical either way, so a divergence names this step.
-echo "==> end-to-end suites, online training disabled (PREPARE_ONLINE=0, PREPARE_WORKERS=1)"
-PREPARE_ONLINE=0 PREPARE_WORKERS=1 cargo test --offline --quiet --package prepare-repro
-
-echo "==> end-to-end suites, online training disabled (PREPARE_ONLINE=0, PREPARE_WORKERS=4)"
-PREPARE_ONLINE=0 PREPARE_WORKERS=4 cargo test --offline --quiet --package prepare-repro
+# Both runs train from the fleet trainer's windows (the default arm); the
+# series + SLO log referee arm is diffed against it in-process, at
+# workers {1, 2, 7}, by tests/differential.rs
+# (online_training_matches_from_scratch_rebuild), which names the
+# diverging (suite, workers, arm) cell.
 
 # The fleet differential suite drives golden and chaotic 96-VM fleets
 # through both tick paths and asserts the traces are byte-identical. The

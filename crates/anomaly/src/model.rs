@@ -32,42 +32,6 @@ impl ValueModel {
         }
     }
 
-    /// Rebuilds a model of `kind` from raw transition-count arrays — the
-    /// arena-to-model step of the incremental trainer. `fallback` is the
-    /// first-order `n × n` count table (the whole model for
-    /// [`MarkovKind::Simple`], the fallback table for
-    /// [`MarkovKind::TwoDependent`]); `combined` is the `n³` combined-state
-    /// table, ignored by the simple kind. Smoothing is the default α the
-    /// [`ValueModel::new`] constructors use, so a model rebuilt from the
-    /// counts of a trained model equals it exactly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a count array has the wrong length for `n`.
-    pub fn from_parts(
-        kind: MarkovKind,
-        n: usize,
-        combined: &[f64],
-        fallback: &[f64],
-        observations: usize,
-    ) -> Self {
-        match kind {
-            MarkovKind::Simple => ValueModel::Simple(SimpleMarkov::from_parts(
-                n,
-                0.02,
-                fallback.to_vec(),
-                observations,
-            )),
-            MarkovKind::TwoDependent => ValueModel::TwoDependent(TwoDependentMarkov::from_parts(
-                n,
-                0.02,
-                combined.to_vec(),
-                fallback.to_vec(),
-                observations,
-            )),
-        }
-    }
-
     /// The kind of this model.
     pub fn kind(&self) -> MarkovKind {
         match self {
@@ -223,8 +187,8 @@ mod tests {
             let bytes = prepare_metrics::persist::to_bytes(&m);
             let mut restored: ValueModel = prepare_metrics::persist::from_bytes(&bytes).unwrap();
             assert_eq!(restored, m, "kind {kind:?}");
-            // Unlike from_parts, Persist keeps the mid-stream anchor:
-            // predictions continue identically without re-observing.
+            // Persist keeps the mid-stream anchor: predictions continue
+            // identically without re-observing.
             assert_eq!(
                 restored.predict(2).as_slice(),
                 m.predict(2).as_slice(),
@@ -242,24 +206,5 @@ mod tests {
         let mut bytes = prepare_metrics::persist::to_bytes(&m);
         bytes[0] = 7;
         assert!(prepare_metrics::persist::from_bytes::<ValueModel>(&bytes).is_err());
-    }
-
-    #[test]
-    fn from_parts_round_trips_a_trained_model() {
-        for kind in [MarkovKind::Simple, MarkovKind::TwoDependent] {
-            let mut trained = ValueModel::new(kind, 5);
-            for i in 0..60 {
-                trained.observe((i * i + i / 3) % 5);
-            }
-            trained.reset_position();
-            let (combined, fallback): (&[f64], &[f64]) = match &trained {
-                ValueModel::Simple(m) => (&[], m.counts()),
-                ValueModel::TwoDependent(m) => (m.counts(), m.fallback_counts()),
-            };
-            let rebuilt =
-                ValueModel::from_parts(kind, 5, combined, fallback, trained.observations());
-            assert_eq!(rebuilt, trained, "kind {kind:?}");
-            assert_eq!(format!("{rebuilt:?}"), format!("{trained:?}"));
-        }
     }
 }

@@ -168,12 +168,11 @@ impl AnomalyPredictor {
 
     /// The labeled-rows training core every entry point funnels through:
     /// [`AnomalyPredictor::train_par`] resolves each sample's label from
-    /// the SLO log and delegates here, and the incremental fleet trainer's
-    /// from-scratch referee replays its retained `(vector, label)` window
-    /// through this exact path. Fitting the discretizer, discretizing the
-    /// batch, building the TAN dataset, and training the per-attribute
-    /// value models all happen in the same order with the same folds as
-    /// the series-based path, so the two produce bit-identical models.
+    /// the SLO log and delegates here, and the fleet trainer hands over the
+    /// `(vector, label)` window it labeled at ingest. Fitting the
+    /// discretizer, discretizing the batch, building the TAN dataset, and
+    /// training the per-attribute value models happen once, here, so the
+    /// two produce bit-identical models.
     ///
     /// # Errors
     ///
@@ -218,32 +217,6 @@ impl AnomalyPredictor {
             classifier,
             last_time: None,
         })
-    }
-
-    /// Assembles a predictor from already-derived components — the final
-    /// step of the incremental trainer, which maintains the discretizer
-    /// basis, Markov count arenas, and TAN sufficient statistics across
-    /// deltas and only materializes model objects here. The assembled
-    /// predictor has no stream position (`last_time` is `None`), exactly
-    /// like a freshly trained one.
-    pub(crate) fn from_parts(
-        config: PredictorConfig,
-        discretizer: prepare_metrics::VectorDiscretizer,
-        value_models: Vec<ValueModel>,
-        classifier: TanClassifier,
-    ) -> Self {
-        assert_eq!(
-            value_models.len(),
-            ATTRIBUTE_COUNT,
-            "one value model per attribute"
-        );
-        AnomalyPredictor {
-            config,
-            discretizer,
-            value_models,
-            classifier,
-            last_time: None,
-        }
     }
 
     /// The model's configuration.

@@ -22,11 +22,11 @@
 
 #![forbid(unsafe_code)]
 
-use prepare_anomaly::{AnomalyPredictor, FleetTrainer, Prediction, PredictorConfig};
+use prepare_anomaly::{AnomalyPredictor, Prediction, PredictorConfig};
 use prepare_bench::harness::{measured_ms, write_bench_json};
 use prepare_cloudsim::{FleetSim, FleetSpec, TickMode};
 use prepare_metrics::{
-    AttributeKind, Duration, Label, MetricSample, MetricVector, SloLog, TimeSeries, Timestamp,
+    AttributeKind, Duration, MetricSample, MetricVector, SloLog, TimeSeries, Timestamp,
 };
 use prepare_par::ParConfig;
 use rand::rngs::StdRng;
@@ -109,7 +109,6 @@ struct Cell {
     vms: usize,
     workers: usize,
     train_ms: f64,
-    online_ms: f64,
     predict_ms: f64,
 }
 
@@ -154,8 +153,8 @@ fn main() {
     println!("== Parallel engine scaling: per-VM train + predict ==");
     println!("hardware available parallelism: {hardware_workers}");
     println!(
-        "{:>6} {:>8} {:>12} {:>12} {:>12} {:>10} {:>10}",
-        "VMs", "workers", "train (ms)", "online (ms)", "predict(ms)", "train x", "online x"
+        "{:>6} {:>8} {:>12} {:>12} {:>10}",
+        "VMs", "workers", "train (ms)", "predict(ms)", "train x"
     );
 
     let slo = slo_log();
@@ -174,24 +173,6 @@ fn main() {
                 AnomalyPredictor::train(series, &slo, &config).is_ok()
             });
         drop(warmup);
-
-        // The incremental trainer's steady state (untimed setup): every
-        // sample folded into the per-slot count arenas at ingest, basis
-        // stable since the last refresh. A retrain round is then pure
-        // derivation from the maintained statistics — the `online`
-        // column times exactly that, against the full-rescan `train`
-        // column at the same worker count.
-        let mut trainer = FleetTrainer::new(n_vms, &config);
-        for (slot, series) in traces.iter().enumerate() {
-            for s in series.iter() {
-                trainer.push(
-                    slot,
-                    &s.values,
-                    Label::from_violation(slo.is_violated_at(s.time)),
-                );
-            }
-        }
-        trainer.refresh(&ParConfig::serial());
 
         for &workers in &WORKERS {
             let par = ParConfig::with_workers(workers);
@@ -216,32 +197,6 @@ fn main() {
                 }
                 train_ms = train_ms.min(elapsed_ms);
             }
-
-            // Incremental retrain: derive the whole fleet's models from
-            // the trainer's maintained arenas (refresh included — with a
-            // stable basis it is a no-op scan over the dirty flags, which
-            // is exactly the controller's steady-state retrain cost).
-            let mut online_ms = f64::INFINITY;
-            let mut derived: Vec<AnomalyPredictor> = Vec::new();
-            for _ in 0..TRIALS {
-                let t2 = Instant::now();
-                trainer.refresh(&par);
-                let out = prepare_par::par_map(&par, (0..n_vms).collect(), |slot| {
-                    trainer
-                        .derive(slot)
-                        .expect("bench trace contains both classes") // xtask-allow: expect -- bench aborts loudly on impossible input
-                });
-                online_ms = online_ms.min(measured_ms(t2));
-                derived = out;
-            }
-            // Equivalence audit: the derived models must be bit-identical
-            // to the full-rescan models, or the online column is timing a
-            // different computation.
-            assert!(
-                derived == models,
-                "online-derived models diverged from full retrain at workers={workers}"
-            );
-            drop(derived);
 
             // Re-anchor each model onto the tail of its own trace, then
             // time the per-VM look-ahead scoring round (the controller's
@@ -288,20 +243,17 @@ fn main() {
                 }
             };
             println!(
-                "{:>6} {:>8} {:>12.1} {:>12.1} {:>12.1} {:>10.2} {:>10.2}",
+                "{:>6} {:>8} {:>12.1} {:>12.1} {:>10.2}",
                 n_vms,
                 workers,
                 train_ms,
-                online_ms,
                 predict_ms,
-                base_train / train_ms,
-                train_ms / online_ms
+                base_train / train_ms
             );
             cells.push(Cell {
                 vms: n_vms,
                 workers,
                 train_ms,
-                online_ms,
                 predict_ms,
             });
         }
@@ -405,9 +357,7 @@ fn main() {
     json.push_str(
         "  \"note\": \"speedup is bounded by hardware_workers; identical outputs at every \
          worker count are asserted before numbers are reported; every cell is best-of-N \
-         trials after untimed warmup; online_ms times an incremental retrain (derive from \
-         delta-maintained count arenas, asserted bit-identical to the full rescan) and \
-         online_speedup is train_ms / online_ms at the same worker count\",\n",
+         trials after untimed warmup\",\n",
     );
     json.push_str(&format!("  \"trials\": {TRIALS},\n"));
     json.push_str("  \"results\": [\n");
@@ -417,17 +367,14 @@ fn main() {
             .find(|b| b.vms == c.vms && b.workers == 1)
             .map_or((c.train_ms, c.predict_ms), |b| (b.train_ms, b.predict_ms));
         json.push_str(&format!(
-            "    {{\"vms\": {}, \"workers\": {}, \"train_ms\": {:.3}, \"online_ms\": {:.3}, \
-             \"predict_ms\": {:.3}, \"train_speedup\": {:.3}, \"predict_speedup\": {:.3}, \
-             \"online_speedup\": {:.3}}}{}\n",
+            "    {{\"vms\": {}, \"workers\": {}, \"train_ms\": {:.3}, \"predict_ms\": {:.3}, \
+             \"train_speedup\": {:.3}, \"predict_speedup\": {:.3}}}{}\n",
             c.vms,
             c.workers,
             c.train_ms,
-            c.online_ms,
             c.predict_ms,
             base_train / c.train_ms,
             base_predict / c.predict_ms,
-            c.train_ms / c.online_ms,
             if i + 1 == cells.len() { "" } else { "," }
         ));
     }

@@ -109,33 +109,13 @@ pub struct PrepareConfig {
     /// merge (see the `prepare-par` crate).
     // xtask: ephemeral -- runtime worker config, supplied by the recovering process
     pub par: ParConfig,
-    /// Use the incremental online trainer
-    /// ([`prepare_anomaly::FleetTrainer`]) for training rounds: samples
-    /// are folded into per-VM count arenas at ingest and a (re)train
-    /// derives models from the maintained statistics instead of
-    /// rescanning the window. The derived models are bit-identical to the
-    /// from-scratch path, so traces do not depend on this flag — the CI
-    /// harness runs the suite both ways and diffs them. Defaults to the
-    /// `PREPARE_ONLINE` environment variable (unset, or anything other
-    /// than `0`/`false`, means enabled).
+    /// Train from the windows [`prepare_anomaly::FleetTrainer`] labels at
+    /// ingest (`true`, the default) rather than from each VM's series
+    /// with labels resolved from the SLO log at training time (`false`,
+    /// the referee arm). The two produce bit-identical models, so traces
+    /// do not depend on this flag; `tests/differential.rs` runs both arms
+    /// and diffs them.
     pub online_training: bool,
-}
-
-/// Environment variable toggling the incremental online training path
-/// (`PrepareConfig::default().online_training`). Set to `0` or `false`
-/// to force from-scratch retraining; any other value (or unset) enables
-/// the online trainer.
-pub const ONLINE_ENV: &str = "PREPARE_ONLINE";
-
-/// Reads [`ONLINE_ENV`], defaulting to enabled.
-fn online_from_env() -> bool {
-    match std::env::var(ONLINE_ENV) {
-        Ok(v) => {
-            let v = v.trim().to_ascii_lowercase();
-            v != "0" && v != "false"
-        }
-        Err(_) => true,
-    }
 }
 
 impl Default for PrepareConfig {
@@ -155,7 +135,7 @@ impl Default for PrepareConfig {
             workload_change_quorum: 0.8,
             staleness: StalenessBudget::default(),
             par: ParConfig::default(),
-            online_training: online_from_env(),
+            online_training: true,
         }
     }
 }

@@ -402,11 +402,11 @@ pub struct PrepareController {
     trained_at: Option<Timestamp>,
     last_retrain: Option<Timestamp>,
     last_workload_change: bool,
-    /// The incremental training state (`config.online_training`): every
-    /// usable sample is folded into per-VM count arenas at ingest, and
-    /// training rounds *derive* models from the maintained statistics
-    /// instead of rescanning each VM's series. `None` runs the
-    /// from-scratch reference path on every round.
+    /// The training windows (`config.online_training`): every usable
+    /// sample is appended to its VM's window at ingest under the round's
+    /// SLO label, and training rounds train from those windows. `None`
+    /// runs the referee arm, which trains from each VM's series and
+    /// resolves labels from the SLO log.
     trainer: Option<FleetTrainer>,
     events: Vec<ControllerEvent>,
 }
@@ -723,7 +723,7 @@ impl PrepareController {
 
         self.slo.record(now, slo_violated);
         if let Some(trainer) = self.trainer.as_mut() {
-            // Fold the round's evidence into the online count arenas.
+            // Append the round's evidence to the training windows.
             // Every usable sample is stamped `now` (late deliveries are
             // re-timed, imputed replays are re-stamped) and the SLO log
             // is append-only over strictly increasing rounds, so the
@@ -790,20 +790,19 @@ impl PrepareController {
     ///
     /// Training reads only the VM's own series plus the shared SLO log,
     /// so the fitted models are bit-identical to the sequential loop for
-    /// any worker count. With online training the models are *derived*
-    /// from the fleet trainer's maintained count arenas instead of
-    /// re-scanning each series — [`FleetTrainer::derive_cached_batch`] is
-    /// bit-identical to the from-scratch `train` call the reference arm
-    /// makes, so the two arms produce the same traces (the CI harness
-    /// diffs them). The batch call memoizes per-slot derivations on a
-    /// window generation counter, so only VMs whose windows changed since
-    /// the last round actually re-derive.
+    /// any worker count. With online training the models come from the
+    /// fleet trainer's windows, labeled at ingest —
+    /// [`FleetTrainer::derive_cached_batch`] is bit-identical to the
+    /// series + SLO log `train` call the referee arm makes, so the two
+    /// arms produce the same traces (`tests/differential.rs` diffs them).
+    /// The batch call memoizes per-slot derivations on a window
+    /// generation counter, so only VMs whose windows changed since the
+    /// last round actually re-train.
     fn train_models(&mut self, now: Timestamp) -> bool {
         let series: Vec<&TimeSeries> = self.table.iter().map(|rec| &rec.series).collect();
         let implicated = crate::implicated_vms_par(&series, &self.slo, &self.config.par);
         let fits: Vec<Option<AnomalyPredictor>> = match self.trainer.as_mut() {
             Some(trainer) => {
-                trainer.refresh(&self.config.par);
                 let derived = trainer.derive_cached_batch(&implicated, &self.config.par);
                 derived.into_iter().map(Result::ok).collect()
             }
@@ -1364,7 +1363,7 @@ impl PrepareController {
         let last_workload_change = bool::load(r)?;
         let trainer = r
             .get_bool()?
-            .then(|| FleetTrainer::load_state(r, &config.par))
+            .then(|| FleetTrainer::load_state(r))
             .transpose()?;
         if trainer.as_ref().is_some_and(|t| t.slots() != vms.len()) {
             return Err(PersistError::Invalid("PrepareController trainer slots"));

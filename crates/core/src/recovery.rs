@@ -42,8 +42,8 @@ use prepare_metrics::persist::{store_seq, Persist, PersistError, Reader, Writer}
 use prepare_metrics::{StampedSample, Timestamp, VmId};
 use prepare_par::ParConfig;
 
-/// Magic + version sealing a checkpoint frame ("PRPCKP" + version 02).
-pub const CHECKPOINT_MAGIC: u64 = u64::from_le_bytes(*b"PRPCKP02");
+/// Magic + version sealing a checkpoint frame ("PRPCKP" + version 03).
+pub const CHECKPOINT_MAGIC: u64 = u64::from_le_bytes(*b"PRPCKP03");
 
 /// The frame checksum: FNV-1a's constants and its xor-then-multiply
 /// fold, taken one little-endian 64-bit word at a time with a xor-shift
@@ -286,16 +286,17 @@ impl Checkpoint {
     /// Serializes `controller` (as of tick index `tick`) into a sealed
     /// checkpoint frame.
     pub fn write(controller: &PrepareController, tick: u64) -> Vec<u8> {
-        let (mut w, frame) = Self::begin(tick);
+        let (mut w, frame) = Self::begin(tick, Vec::new());
         controller.store_state(&mut w);
         close_frame(&mut w, frame);
         w.into_bytes()
     }
 
-    /// The head of a checkpoint: magic, an open frame, the tick index.
-    /// The caller writes the controller state and closes the frame.
-    fn begin(tick: u64) -> (Writer, usize) {
-        let mut w = Writer::new();
+    /// The head of a checkpoint, written into `buf`'s allocation: magic,
+    /// an open frame, the tick index. The caller writes the controller
+    /// state and closes the frame.
+    fn begin(tick: u64, buf: Vec<u8>) -> (Writer, usize) {
+        let mut w = Writer::reusing(buf);
         w.put_u64(CHECKPOINT_MAGIC);
         let frame = open_frame(&mut w);
         w.put_u64(tick);
@@ -355,6 +356,11 @@ pub struct RecoveryManager {
     tick: u64,
     /// The last sealed checkpoint frame.
     checkpoint: Vec<u8>,
+    /// The frame `checkpoint` replaced. The next seal is written into its
+    /// allocation: a fresh multi-megabyte buffer per seal is a fresh
+    /// mapping per seal, paid for in page faults while the round waits.
+    /// Capacity only: its bytes are never read.
+    spare: Vec<u8>,
     journal: Journal,
 }
 
@@ -374,6 +380,7 @@ impl RecoveryManager {
             checkpoint_every,
             tick: 0,
             checkpoint,
+            spare: Vec::new(),
             journal: Journal::new(),
         }
     }
@@ -422,7 +429,8 @@ impl RecoveryManager {
             // legitimately carries extra crash/recovery events in its
             // log, and the recovery-equivalence proofs compare
             // post-recovery event streams byte-for-byte.
-            let (mut payload, frame) = Checkpoint::begin(self.tick);
+            let (mut payload, frame) =
+                Checkpoint::begin(self.tick, std::mem::take(&mut self.spare));
             let before_core = payload.len();
             self.controller.store_core(&mut payload);
             let bytes = payload.len() - before_core;
@@ -441,7 +449,7 @@ impl RecoveryManager {
             events.push(truncated);
             self.controller.store_events(&mut payload);
             close_frame(&mut payload, frame);
-            self.checkpoint = payload.into_bytes();
+            self.spare = std::mem::replace(&mut self.checkpoint, payload.into_bytes());
             self.journal.truncate();
         }
         events
@@ -504,6 +512,7 @@ impl RecoveryManager {
             checkpoint_every,
             tick: checkpoint_tick + replayed as u64,
             checkpoint: image.checkpoint.clone(),
+            spare: Vec::new(),
             journal,
         })
     }
@@ -639,17 +648,19 @@ mod tests {
             Checkpoint::read(&bad, ParConfig::serial()).unwrap_err(),
             PersistError::BadMagic { .. }
         ));
-        // The previous layout's version is a different format, not a
-        // frame to try anyway.
-        let mut old = image.clone();
-        old[..8].copy_from_slice(b"PRPCKP01");
-        assert_eq!(
-            Checkpoint::read(&old, ParConfig::serial()).unwrap_err(),
-            PersistError::BadMagic {
-                found: u64::from_le_bytes(*b"PRPCKP01"),
-                expected: CHECKPOINT_MAGIC,
-            }
-        );
+        // An earlier layout's version is a different format, not a frame
+        // to try anyway.
+        for earlier in [b"PRPCKP01", b"PRPCKP02"] {
+            let mut old = image.clone();
+            old[..8].copy_from_slice(earlier);
+            assert_eq!(
+                Checkpoint::read(&old, ParConfig::serial()).unwrap_err(),
+                PersistError::BadMagic {
+                    found: u64::from_le_bytes(*earlier),
+                    expected: CHECKPOINT_MAGIC,
+                }
+            );
+        }
         // Flipped payload byte.
         let mut bad = image.clone();
         let mid = bad.len() / 2;

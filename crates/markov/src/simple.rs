@@ -25,8 +25,7 @@ use std::sync::OnceLock;
 pub struct SimpleMarkov {
     n: usize,
     /// Flat row-major transition counts: `counts[i * n + j]` = observed
-    /// transitions i → j. Contiguous so arena-backed trainers can memcpy
-    /// whole models in and out of struct-of-arrays storage.
+    /// transitions i → j.
     counts: Vec<f64>,
     /// Laplace smoothing pseudo-count.
     alpha: f64,
@@ -89,68 +88,6 @@ impl SimpleMarkov {
         }
     }
 
-    /// Rebuilds a predictor from flat row-major transition counts — the
-    /// constructor the arena-backed incremental trainer uses to turn a
-    /// counts slice back into a model. The position anchor starts cleared,
-    /// matching a freshly trained-then-`reset_position` model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`, `alpha` is not finite and non-negative, or
-    /// `counts.len() != n * n`.
-    pub fn from_parts(n: usize, alpha: f64, counts: Vec<f64>, observations: usize) -> Self {
-        assert!(n > 0, "state count must be positive");
-        assert!(alpha.is_finite() && alpha >= 0.0, "alpha must be >= 0");
-        assert_eq!(counts.len(), n * n, "counts must be an n x n matrix");
-        SimpleMarkov {
-            n,
-            counts,
-            alpha,
-            current: None,
-            observations,
-            table: OnceLock::new(),
-        }
-    }
-
-    /// Read-only view of the flat row-major transition counts.
-    // xtask: taint-source count
-    pub fn counts(&self) -> &[f64] {
-        &self.counts
-    }
-
-    /// Applies a +1 transition delta `prev → next` without moving the
-    /// position anchor. One half of the windowed delta algebra: counts are
-    /// additive, so a window slide is `record` the entering transitions
-    /// and [`SimpleMarkov::retire_transition`] the expiring ones.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either state is out of range.
-    pub fn record_transition(&mut self, prev: usize, next: usize) {
-        assert!(prev < self.n && next < self.n, "state out of range");
-        self.counts[prev * self.n + next] += 1.0;
-        self.table.take();
-    }
-
-    /// Applies a −1 transition delta `prev → next`: retires one
-    /// previously recorded transition. Counts are integer-valued f64, so
-    /// `record` followed by `retire` restores the matrix bit-for-bit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either state is out of range or the cell is already zero
-    /// (retiring a transition that was never recorded).
-    pub fn retire_transition(&mut self, prev: usize, next: usize) {
-        assert!(prev < self.n && next < self.n, "state out of range");
-        let cell = &mut self.counts[prev * self.n + next];
-        assert!(
-            *cell >= 1.0,
-            "retiring unrecorded transition {prev} -> {next}"
-        );
-        *cell -= 1.0;
-        self.table.take();
-    }
-
     /// Trains from a whole sequence at once (equivalent to observing each
     /// element in order). Used by the trace-driven experiments and the
     /// Table I training benchmark.
@@ -165,7 +102,7 @@ impl SimpleMarkov {
     /// unvisited state persisting is a far better guess than teleporting
     /// uniformly — and it keeps never-seen extreme states (a pinned CPU
     /// the model was never trained on) predicted as extreme.
-    fn row(&self, i: usize) -> StateDistribution {
+    pub(crate) fn row(&self, i: usize) -> StateDistribution {
         let row = &self.counts[i * self.n..(i + 1) * self.n];
         let total: f64 = row.iter().sum();
         // xtask-allow: float-eq -- counts are integer-valued; an exact zero sum means "never observed"
@@ -443,80 +380,9 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_equals_trained_model() {
-        let mut trained = SimpleMarkov::new(3);
-        trained.train(&[0, 1, 2, 0, 1, 1, 2]);
-        trained.reset_position();
-        let rebuilt =
-            SimpleMarkov::from_parts(3, 0.02, trained.counts().to_vec(), trained.observations());
-        assert_eq!(trained, rebuilt);
-        for steps in 0..5 {
-            assert_eq!(trained.predict(steps), rebuilt.predict(steps));
-        }
-    }
-
-    #[test]
-    fn record_then_retire_restores_counts_bit_for_bit() {
-        let mut m = SimpleMarkov::new(4);
-        m.train(&[0, 1, 2, 3, 0, 2, 1]);
-        let before = m.counts().to_vec();
-        let batch = [(0usize, 3usize), (3, 3), (2, 0), (0, 3)];
-        for &(p, x) in &batch {
-            m.record_transition(p, x);
-        }
-        assert_ne!(m.counts(), before.as_slice());
-        for &(p, x) in &batch {
-            m.retire_transition(p, x);
-        }
-        assert_eq!(
-            m.counts().iter().map(|c| c.to_bits()).collect::<Vec<u64>>(),
-            before.iter().map(|c| c.to_bits()).collect::<Vec<u64>>()
-        );
-    }
-
-    #[test]
-    fn record_transition_invalidates_snapshot() {
-        // Seeded stale-snapshot bug: if record_transition forgot
-        // `table.take()`, the frozen table from the first predict would be
-        // replayed and diverge from the reference after the delta lands.
-        let mut m = SimpleMarkov::new(3);
-        m.train(&[0, 1, 0, 1]);
-        let stale = m.predict(1); // builds the table
-        for _ in 0..8 {
-            m.record_transition(1, 2);
-        }
-        assert_ne!(m.predict(1), stale, "delta must change the prediction");
-        for steps in 0..5 {
-            assert_eq!(m.predict(steps), m.predict_reference(steps));
-        }
-    }
-
-    #[test]
-    fn retire_transition_invalidates_snapshot() {
-        let mut m = SimpleMarkov::new(3);
-        m.train(&[0, 1, 2, 1, 0, 1, 2]);
-        let stale = m.predict(1); // builds the table
-                                  // Retiring the only 2 -> 1 transition empties row 2, flipping the
-                                  // anchored row to the persistence prior — a stale table would
-                                  // keep predicting the old smoothed row.
-        m.retire_transition(2, 1);
-        assert_ne!(m.predict(1), stale, "delta must change the prediction");
-        for steps in 0..5 {
-            assert_eq!(m.predict(steps), m.predict_reference(steps));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "retiring unrecorded transition")]
-    fn retire_rejects_unrecorded_transition() {
-        SimpleMarkov::new(2).retire_transition(0, 1);
-    }
-
-    #[test]
     fn persist_preserves_mid_stream_position() {
-        // Unlike `from_parts` (which clears the anchor), a checkpoint taken
-        // mid-stream must restore `current` so the next prediction and the
-        // next observation land identically.
+        // A checkpoint taken mid-stream must restore `current` so the next
+        // prediction and the next observation land identically.
         let mut m = SimpleMarkov::new(3);
         m.train(&[0, 1, 2, 0, 1, 1, 2]);
         let mut w = prepare_metrics::Writer::new();

@@ -25,9 +25,7 @@ use std::sync::OnceLock;
 /// uniform guess.
 ///
 /// The propagation hot path runs over a lazily-built frozen `n² × n`
-/// [`TransitionTable`]: each `next_given(prev, cur)` row — including the
-/// first-order-fallback rows, which the naive path re-derives by cloning
-/// the whole fallback chain *per live cell per step* — is computed exactly
+/// [`TransitionTable`]: each `next_given(prev, cur)` row is computed exactly
 /// once, in the same arithmetic order, then reused. Propagation itself is
 /// double-buffered (no per-step `vec![0.0; n*n]`). Outputs are
 /// bit-identical to the kept naive path
@@ -38,9 +36,7 @@ use std::sync::OnceLock;
 pub struct TwoDependentMarkov {
     n: usize,
     /// Flat transition counts out of combined states:
-    /// `counts[(prev * n + cur) * n + next]`. Contiguous so arena-backed
-    /// trainers can memcpy whole models in and out of struct-of-arrays
-    /// storage.
+    /// `counts[(prev * n + cur) * n + next]`.
     counts: Vec<f64>,
     /// First-order fallback for unseen combined states.
     fallback: SimpleMarkov,
@@ -111,110 +107,6 @@ impl TwoDependentMarkov {
         }
     }
 
-    /// Rebuilds a predictor from flat combined (`n³`) and first-order
-    /// fallback (`n²`) transition counts — the constructor the
-    /// arena-backed incremental trainer uses. The position anchor starts
-    /// cleared, matching a freshly trained-then-`reset_position` model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`, `alpha` is not finite and non-negative, or
-    /// either counts vector has the wrong length.
-    pub fn from_parts(
-        n: usize,
-        alpha: f64,
-        counts: Vec<f64>,
-        fallback_counts: Vec<f64>,
-        observations: usize,
-    ) -> Self {
-        assert!(n > 0, "state count must be positive");
-        assert!(alpha.is_finite() && alpha >= 0.0, "alpha must be >= 0");
-        assert_eq!(counts.len(), n * n * n, "combined counts must be n^3");
-        TwoDependentMarkov {
-            n,
-            counts,
-            fallback: SimpleMarkov::from_parts(n, alpha, fallback_counts, observations),
-            alpha,
-            prev: None,
-            current: None,
-            observations,
-            table: OnceLock::new(),
-        }
-    }
-
-    /// Read-only view of the flat combined transition counts
-    /// (`counts[(prev * n + cur) * n + next]`).
-    // xtask: taint-source count
-    pub fn counts(&self) -> &[f64] {
-        &self.counts
-    }
-
-    /// Read-only view of the first-order fallback's flat counts.
-    pub fn fallback_counts(&self) -> &[f64] {
-        self.fallback.counts()
-    }
-
-    /// Applies a +1 delta for a full-context transition
-    /// `(prev, cur) → next`, updating the combined counts *and* the
-    /// first-order fallback (`cur → next`) the way [`Self::observe`]
-    /// would. Both the combined and the fallback snapshot are
-    /// invalidated: the combined table's unseen rows are derived from
-    /// fallback counts, so a fallback delta alone can go stale.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any state is out of range.
-    pub fn record_transition(&mut self, prev: usize, cur: usize, next: usize) {
-        assert!(
-            prev < self.n && cur < self.n && next < self.n,
-            "state out of range"
-        );
-        self.counts[(prev * self.n + cur) * self.n + next] += 1.0;
-        self.fallback.record_transition(cur, next);
-        self.table.take();
-    }
-
-    /// Applies a −1 delta for a full-context transition, retiring one
-    /// previously recorded `(prev, cur) → next` (and its fallback
-    /// `cur → next`). `record` followed by `retire` restores both count
-    /// arrays bit-for-bit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any state is out of range or the combined cell is
-    /// already zero.
-    pub fn retire_transition(&mut self, prev: usize, cur: usize, next: usize) {
-        assert!(
-            prev < self.n && cur < self.n && next < self.n,
-            "state out of range"
-        );
-        let cell = &mut self.counts[(prev * self.n + cur) * self.n + next];
-        assert!(
-            *cell >= 1.0,
-            "retiring unrecorded transition ({prev}, {cur}) -> {next}"
-        );
-        *cell -= 1.0;
-        self.fallback.retire_transition(cur, next);
-        self.table.take();
-    }
-
-    /// Applies a +1 delta for a window's *leading* transition
-    /// `cur → next` — the first step of a sequence, which has no
-    /// two-state context and therefore lands only in the first-order
-    /// fallback. Invalidates the combined snapshot too (its unseen rows
-    /// read fallback counts).
-    pub fn record_leading_transition(&mut self, cur: usize, next: usize) {
-        self.fallback.record_transition(cur, next);
-        self.table.take();
-    }
-
-    /// Retires a window's leading transition (see
-    /// [`Self::record_leading_transition`]).
-    pub fn retire_leading_transition(&mut self, cur: usize, next: usize) {
-        self.fallback.retire_transition(cur, next);
-        self.table.take();
-    }
-
     /// Trains from a whole sequence (observing each element in order).
     pub fn train(&mut self, sequence: &[usize]) {
         for &s in sequence {
@@ -238,14 +130,22 @@ impl TwoDependentMarkov {
             StateDistribution::from_weights(weights)
         } else {
             // Never saw this (prev, cur) pair: use the first-order view
-            // from `cur`. The reference (non-snapshot) predict keeps the
-            // exact historical arithmetic — and only derives the one live
-            // row — so both the snapshot build and the naive path share it.
-            let mut fb = self.fallback.clone();
-            fb.reset_position();
-            fb.observe(cur);
-            fb.predict_reference(1)
+            // from `cur`. The second normalisation is what one reference
+            // propagation step out of a point mass at `cur` applies to the
+            // row (`1.0 * w + 0.0` is `w` exactly), and every trace is
+            // pinned to its bits.
+            StateDistribution::from_weights(self.fallback.row(cur).as_slice().to_vec())
         }
+    }
+
+    /// Reference for [`Self::next_given`]'s unseen-row arm: anchor a copy
+    /// of the fallback chain on `cur` and take one reference step.
+    #[cfg(test)]
+    fn fallback_step_from(&self, cur: usize) -> StateDistribution {
+        let mut fb = self.fallback.clone();
+        fb.reset_position();
+        fb.observe(cur);
+        fb.predict_reference(1)
     }
 
     /// The frozen `n² × n` transition table: row `prev * n + cur` is
@@ -283,9 +183,8 @@ impl TwoDependentMarkov {
     }
 
     /// The pre-snapshot propagation step, kept verbatim as the
-    /// differential reference: re-derives every live `next_given` row
-    /// (cloning the fallback chain for unseen rows) and allocates a fresh
-    /// `n²` buffer per step.
+    /// differential reference: re-derives every live `next_given` row and
+    /// allocates a fresh `n²` buffer per step.
     fn step_combined_reference(&self, dist: &[f64]) -> Vec<f64> {
         let mut out = vec![0.0; self.n * self.n];
         for prev in 0..self.n {
@@ -610,88 +509,36 @@ mod tests {
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
 
-    #[test]
-    fn delta_recorded_window_equals_trained_model() {
-        // The windowed delta algebra: observing a sequence is one leading
-        // (first-order only) transition plus full-context transitions.
-        let seq = [0usize, 1, 2, 1, 0, 0, 1, 2, 2, 1];
-        let mut trained = TwoDependentMarkov::new(3);
-        trained.train(&seq);
-        trained.reset_position();
-
-        let mut delta = TwoDependentMarkov::new(3);
-        delta.record_leading_transition(seq[0], seq[1]);
-        for w in seq.windows(3) {
-            delta.record_transition(w[0], w[1], w[2]);
+    proptest::proptest! {
+        // `predict` and `predict_reference` share `next_given`, so no
+        // differential between them sees its unseen-row arm: hold it to
+        // the fallback-chain step it replaced, bit for bit. Short
+        // sequences over five states leave most combined rows unseen.
+        #[test]
+        fn unseen_rows_equal_one_reference_step_of_the_fallback(
+            seq in proptest::collection::vec(0usize..5, 0..40),
+            smoothed in proptest::prelude::any::<bool>(),
+        ) {
+            let alpha = if smoothed { 0.02 } else { 0.0 };
+            let mut m = TwoDependentMarkov::with_smoothing(5, alpha);
+            m.train(&seq);
+            let mut unseen = 0;
+            for pc in 0..25 {
+                let (prev, cur) = (pc / 5, pc % 5);
+                if m.counts[pc * 5..(pc + 1) * 5].iter().sum::<f64>() == 0.0 {
+                    unseen += 1;
+                    let bits = |d: StateDistribution| {
+                        d.as_slice().iter().map(|p| p.to_bits()).collect::<Vec<u64>>()
+                    };
+                    proptest::prop_assert_eq!(
+                        bits(m.next_given(prev, cur)),
+                        bits(m.fallback_step_from(cur)),
+                        "row ({}, {})", prev, cur
+                    );
+                }
+            }
+            proptest::prop_assert!(unseen > 0);
         }
-        let rebuilt = TwoDependentMarkov::from_parts(
-            3,
-            0.02,
-            delta.counts().to_vec(),
-            delta.fallback_counts().to_vec(),
-            seq.len(),
-        );
-        assert_eq!(trained, rebuilt);
-        for steps in 0..5 {
-            assert_eq!(trained.predict(steps), rebuilt.predict(steps));
-        }
-    }
-
-    #[test]
-    fn record_then_retire_restores_both_count_arrays_bit_for_bit() {
-        let mut m = TwoDependentMarkov::new(3);
-        m.train(&[0, 1, 2, 1, 0, 1]);
-        let combined = m.counts().to_vec();
-        let fallback = m.fallback_counts().to_vec();
-        m.record_leading_transition(2, 0);
-        m.record_transition(2, 0, 1);
-        m.record_transition(0, 1, 1);
-        m.retire_transition(0, 1, 1);
-        m.retire_transition(2, 0, 1);
-        m.retire_leading_transition(2, 0);
-        let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<u64>>();
-        assert_eq!(bits(m.counts()), bits(&combined));
-        assert_eq!(bits(m.fallback_counts()), bits(&fallback));
-    }
-
-    #[test]
-    fn fallback_only_delta_invalidates_combined_snapshot() {
-        // Seeded stale-snapshot bug: the combined table's unseen rows are
-        // derived from fallback counts, so a *fallback-only* delta that
-        // skipped `table.take()` would leave the n²×n snapshot stale.
-        let mut m = TwoDependentMarkov::with_smoothing(3, 0.0);
-        for i in 0..20 {
-            m.observe(i % 2); // combined rows for states {0,1} only
-        }
-        m.observe(2); // anchor on the never-trained (1, 2) pair
-        let stale = m.predict(1); // builds the table; (1,2) row is fallback-derived
-        for _ in 0..6 {
-            m.record_leading_transition(2, 0); // fallback-only delta
-        }
-        assert_ne!(m.predict(1), stale, "delta must change the prediction");
-        for steps in 0..5 {
-            assert_eq!(m.predict(steps), m.predict_reference(steps));
-        }
-    }
-
-    #[test]
-    fn full_context_delta_invalidates_combined_snapshot() {
-        let mut m = TwoDependentMarkov::new(3);
-        m.train(&[0, 1, 2, 0, 1]);
-        let stale = m.predict(1); // builds the table; anchored on (0, 1)
-        for _ in 0..8 {
-            m.record_transition(0, 1, 1);
-        }
-        assert_ne!(m.predict(1), stale, "delta must change the prediction");
-        for steps in 0..5 {
-            assert_eq!(m.predict(steps), m.predict_reference(steps));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "retiring unrecorded transition")]
-    fn retire_rejects_unrecorded_transition() {
-        TwoDependentMarkov::new(2).retire_transition(0, 0, 1);
     }
 
     #[test]

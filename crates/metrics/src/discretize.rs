@@ -59,22 +59,10 @@ impl Discretizer {
     pub fn fit(values: &[f64], bins: usize) -> Self {
         let finite: Vec<f64> = values.iter().copied().filter(|v| v.is_finite()).collect();
         if finite.is_empty() {
-            return Self::fit_span(None, bins);
+            return Discretizer::new(0.0, 1.0, bins);
         }
         let lo = finite.iter().copied().fold(f64::INFINITY, f64::min);
         let hi = finite.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        Self::fit_span(Some((lo, hi)), bins)
-    }
-
-    /// Builds the discretizer from a pre-tracked min/max span — the exact
-    /// derivation [`Discretizer::fit`] uses once it has folded the finite
-    /// values, split out so an incremental trainer that maintains running
-    /// per-attribute bounds produces bit-identical bins to a full refit.
-    /// `None` is the empty-input case.
-    pub fn fit_span(span: Option<(f64, f64)>, bins: usize) -> Self {
-        let Some((lo, hi)) = span else {
-            return Discretizer::new(0.0, 1.0, bins);
-        };
         if (hi - lo).abs() < f64::EPSILON {
             Discretizer::new(lo - 0.5, lo + 0.5, bins)
         } else {
@@ -167,21 +155,6 @@ impl VectorDiscretizer {
             .iter()
             .map(|vals| Discretizer::fit(vals, bins))
             .collect();
-        VectorDiscretizer { per_attr }
-    }
-
-    /// Assembles a vector discretizer from per-attribute discretizers
-    /// (canonical attribute order).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless exactly [`ATTRIBUTE_COUNT`] discretizers are given.
-    pub fn from_parts(per_attr: Vec<Discretizer>) -> Self {
-        assert_eq!(
-            per_attr.len(),
-            ATTRIBUTE_COUNT,
-            "one discretizer per attribute"
-        );
         VectorDiscretizer { per_attr }
     }
 
@@ -362,27 +335,6 @@ mod tests {
     }
 
     #[test]
-    fn fit_span_matches_fit_on_tracked_bounds() {
-        let values = [3.0, -1.5, 8.25, 4.0, -1.5];
-        let lo = values.iter().copied().fold(f64::INFINITY, f64::min);
-        let hi = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        assert_eq!(
-            Discretizer::fit_span(Some((lo, hi)), 6),
-            Discretizer::fit(&values, 6)
-        );
-        // Degenerate spans reproduce the constant- and empty-input fits.
-        assert_eq!(
-            Discretizer::fit_span(Some((7.0, 7.0)), 5),
-            Discretizer::fit(&[7.0; 3], 5)
-        );
-        assert_eq!(Discretizer::fit_span(None, 4), Discretizer::fit(&[], 4));
-        assert_eq!(
-            Discretizer::fit_span(None, 4),
-            Discretizer::fit(&[f64::NAN], 4)
-        );
-    }
-
-    #[test]
     fn fit_vectors_matches_series_fit() {
         let mut series = TimeSeries::new();
         for t in 0..40u64 {
@@ -392,19 +344,6 @@ mod tests {
         let from_series = VectorDiscretizer::fit(&series, 9);
         let from_vectors = VectorDiscretizer::fit_vectors(series.iter().map(|s| &s.values), 9);
         assert_eq!(from_series, from_vectors);
-        let reassembled = VectorDiscretizer::from_parts(
-            AttributeKind::ALL
-                .iter()
-                .map(|&a| from_series.attribute(a).clone())
-                .collect(),
-        );
-        assert_eq!(reassembled, from_series);
-    }
-
-    #[test]
-    #[should_panic(expected = "one discretizer per attribute")]
-    fn from_parts_rejects_wrong_arity() {
-        VectorDiscretizer::from_parts(vec![Discretizer::new(0.0, 1.0, 2)]);
     }
 
     #[test]

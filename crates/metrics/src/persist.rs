@@ -77,6 +77,13 @@ impl Writer {
         Writer::default()
     }
 
+    /// An empty writer that fills `buf`'s allocation: the contents are
+    /// dropped, the capacity is kept.
+    pub fn reusing(mut buf: Vec<u8>) -> Self {
+        buf.clear();
+        Writer { buf }
+    }
+
     /// Appends one byte.
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);

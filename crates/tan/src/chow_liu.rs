@@ -31,11 +31,8 @@ pub fn chow_liu_tree(ds: &Dataset) -> Vec<Option<usize>> {
 
 /// Prim's maximum spanning tree over `n` nodes with upper-triangle edge
 /// weights (`upper[i][j - i - 1]` = weight of edge `(i, j)` for `i < j`),
-/// rooted at node 0. Split out of [`chow_liu_tree`] verbatim so the
-/// incremental sufficient-statistics trainer shares the exact scan and
-/// tie-break order — the learned structure is then identical by
-/// construction for identical weights.
-pub(crate) fn max_spanning_tree(n: usize, upper: &[Vec<f64>]) -> Vec<Option<usize>> {
+/// rooted at node 0.
+fn max_spanning_tree(n: usize, upper: &[Vec<f64>]) -> Vec<Option<usize>> {
     let weight = |i: usize, j: usize| -> f64 {
         if i == j {
             return f64::NEG_INFINITY;

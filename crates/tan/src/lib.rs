@@ -45,14 +45,12 @@ mod export;
 mod invariants;
 mod mutual_info;
 mod naive;
-mod stats;
 mod tan;
 
 pub use chow_liu::chow_liu_tree;
 pub use dataset::{Dataset, DatasetError};
 pub use mutual_info::conditional_mutual_information;
 pub use naive::NaiveBayes;
-pub use stats::TanStats;
 pub use tan::{AttributeStrength, TanClassifier, TanVerdict};
 
 use prepare_metrics::Label;

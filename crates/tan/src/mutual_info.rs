@@ -40,21 +40,14 @@ pub fn conditional_mutual_information(ds: &Dataset, i: usize, j: usize) -> f64 {
     cmi_from_joints(&joints, n_total)
 }
 
-/// The CMI derivation shared by the dataset path above and the
-/// incremental sufficient-statistics trainer: per-class joint count
-/// tables in, smoothed mutual information out.
-///
-/// Marginals and class totals are re-derived here by summing the joint
-/// table. All counts are integer-valued f64 (exact up to 2^53), so the
-/// sums equal the per-row accumulation they replace bit-for-bit, and the
-/// smoothing loop below — kept verbatim — produces bit-identical output
-/// for both callers.
+/// The CMI derivation: per-class joint count tables in, smoothed mutual
+/// information out. Marginals and class totals are the sums of the joint
+/// table (integer-valued f64, exact up to 2^53).
 // xtask: derive-boundary -- the sanctioned joint-count -> smoothed mutual information derivation
-pub(crate) fn cmi_from_joints(joints: &[Vec<Vec<f64>>; 2], n_total: f64) -> f64 {
+fn cmi_from_joints(joints: &[Vec<Vec<f64>>; 2], n_total: f64) -> f64 {
     let mut total_mi = 0.0;
     for joint in joints {
-        // joints[0] is the normal class, joints[1] abnormal — the same
-        // class order as the row scan this replaced.
+        // joints[0] is the normal class, joints[1] abnormal.
         let ci = joint.len();
         let cj = joint.first().map_or(0, Vec::len);
         let mut mi_marg = vec![0.0f64; ci];

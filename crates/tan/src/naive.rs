@@ -25,12 +25,9 @@ impl RootCpt {
     }
 
     /// Derives the smoothed log-probability table from per-class value
-    /// counts. This is the *only* count→probability code path: both the
-    /// dataset rebuild ([`RootCpt::fit`]) and the incremental
-    /// sufficient-statistics trainer go through it, so bit-identity
-    /// between the two is structural, not coincidental.
+    /// counts — the only count→probability code path for root CPTs.
     // xtask: derive-boundary -- the sanctioned count -> smoothed log-probability derivation for root CPTs
-    pub(crate) fn from_counts(counts: [Vec<f64>; 2], alpha: f64) -> Self {
+    fn from_counts(counts: [Vec<f64>; 2], alpha: f64) -> Self {
         let card = counts[0].len();
         let log_p: [Vec<f64>; 2] = counts.map(|cs| {
             let total: f64 = cs.iter().sum::<f64>() + alpha * card as f64;
@@ -77,11 +74,9 @@ pub(crate) fn log_prior_ratio(ds: &Dataset) -> Result<f64, TrainError> {
     log_prior_ratio_from_counts(ds.len(), ds.class_counts())
 }
 
-/// The prior derivation shared by the dataset path and the incremental
-/// sufficient-statistics trainer: same error precedence (empty before
-/// single-class), same arithmetic.
+/// The prior derivation: empty before single-class in error precedence.
 // xtask: derive-boundary -- the sanctioned class-count -> log prior ratio derivation
-pub(crate) fn log_prior_ratio_from_counts(
+fn log_prior_ratio_from_counts(
     rows: usize,
     (normal, abnormal): (usize, usize),
 ) -> Result<f64, TrainError> {

@@ -9,7 +9,7 @@ use prepare_metrics::{debug_assert_finite, Label};
 /// Class- and parent-conditional probability table:
 /// `P(a_i = v | a_p = u, C = c)`, Laplace-smoothed.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) struct EdgeCpt {
+struct EdgeCpt {
     /// log_p[c][u][v]
     log_p: [Vec<Vec<f64>>; 2],
 }
@@ -29,12 +29,10 @@ impl EdgeCpt {
     }
 
     /// Derives the smoothed log-probability table from
-    /// `counts[class][parent value][value]`. The only count→probability
-    /// path for edge CPTs: the dataset rebuild and the incremental
-    /// sufficient-statistics trainer both go through it, so bit-identity
-    /// between the two is structural, not coincidental.
+    /// `counts[class][parent value][value]` — the only count→probability
+    /// path for edge CPTs.
     // xtask: derive-boundary -- the sanctioned count -> smoothed log-probability derivation for edge CPTs
-    pub(crate) fn from_counts(counts: [Vec<Vec<f64>>; 2], alpha: f64) -> Self {
+    fn from_counts(counts: [Vec<Vec<f64>>; 2], alpha: f64) -> Self {
         let card = counts[0].first().map_or(0, Vec::len);
         let log_p: [Vec<Vec<f64>>; 2] = counts.map(|by_parent| {
             by_parent
@@ -64,7 +62,7 @@ impl EdgeCpt {
 }
 
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) enum Cpt {
+enum Cpt {
     Root(RootCpt),
     Edge { parent: usize, table: EdgeCpt },
 }
@@ -145,23 +143,6 @@ pub struct TanClassifier {
 }
 
 impl TanClassifier {
-    /// Assembles a classifier from already-derived parts — the back door
-    /// the incremental sufficient-statistics trainer uses after deriving
-    /// CPTs via the shared `from_counts` paths.
-    pub(crate) fn from_parts(
-        cpts: Vec<Cpt>,
-        parents: Vec<Option<usize>>,
-        log_prior_ratio: f64,
-        cardinalities: Vec<usize>,
-    ) -> Self {
-        TanClassifier {
-            cpts,
-            parents,
-            log_prior_ratio,
-            cardinalities,
-        }
-    }
-
     /// The Eq. 2 impact strength `L_i` of attribute `i` for input `x`.
     fn strength_of(&self, x: &[usize], i: usize, cpt: &Cpt) -> f64 {
         let v = clamp_value(x, i, self.cardinalities[i]);

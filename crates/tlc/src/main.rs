@@ -104,7 +104,8 @@ fn main() {
             }
         }
         if diverged == 0 {
-            report.push_str("PASS delta-apply training byte-identical to from-scratch rebuild\n");
+            report
+                .push_str("PASS window training byte-identical to the series + SLO log referee\n");
         }
         total_violations += diverged;
     }

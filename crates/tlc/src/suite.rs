@@ -78,8 +78,7 @@ pub fn run_with_workers(spec: ExperimentSpec, workers: usize) -> ExperimentResul
     Experiment::new(spec, PINNED_RUN_SEED).run()
 }
 
-/// [`run_with_workers`] with the incremental online-training path pinned
-/// explicitly instead of inherited from `PREPARE_ONLINE`.
+/// [`run_with_workers`] with the training arm pinned explicitly.
 pub fn run_with_workers_online(
     spec: ExperimentSpec,
     workers: usize,
@@ -116,11 +115,11 @@ pub fn suite_traces(workers: usize) -> Vec<(String, Vec<ControllerEvent>)> {
         let r = run_with_workers(golden_spec().with_chaos(hostile_plan(seed)), workers);
         out.push((format!("chaos seed {seed:#x} workers={workers}"), r.events));
     }
-    // The from-scratch training referee: the golden scenario with the
-    // incremental trainer pinned off. Checked against the catalogue like
-    // any pinned trace, and byte-compared to the golden trace by
-    // [`online_divergences`] — when the ambient run trains online, the
-    // two runs take entirely different training code paths yet must emit
+    // The training referee: the golden scenario trained from each VM's
+    // series and the SLO log instead of the fleet trainer's windows.
+    // Checked against the catalogue like any pinned trace, and
+    // byte-compared to the golden trace by [`online_divergences`] — the
+    // two runs label their samples at different times yet must emit
     // identical events.
     let offline = run_with_workers_online(golden_spec(), workers, false);
     out.push((
@@ -130,11 +129,10 @@ pub fn suite_traces(workers: usize) -> Vec<(String, Vec<ControllerEvent>)> {
     out
 }
 
-/// Byte-compares the golden trace (trained per the ambient
-/// `PREPARE_ONLINE` default) against the pinned offline-training referee
-/// inside one suite trace set. Empty = equal — the delta-apply trainer
-/// derives models bit-identical to the from-scratch rebuild, so the flag
-/// must be invisible in every trace.
+/// Byte-compares the golden trace (trained from the fleet trainer's
+/// windows, the default) against the pinned offline-training referee
+/// inside one suite trace set. Empty = equal — both arms train the same
+/// models, so the flag must be invisible in every trace.
 pub fn online_divergences(traces: &[(String, Vec<ControllerEvent>)]) -> Vec<String> {
     let golden = traces.first();
     let offline = traces

@@ -6,6 +6,8 @@
 // different subset of the helpers.
 #![allow(dead_code)]
 
+pub mod crash;
+
 use prepare_repro::core::{
     AppKind, Experiment, ExperimentResult, ExperimentSpec, FaultChoice, Scheme,
 };
@@ -59,9 +61,9 @@ pub fn run_with_workers(
     Experiment::new(spec, seed).run()
 }
 
-/// [`run_with_workers`] with the incremental online-training path pinned
-/// explicitly (rather than inherited from `PREPARE_ONLINE`), so tests can
-/// diff the delta-apply trainer against the from-scratch rebuild.
+/// [`run_with_workers`] with the training arm pinned explicitly, so tests
+/// can diff the fleet trainer's ingest-labeled windows against the
+/// series + SLO log referee.
 pub fn run_with_workers_online(
     app: AppKind,
     fault: FaultChoice,

@@ -12,8 +12,11 @@
 
 mod common;
 
+use common::crash::{build_prefix, drive, is_crash_marker, render, FIRST_SWEPT_ROUND};
 use common::{run_with_workers, run_with_workers_online, transcript};
-use prepare_repro::core::{AppKind, FaultChoice, Scheme};
+use prepare_repro::core::{AppKind, ControllerEvent, FaultChoice, Scheme};
+use prepare_tlc::suite;
+use std::collections::BTreeSet;
 
 /// Worker counts the engine must be invariant over. 1 is the sequential
 /// identity; the others shard.
@@ -95,42 +98,115 @@ fn no_intervention_scheme_is_worker_invariant() {
     );
 }
 
+/// One suite of the training-arm comparison: renders everything
+/// replay-relevant of a run at `(workers, online)` into one string.
+type ArmRun = Box<dyn Fn(usize, bool) -> String>;
+
+/// The pinned crash-recovery scenario, killed before a round right after
+/// a seal, twice back to back mid-interval, and once late. Crash markers
+/// are set aside so the uninterrupted run is the baseline, and
+/// `CheckpointTaken::bytes` is zeroed: only the online arm's image
+/// carries training windows. For the same reason the model fingerprint
+/// is comparable only within an arm, so the crashed run's is held to the
+/// uninterrupted run's from the same prefix.
+fn crash_recovery_run(workers: usize, online: bool, crashes: &[u64]) -> String {
+    let crashes: BTreeSet<u64> = crashes.iter().map(|c| FIRST_SWEPT_ROUND + c).collect();
+    let prefix = build_prefix(workers, online);
+    let run = drive(&prefix, workers, &crashes);
+    let uninterrupted = drive(&prefix, workers, &BTreeSet::new());
+    let events: Vec<ControllerEvent> = run
+        .manager
+        .controller()
+        .events()
+        .iter()
+        .filter(|e| !is_crash_marker(e))
+        .map(|e| match e {
+            ControllerEvent::CheckpointTaken { at, .. } => {
+                ControllerEvent::CheckpointTaken { at: *at, bytes: 0 }
+            }
+            other => other.clone(),
+        })
+        .collect();
+    format!(
+        "{}fingerprint equals the uninterrupted run's: {}\ncluster {:?}\n",
+        render(&events),
+        run.manager.controller().model_fingerprint()
+            == uninterrupted.manager.controller().model_fingerprint(),
+        run.cluster
+    )
+}
+
 #[test]
 fn online_training_matches_from_scratch_rebuild() {
-    // The incremental trainer must be invisible in the transcript: a run
-    // whose training rounds *derive* models from the delta-maintained
-    // count arenas must be byte-identical to a run that rescans each VM's
-    // full series — at every worker count, since the online refresh also
-    // shards (over contiguous arena ranges rather than strided VM ids).
-    for (app, fault) in [
-        (AppKind::SystemS, FaultChoice::MemLeak),
-        (AppKind::Rubis, FaultChoice::CpuHog),
-    ] {
-        let offline = transcript(&run_with_workers_online(
-            app,
-            fault,
-            Scheme::Prepare,
-            42,
-            1,
-            false,
-        ));
-        assert!(!offline.is_empty(), "empty offline baseline");
-        for workers in WORKER_COUNTS {
-            let online = transcript(&run_with_workers_online(
+    // The training arm must be invisible in the transcript: a run whose
+    // training rounds train from the fleet trainer's ingest-labeled
+    // windows must be byte-identical to a run that trains from each VM's
+    // series with labels resolved from the SLO log — at every worker
+    // count, on the paper scenarios, under both pinned chaos plans and
+    // across crashes. Each suite's baseline is its sequential referee-arm
+    // run (uninterrupted, for crash recovery).
+    let paper = |app: AppKind, fault: FaultChoice| -> ArmRun {
+        Box::new(move |workers, online| {
+            transcript(&run_with_workers_online(
                 app,
                 fault,
                 Scheme::Prepare,
                 42,
                 workers,
-                true,
-            ));
-            assert!(
-                online == offline,
-                "online-training transcript diverged from the from-scratch \
-                 baseline for {app:?}/{fault:?} at workers={workers}"
-            );
+                online,
+            ))
+        })
+    };
+    let chaos = |seed: u64| -> ArmRun {
+        Box::new(move |workers, online| {
+            let spec = suite::golden_spec().with_chaos(suite::hostile_plan(seed));
+            transcript(&suite::run_with_workers_online(spec, workers, online))
+        })
+    };
+    let mut suites: Vec<(String, ArmRun, String)> = Vec::new();
+    for (name, run) in [
+        (
+            "paper SystemS/MemLeak".to_string(),
+            paper(AppKind::SystemS, FaultChoice::MemLeak),
+        ),
+        (
+            "paper Rubis/CpuHog".to_string(),
+            paper(AppKind::Rubis, FaultChoice::CpuHog),
+        ),
+        (
+            format!("chaos {:#x}", suite::PINNED_CHAOS_SEEDS[0]),
+            chaos(suite::PINNED_CHAOS_SEEDS[0]),
+        ),
+        (
+            format!("chaos {:#x}", suite::PINNED_CHAOS_SEEDS[1]),
+            chaos(suite::PINNED_CHAOS_SEEDS[1]),
+        ),
+    ] {
+        let baseline = run(1, false);
+        suites.push((name, run, baseline));
+    }
+    suites.push((
+        "crash recovery".to_string(),
+        Box::new(|workers, online| crash_recovery_run(workers, online, &[8, 13, 14, 40])),
+        crash_recovery_run(1, false, &[]),
+    ));
+
+    let mut diverged = Vec::new();
+    for (suite, run, baseline) in &suites {
+        assert!(!baseline.is_empty(), "{suite}: empty baseline");
+        for workers in WORKER_COUNTS {
+            for (online, arm) in [(true, "online"), (false, "referee")] {
+                if run(workers, online) != *baseline {
+                    diverged.push(format!("({suite}, workers={workers}, {arm} arm)"));
+                }
+            }
         }
     }
+    assert!(
+        diverged.is_empty(),
+        "transcripts diverged from the sequential referee-arm baseline in: {}",
+        diverged.join(", ")
+    );
 }
 
 #[test]

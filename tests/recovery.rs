@@ -23,169 +23,15 @@
 //! sweep to random multi-crash schedules (including back-to-back
 //! crashes in consecutive rounds).
 
-use prepare_repro::cloudsim::{Cluster, HostSpec};
-use prepare_repro::core::{
-    ControllerEvent, PrepareConfig, PrepareController, RecoveryManager, Scheme,
+mod common;
+
+use common::crash::{
+    build_prefix, drive, is_crash_marker, render, Run, CHECKPOINT_EVERY_ROUNDS, FIRST_SWEPT_ROUND,
+    ROUNDS, WORKER_COUNTS,
 };
-use prepare_repro::metrics::{
-    AttributeKind, MetricSample, MetricVector, StampedSample, Timestamp, VmId,
-};
-use prepare_repro::par::ParConfig;
+use prepare_repro::core::ControllerEvent;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
-
-/// Sampling rounds driven per run: two full leak periods.
-const ROUNDS: u64 = 240;
-
-/// Seconds between sampling rounds.
-const SAMPLING_SECS: u64 = 5;
-
-/// The fault-free warmup driven once and forked per crash case (the
-/// controller trains on the first leak period; crashes sweep the
-/// second).
-const PREFIX_SECS: u64 = 880;
-
-/// First sampling round after the shared prefix.
-const FIRST_SWEPT_ROUND: u64 = PREFIX_SECS / SAMPLING_SECS;
-
-/// Control rounds between checkpoints — deliberately *not* a divisor of
-/// the swept range so the sweep hits crashes right after a checkpoint
-/// (empty journal), right before one (longest journal), and everywhere
-/// in between.
-const CHECKPOINT_EVERY_ROUNDS: u64 = 8;
-
-/// The worker counts every equivalence claim is proven at.
-const WORKER_COUNTS: [usize; 3] = [1, 2, 7];
-
-/// A synthetic 13-attribute sample: `cpu` busy, `free_mem` MB free,
-/// heavy paging once memory is exhausted.
-fn sample_for(t: u64, cpu: f64, free_mem: f64) -> MetricSample {
-    let v = MetricVector::from_fn(|a| match a {
-        AttributeKind::CpuTotal => cpu,
-        AttributeKind::CpuUser => cpu * 0.7,
-        AttributeKind::FreeMem => free_mem,
-        AttributeKind::Load1 => cpu / 50.0,
-        AttributeKind::PageFaults => {
-            if free_mem <= 0.0 {
-                600.0
-            } else {
-                0.0
-            }
-        }
-        _ => 10.0,
-    });
-    MetricSample::new(Timestamp::from_secs(t), v)
-}
-
-/// Free memory of the leaking VM at sampling round `i`: a 120-round
-/// period — steady, ramp to exhaustion, depleted, recovered.
-fn leak_free_mem(i: u64) -> f64 {
-    let phase = i % 120;
-    match phase {
-        0..=39 => 500.0,
-        40..=89 => 500.0 - ((phase - 39) as f64) * 10.0,
-        90..=109 => 0.0,
-        _ => 500.0,
-    }
-}
-
-/// The scenario's inputs for the sampling round at time `t`.
-fn round_inputs(t: u64) -> (Vec<(VmId, StampedSample)>, bool) {
-    let free = leak_free_mem(t / SAMPLING_SECS);
-    let readings = vec![
-        (VmId(0), StampedSample::fresh(sample_for(t, 40.0, free))),
-        (VmId(1), StampedSample::fresh(sample_for(t, 30.0, 400.0))),
-        (VmId(2), StampedSample::fresh(sample_for(t, 25.0, 450.0))),
-    ];
-    (readings, free < 50.0)
-}
-
-/// The shared fault-free warmup: cluster + controller at `PREFIX_SECS`.
-struct Prefix {
-    cluster: Cluster,
-    controller: PrepareController,
-}
-
-fn build_prefix(workers: usize) -> Prefix {
-    let mut cluster = Cluster::new();
-    let h0 = cluster.add_host(HostSpec::vcl_default());
-    let h1 = cluster.add_host(HostSpec::vcl_default());
-    for host in [h0, h0, h1] {
-        cluster
-            .create_vm(host, 100.0, 512.0)
-            .expect("fresh VCL hosts fit the tiny fleet");
-    }
-    let vms = vec![VmId(0), VmId(1), VmId(2)];
-    let config = PrepareConfig::default().with_workers(workers);
-    let mut controller = PrepareController::new(vms, config, Scheme::Prepare);
-    for t in 0..PREFIX_SECS {
-        let now = Timestamp::from_secs(t);
-        cluster.advance(now);
-        if t.is_multiple_of(SAMPLING_SECS) {
-            let (readings, violated) = round_inputs(t);
-            controller.on_readings(now, &readings, violated, &mut cluster);
-        }
-    }
-    Prefix {
-        cluster,
-        controller,
-    }
-}
-
-/// One finished run: the per-round event batches (indexed from the
-/// first post-prefix round), the final manager, and the final cluster.
-struct Run {
-    per_round: Vec<Vec<ControllerEvent>>,
-    manager: RecoveryManager,
-    cluster: Cluster,
-}
-
-/// Forks the prefix and drives the managed controller to the end,
-/// crashing (kill + rebuild from the durable artifacts) immediately
-/// before each round listed in `crash_rounds`.
-fn drive(prefix: &Prefix, workers: usize, crash_rounds: &BTreeSet<u64>) -> Run {
-    let par = ParConfig::with_workers(workers);
-    let mut cluster = prefix.cluster.clone();
-    let mut manager = RecoveryManager::new(prefix.controller.clone(), CHECKPOINT_EVERY_ROUNDS);
-    let mut per_round = Vec::new();
-    for t in PREFIX_SECS..ROUNDS * SAMPLING_SECS {
-        let now = Timestamp::from_secs(t);
-        cluster.advance(now);
-        if !t.is_multiple_of(SAMPLING_SECS) {
-            continue;
-        }
-        if crash_rounds.contains(&(t / SAMPLING_SECS)) {
-            let image = manager.crash_image();
-            manager = RecoveryManager::recover(&image, CHECKPOINT_EVERY_ROUNDS, par, now)
-                .expect("a checkpoint this process sealed is intact");
-        }
-        let (readings, violated) = round_inputs(t);
-        per_round.push(manager.tick(now, &readings, violated, &mut cluster));
-    }
-    Run {
-        per_round,
-        manager,
-        cluster,
-    }
-}
-
-/// One `Debug` line per event — the byte-identity currency of this
-/// suite (`Debug` is stable for a fixed binary).
-fn render(events: &[ControllerEvent]) -> String {
-    let mut out = String::new();
-    for e in events {
-        out.push_str(&format!("{e:?}\n"));
-    }
-    out
-}
-
-/// True for the two markers only a crashed run carries.
-fn is_crash_marker(e: &ControllerEvent) -> bool {
-    matches!(
-        e,
-        ControllerEvent::ControllerCrashed { .. } | ControllerEvent::RecoveryCompleted { .. }
-    )
-}
 
 /// How many crashes' marker pairs survive to the end of the run: a
 /// crash's `ControllerCrashed`/`RecoveryCompleted` markers are durable
@@ -266,7 +112,7 @@ fn assert_equivalent(label: &str, referee: &Run, crashed: &Run, crash_rounds: &B
 #[test]
 fn crash_at_every_round_recovers_byte_identically() {
     for workers in WORKER_COUNTS {
-        let prefix = build_prefix(workers);
+        let prefix = build_prefix(workers, true);
         let referee = drive(&prefix, workers, &BTreeSet::new());
         // The referee itself must do interesting things in the swept
         // window, or the sweep proves nothing.
@@ -302,7 +148,7 @@ fn recovered_runs_are_worker_count_invariant() {
     let crashes = BTreeSet::from([FIRST_SWEPT_ROUND + 13, FIRST_SWEPT_ROUND + 14]);
     let runs: Vec<(usize, Run)> = WORKER_COUNTS
         .iter()
-        .map(|&w| (w, drive(&build_prefix(w), w, &crashes)))
+        .map(|&w| (w, drive(&build_prefix(w, true), w, &crashes)))
         .collect();
     let Some(((first_w, first), rest)) = runs.split_first() else {
         unreachable!("WORKER_COUNTS is non-empty");
@@ -333,7 +179,7 @@ proptest! {
     ) {
         let crashes: BTreeSet<u64> = rounds.into_iter().collect();
         for workers in [1usize, 2] {
-            let prefix = build_prefix(workers);
+            let prefix = build_prefix(workers, true);
             let referee = drive(&prefix, workers, &BTreeSet::new());
             let crashed = drive(&prefix, workers, &crashes);
             assert_equivalent(
