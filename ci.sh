@@ -48,23 +48,6 @@ PREPARE_WORKERS=1 cargo test --offline --quiet --workspace
 echo "==> cargo test (PREPARE_WORKERS=4, sharded engine)"
 PREPARE_WORKERS=4 cargo test --offline --quiet --workspace
 
-# Both runs train from the fleet trainer's windows (the default arm); the
-# series + SLO log referee arm is diffed against it in-process, at
-# workers {1, 2, 7}, by tests/differential.rs
-# (online_training_matches_from_scratch_rebuild), which names the
-# diverging (suite, workers, arm) cell.
-
-# The fleet differential suite drives golden and chaotic 96-VM fleets
-# through both tick paths and asserts the traces are byte-identical. The
-# workspace runs above select the sparse path (default); re-run it with
-# the dense referee pinned via PREPARE_DENSE_TICK=1, at both worker
-# counts, so a sparse-vs-dense divergence names the exact engine setting.
-echo "==> fleet differential suite, dense referee pinned (PREPARE_DENSE_TICK=1, PREPARE_WORKERS=1)"
-PREPARE_DENSE_TICK=1 PREPARE_WORKERS=1 cargo test --offline --quiet --test fleet_differential
-
-echo "==> fleet differential suite, dense referee pinned (PREPARE_DENSE_TICK=1, PREPARE_WORKERS=4)"
-PREPARE_DENSE_TICK=1 PREPARE_WORKERS=4 cargo test --offline --quiet --test fleet_differential
-
 # benchmark/ is its own workspace, so --workspace never compiles it; its
 # tests are what notices a change to the API the benchmark pins.
 echo "==> benchmark package tests"

@@ -1,65 +1,44 @@
-//! On-demand training for a fleet of per-VM predictors.
+//! Labeled per-slot training windows — **not on the control path**.
 //!
-//! The paper trains a VM's model when that VM is implicated (§II-B), and
-//! prices one training at milliseconds against a 5 s sampling interval
-//! (Table I). A [`FleetTrainer`] therefore keeps, per slot (VM), only what
-//! a training needs — the labeled samples, in arrival order — and counts
-//! them when a model is asked for. Nothing is maintained between
-//! trainings: a sample costs one append.
+//! The controller trains from each VM's series and the SLO log
+//! ([`AnomalyPredictor::train`]); it holds no [`FleetTrainer`]. The type
+//! survives because `benchmark/benches/shadow.rs` builds and times its own
+//! (push per sample, derive per training round), and files under
+//! `benchmark/` could not change with the PR that took it off the loop. It
+//! leaves with that file's next change.
 //!
-//! # One route from window to model
-//!
+//! What it is: per slot (VM), the labeled samples in arrival order.
 //! [`FleetTrainer::derive`] hands the slot's window to
 //! [`AnomalyPredictor::train_labeled_par`], the routine every training
-//! entry point funnels through, so a derived model *is* the model a
-//! from-scratch training on the same labeled rows produces. The cost is
-//! O(window) per derived slot; [`FleetTrainer::derive_cached_batch`]
-//! memoizes results on a per-slot generation counter, so a slot whose
-//! window did not change between two training rounds is not counted twice.
-//!
-//! # Durable image
-//!
-//! [`FleetTrainer::store_state`] writes the configuration and, per slot,
-//! the window and its generation — everything the trainer holds except the
-//! memo, which is re-derived on demand after a restore.
+//! entry point funnels through, so a derived model *is* the model
+//! [`AnomalyPredictor::train`] produces from the same samples under the
+//! same labels (the tests below). [`FleetTrainer::derive_cached_batch`]
+//! memoizes results on a per-slot generation counter.
 
 use crate::{AnomalyPredictor, PredictorConfig};
-use prepare_metrics::persist::{Persist, PersistError, Reader, Writer};
-use prepare_metrics::{Label, MetricVector, ATTRIBUTE_COUNT};
+use prepare_metrics::{Label, MetricVector};
 use prepare_tan::TrainError;
-use std::collections::VecDeque;
 
 /// The labeled training windows of a fleet of per-VM predictors, one
-/// *slot* per VM.
+/// *slot* per VM. Not on the control path; named by `benchmark/`, leaves
+/// with its next change (see the module docs).
 ///
-/// Feed each slot its labeled samples with [`FleetTrainer::push`] (and
-/// age bounded windows with [`FleetTrainer::retire_front`]); call
+/// Feed each slot its labeled samples with [`FleetTrainer::push`]; call
 /// [`FleetTrainer::derive`] to train a predictor from the window as it
 /// stands.
-// xtask: checkpoint
 #[derive(Debug, Clone)]
 pub struct FleetTrainer {
     config: PredictorConfig,
     /// The labeled samples each slot trains on, in arrival order.
-    windows: Vec<VecDeque<(MetricVector, Label)>>,
+    windows: Vec<Vec<(MetricVector, Label)>>,
     /// Per-slot window-content generation: bumped by every
-    /// [`push`](FleetTrainer::push) and
-    /// [`retire_front`](FleetTrainer::retire_front). A cached derivation
-    /// is valid exactly while the slot's generation is unchanged.
+    /// [`push`](FleetTrainer::push). A cached derivation is valid exactly
+    /// while the slot's generation is unchanged.
     generation: Vec<u64>,
     /// Memoized [`derive`](FleetTrainer::derive) results keyed on the
     /// generation they were derived at (successful derivations only).
-    // xtask: ephemeral -- memo cache, re-derived on demand after restore
     cache: Vec<Option<(u64, AnomalyPredictor)>>,
 }
-
-/// Encoded size of one window sample: the metric vector's `f64`s and the
-/// label's tag byte.
-const SAMPLE_BYTES: usize = ATTRIBUTE_COUNT * 8 + 1;
-
-/// Encoded size of the smallest slot: an empty window's length and the
-/// generation.
-const MIN_SLOT_BYTES: usize = 8 + 8;
 
 impl FleetTrainer {
     /// Creates a trainer with `slots` empty per-VM windows.
@@ -72,62 +51,15 @@ impl FleetTrainer {
         assert!(config.bins > 0, "bin count must be positive");
         FleetTrainer {
             config: config.clone(),
-            windows: vec![VecDeque::new(); slots],
+            windows: vec![Vec::new(); slots],
             generation: vec![0; slots],
             cache: vec![None; slots],
         }
     }
 
-    /// Serializes the trainer: the configuration, the slot count, then per
-    /// slot its window (length, then the labeled samples) and its
-    /// generation.
-    pub fn store_state(&self, w: &mut Writer) {
-        self.config.store(w);
-        w.put_usize(self.windows.len());
-        for (window, generation) in self.windows.iter().zip(&self.generation) {
-            window.store(w);
-            generation.store(w);
-        }
-    }
-
-    /// Restores a trainer written by [`FleetTrainer::store_state`].
-    ///
-    /// # Errors
-    ///
-    /// [`PersistError::Invalid`] when the image promises more slots or
-    /// samples than its remaining bytes can hold (checked before anything
-    /// is allocated for them); any other [`PersistError`] on a torn
-    /// buffer, an unknown tag or a bin count [`PredictorConfig`] refuses
-    /// to load.
-    pub fn load_state(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        let config = PredictorConfig::load(r)?;
-        let slots = r.get_usize()?;
-        if slots == 0 || slots > r.remaining() / MIN_SLOT_BYTES {
-            return Err(PersistError::Invalid("FleetTrainer slot count"));
-        }
-        let mut trainer = FleetTrainer::new(slots, &config);
-        for (window, generation) in trainer.windows.iter_mut().zip(&mut trainer.generation) {
-            let len = r.get_usize()?;
-            if len > r.remaining() / SAMPLE_BYTES {
-                return Err(PersistError::Invalid("FleetTrainer window length"));
-            }
-            window.reserve(len);
-            for _ in 0..len {
-                window.push_back(Persist::load(r)?);
-            }
-            *generation = Persist::load(r)?;
-        }
-        Ok(trainer)
-    }
-
     /// Number of slots.
     pub fn slots(&self) -> usize {
         self.windows.len()
-    }
-
-    /// Number of retained samples in `slot`'s window.
-    pub fn window_len(&self, slot: usize) -> usize {
-        self.windows[slot].len()
     }
 
     /// Always `false`: no counts are maintained, so none can be stale. A
@@ -149,19 +81,7 @@ impl FleetTrainer {
     ///
     /// Panics if `slot` is out of range.
     pub fn push(&mut self, slot: usize, values: &MetricVector, label: Label) {
-        self.windows[slot].push_back((*values, label));
-        self.generation[slot] = self.generation[slot].wrapping_add(1);
-    }
-
-    /// Retires the oldest sample of `slot`'s window.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot` is out of range or its window is empty.
-    pub fn retire_front(&mut self, slot: usize) {
-        self.windows[slot]
-            .pop_front()
-            .expect("retiring from an empty window"); // xtask-allow: expect -- documented panic: the window must be non-empty
+        self.windows[slot].push((*values, label));
         self.generation[slot] = self.generation[slot].wrapping_add(1);
     }
 
@@ -178,14 +98,16 @@ impl FleetTrainer {
     ///
     /// Panics if `slot` is out of range.
     pub fn derive(&self, slot: usize) -> Result<AnomalyPredictor, TrainError> {
-        let rows: Vec<(MetricVector, Label)> = self.windows[slot].iter().copied().collect();
-        AnomalyPredictor::train_labeled_par(&rows, &self.config, &prepare_par::ParConfig::serial())
+        AnomalyPredictor::train_labeled_par(
+            &self.windows[slot],
+            &self.config,
+            &prepare_par::ParConfig::serial(),
+        )
     }
 
     /// Whether `slot` holds a cached derivation that is still valid (no
-    /// [`push`](FleetTrainer::push) or
-    /// [`retire_front`](FleetTrainer::retire_front) since it was
-    /// derived). Serving a valid cache entry skips the training entirely.
+    /// [`push`](FleetTrainer::push) since it was derived). Serving a valid
+    /// cache entry skips the training entirely.
     pub fn is_cached(&self, slot: usize) -> bool {
         self.cache
             .get(slot)
@@ -256,11 +178,10 @@ mod tests {
     use crate::predictor::ramp_fixture;
     use crate::MarkovKind;
     use prepare_metrics::{MetricSample, SloLog, TimeSeries, Timestamp};
-    use proptest::prelude::*;
 
     fn labeled_stream(samples: usize, seed: u64) -> Vec<(MetricVector, Label)> {
-        // A deterministic mixed-scale stream: values grow occasionally, so
-        // a sliding window keeps gaining and losing its range endpoints.
+        // A deterministic mixed-scale stream: values spike occasionally, so
+        // later samples keep widening the ranges earlier ones were binned in.
         (0..samples)
             .map(|i| {
                 let k = i as u64;
@@ -297,21 +218,25 @@ mod tests {
         }
     }
 
+    /// Bit-level agreement of two training outcomes, error kind included.
     fn assert_same_outcome(
         got: &Result<AnomalyPredictor, TrainError>,
         want: &Result<AnomalyPredictor, TrainError>,
         context: &str,
     ) {
-        assert!(
-            same_outcome(got, want),
-            "{context}: outcomes diverged: {got:?} vs {want:?}"
-        );
+        let same = match (got, want) {
+            (Ok(a), Ok(b)) => a == b && format!("{a:?}") == format!("{b:?}"),
+            (Err(a), Err(b)) => a == b,
+            _ => false,
+        };
+        assert!(same, "{context}: outcomes diverged: {got:?} vs {want:?}");
     }
 
     #[test]
     fn derive_equals_anomaly_train_on_a_series() {
-        // The controller-integration premise: pushing each sample with
-        // its ingest-time SLO label reproduces series+log training.
+        // What the benchmark's shadow measures is the controller's
+        // training: pushing each sample with its ingest-time SLO label
+        // reproduces series + SLO log training.
         let (series, slo) = ramp_fixture(400, 5, 40, 80.0);
         for kind in [MarkovKind::Simple, MarkovKind::TwoDependent] {
             let config = PredictorConfig {
@@ -348,28 +273,6 @@ mod tests {
     }
 
     #[test]
-    fn sliding_window_equals_a_trainer_that_saw_only_the_survivors() {
-        let config = PredictorConfig::default();
-        let mut trainer = FleetTrainer::new(1, &config);
-        let stream = labeled_stream(200, 11);
-        for (i, (v, label)) in stream.iter().enumerate() {
-            trainer.push(0, v, *label);
-            if i >= 80 {
-                trainer.retire_front(0);
-            }
-            if i % 23 == 0 {
-                let survivors = &stream[(i + 1).saturating_sub(80)..=i];
-                assert_eq!(trainer.window_len(0), survivors.len());
-                assert_same_outcome(
-                    &trainer.derive(0),
-                    &trainer_of(survivors, &config).derive(0),
-                    &format!("step {i}"),
-                );
-            }
-        }
-    }
-
-    #[test]
     fn empty_and_single_class_windows_are_training_errors() {
         let config = PredictorConfig::default();
         let mut trainer = FleetTrainer::new(2, &config);
@@ -379,21 +282,6 @@ mod tests {
             trainer.derive(0),
             Err(TrainError::SingleClass(Label::Normal))
         );
-        // Evicting everything is the empty state again.
-        for (v, label) in labeled_stream(60, 5) {
-            trainer.push(0, &v, label);
-        }
-        while trainer.window_len(0) > 0 {
-            trainer.retire_front(0);
-        }
-        assert_eq!(trainer.derive(0), Err(TrainError::EmptyDataset));
-    }
-
-    #[test]
-    #[should_panic(expected = "retiring from an empty window")]
-    fn retire_from_empty_window_panics() {
-        let mut trainer = FleetTrainer::new(1, &PredictorConfig::default());
-        trainer.retire_front(0);
     }
 
     #[test]
@@ -461,10 +349,6 @@ mod tests {
         for (&slot, got) in slots.iter().zip(&batch) {
             assert_same_outcome(got, &trainer.derive(slot), &format!("warm slot {slot}"));
         }
-
-        // Retiring also invalidates.
-        trainer.retire_front(2);
-        assert!(!trainer.is_cached(2));
     }
 
     #[test]
@@ -507,285 +391,5 @@ mod tests {
         let dup = trainer.derive_cached_batch(&[0, 0, 1], &prepare_par::ParConfig::serial());
         assert_same_outcome(&dup[0], &dup[1], "duplicate request");
         assert_eq!(dup[2], Err(TrainError::EmptyDataset));
-    }
-
-    fn image(trainer: &FleetTrainer) -> Vec<u8> {
-        let mut w = Writer::new();
-        trainer.store_state(&mut w);
-        w.into_bytes()
-    }
-
-    fn restore(bytes: &[u8]) -> Result<FleetTrainer, PersistError> {
-        let mut r = Reader::new(bytes);
-        let trainer = FleetTrainer::load_state(&mut r)?;
-        if !r.is_exhausted() {
-            return Err(PersistError::Invalid("trailing bytes after trainer"));
-        }
-        Ok(trainer)
-    }
-
-    /// Encoded size of the configuration (bins, interval, chain tag) and
-    /// the slot count that precede the slots.
-    const HEADER_BYTES: usize = 8 + 8 + 1 + 8;
-
-    /// A restored trainer is observationally identical: it derives the
-    /// same models, and continuing the stream (pushes, retirements) on
-    /// both copies keeps them in lockstep — the crash recovery contract
-    /// for the training plane.
-    #[test]
-    fn persist_round_trip_continues_training_bit_identically() {
-        let config = PredictorConfig::default();
-        let mut trainer = FleetTrainer::new(3, &config);
-        let streams: Vec<Vec<(MetricVector, Label)>> = (0..3)
-            .map(|s| labeled_stream(120, s as u64 * 7 + 1))
-            .collect();
-        for (slot, stream) in streams.iter().enumerate() {
-            for (v, label) in &stream[..90] {
-                trainer.push(slot, v, *label);
-            }
-        }
-
-        let bytes = image(&trainer);
-        let mut restored = restore(&bytes).unwrap();
-        assert_eq!(image(&restored), bytes);
-        assert_same_outcome(&restored.derive(0), &trainer.derive(0), "restored slot 0");
-
-        for (slot, stream) in streams.iter().enumerate() {
-            for (v, label) in &stream[90..] {
-                trainer.push(slot, v, *label);
-                restored.push(slot, v, *label);
-            }
-            trainer.retire_front(slot);
-            restored.retire_front(slot);
-        }
-        assert_eq!(image(&restored), image(&trainer));
-        for slot in 0..3 {
-            assert_same_outcome(
-                &restored.derive(slot),
-                &trainer.derive(slot),
-                &format!("continued slot {slot}"),
-            );
-        }
-    }
-
-    /// The image is the windows and little else: 16 bytes per slot until
-    /// a sample arrives, then one encoded sample per push.
-    #[test]
-    fn image_size_follows_the_windows() {
-        let fleet = FleetTrainer::new(4096, &PredictorConfig::default());
-        assert_eq!(image(&fleet).len(), HEADER_BYTES + 4096 * 16);
-        let mut trainer = FleetTrainer::new(8, &PredictorConfig::default());
-        let empty = image(&trainer).len();
-        assert_eq!(empty, HEADER_BYTES + 8 * MIN_SLOT_BYTES);
-        let v = MetricVector::from_fn(|a| a.index() as f64);
-        for k in 1..40 {
-            trainer.push(3, &v, Label::from_violation(k % 3 == 0));
-            assert_eq!(image(&trainer).len(), empty + k * SAMPLE_BYTES);
-        }
-    }
-
-    #[test]
-    fn load_rejects_inconsistent_images() {
-        let mut trainer = FleetTrainer::new(2, &PredictorConfig::default());
-        for (v, label) in labeled_stream(40, 6) {
-            trainer.push(0, &v, label);
-        }
-        let good = image(&trainer);
-        assert!(restore(&good).is_ok());
-        let patched = |off: usize, word: u64| {
-            let mut bytes = good.clone();
-            bytes[off..off + 8].copy_from_slice(&word.to_le_bytes());
-            restore(&bytes).map(|_| ())
-        };
-        // Layout: bins u64, sampling interval u64, markov tag, slot count,
-        // then slot 0: window length, samples, generation.
-        let slots_at = HEADER_BYTES - 8;
-        let window_len_at = HEADER_BYTES;
-        assert_eq!(
-            patched(slots_at, 1),
-            Err(PersistError::Invalid("trailing bytes after trainer"))
-        );
-        // Promised sizes the buffer cannot hold are refused up front, not
-        // discovered by running off its end after allocating for them.
-        assert!(patched(slots_at, 3).is_err());
-        for huge in [1 << 40, u64::MAX - 38] {
-            assert_eq!(
-                patched(slots_at, huge),
-                Err(PersistError::Invalid("FleetTrainer slot count"))
-            );
-            assert_eq!(
-                patched(window_len_at, 38 + huge),
-                Err(PersistError::Invalid("FleetTrainer window length"))
-            );
-        }
-        for bins in [0, 65, 1 << 40] {
-            assert_eq!(
-                patched(0, bins),
-                Err(PersistError::Invalid("PredictorConfig bins"))
-            );
-        }
-    }
-
-    /// No image makes the trainer panic, at load or afterwards: every
-    /// truncation is an error, and every single-bit change either is one
-    /// or yields a trainer that keeps working.
-    #[test]
-    fn damaged_images_error_or_load_a_working_trainer() {
-        let config = PredictorConfig {
-            bins: 3,
-            markov: MarkovKind::TwoDependent,
-            ..PredictorConfig::default()
-        };
-        let mut trainer = FleetTrainer::new(2, &config);
-        for (v, label) in labeled_stream(7, 2) {
-            trainer.push(0, &v, label);
-        }
-        trainer.push(1, &MetricVector::from_fn(|_| 4.0), Label::Abnormal);
-        let good = image(&trainer);
-        for cut in 0..good.len() {
-            assert!(restore(&good[..cut]).is_err(), "cut at {cut}");
-        }
-        let mut loaded = 0;
-        for bit in 0..good.len() * 8 {
-            let mut bytes = good.clone();
-            bytes[bit / 8] ^= 1 << (bit % 8);
-            let Ok(mut t) = restore(&bytes) else {
-                continue;
-            };
-            loaded += 1;
-            for slot in 0..t.slots() {
-                t.push(slot, &MetricVector::from_fn(|_| 2.5), Label::Normal);
-                t.retire_front(slot);
-                let rows: Vec<_> = t.windows[slot].iter().copied().collect();
-                assert_same_outcome(
-                    &t.derive(slot),
-                    &trainer_of(&rows, &t.config).derive(0),
-                    "damaged",
-                );
-            }
-        }
-        assert!(loaded > 0, "most flips only change a sample's value");
-    }
-
-    proptest! {
-        // Random labeled streams with occasional unreadable values: after
-        // an arbitrary interleaving of pushes and front-retirements, a
-        // slot derives exactly what a fresh trainer fed only the
-        // surviving rows derives — including which error it returns.
-        #[test]
-        fn derive_sees_exactly_the_surviving_rows(input in arb_ops()) {
-            let (kind, ops) = input;
-            let config = PredictorConfig {
-                markov: kind,
-                ..PredictorConfig::default()
-            };
-            let mut trainer = FleetTrainer::new(SLOTS, &config);
-            let mut survivors: Vec<VecDeque<(MetricVector, Label)>> = vec![VecDeque::new(); SLOTS];
-            for op in &ops {
-                apply(&mut trainer, op);
-                match op {
-                    Op::Push(slot, v, label) => survivors[*slot].push_back((vector(v), *label)),
-                    Op::Retire(slot) => drop(survivors[*slot].pop_front()),
-                }
-            }
-            for (slot, rows) in survivors.iter().enumerate() {
-                let rows: Vec<_> = rows.iter().copied().collect();
-                prop_assert!(same_outcome(
-                    &trainer.derive(slot),
-                    &trainer_of(&rows, &config).derive(0)
-                ));
-            }
-        }
-
-        // Checkpoint anywhere in a random sequence (empty and one-sample
-        // windows, fully evicted ones), restore, replay the tail on both
-        // copies: the two trainers cannot be told apart, by their images
-        // or by what they derive.
-        #[test]
-        fn restore_mid_sequence_then_replay_matches_the_uninterrupted_run(
-            input in arb_ops(),
-            cut in 0usize..60,
-        ) {
-            let (kind, ops) = input;
-            let config = PredictorConfig {
-                markov: kind,
-                ..PredictorConfig::default()
-            };
-            let cut = cut.min(ops.len());
-            let mut live = FleetTrainer::new(SLOTS, &config);
-            for op in &ops[..cut] {
-                apply(&mut live, op);
-            }
-            let bytes = image(&live);
-            let mut restored = restore(&bytes).expect("own image loads");
-            prop_assert_eq!(&image(&restored), &bytes);
-            for op in &ops[cut..] {
-                apply(&mut live, op);
-                apply(&mut restored, op);
-            }
-            prop_assert_eq!(&restored.generation, &live.generation);
-            prop_assert_eq!(image(&restored), image(&live));
-            for slot in 0..SLOTS {
-                prop_assert!(same_outcome(&restored.derive(slot), &live.derive(slot)));
-            }
-        }
-    }
-
-    const SLOTS: usize = 2;
-
-    #[derive(Debug, Clone)]
-    enum Op {
-        Push(usize, Vec<f64>, Label),
-        Retire(usize),
-    }
-
-    fn vector(v: &[f64]) -> MetricVector {
-        MetricVector::from_fn(|a| v[a.index() % v.len()])
-    }
-
-    fn apply(trainer: &mut FleetTrainer, op: &Op) {
-        match op {
-            Op::Push(slot, v, label) => trainer.push(*slot, &vector(v), *label),
-            Op::Retire(slot) => {
-                if trainer.window_len(*slot) > 0 {
-                    trainer.retire_front(*slot);
-                }
-            }
-        }
-    }
-
-    /// Bit-level agreement of two training outcomes, error kind included.
-    fn same_outcome(
-        got: &Result<AnomalyPredictor, TrainError>,
-        want: &Result<AnomalyPredictor, TrainError>,
-    ) -> bool {
-        match (got, want) {
-            (Ok(a), Ok(b)) => a == b && format!("{a:?}") == format!("{b:?}"),
-            (Err(a), Err(b)) => a == b,
-            _ => false,
-        }
-    }
-
-    fn arb_ops() -> impl Strategy<Value = (MarkovKind, Vec<Op>)> {
-        let value = proptest::collection::vec(0usize..200, 3);
-        let op = (value, any::<bool>(), 0usize..8, 0usize..SLOTS).prop_map(
-            |(vals, abnormal, choice, slot)| match choice {
-                0 | 1 => Op::Retire(slot),
-                _ => {
-                    let label = Label::from_violation(abnormal);
-                    // 199 stands for a sample the monitor could not read.
-                    let value = |x: usize| if x == 199 { f64::NAN } else { x as f64 * 1.5 };
-                    Op::Push(slot, vals.into_iter().map(value).collect(), label)
-                }
-            },
-        );
-        (any::<bool>(), proptest::collection::vec(op, 1..60)).prop_map(|(simple, ops)| {
-            let kind = if simple {
-                MarkovKind::Simple
-            } else {
-                MarkovKind::TwoDependent
-            };
-            (kind, ops)
-        })
     }
 }

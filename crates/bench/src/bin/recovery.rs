@@ -29,8 +29,7 @@ use std::time::Instant;
 const FLEETS: [usize; 3] = [256, 1024, 4096];
 
 /// Monitored rounds driven before checkpointing, populating the per-VM
-/// series and the trainer's windows (the state a mid-experiment
-/// checkpoint actually carries).
+/// series (the state a mid-experiment checkpoint actually carries).
 const WARM_ROUNDS: u64 = 24;
 
 /// Seconds between sampling rounds.

@@ -51,7 +51,7 @@ pub use cluster::{
     Cluster, HostId, MigrationState, VmState, CPU_BACKLOG_CAP_SECS, PAGE_IN_RATE_MB_PER_SEC,
 };
 pub use costs::{ActuationCosts, TABLE1_COSTS};
-pub use fleet::{FleetEvent, FleetMonitor, FleetSim, FleetSpec, FleetTrace, TickMode, DENSE_ENV};
+pub use fleet::{FleetEvent, FleetMonitor, FleetSim, FleetSpec, FleetTrace, TickMode};
 pub use monitor::Monitor;
 pub use placement::{
     AntiAffinity, BestFit, FirstFit, PlacementPolicy, PlacementRequest, PlacementStore, WorstFit,

@@ -109,12 +109,13 @@ pub struct PrepareConfig {
     /// merge (see the `prepare-par` crate).
     // xtask: ephemeral -- runtime worker config, supplied by the recovering process
     pub par: ParConfig,
-    /// Train from the windows [`prepare_anomaly::FleetTrainer`] labels at
-    /// ingest (`true`, the default) rather than from each VM's series
-    /// with labels resolved from the SLO log at training time (`false`,
-    /// the referee arm). The two produce bit-identical models, so traces
-    /// do not depend on this flag; `tests/differential.rs` runs both arms
-    /// and diffs them.
+    /// Inert: nothing reads it and the durable image does not carry it.
+    /// Not on the control path — the controller trains from each VM's
+    /// series and the SLO log, the only route there is. The field is named
+    /// by `benchmark/benches/driver.rs` (a struct literal) and leaves with
+    /// that file's next change.
+    // xtask: ephemeral -- inert, read by nothing; kept for a struct literal in benchmark/
+    #[doc(hidden)]
     pub online_training: bool,
 }
 
@@ -190,7 +191,6 @@ impl PrepareConfig {
         self.post_anomaly_quiet.store(w);
         w.put_f64(self.workload_change_quorum);
         self.staleness.store(w);
-        w.put_bool(self.online_training);
     }
 
     /// Decodes a configuration serialized by
@@ -218,7 +218,9 @@ impl PrepareConfig {
             workload_change_quorum: r.get_f64()?,
             staleness: Persist::load(r)?,
             par,
-            online_training: r.get_bool()?,
+            // Only the inert field: every tunable the image carries is
+            // named above.
+            ..PrepareConfig::default()
         };
         if config.filter_k == 0
             || config.filter_k > config.filter_w
@@ -317,7 +319,6 @@ mod tests {
             policy: PreventionPolicy::MigrationFirst,
             migration_policy: MigrationTargetPolicy::BestFit,
             retrain_interval: None,
-            online_training: false,
             par: ParConfig::with_workers(3),
             ..PrepareConfig::default()
         };

@@ -6,12 +6,12 @@ use crate::{
     ActionFailureKind, CauseInference, ControllerEvent, Episode, PlannedAction, PrepareConfig,
     PreventionPlanner, ValidationOutcome,
 };
-use prepare_anomaly::{AlertFilter, AnomalyPredictor, FleetTrainer, Vote};
+use prepare_anomaly::{AlertFilter, AnomalyPredictor, Vote};
 use prepare_cloudsim::{Cluster, HostId};
-use prepare_metrics::persist::{Persist, PersistError, Reader, Writer};
+use prepare_metrics::persist::{bounded_capacity, Persist, PersistError, Reader, Writer};
 use prepare_metrics::{
-    AttributeKind, Duration, Fingerprint64, Label, LastValueImputer, MetricSample,
-    ScalableResource, SloLog, StampedSample, TimeSeries, Timestamp, VmId,
+    AttributeKind, Duration, Fingerprint64, LastValueImputer, MetricSample, ScalableResource,
+    SloLog, StampedSample, TimeSeries, Timestamp, VmId,
 };
 use prepare_par::ParConfig;
 
@@ -376,8 +376,8 @@ fn slots_by_id(vms: &[VmId]) -> (Vec<usize>, bool) {
 pub struct PrepareController {
     config: PrepareConfig,
     scheme: Scheme,
-    /// The managed VMs in constructor order. Slot `i` — of `table` and of
-    /// the trainer alike — belongs to `vms[i]`.
+    /// The managed VMs in constructor order. Slot `i` of `table` belongs
+    /// to `vms[i]`.
     vms: Vec<VmId>,
     /// All per-VM state, one record per slot.
     table: Vec<VmRecord>,
@@ -402,12 +402,6 @@ pub struct PrepareController {
     trained_at: Option<Timestamp>,
     last_retrain: Option<Timestamp>,
     last_workload_change: bool,
-    /// The training windows (`config.online_training`): every usable
-    /// sample is appended to its VM's window at ingest under the round's
-    /// SLO label, and training rounds train from those windows. `None`
-    /// runs the referee arm, which trains from each VM's series and
-    /// resolves labels from the SLO log.
-    trainer: Option<FleetTrainer>,
     events: Vec<ControllerEvent>,
 }
 
@@ -468,9 +462,6 @@ impl PrepareController {
             imputer: LastValueImputer::new(),
             degraded: false,
         };
-        let trainer = config
-            .online_training
-            .then(|| FleetTrainer::new(vms.len(), &config.predictor));
         PrepareController {
             config,
             scheme,
@@ -484,7 +475,6 @@ impl PrepareController {
             trained_at: None,
             last_retrain: None,
             last_workload_change: false,
-            trainer,
             events: Vec::new(),
         }
     }
@@ -722,18 +712,6 @@ impl PrepareController {
         }
 
         self.slo.record(now, slo_violated);
-        if let Some(trainer) = self.trainer.as_mut() {
-            // Append the round's evidence to the training windows.
-            // Every usable sample is stamped `now` (late deliveries are
-            // re-timed, imputed replays are re-stamped) and the SLO log
-            // is append-only over strictly increasing rounds, so the
-            // ingest-time label equals the label a from-scratch rebuild
-            // would derive from the log later.
-            let label = Label::from_violation(slo_violated);
-            for (slot, sample) in &usable {
-                trainer.push(*slot, &sample.values, label);
-            }
-        }
         // Cause inference is keyed by VM id, not by slot.
         let by_vm: Vec<(VmId, MetricSample)> = usable
             .iter()
@@ -761,19 +739,20 @@ impl PrepareController {
     /// VM's samples in arrival order, so the resulting model positions
     /// are bit-identical to the sequential loop for any worker count.
     fn observe_predictors(&mut self, usable: &[(usize, MetricSample)]) {
-        let mut batches: Vec<Vec<&MetricSample>> = vec![Vec::new(); self.table.len()];
-        for (slot, sample) in usable {
-            // xtask-allow: index-in-loop -- one batch per table slot
-            batches[*slot].push(sample);
-        }
-        let mut work: Vec<(&mut AnomalyPredictor, Vec<&MetricSample>)> = self
+        // One batch per slot that holds a predictor, in slot order.
+        let mut work: Vec<(usize, &mut AnomalyPredictor, Vec<&MetricSample>)> = self
             .table
             .iter_mut()
-            .zip(batches)
-            .filter(|(_, batch)| !batch.is_empty())
-            .filter_map(|(rec, batch)| rec.predictor.as_mut().map(|p| (p, batch)))
+            .enumerate()
+            .filter_map(|(slot, rec)| Some((slot, rec.predictor.as_mut()?, Vec::new())))
             .collect();
-        prepare_par::par_for_each_mut(&self.config.par, &mut work, |(p, batch)| {
+        for (slot, sample) in usable {
+            if let Ok(i) = work.binary_search_by_key(slot, |w| w.0) {
+                // xtask-allow: index-in-loop -- a successful search returns an index of `work`
+                work[i].2.push(sample);
+            }
+        }
+        prepare_par::par_for_each_mut(&self.config.par, &mut work, |(_, p, batch)| {
             for sample in batch.iter() {
                 p.observe(sample);
             }
@@ -788,31 +767,17 @@ impl PrepareController {
     /// are normal for them. A VM whose fit fails keeps the model it had.
     /// Returns whether any model landed.
     ///
-    /// Training reads only the VM's own series plus the shared SLO log,
-    /// so the fitted models are bit-identical to the sequential loop for
-    /// any worker count. With online training the models come from the
-    /// fleet trainer's windows, labeled at ingest —
-    /// [`FleetTrainer::derive_cached_batch`] is bit-identical to the
-    /// series + SLO log `train` call the referee arm makes, so the two
-    /// arms produce the same traces (`tests/differential.rs` diffs them).
-    /// The batch call memoizes per-slot derivations on a window
-    /// generation counter, so only VMs whose windows changed since the
-    /// last round actually re-train.
+    /// Training reads only the VM's own series plus the shared SLO log
+    /// (labels are resolved by timestamp match, §II-B), so the fitted
+    /// models are bit-identical to the sequential loop for any worker
+    /// count.
     fn train_models(&mut self, now: Timestamp) -> bool {
         let series: Vec<&TimeSeries> = self.table.iter().map(|rec| &rec.series).collect();
         let implicated = crate::implicated_vms_par(&series, &self.slo, &self.config.par);
-        let fits: Vec<Option<AnomalyPredictor>> = match self.trainer.as_mut() {
-            Some(trainer) => {
-                let derived = trainer.derive_cached_batch(&implicated, &self.config.par);
-                derived.into_iter().map(Result::ok).collect()
-            }
-            None => {
-                let wanted = implicated.iter().map(|&slot| series[slot]).collect();
-                prepare_par::par_map(&self.config.par, wanted, |series: &TimeSeries| {
-                    AnomalyPredictor::train(series, &self.slo, &self.config.predictor).ok()
-                })
-            }
-        };
+        let wanted = implicated.iter().map(|&slot| series[slot]).collect();
+        let fits = prepare_par::par_map(&self.config.par, wanted, |series: &TimeSeries| {
+            AnomalyPredictor::train(series, &self.slo, &self.config.predictor).ok()
+        });
         let mut vms = Vec::new();
         for (slot, fit) in implicated.into_iter().zip(fits) {
             let Some(p) = fit else {
@@ -1304,10 +1269,6 @@ impl PrepareController {
         self.trained_at.store(w);
         self.last_retrain.store(w);
         self.last_workload_change.store(w);
-        w.put_bool(self.trainer.is_some());
-        if let Some(trainer) = &self.trainer {
-            trainer.store_state(w);
-        }
     }
 
     /// Serializes the event log, the part of the state that follows the
@@ -1334,8 +1295,8 @@ impl PrepareController {
     ///
     /// Returns a [`PersistError`] when the bytes are truncated, carry
     /// unknown tags, or violate controller invariants: an empty VM set, a
-    /// VM id stored twice, an episode filed under another VM's slot, a
-    /// trainer sized for a different fleet, or inconsistent tunables.
+    /// VM id stored twice, an episode filed under another VM's slot, or
+    /// inconsistent tunables.
     pub fn load_state(r: &mut Reader<'_>, par: ParConfig) -> Result<Self, PersistError> {
         let config = PrepareConfig::load_state(r, par)?;
         let scheme = Scheme::load(r)?;
@@ -1347,7 +1308,7 @@ impl PrepareController {
         if !distinct {
             return Err(PersistError::Invalid("PrepareController duplicate VM id"));
         }
-        let mut table = Vec::with_capacity(vms.len().min(r.remaining()));
+        let mut table = Vec::with_capacity(bounded_capacity::<VmRecord>(vms.len(), r));
         for &vm in &vms {
             let rec = VmRecord::load(r)?;
             if rec.episode.as_ref().is_some_and(|ep| ep.vm != vm) {
@@ -1361,13 +1322,6 @@ impl PrepareController {
         let trained_at = Option::load(r)?;
         let last_retrain = Option::load(r)?;
         let last_workload_change = bool::load(r)?;
-        let trainer = r
-            .get_bool()?
-            .then(|| FleetTrainer::load_state(r))
-            .transpose()?;
-        if trainer.as_ref().is_some_and(|t| t.slots() != vms.len()) {
-            return Err(PersistError::Invalid("PrepareController trainer slots"));
-        }
         let events = Vec::load(r)?;
         let planner = PreventionPlanner::new(config.policy, config.scale_factor)
             .with_migration_target_policy(config.migration_policy);
@@ -1384,7 +1338,6 @@ impl PrepareController {
             trained_at,
             last_retrain,
             last_workload_change,
-            trainer,
             events,
         })
     }
@@ -2037,6 +1990,25 @@ mod tests {
         assert_eq!(back.model_fingerprint(), ctl.model_fingerprint());
     }
 
+    /// Each sample is held once: a quiet round (no violation, no alert, no
+    /// episode) adds one encoded sample per VM to the core state — 8 B of
+    /// time and 13 × 8 B of values — and nothing else.
+    #[test]
+    fn quiet_round_grows_the_core_state_by_one_sample_per_vm() {
+        let mut c = test_cluster();
+        let mut ctl = mk_controller(Scheme::Prepare);
+        drive(&mut ctl, &mut c, 0..10);
+        for round in 10..30 {
+            let before = ctl.core_state_bytes();
+            drive(&mut ctl, &mut c, round..round + 1);
+            assert_eq!(
+                ctl.core_state_bytes() - before,
+                ctl.vms.len() * 112,
+                "round {round}"
+            );
+        }
+    }
+
     /// A controller fed only recorded cluster replies (no cluster at all)
     /// tracks the live controller bit-for-bit — the property journal
     /// replay stands on.
@@ -2140,7 +2112,7 @@ mod tests {
     }
 
     /// Images whose per-VM parts disagree load as errors, never as a
-    /// controller whose table and trainer are out of step.
+    /// controller whose table and VM list are out of step.
     #[test]
     fn load_state_rejects_inconsistent_images() {
         fn load_err(ctl: &PrepareController) -> PersistError {
@@ -2153,13 +2125,6 @@ mod tests {
         let mut c = test_cluster();
         let mut good = mk_controller(Scheme::Prepare);
         drive(&mut good, &mut c, 0..10);
-
-        let mut ctl = good.clone();
-        ctl.trainer = Some(FleetTrainer::new(3, &ctl.config.predictor));
-        assert!(matches!(
-            load_err(&ctl),
-            PersistError::Invalid("PrepareController trainer slots")
-        ));
 
         let mut ctl = good.clone();
         ctl.vms = vec![VmId(0), VmId(0)];

@@ -42,8 +42,8 @@ use prepare_metrics::persist::{store_seq, Persist, PersistError, Reader, Writer}
 use prepare_metrics::{StampedSample, Timestamp, VmId};
 use prepare_par::ParConfig;
 
-/// Magic + version sealing a checkpoint frame ("PRPCKP" + version 03).
-pub const CHECKPOINT_MAGIC: u64 = u64::from_le_bytes(*b"PRPCKP03");
+/// Magic + version sealing a checkpoint frame ("PRPCKP" + version 04).
+pub const CHECKPOINT_MAGIC: u64 = u64::from_le_bytes(*b"PRPCKP04");
 
 /// The frame checksum: FNV-1a's constants and its xor-then-multiply
 /// fold, taken one little-endian 64-bit word at a time with a xor-shift
@@ -650,7 +650,7 @@ mod tests {
         ));
         // An earlier layout's version is a different format, not a frame
         // to try anyway.
-        for earlier in [b"PRPCKP01", b"PRPCKP02"] {
+        for earlier in [b"PRPCKP01", b"PRPCKP02", b"PRPCKP03"] {
             let mut old = image.clone();
             old[..8].copy_from_slice(earlier);
             assert_eq!(
@@ -782,18 +782,10 @@ mod tests {
         assert_ne!(checksum(&[0u8; 8]), checksum(&[0u8; 9]));
     }
 
-    /// A small managed controller that has trained: 2 VMs, a 3-bin
-    /// first-order model, one short anomaly on VM 0, a seal after round
-    /// 12 and three journaled rounds after it.
-    fn trained_manager() -> RecoveryManager {
-        let mut cluster = Cluster::new();
-        for _ in 0..2 {
-            let host = cluster.add_host(prepare_cloudsim::HostSpec::vcl_default());
-            cluster
-                .create_vm(host, 100.0, 512.0)
-                .expect("host has room");
-        }
-        let config = crate::PrepareConfig {
+    /// The tunables of [`trained_manager`]: a 3-bin first-order model
+    /// that trains after a handful of samples.
+    fn small_config() -> crate::PrepareConfig {
+        crate::PrepareConfig {
             predictor: prepare_anomaly::PredictorConfig {
                 bins: 3,
                 markov: prepare_anomaly::MarkovKind::Simple,
@@ -802,7 +794,21 @@ mod tests {
             min_training_samples: 6,
             post_anomaly_quiet: prepare_metrics::Duration::from_secs(10),
             ..crate::PrepareConfig::default()
-        };
+        }
+    }
+
+    /// A small managed controller that has trained: 2 VMs, one short
+    /// anomaly on VM 0, a seal after round 12 and three journaled rounds
+    /// after it.
+    fn trained_manager() -> RecoveryManager {
+        let mut cluster = Cluster::new();
+        for _ in 0..2 {
+            let host = cluster.add_host(prepare_cloudsim::HostSpec::vcl_default());
+            cluster
+                .create_vm(host, 100.0, 512.0)
+                .expect("host has room");
+        }
+        let config = small_config();
         let controller =
             PrepareController::new(vec![VmId(0), VmId(1)], config, crate::Scheme::Prepare);
         let mut manager = RecoveryManager::new(controller, 12);
@@ -868,6 +874,29 @@ mod tests {
             refused += usize::from(Checkpoint::read(&reseal(&bad), par).is_err());
         }
         assert!(refused > 0 && refused < payload.len());
+
+        // A flipped length in the first VM's series — samples are the bulk
+        // of the image — promises 2^40 of them: the load runs off the end
+        // of the payload (reserving no more than the bytes left, see
+        // `prepare_metrics::persist::bounded_capacity`) and says so.
+        let series_len_at = {
+            let mut w = Writer::new();
+            w.put_u64(tick);
+            small_config().store_state(&mut w);
+            crate::Scheme::Prepare.store(&mut w);
+            vec![VmId(0), VmId(1)].store(&mut w);
+            w.len()
+        };
+        assert_eq!(
+            payload[series_len_at..series_len_at + 8],
+            12u64.to_le_bytes()
+        );
+        let mut bad = payload.to_vec();
+        bad[series_len_at + 5] ^= 1;
+        assert!(matches!(
+            Checkpoint::read(&reseal(&bad), par),
+            Err(PersistError::Truncated { .. })
+        ));
     }
 
     /// The journal half: whatever happens to the image, the scan returns

@@ -424,16 +424,22 @@ pub fn store_seq<'a, T: Persist + 'a>(w: &mut Writer, items: impl ExactSizeItera
     }
 }
 
+/// How many `T`s to reserve for a sequence whose stored length is `len`:
+/// never more in-memory bytes than the buffer has left, so a corrupt
+/// length cannot reserve a multiple of the image before the `Truncated`
+/// error surfaces. An encoding denser than `T`'s in-memory size (a
+/// one-byte tag for a word-sized enum) grows past the reservation.
+pub fn bounded_capacity<T>(len: usize, r: &Reader<'_>) -> usize {
+    len.min(r.remaining() / std::mem::size_of::<T>().max(1))
+}
+
 impl<T: Persist> Persist for Vec<T> {
     fn store(&self, w: &mut Writer) {
         store_seq(w, self.iter());
     }
     fn load(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         let len = r.get_usize()?;
-        // Bound the pre-allocation by what the buffer could possibly
-        // hold, so a corrupt length cannot trigger an OOM before the
-        // Truncated error surfaces.
-        let mut out = Vec::with_capacity(len.min(r.remaining()));
+        let mut out = Vec::with_capacity(bounded_capacity::<T>(len, r));
         for _ in 0..len {
             out.push(T::load(r)?);
         }
@@ -447,7 +453,7 @@ impl<T: Persist> Persist for VecDeque<T> {
     }
     fn load(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         let len = r.get_usize()?;
-        let mut out = VecDeque::with_capacity(len.min(r.remaining()));
+        let mut out = VecDeque::with_capacity(bounded_capacity::<T>(len, r));
         for _ in 0..len {
             out.push_back(T::load(r)?);
         }
@@ -693,6 +699,36 @@ mod tests {
         let mut w = Writer::new();
         w.put_u64(1u64 << 60);
         let res: Result<Vec<u64>, _> = from_bytes(&w.into_bytes());
+        assert!(matches!(res, Err(PersistError::Truncated { .. })));
+    }
+
+    #[test]
+    fn reservation_never_exceeds_the_bytes_left() {
+        // Whatever length an image claims, the bytes reserved for its
+        // elements are at most the bytes the image still holds — for the
+        // 112-byte sample that makes up most of a checkpoint as for a byte.
+        fn reserved_bytes<T>(len: usize, left: usize) -> usize {
+            let buf = vec![0u8; left];
+            bounded_capacity::<T>(len, &Reader::new(&buf)) * std::mem::size_of::<T>()
+        }
+        for left in [0usize, 7, 111, 112, 113, 4096] {
+            for len in [0usize, 1, 36, 37, 1 << 20, usize::MAX] {
+                assert!(reserved_bytes::<u8>(len, left) <= left);
+                assert!(reserved_bytes::<f64>(len, left) <= left);
+                assert!(reserved_bytes::<MetricSample>(len, left) <= left);
+                assert!(reserved_bytes::<()>(len, left) <= left);
+            }
+        }
+        // An honest length is reserved in full.
+        assert_eq!(bounded_capacity::<u64>(3, &Reader::new(&[0u8; 24])), 3);
+        // A flipped length in a sequence of samples still surfaces as
+        // truncation, through the VecDeque loader too.
+        let samples = vec![MetricSample::new(Timestamp::ZERO, crate::MetricVector::zeros()); 4];
+        let mut bytes = to_bytes(&samples);
+        bytes[5] ^= 0x10;
+        let res: Result<Vec<MetricSample>, _> = from_bytes(&bytes);
+        assert!(matches!(res, Err(PersistError::Truncated { .. })));
+        let res: Result<VecDeque<MetricSample>, _> = from_bytes(&bytes);
         assert!(matches!(res, Err(PersistError::Truncated { .. })));
     }
 

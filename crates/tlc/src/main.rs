@@ -20,9 +20,7 @@
 use std::time::Instant; // xtask-allow: time-source -- checker self-timing, reported to CI, never simulated
 
 use prepare_tlc::explore::explore;
-use prepare_tlc::suite::{
-    check_traces, online_divergences, suite_traces, worker_divergences, CheckedTrace,
-};
+use prepare_tlc::suite::{check_traces, suite_traces, worker_divergences, CheckedTrace};
 
 /// Worker counts to replay: the ambient `PREPARE_WORKERS` if pinned,
 /// otherwise both engines the CI matrix exercises.
@@ -93,23 +91,6 @@ fn main() {
         report.push('\n');
         trace_sets.push(traces);
     }
-
-    report.push_str("## online-training equivalence\n");
-    {
-        let mut diverged = 0;
-        for (traces, &workers) in trace_sets.iter().zip(&counts) {
-            for line in online_divergences(traces) {
-                report.push_str(&format!("FAIL workers={workers}: {line}\n"));
-                diverged += 1;
-            }
-        }
-        if diverged == 0 {
-            report
-                .push_str("PASS window training byte-identical to the series + SLO log referee\n");
-        }
-        total_violations += diverged;
-    }
-    report.push('\n');
 
     report.push_str("## worker invariance\n");
     if let [first, rest @ ..] = trace_sets.as_slice() {

@@ -78,18 +78,6 @@ pub fn run_with_workers(spec: ExperimentSpec, workers: usize) -> ExperimentResul
     Experiment::new(spec, PINNED_RUN_SEED).run()
 }
 
-/// [`run_with_workers`] with the training arm pinned explicitly.
-pub fn run_with_workers_online(
-    spec: ExperimentSpec,
-    workers: usize,
-    online: bool,
-) -> ExperimentResult {
-    let mut spec = spec;
-    spec.config = spec.config.with_workers(workers);
-    spec.config.online_training = online;
-    Experiment::new(spec, PINNED_RUN_SEED).run()
-}
-
 /// One checked trace: a label for the report plus its violations.
 #[derive(Debug, Clone)]
 pub struct CheckedTrace {
@@ -115,40 +103,7 @@ pub fn suite_traces(workers: usize) -> Vec<(String, Vec<ControllerEvent>)> {
         let r = run_with_workers(golden_spec().with_chaos(hostile_plan(seed)), workers);
         out.push((format!("chaos seed {seed:#x} workers={workers}"), r.events));
     }
-    // The training referee: the golden scenario trained from each VM's
-    // series and the SLO log instead of the fleet trainer's windows.
-    // Checked against the catalogue like any pinned trace, and
-    // byte-compared to the golden trace by [`online_divergences`] — the
-    // two runs label their samples at different times yet must emit
-    // identical events.
-    let offline = run_with_workers_online(golden_spec(), workers, false);
-    out.push((
-        format!("golden offline-training workers={workers}"),
-        offline.events,
-    ));
     out
-}
-
-/// Byte-compares the golden trace (trained from the fleet trainer's
-/// windows, the default) against the pinned offline-training referee
-/// inside one suite trace set. Empty = equal — both arms train the same
-/// models, so the flag must be invisible in every trace.
-pub fn online_divergences(traces: &[(String, Vec<ControllerEvent>)]) -> Vec<String> {
-    let golden = traces.first();
-    let offline = traces
-        .iter()
-        .find(|(label, _)| label.starts_with("golden offline-training"));
-    match (golden, offline) {
-        (Some((lg, eg)), Some((lo, eo))) if eg != eo => vec![format!(
-            "online-training divergence: `{lg}` ({} events) != `{lo}` ({} events)",
-            eg.len(),
-            eo.len()
-        )],
-        (None, _) | (_, None) => {
-            vec!["online-training referee trace missing from suite".to_string()]
-        }
-        _ => Vec::new(),
-    }
 }
 
 /// Checks one labeled trace set against the registered property
@@ -210,30 +165,5 @@ mod tests {
         let plan = hostile_plan(PINNED_CHAOS_SEEDS[0]);
         assert_eq!(plan.faults.len(), 6);
         assert!(plan.faults.iter().all(|f| f.from < f.until));
-    }
-
-    #[test]
-    fn online_divergences_detects_mismatch_and_missing_referee() {
-        let event = ControllerEvent::MonitoringDegraded {
-            at: t(5),
-            vm: VmId(0),
-        };
-        let equal = vec![
-            ("golden workers=1".to_string(), vec![event.clone()]),
-            (
-                "golden offline-training workers=1".to_string(),
-                vec![event.clone()],
-            ),
-        ];
-        assert!(online_divergences(&equal).is_empty());
-
-        let diverged = vec![
-            ("golden workers=1".to_string(), vec![event]),
-            ("golden offline-training workers=1".to_string(), vec![]),
-        ];
-        assert_eq!(online_divergences(&diverged).len(), 1);
-
-        let missing = vec![("golden workers=1".to_string(), vec![])];
-        assert_eq!(online_divergences(&missing).len(), 1);
     }
 }

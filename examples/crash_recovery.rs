@@ -40,7 +40,7 @@ const CHECKPOINT_EVERY_ROUNDS: u64 = 8;
 const CRASH_ROUND: u64 = 30;
 
 /// A synthetic 13-attribute reading with a slow memory leak on VM 0, so
-/// the run exercises real model state (series, trainer windows).
+/// the run exercises real model state (series, predictors).
 fn sample_for(vm: VmId, t: u64) -> MetricSample {
     let leak = if vm == VmId(0) {
         (t as f64) * 0.15

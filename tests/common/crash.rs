@@ -1,5 +1,5 @@
 //! The pinned crash-recovery scenario shared by `tests/recovery.rs` and
-//! the training-arm comparison in `tests/differential.rs`: a 2-host /
+//! the worker-count matrix in `tests/differential.rs`: a 2-host /
 //! 3-VM cluster with a recurring memory leak on VM 0, a fault-free
 //! prefix, then a managed controller that can be killed before any round
 //! and rebuilt from its durable artifacts.
@@ -86,9 +86,8 @@ pub struct Prefix {
     controller: PrepareController,
 }
 
-/// Drives the warmup with the engine pinned to `workers` and the
-/// training arm `online` selects.
-pub fn build_prefix(workers: usize, online: bool) -> Prefix {
+/// Drives the warmup with the engine pinned to `workers`.
+pub fn build_prefix(workers: usize) -> Prefix {
     let mut cluster = Cluster::new();
     let h0 = cluster.add_host(HostSpec::vcl_default());
     let h1 = cluster.add_host(HostSpec::vcl_default());
@@ -98,8 +97,7 @@ pub fn build_prefix(workers: usize, online: bool) -> Prefix {
             .expect("fresh VCL hosts fit the tiny fleet");
     }
     let vms = vec![VmId(0), VmId(1), VmId(2)];
-    let mut config = PrepareConfig::default().with_workers(workers);
-    config.online_training = online;
+    let config = PrepareConfig::default().with_workers(workers);
     let mut controller = PrepareController::new(vms, config, Scheme::Prepare);
     for t in 0..PREFIX_SECS {
         let now = Timestamp::from_secs(t);

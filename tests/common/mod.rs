@@ -60,20 +60,3 @@ pub fn run_with_workers(
     spec.config = spec.config.with_workers(workers);
     Experiment::new(spec, seed).run()
 }
-
-/// [`run_with_workers`] with the training arm pinned explicitly, so tests
-/// can diff the fleet trainer's ingest-labeled windows against the
-/// series + SLO log referee.
-pub fn run_with_workers_online(
-    app: AppKind,
-    fault: FaultChoice,
-    scheme: Scheme,
-    seed: u64,
-    workers: usize,
-    online: bool,
-) -> ExperimentResult {
-    let mut spec = ExperimentSpec::paper_default(app, fault, scheme);
-    spec.config = spec.config.with_workers(workers);
-    spec.config.online_training = online;
-    Experiment::new(spec, seed).run()
-}

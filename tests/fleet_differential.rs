@@ -139,16 +139,3 @@ fn sparse_mode_actually_skips_work_on_the_golden_fleet() {
     dense.run(TickMode::Dense, &ParConfig::serial());
     assert!((dense.active_fraction() - 1.0).abs() < 1e-12);
 }
-
-#[test]
-fn env_selected_mode_matches_explicit_mode() {
-    // CI flips `PREPARE_DENSE_TICK=1` to force the referee; the resolved
-    // mode must map onto the same run path as the explicit enum.
-    let spec = FleetSpec::new(48, 120, 7);
-    let via_env = run(&spec, TickMode::from_env(), 1);
-    let explicit = match TickMode::from_env() {
-        TickMode::Dense => run(&spec, TickMode::Dense, 1),
-        TickMode::Sparse => run(&spec, TickMode::Sparse, 1),
-    };
-    assert_eq!(via_env, explicit);
-}

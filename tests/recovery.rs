@@ -112,7 +112,7 @@ fn assert_equivalent(label: &str, referee: &Run, crashed: &Run, crash_rounds: &B
 #[test]
 fn crash_at_every_round_recovers_byte_identically() {
     for workers in WORKER_COUNTS {
-        let prefix = build_prefix(workers, true);
+        let prefix = build_prefix(workers);
         let referee = drive(&prefix, workers, &BTreeSet::new());
         // The referee itself must do interesting things in the swept
         // window, or the sweep proves nothing.
@@ -148,7 +148,7 @@ fn recovered_runs_are_worker_count_invariant() {
     let crashes = BTreeSet::from([FIRST_SWEPT_ROUND + 13, FIRST_SWEPT_ROUND + 14]);
     let runs: Vec<(usize, Run)> = WORKER_COUNTS
         .iter()
-        .map(|&w| (w, drive(&build_prefix(w, true), w, &crashes)))
+        .map(|&w| (w, drive(&build_prefix(w), w, &crashes)))
         .collect();
     let Some(((first_w, first), rest)) = runs.split_first() else {
         unreachable!("WORKER_COUNTS is non-empty");
@@ -179,7 +179,7 @@ proptest! {
     ) {
         let crashes: BTreeSet<u64> = rounds.into_iter().collect();
         for workers in [1usize, 2] {
-            let prefix = build_prefix(workers, true);
+            let prefix = build_prefix(workers);
             let referee = drive(&prefix, workers, &BTreeSet::new());
             let crashed = drive(&prefix, workers, &crashes);
             assert_equivalent(
