@@ -24,7 +24,6 @@
 
 use prepare_anomaly::{AnomalyPredictor, Prediction, PredictorConfig};
 use prepare_bench::harness::{measured_ms, write_bench_json};
-use prepare_cloudsim::{FleetSim, FleetSpec, TickMode};
 use prepare_metrics::{
     AttributeKind, Duration, MetricSample, MetricVector, SloLog, TimeSeries, Timestamp,
 };
@@ -44,26 +43,6 @@ const SAMPLES: u64 = 240;
 
 /// Timed trials per cell; the best (minimum) is reported.
 const TRIALS: usize = 3;
-
-/// Simulator fleet sizes swept (number of simulated VMs).
-const SIM_FLEETS: [usize; 3] = [4096, 16384, 65536];
-
-/// Largest fleet the dense referee runs at. Above this the dense pass
-/// would dominate the whole bench's wall clock, so bigger rows run the
-/// sparse path only, audited for determinism against a second sparse
-/// run instead of against a dense referee (the sparse-vs-dense
-/// equivalence itself is established on the smaller rows and in the
-/// fleet differential test suite).
-const DENSE_AUDIT_MAX_VMS: usize = 16384;
-
-/// Simulated ticks (seconds) per fleet run — 50 simulated minutes, long
-/// enough that the start-up transient (every VM awake until its Load5
-/// ring saturates, ~30 ticks) stops dominating the sparse path's
-/// steady-state active fraction.
-const SIM_TICKS: u64 = 3000;
-
-/// Timed trials per fleet cell (each trial is a full fresh run).
-const SIM_TRIALS: usize = 2;
 
 /// One VM's training trace: a noisy baseline with a mid-run anomalous
 /// window (CPU pinned), phase-shifted per VM so models differ.
@@ -110,40 +89,6 @@ struct Cell {
     workers: usize,
     train_ms: f64,
     predict_ms: f64,
-}
-
-struct FleetCell {
-    vms: usize,
-    ticks: u64,
-    /// `None` above [`DENSE_AUDIT_MAX_VMS`]: the dense referee is gated
-    /// off and the row reports the sparse path only.
-    dense_ms: Option<f64>,
-    sparse_ms: f64,
-    active_fraction: f64,
-    dense_vm_ticks_per_sec: Option<f64>,
-    sparse_vm_ticks_per_sec: f64,
-}
-
-/// One timed cloudsim fleet run in the given tick mode. Every run builds
-/// a fresh simulator so trials are independent; returns the trace (for
-/// the bit-identity audit), the wall-clock milliseconds, and the
-/// fraction of logical VM-ticks the mode actually stepped.
-fn fleet_run(
-    spec: &FleetSpec,
-    mode: TickMode,
-    par: &ParConfig,
-) -> (prepare_cloudsim::FleetTrace, f64, f64) {
-    let mut sim = match FleetSim::new(spec.clone()) {
-        Ok(sim) => sim,
-        Err(err) => {
-            eprintln!("fleet spec does not fit its hosts: {err:?}");
-            std::process::exit(1);
-        }
-    };
-    let t0 = Instant::now();
-    let trace = sim.run(mode, par);
-    let wall_ms = measured_ms(t0);
-    (trace, wall_ms, sim.active_fraction())
 }
 
 fn main() {
@@ -259,97 +204,6 @@ fn main() {
         }
     }
 
-    // Fleet-scale simulator sweep: the same simulated fleet run dense
-    // (every VM stepped every tick — the referee) and sparse (provably
-    // quiescent VMs skipped, their samples backfilled in closed form).
-    // The sparse trace must equal the dense trace byte for byte before
-    // any number is reported; throughput is logical VM-ticks per second
-    // of wall clock, so the sparse column credits skipped-but-accounted
-    // VM-ticks only because the audit proves skipping changed nothing.
-    println!("\n== Fleet-scale cloudsim: dense referee vs sparse event-driven ticks ==");
-    println!(
-        "{:>7} {:>7} {:>11} {:>11} {:>9} {:>14} {:>14}",
-        "VMs", "ticks", "dense (ms)", "sparse(ms)", "active", "dense VMt/s", "sparse VMt/s"
-    );
-    let mut fleet_cells: Vec<FleetCell> = Vec::new();
-    let fleet_par = ParConfig::with_workers(1);
-    for &n_vms in &SIM_FLEETS {
-        let mut spec = FleetSpec::new(n_vms, SIM_TICKS, 0xF1EE7 + n_vms as u64);
-        // Mostly-quiescent composition: keep the default ~6% hot VM
-        // population but shift their workload every 2 simulated minutes
-        // instead of every 40 s. With 40-tick epochs a hot VM spends
-        // ~25 ticks re-saturating its Load5 ring after each shift and
-        // never actually goes quiet.
-        spec.epoch_ticks = 120;
-        let with_dense = n_vms <= DENSE_AUDIT_MAX_VMS;
-        // Untimed warmup pass (also anchors the audit trace): the dense
-        // referee where it runs, otherwise a sparse run — the gated rows
-        // still refuse to report numbers for non-reproducing runs.
-        let reference = if with_dense {
-            fleet_run(&spec, TickMode::Dense, &fleet_par).0
-        } else {
-            fleet_run(&spec, TickMode::Sparse, &fleet_par).0
-        };
-        let mut dense_ms: Option<f64> = None;
-        let mut sparse_ms = f64::INFINITY;
-        let mut active_fraction = 1.0;
-        for _ in 0..SIM_TRIALS {
-            if with_dense {
-                let (dense_trace, d_ms, _) = fleet_run(&spec, TickMode::Dense, &fleet_par);
-                assert!(
-                    dense_trace == reference,
-                    "dense fleet trace diverged at vms={n_vms}"
-                );
-                dense_ms = Some(dense_ms.map_or(d_ms, |best: f64| best.min(d_ms)));
-            }
-            let (sparse_trace, s_ms, active) = fleet_run(&spec, TickMode::Sparse, &fleet_par);
-            // Bit-identity audit gates every reported number.
-            assert!(
-                sparse_trace == reference,
-                "sparse fleet trace diverged at vms={n_vms}"
-            );
-            sparse_ms = sparse_ms.min(s_ms);
-            active_fraction = active;
-        }
-        let vm_ticks = (n_vms as u64 * SIM_TICKS) as f64;
-        let cell = FleetCell {
-            vms: n_vms,
-            ticks: SIM_TICKS,
-            dense_ms,
-            sparse_ms,
-            active_fraction,
-            dense_vm_ticks_per_sec: dense_ms.map(|ms| vm_ticks / (ms / 1000.0)),
-            sparse_vm_ticks_per_sec: vm_ticks / (sparse_ms / 1000.0),
-        };
-        let fmt_opt = |v: Option<f64>, digits: usize| match v {
-            Some(v) => format!("{v:.digits$}"),
-            None => "-".to_string(),
-        };
-        println!(
-            "{:>7} {:>7} {:>11} {:>11.1} {:>9.3} {:>14} {:>14.0}",
-            cell.vms,
-            cell.ticks,
-            fmt_opt(cell.dense_ms, 1),
-            cell.sparse_ms,
-            cell.active_fraction,
-            fmt_opt(cell.dense_vm_ticks_per_sec, 0),
-            cell.sparse_vm_ticks_per_sec,
-        );
-        fleet_cells.push(cell);
-    }
-    // The tentpole claim: on a mostly-quiescent 4096-VM fleet at one
-    // worker the sparse path must be at least 3× the dense wall clock.
-    if let Some(c) = fleet_cells.iter().find(|c| c.vms == 4096) {
-        if let Some(dense_ms) = c.dense_ms {
-            assert!(
-                dense_ms >= 3.0 * c.sparse_ms,
-                "sparse tick path under 3x dense at 4096 VMs: dense {:.1} ms, sparse {:.1} ms",
-                dense_ms,
-                c.sparse_ms
-            );
-        }
-    }
-
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str("  \"bench\": \"scaling\",\n");
@@ -376,39 +230,6 @@ fn main() {
             base_train / c.train_ms,
             base_predict / c.predict_ms,
             if i + 1 == cells.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(
-        "  \"fleet_note\": \"cloudsim fleet throughput in logical VM-ticks per second of wall \
-         clock at one worker; the sparse event-driven path skips provably quiescent VMs and is \
-         asserted byte-identical to the dense referee before numbers are reported; \
-         active_fraction is the share of VM-ticks the sparse path actually stepped; rows \
-         larger than dense_audit_max_vms gate the dense referee off (dense columns null) and \
-         audit the sparse path against a second sparse run instead\",\n",
-    );
-    json.push_str(&format!(
-        "  \"dense_audit_max_vms\": {DENSE_AUDIT_MAX_VMS},\n"
-    ));
-    json.push_str("  \"fleet\": [\n");
-    let json_opt = |v: Option<f64>, digits: usize| match v {
-        Some(v) => format!("{v:.digits$}"),
-        None => "null".to_string(),
-    };
-    for (i, c) in fleet_cells.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"vms\": {}, \"ticks\": {}, \"dense_ms\": {}, \"sparse_ms\": {:.3}, \
-             \"active_fraction\": {:.4}, \"dense_vm_ticks_per_sec\": {}, \
-             \"sparse_vm_ticks_per_sec\": {:.0}, \"sparse_speedup\": {}}}{}\n",
-            c.vms,
-            c.ticks,
-            json_opt(c.dense_ms, 3),
-            c.sparse_ms,
-            c.active_fraction,
-            json_opt(c.dense_vm_ticks_per_sec, 0),
-            c.sparse_vm_ticks_per_sec,
-            json_opt(c.dense_ms.map(|d| d / c.sparse_ms), 3),
-            if i + 1 == fleet_cells.len() { "" } else { "," }
         ));
     }
     json.push_str("  ]\n}\n");

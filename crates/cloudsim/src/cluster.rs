@@ -449,20 +449,9 @@ impl Cluster {
     /// (§II-D). Uses the worst-fit policy: the chosen host keeps the most
     /// headroom, so follow-up scaling of the relocated VM can succeed.
     pub fn find_migration_target(&self, vm: VmId) -> Option<HostId> {
-        self.find_migration_target_with(vm, &crate::WorstFit)
-    }
-
-    /// [`Cluster::find_migration_target`] with an explicit placement
-    /// policy — the store-backed search the prevention planner routes
-    /// through.
-    pub fn find_migration_target_with(
-        &self,
-        vm: VmId,
-        policy: &dyn crate::PlacementPolicy,
-    ) -> Option<HostId> {
         let state = self.get_vm(vm)?;
         self.find_host(
-            policy,
+            &crate::WorstFit,
             state.cpu_alloc,
             state.mem_alloc_mb,
             Some(state.host),

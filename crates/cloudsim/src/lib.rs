@@ -39,7 +39,6 @@ mod actions;
 mod chaos;
 mod cluster;
 mod costs;
-mod fleet;
 mod invariants;
 mod monitor;
 mod placement;
@@ -51,9 +50,8 @@ pub use cluster::{
     Cluster, HostId, MigrationState, VmState, CPU_BACKLOG_CAP_SECS, PAGE_IN_RATE_MB_PER_SEC,
 };
 pub use costs::{ActuationCosts, TABLE1_COSTS};
-pub use fleet::{FleetEvent, FleetMonitor, FleetSim, FleetSpec, FleetTrace, TickMode};
 pub use monitor::Monitor;
 pub use placement::{
-    AntiAffinity, BestFit, FirstFit, PlacementPolicy, PlacementRequest, PlacementStore, WorstFit,
+    BestFit, FirstFit, PlacementPolicy, PlacementRequest, PlacementStore, WorstFit,
 };
 pub use spec::{Demand, HostSpec, ServiceQuality};

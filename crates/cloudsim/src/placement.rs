@@ -4,7 +4,7 @@
 //! The paper's prevention actuation needs "a host with matching
 //! resources" (§II-D, citing the PAC consolidation work \[15\]). At a
 //! handful of VMs an O(hosts × VMs) rescan per query is fine; at fleet
-//! scale (10k–100k VMs, ROADMAP item 1) it dominates the control plane.
+//! scale (thousands of VMs) it dominates the control plane.
 //! [`PlacementStore`] keeps per-host committed/free capacity up to date
 //! *incrementally*: every cluster mutation (create, scale, migration
 //! begin/cancel/complete) touches only the affected host's account, and
@@ -85,11 +85,6 @@ impl PlacementStore {
     /// contention-squeeze denominator, O(1).
     pub fn resident_cpu(&self, host: HostId) -> f64 {
         self.accounts.get(host.0).map_or(0.0, |a| a.resident_cpu)
-    }
-
-    /// Number of VMs resident on `host`.
-    pub fn resident_count(&self, host: HostId) -> usize {
-        self.accounts.get(host.0).map_or(0, |a| a.residents.len())
     }
 
     /// Resident VMs of `host` in ascending id order.
@@ -294,8 +289,8 @@ impl PlacementPolicy for BestFit {
 }
 
 /// The fitting host with the *most* spare CPU — spreads load, leaving
-/// headroom for elastic scaling. The migration-target default: a
-/// migrated-away faulty VM wants room to grow.
+/// headroom for elastic scaling. [`Cluster::find_migration_target`]
+/// always uses it: a migrated-away faulty VM wants room to grow.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorstFit;
 
@@ -312,71 +307,6 @@ impl PlacementPolicy for WorstFit {
             }
         }
         best.map(|(h, _)| h)
-    }
-}
-
-/// Avoids co-locating the request with a named group of VMs (replica
-/// spreading): hosts that already run — or are receiving — a group member
-/// are deprioritized. Among untainted candidates it picks worst-fit; when
-/// every fitting host is tainted, a `strict` policy refuses while a lax
-/// one falls back to plain worst-fit.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct AntiAffinity {
-    /// The VMs to spread away from.
-    pub group: Vec<VmId>,
-    /// Refuse placement when no untainted host fits (instead of falling
-    /// back to worst-fit among tainted hosts).
-    pub strict: bool,
-}
-
-impl AntiAffinity {
-    /// Spread away from `group`, falling back to worst-fit when every
-    /// fitting host already has a group member.
-    pub fn new(group: Vec<VmId>) -> Self {
-        AntiAffinity {
-            group,
-            strict: false,
-        }
-    }
-
-    /// Spread away from `group`; refuse when no untainted host fits.
-    pub fn strict(group: Vec<VmId>) -> Self {
-        AntiAffinity {
-            group,
-            strict: true,
-        }
-    }
-
-    fn tainted(&self, cluster: &Cluster, host: HostId) -> bool {
-        self.group.iter().any(|&vm| {
-            cluster
-                .get_vm(vm)
-                .is_some_and(|s| s.host == host || s.migration.is_some_and(|m| m.target == host))
-        })
-    }
-}
-
-impl PlacementPolicy for AntiAffinity {
-    fn name(&self) -> &'static str {
-        "anti-affinity"
-    }
-
-    fn choose(&self, cluster: &Cluster, req: &PlacementRequest) -> Option<HostId> {
-        let mut clean: Option<(HostId, f64)> = None;
-        let mut any: Option<(HostId, f64)> = None;
-        for (host, free_cpu) in req.candidates(cluster) {
-            if any.is_none_or(|(_, c)| free_cpu > c) {
-                any = Some((host, free_cpu));
-            }
-            if !self.tainted(cluster, host) && clean.is_none_or(|(_, c)| free_cpu > c) {
-                clean = Some((host, free_cpu));
-            }
-        }
-        match (clean, self.strict) {
-            (Some((h, _)), _) => Some(h),
-            (None, true) => None,
-            (None, false) => any.map(|(h, _)| h),
-        }
     }
 }
 
@@ -500,51 +430,6 @@ mod tests {
     }
 
     #[test]
-    fn anti_affinity_spreads_away_from_group() {
-        let mut c = Cluster::new();
-        let h0 = c.add_host(HostSpec::vcl_default());
-        let _h1 = c.add_host(HostSpec::vcl_default());
-        let replica = c.create_vm(h0, 20.0, 256.0).unwrap();
-        // Worst-fit alone would choose h1 too (more free CPU), so load h1
-        // to make h0 the worst-fit winner — anti-affinity must override.
-        let policy = AntiAffinity::new(vec![replica]);
-        assert_eq!(
-            c.find_host(&policy, 20.0, 256.0, None),
-            Some(HostId(1)),
-            "host 0 is tainted by the replica"
-        );
-    }
-
-    #[test]
-    fn anti_affinity_counts_migration_targets_as_tainted() {
-        let mut c = Cluster::new();
-        let h0 = c.add_host(HostSpec::vcl_default());
-        let _h1 = c.add_host(HostSpec::vcl_default());
-        let _h2 = c.add_host(HostSpec::vcl_default());
-        let replica = c.create_vm(h0, 20.0, 256.0).unwrap();
-        c.begin_migration(replica, HostId(1), Timestamp::ZERO)
-            .unwrap();
-        let policy = AntiAffinity::strict(vec![replica]);
-        // Source and in-flight target are both tainted; only h2 is clean.
-        assert_eq!(c.find_host(&policy, 20.0, 256.0, None), Some(HostId(2)));
-    }
-
-    #[test]
-    fn strict_anti_affinity_refuses_when_everything_is_tainted() {
-        let mut c = Cluster::new();
-        let h0 = c.add_host(HostSpec::vcl_default());
-        let replica = c.create_vm(h0, 20.0, 256.0).unwrap();
-        let strict = AntiAffinity::strict(vec![replica]);
-        assert_eq!(c.find_host(&strict, 20.0, 256.0, None), None);
-        let lax = AntiAffinity::new(vec![replica]);
-        assert_eq!(
-            c.find_host(&lax, 20.0, 256.0, None),
-            Some(h0),
-            "lax policy falls back to worst-fit"
-        );
-    }
-
-    #[test]
     fn store_tracks_free_capacity_incrementally() {
         let mut c = Cluster::new();
         let h0 = c.add_host(HostSpec::vcl_default());
@@ -552,7 +437,6 @@ mod tests {
         let vm = c.create_vm(h0, 80.0, 1024.0).unwrap();
         assert_eq!(c.placement().free(h0), Some((120.0, 3072.0)));
         assert_eq!(c.placement().resident_cpu(h0), 80.0);
-        assert_eq!(c.placement().resident_count(h0), 1);
 
         c.scale_cpu(vm, 120.0, Timestamp::ZERO).unwrap();
         assert_eq!(c.placement().free(h0), Some((80.0, 3072.0)));

@@ -21,35 +21,6 @@ pub enum PreventionPolicy {
     MigrationFirst,
 }
 
-/// Which placement policy picks live-migration target hosts.
-///
-/// Every variant routes through the cluster's incremental
-/// [`prepare_cloudsim::PlacementStore`]; the default mirrors the paper's
-/// "host with matching resources" search as worst-fit (the chosen host
-/// keeps the most headroom, so follow-up scaling of the relocated VM can
-/// succeed), which is also what the trace catalogue was pinned under.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum MigrationTargetPolicy {
-    /// Maximize the target's remaining headroom (the pinned default).
-    #[default]
-    WorstFit,
-    /// Minimize leftover headroom — pack migrations tightly.
-    BestFit,
-    /// First host (lowest id) that fits.
-    FirstFit,
-}
-
-impl MigrationTargetPolicy {
-    /// The cloudsim placement policy implementing this knob.
-    pub fn as_policy(self) -> &'static dyn prepare_cloudsim::PlacementPolicy {
-        match self {
-            MigrationTargetPolicy::WorstFit => &prepare_cloudsim::WorstFit,
-            MigrationTargetPolicy::BestFit => &prepare_cloudsim::BestFit,
-            MigrationTargetPolicy::FirstFit => &prepare_cloudsim::FirstFit,
-        }
-    }
-}
-
 /// All tunables of the PREPARE controller.
 // xtask: checkpoint
 #[derive(Debug, Clone, PartialEq)]
@@ -65,8 +36,6 @@ pub struct PrepareConfig {
     pub filter_w: usize,
     /// Prevention action preference.
     pub policy: PreventionPolicy,
-    /// Placement policy for choosing live-migration target hosts.
-    pub migration_policy: MigrationTargetPolicy,
     /// Resource sizing: new allocation = observed demand × this factor.
     pub scale_factor: f64,
     /// Length of the look-back / look-ahead windows used to validate
@@ -127,7 +96,6 @@ impl Default for PrepareConfig {
             filter_k: 3,
             filter_w: 4,
             policy: PreventionPolicy::ScalingFirst,
-            migration_policy: MigrationTargetPolicy::WorstFit,
             scale_factor: 1.3,
             validation_window: Duration::from_secs(30),
             min_training_samples: 40,
@@ -183,7 +151,6 @@ impl PrepareConfig {
         w.put_usize(self.filter_k);
         w.put_usize(self.filter_w);
         self.policy.store(w);
-        self.migration_policy.store(w);
         w.put_f64(self.scale_factor);
         self.validation_window.store(w);
         w.put_usize(self.min_training_samples);
@@ -209,7 +176,6 @@ impl PrepareConfig {
             filter_k: r.get_usize()?,
             filter_w: r.get_usize()?,
             policy: Persist::load(r)?,
-            migration_policy: Persist::load(r)?,
             scale_factor: r.get_f64()?,
             validation_window: Persist::load(r)?,
             min_training_samples: r.get_usize()?,
@@ -249,27 +215,6 @@ impl Persist for PreventionPolicy {
             1 => Ok(PreventionPolicy::MigrationFirst),
             tag => Err(PersistError::BadTag {
                 what: "PreventionPolicy",
-                tag,
-            }),
-        }
-    }
-}
-
-impl Persist for MigrationTargetPolicy {
-    fn store(&self, w: &mut Writer) {
-        w.put_u8(match self {
-            MigrationTargetPolicy::WorstFit => 0,
-            MigrationTargetPolicy::BestFit => 1,
-            MigrationTargetPolicy::FirstFit => 2,
-        });
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        match r.get_u8()? {
-            0 => Ok(MigrationTargetPolicy::WorstFit),
-            1 => Ok(MigrationTargetPolicy::BestFit),
-            2 => Ok(MigrationTargetPolicy::FirstFit),
-            tag => Err(PersistError::BadTag {
-                what: "MigrationTargetPolicy",
                 tag,
             }),
         }
@@ -317,7 +262,6 @@ mod tests {
             filter_k: 2,
             filter_w: 5,
             policy: PreventionPolicy::MigrationFirst,
-            migration_policy: MigrationTargetPolicy::BestFit,
             retrain_interval: None,
             par: ParConfig::with_workers(3),
             ..PrepareConfig::default()
@@ -351,15 +295,7 @@ mod tests {
     }
 
     #[test]
-    fn policy_enums_reject_unknown_tags() {
-        let mut r = Reader::new(&[7u8]);
-        assert!(matches!(
-            MigrationTargetPolicy::load(&mut r),
-            Err(PersistError::BadTag {
-                what: "MigrationTargetPolicy",
-                ..
-            })
-        ));
+    fn policy_enum_rejects_unknown_tags() {
         let mut r = Reader::new(&[5u8]);
         assert!(matches!(
             PreventionPolicy::load(&mut r),

@@ -449,8 +449,7 @@ impl PrepareController {
         let recency = config.predictor.sampling_interval.as_secs() * 3;
         let inference =
             CauseInference::with_par(&vms, config.workload_change_quorum, recency, config.par);
-        let planner = PreventionPlanner::new(config.policy, config.scale_factor)
-            .with_migration_target_policy(config.migration_policy);
+        let planner = PreventionPlanner::new(config.policy, config.scale_factor);
         let violation_filter = AlertFilter::new(config.filter_k, config.filter_w);
         let blank = VmRecord {
             series: TimeSeries::new(),
@@ -1323,8 +1322,7 @@ impl PrepareController {
         let last_retrain = Option::load(r)?;
         let last_workload_change = bool::load(r)?;
         let events = Vec::load(r)?;
-        let planner = PreventionPlanner::new(config.policy, config.scale_factor)
-            .with_migration_target_policy(config.migration_policy);
+        let planner = PreventionPlanner::new(config.policy, config.scale_factor);
         Ok(PrepareController {
             config,
             scheme,

@@ -6,7 +6,7 @@
 //! prefers migration). Allocation targets are sized from the VM's
 //! currently observed demand.
 
-use crate::{MigrationTargetPolicy, PreventionPolicy};
+use crate::PreventionPolicy;
 use prepare_cloudsim::{Cluster, HostId, MigrateError, PlacementError, ScaleError};
 use prepare_metrics::persist::{Persist, PersistError, Reader, Writer};
 use prepare_metrics::{AttributeKind, ScalableResource, Timestamp, VmId};
@@ -168,13 +168,12 @@ impl Persist for PlannedAction {
 #[derive(Debug, Clone, PartialEq)]
 pub struct PreventionPlanner {
     policy: PreventionPolicy,
-    migration_policy: MigrationTargetPolicy,
     scale_factor: f64,
 }
 
 impl PreventionPlanner {
-    /// Creates a planner with the default (worst-fit) migration target
-    /// policy.
+    /// Creates a planner. Migration targets are chosen worst-fit
+    /// ([`Cluster::find_migration_target`]).
     ///
     /// # Panics
     ///
@@ -183,27 +182,13 @@ impl PreventionPlanner {
         assert!(scale_factor > 1.0, "scale factor must exceed 1.0");
         PreventionPlanner {
             policy,
-            migration_policy: MigrationTargetPolicy::default(),
             scale_factor,
         }
-    }
-
-    /// Returns the planner with migration targets chosen by `policy`
-    /// (routed through the cluster's placement store).
-    #[must_use]
-    pub fn with_migration_target_policy(mut self, policy: MigrationTargetPolicy) -> Self {
-        self.migration_policy = policy;
-        self
     }
 
     /// The policy in effect.
     pub fn policy(&self) -> PreventionPolicy {
         self.policy
-    }
-
-    /// The migration target placement policy in effect.
-    pub fn migration_target_policy(&self) -> MigrationTargetPolicy {
-        self.migration_policy
     }
 
     /// Target allocation for scaling `resource` on `vm`: observed demand
@@ -283,7 +268,7 @@ impl PreventionPlanner {
                 return None;
             }
             cluster
-                .find_migration_target_with(vm, self.migration_policy.as_policy())
+                .find_migration_target(vm)
                 .map(|target| PlannedAction::Migrate { vm, target })
         };
 
@@ -360,34 +345,6 @@ mod tests {
 
     fn planner(policy: PreventionPolicy) -> PreventionPlanner {
         PreventionPlanner::new(policy, 1.3)
-    }
-
-    #[test]
-    fn migration_target_policy_routes_target_selection() {
-        // Three candidate hosts with distinct headroom; the VM's current
-        // host is excluded from the search.
-        let mut c = Cluster::new();
-        let h0 = c.add_host(HostSpec::vcl_default());
-        let vm = c.create_vm(h0, 100.0, 512.0).unwrap();
-        let h1 = c.add_host(HostSpec::vcl_default());
-        let h2 = c.add_host(HostSpec::vcl_default());
-        // h1 keeps less headroom than h2 (but both still fit the VM).
-        c.create_vm(h1, 80.0, 512.0).unwrap();
-        let pick = |mp: MigrationTargetPolicy| {
-            let p = PreventionPlanner::new(PreventionPolicy::MigrationFirst, 1.3)
-                .with_migration_target_policy(mp);
-            assert_eq!(p.migration_target_policy(), mp);
-            match p.plan(&c, vm, &[AttributeKind::CpuTotal], true, &[]) {
-                Some(PlannedAction::Migrate { target, .. }) => target,
-                other => panic!("expected a migration plan, got {other:?}"),
-            }
-        };
-        assert_eq!(pick(MigrationTargetPolicy::WorstFit), h2);
-        assert_eq!(pick(MigrationTargetPolicy::BestFit), h1);
-        assert_eq!(pick(MigrationTargetPolicy::FirstFit), h1);
-        // The default planner keeps the pinned worst-fit behavior.
-        let p = PreventionPlanner::new(PreventionPolicy::MigrationFirst, 1.3);
-        assert_eq!(p.migration_target_policy(), MigrationTargetPolicy::WorstFit);
     }
 
     #[test]

@@ -41,9 +41,10 @@ use prepare_cloudsim::Cluster;
 use prepare_metrics::persist::{store_seq, Persist, PersistError, Reader, Writer};
 use prepare_metrics::{StampedSample, Timestamp, VmId};
 use prepare_par::ParConfig;
+use std::sync::Arc;
 
-/// Magic + version sealing a checkpoint frame ("PRPCKP" + version 04).
-pub const CHECKPOINT_MAGIC: u64 = u64::from_le_bytes(*b"PRPCKP04");
+/// Magic + version sealing a checkpoint frame ("PRPCKP" + version 05).
+pub const CHECKPOINT_MAGIC: u64 = u64::from_le_bytes(*b"PRPCKP05");
 
 /// The frame checksum: FNV-1a's constants and its xor-then-multiply
 /// fold, taken one little-endian 64-bit word at a time with a xor-shift
@@ -338,8 +339,8 @@ impl Checkpoint {
 /// tail; use [`Journal::crash_image`] directly to model torn tails).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CrashImage {
-    /// The last sealed checkpoint frame.
-    pub checkpoint: Vec<u8>,
+    /// The last sealed checkpoint frame, shared with (not copied from) its manager.
+    pub checkpoint: Arc<Vec<u8>>,
     /// The journal bytes up to the last durability barrier.
     pub journal: Vec<u8>,
 }
@@ -354,12 +355,12 @@ pub struct RecoveryManager {
     /// Ticks driven since the controller was created (survives crashes:
     /// restored as checkpoint tick + replayed journal records).
     tick: u64,
-    /// The last sealed checkpoint frame.
-    checkpoint: Vec<u8>,
-    /// The frame `checkpoint` replaced. The next seal is written into its
-    /// allocation: a fresh multi-megabyte buffer per seal is a fresh
-    /// mapping per seal, paid for in page faults while the round waits.
-    /// Capacity only: its bytes are never read.
+    /// The last sealed checkpoint frame, shared with its crash images.
+    checkpoint: Arc<Vec<u8>>,
+    /// The frame `checkpoint` replaced, if no crash image still holds it.
+    /// The next seal is written into its allocation: a fresh multi-megabyte
+    /// buffer per seal is a fresh mapping per seal, paid for in page faults
+    /// while the round waits. Capacity only: its bytes are never read.
     spare: Vec<u8>,
     journal: Journal,
 }
@@ -374,7 +375,7 @@ impl RecoveryManager {
     /// Panics if `checkpoint_every` is zero.
     pub fn new(controller: PrepareController, checkpoint_every: u64) -> Self {
         assert!(checkpoint_every > 0, "checkpoint interval must be positive");
-        let checkpoint = Checkpoint::write(&controller, 0);
+        let checkpoint = Arc::new(Checkpoint::write(&controller, 0));
         RecoveryManager {
             controller,
             checkpoint_every,
@@ -449,7 +450,8 @@ impl RecoveryManager {
             events.push(truncated);
             self.controller.store_events(&mut payload);
             close_frame(&mut payload, frame);
-            self.spare = std::mem::replace(&mut self.checkpoint, payload.into_bytes());
+            let old = std::mem::replace(&mut self.checkpoint, Arc::new(payload.into_bytes()));
+            self.spare = Arc::try_unwrap(old).unwrap_or_default();
             self.journal.truncate();
         }
         events
@@ -458,7 +460,7 @@ impl RecoveryManager {
     /// The durable artifacts a crash right now would leave behind.
     pub fn crash_image(&self) -> CrashImage {
         CrashImage {
-            checkpoint: self.checkpoint.clone(),
+            checkpoint: Arc::clone(&self.checkpoint),
             journal: self.journal.crash_image(0),
         }
     }
@@ -511,7 +513,7 @@ impl RecoveryManager {
             controller,
             checkpoint_every,
             tick: checkpoint_tick + replayed as u64,
-            checkpoint: image.checkpoint.clone(),
+            checkpoint: Arc::clone(&image.checkpoint),
             spare: Vec::new(),
             journal,
         })
@@ -650,7 +652,7 @@ mod tests {
         ));
         // An earlier layout's version is a different format, not a frame
         // to try anyway.
-        for earlier in [b"PRPCKP01", b"PRPCKP02", b"PRPCKP03"] {
+        for earlier in [b"PRPCKP01", b"PRPCKP02", b"PRPCKP03", b"PRPCKP04"] {
             let mut old = image.clone();
             old[..8].copy_from_slice(earlier);
             assert_eq!(
@@ -699,7 +701,7 @@ mod tests {
                 continue;
             }
             assert_eq!(
-                manager.crash_image().checkpoint,
+                *manager.crash_image().checkpoint,
                 Checkpoint::write(manager.controller(), manager.tick_count()),
                 "tick {t}"
             );
@@ -827,6 +829,20 @@ mod tests {
         manager
     }
 
+    /// A crash image, and the manager recovered from it, hold the frame
+    /// the crashed manager sealed — not copies of it.
+    #[test]
+    fn crash_and_recovery_share_the_sealed_frame() {
+        let manager = trained_manager();
+        let image = manager.crash_image();
+        assert!(Arc::ptr_eq(&image.checkpoint, &manager.checkpoint));
+        let recovered =
+            RecoveryManager::recover(&image, 12, ParConfig::serial(), Timestamp::from_secs(75))
+                .expect("intact image");
+        assert!(Arc::ptr_eq(&recovered.checkpoint, &image.checkpoint));
+        assert_eq!(recovered.checkpoint_bytes(), manager.checkpoint_bytes());
+    }
+
     /// ROADMAP item 4's fuzz: truncate the checkpoint of a trained
     /// controller at every byte, flip every one of its bits — each damaged
     /// frame is an error. Then the same below the checksum: damage the
@@ -834,7 +850,7 @@ mod tests {
     /// are what stands between the bytes and a panic.
     #[test]
     fn damaged_checkpoints_never_load() {
-        let image = trained_manager().crash_image().checkpoint;
+        let image = trained_manager().crash_image().checkpoint.to_vec();
         let par = ParConfig::serial();
         let (back, tick) = Checkpoint::read(&image, par).expect("intact frame");
         assert!(back.is_trained());

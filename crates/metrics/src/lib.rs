@@ -38,7 +38,6 @@ mod label;
 pub mod persist;
 mod sample;
 mod series;
-mod soa;
 mod staleness;
 mod stats;
 mod time;
@@ -52,7 +51,6 @@ pub use label::{Label, Labeler, SloLog};
 pub use persist::{Persist, PersistError, Reader, Writer};
 pub use sample::{MetricSample, MetricVector};
 pub use series::{SeriesStats, SlidingWindow, TimeSeries};
-pub use soa::SoaMetricStore;
 pub use staleness::{
     AttributeStamps, Freshness, LastValueImputer, StalenessBudget, StampedSample,
     DEFAULT_STALENESS_SECS,

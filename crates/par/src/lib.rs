@@ -111,33 +111,6 @@ pub fn shard_indices(n: usize, workers: usize) -> Vec<Vec<usize>> {
     shards
 }
 
-/// Contiguous chunk partition for arena-backed (struct-of-arrays) state:
-/// splits `0..n` into at most `workers` half-open ranges, in ascending
-/// order, with sizes differing by at most one (the first `n % w` ranges
-/// get the extra element). Unlike the strided [`shard_indices`]
-/// partition, each worker streams one *contiguous* slice of the arena —
-/// the cache-friendly layout the incremental fleet trainer shards its
-/// per-slot rebuilds over.
-///
-/// Like every partition in this crate the result is a pure function of
-/// `(n, workers)`; `n == 0` yields no ranges.
-pub fn chunk_ranges(n: usize, workers: usize) -> Vec<std::ops::Range<usize>> {
-    if n == 0 {
-        return Vec::new();
-    }
-    let w = workers.max(1).min(n);
-    let base = n / w;
-    let extra = n % w;
-    let mut ranges = Vec::with_capacity(w);
-    let mut start = 0;
-    for k in 0..w {
-        let len = base + usize::from(k < extra);
-        ranges.push(start..start + len);
-        start += len;
-    }
-    ranges
-}
-
 /// Applies `f` to every item and returns the results **in input order**,
 /// using up to `cfg.workers` threads.
 ///
@@ -275,29 +248,6 @@ mod tests {
                 for shard in &shards {
                     assert!(shard.windows(2).all(|p| p[0] < p[1]), "shard not ascending");
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn chunk_ranges_cover_0_to_n_contiguously() {
-        for n in [0usize, 1, 2, 7, 16, 33] {
-            for w in 1..=9usize {
-                let ranges = chunk_ranges(n, w);
-                if n == 0 {
-                    assert!(ranges.is_empty());
-                    continue;
-                }
-                assert_eq!(ranges.len(), w.min(n));
-                assert_eq!(ranges[0].start, 0, "n={n} w={w}");
-                assert_eq!(ranges.last().unwrap().end, n);
-                for pair in ranges.windows(2) {
-                    assert_eq!(pair[0].end, pair[1].start, "gap at n={n} w={w}");
-                }
-                let sizes: Vec<usize> = ranges.iter().map(ExactSizeIterator::len).collect();
-                let min = sizes.iter().min().unwrap();
-                let max = sizes.iter().max().unwrap();
-                assert!(max - min <= 1, "unbalanced chunks {sizes:?}");
             }
         }
     }
