@@ -2,10 +2,9 @@
 # Local mirror of the CI pipeline (.github/workflows/ci.yml): fmt,
 # clippy, xtask lint, prepare-tlc, the workspace tests at two worker
 # counts and the benchmark package tests.
-# CI-only steps, not run here: the scaling bench (--bin scaling) and the
-# recovery bench (--bin recovery), whose BENCH_scaling.json and
-# BENCH_recovery.json CI uploads as artifacts, and the lint / tlc report
-# uploads.
+# CI-only steps, not run here: the recovery bench (--bin recovery),
+# whose BENCH_recovery.json CI uploads as an artifact, and the lint / tlc
+# report uploads.
 # All steps run offline: every dependency is vendored in shims/.
 set -euo pipefail
 cd "$(dirname "$0")"

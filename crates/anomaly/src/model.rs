@@ -42,8 +42,9 @@ impl ValueModel {
 
     /// The underlying model's naive (non-snapshot) prediction path —
     /// bit-identical to [`ValuePredictor::predict`] but re-deriving every
-    /// transition row per step. Exposed for differential testing and the
-    /// `hotpath` before/after benchmark.
+    /// transition row per step. The referee of
+    /// `AnomalyPredictor::predict_horizons_reference`.
+    #[cfg(test)]
     pub fn predict_reference(&self, steps: usize) -> StateDistribution {
         let d = match self {
             ValueModel::Simple(m) => m.predict_reference(steps),

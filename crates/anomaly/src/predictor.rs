@@ -327,8 +327,9 @@ impl AnomalyPredictor {
 
     /// The pre-snapshot per-horizon prediction path, kept verbatim (naive
     /// Markov propagation restarted from step 0 for every horizon, one
-    /// classifier pass per summary) as the bit-identity referee and the
-    /// "before" leg of the `hotpath` benchmark.
+    /// classifier pass per summary) as the bit-identity referee of
+    /// `snapshot_horizons_are_bit_identical_to_reference`.
+    #[cfg(test)]
     pub fn predict_horizons_reference(&self, horizons: &[Duration]) -> Vec<Prediction> {
         horizons
             .iter()
@@ -597,24 +598,37 @@ mod tests {
         assert_eq!(earliest, expected);
     }
 
+    /// The per-tick loop the controller runs — one `observe`, then every
+    /// horizon — agrees bit for bit with the naive per-horizon referee
+    /// after every sample of a noisy 160-tick continuation, for both
+    /// Markov kinds. The noise walks the chains into transitions the
+    /// training ramp never showed, so unseen rows take the fallback path.
     #[test]
     fn snapshot_horizons_are_bit_identical_to_reference() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
         let (series, slo) = ramp_fixture(400, 5, 40, 80.0);
-        let cfg = PredictorConfig::default();
-        let mut p = AnomalyPredictor::train(&series, &slo, &cfg).unwrap();
-        for s in series.iter().take(38) {
-            p.observe(s);
+        let horizons = [0, 15, 30, 60].map(Duration::from_secs);
+        for markov in [MarkovKind::Simple, MarkovKind::TwoDependent] {
+            let cfg = PredictorConfig {
+                markov,
+                ..PredictorConfig::default()
+            };
+            let mut p = AnomalyPredictor::train(&series, &slo, &cfg).unwrap();
+            let mut rng = StdRng::seed_from_u64(42);
+            for (i, s) in series.iter().take(160).enumerate() {
+                let t = Timestamp::from_secs((400 + i as u64) * 5);
+                let v = prepare_metrics::MetricVector::from_fn(|a| {
+                    s.values[a] + rng.gen_range(-15.0..15.0)
+                });
+                p.observe(&MetricSample::new(t, v));
+                assert_eq!(
+                    p.predict_horizons(&horizons),
+                    p.predict_horizons_reference(&horizons),
+                    "{markov:?} tick {i}"
+                );
+            }
         }
-        let horizons = [
-            Duration::ZERO,
-            Duration::from_secs(15),
-            Duration::from_secs(30),
-            Duration::from_secs(60),
-        ];
-        assert_eq!(
-            p.predict_horizons(&horizons),
-            p.predict_horizons_reference(&horizons)
-        );
     }
 
     /// A restored predictor continues its stream bit-identically: the

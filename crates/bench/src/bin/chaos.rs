@@ -4,79 +4,29 @@
 //! For each application the binary runs the paper-default memory-leak
 //! scenario three ways: unmanaged (`NoIntervention`, the damage ceiling),
 //! PREPARE on a clean infrastructure (the floor), and PREPARE under two
-//! pinned hostile [`ChaosPlan`]s that pile every fault class — dropped,
-//! delayed and stuck samples, a busy hypervisor, migration timeouts, and
-//! a host blackout — onto the evaluated anomaly window. The interesting
-//! number is how much of the clean-infrastructure prevention benefit
-//! survives the hostile runs.
+//! pinned hostile [`ChaosPlan`](prepare_cloudsim::ChaosPlan)s that pile
+//! every fault class — dropped, delayed and stuck samples, a busy
+//! hypervisor, migration timeouts, and a host blackout — onto the
+//! evaluated anomaly window. The interesting number is how much of the
+//! clean-infrastructure prevention benefit survives the hostile runs.
 //!
-//! Determinism discipline matches the `scaling` bench: every chaos run is
-//! executed at 1 and 4 workers and the event logs must agree bit-for-bit
-//! before any number is reported.
+//! The hostile plan and its seeds are `prepare_tlc::suite`'s, the same
+//! ones the chaos test suite and the `prepare-tlc` checker replay. Every
+//! chaos run is executed at 1 and 4 workers and the event logs must agree
+//! bit-for-bit before any number is reported.
 
 #![forbid(unsafe_code)]
 
 use prepare_bench::harness::{measured_ms, write_bench_json};
-use prepare_cloudsim::{ChaosKind, ChaosPlan, ChaosStats, HostId};
+use prepare_cloudsim::ChaosStats;
 use prepare_core::{
     AppKind, Experiment, ExperimentReport, ExperimentResult, ExperimentSpec, FaultChoice, Scheme,
 };
-use prepare_metrics::{AttributeKind, Duration, Timestamp, VmId};
+use prepare_tlc::suite::{hostile_plan, PINNED_CHAOS_SEEDS};
 use std::time::Instant;
 
 /// Simulation seed shared by every run (chaos perturbs on top of it).
 const SEED: u64 = 42;
-
-/// The two pinned chaos seeds CI replays.
-const CHAOS_SEEDS: [u64; 2] = [0xC0FFEE, 0xBADC0DE];
-
-fn t(secs: u64) -> Timestamp {
-    Timestamp::from_secs(secs)
-}
-
-/// The hostile schedule from the chaos test suite: every fault class
-/// active across the evaluated anomaly (second injection at t=800), all
-/// clear by t=1100.
-fn hostile_plan(seed: u64) -> ChaosPlan {
-    ChaosPlan::new(seed)
-        .with_fault(
-            t(820),
-            t(880),
-            ChaosKind::DropSamples {
-                vm: None,
-                probability: 0.5,
-            },
-        )
-        .with_fault(
-            t(900),
-            t(960),
-            ChaosKind::DelaySamples {
-                vm: None,
-                probability: 0.8,
-            },
-        )
-        .with_fault(
-            t(820),
-            t(920),
-            ChaosKind::StuckAttribute {
-                vm: VmId(0),
-                attribute: AttributeKind::FreeMem,
-            },
-        )
-        .with_fault(
-            t(850),
-            t(950),
-            ChaosKind::HypervisorBusy { probability: 0.7 },
-        )
-        .with_fault(
-            t(800),
-            t(1100),
-            ChaosKind::MigrationTimeout {
-                timeout: Duration::from_secs(5),
-            },
-        )
-        .with_fault(t(960), t(1000), ChaosKind::HostBlackout { host: HostId(0) })
-}
 
 /// One benchmarked configuration.
 struct Row {
@@ -174,7 +124,7 @@ fn main() {
 
         push(Scheme::NoIntervention, "no-intervention", None, &mut rows);
         push(Scheme::Prepare, "prepare", None, &mut rows);
-        for seed in CHAOS_SEEDS {
+        for seed in PINNED_CHAOS_SEEDS {
             push(Scheme::Prepare, "prepare", Some(seed), &mut rows);
         }
     }

@@ -3,9 +3,9 @@
 //! The algorithmic modules (monitoring, Markov training, TAN training,
 //! prediction) are measured natively by timing this implementation; the
 //! actuation rows (scaling, migration) report the paper's measured Xen
-//! latencies, which the simulator uses as its cost model. `cargo bench -p
-//! prepare-bench` runs the Criterion versions of the same measurements
-//! with proper statistics.
+//! latencies, which the simulator uses as its cost model. This binary is
+//! the repository's one Table I measurement; the in-loop per-layer costs
+//! of the running controller come from `benchmark/`.
 
 #![forbid(unsafe_code)]
 

@@ -2,8 +2,9 @@
 //! PREPARE paper (§III).
 //!
 //! Each `fig*` binary in `src/bin/` prints the rows/series behind one
-//! figure; `table1` reports the overhead measurements; the Criterion
-//! benches in `benches/` measure the algorithmic costs natively.
+//! figure; `table1` times each algorithmic module of Table I natively.
+//! `chaos` and `recovery` are the two kernel benches no `benchmark/`
+//! workload replaces (see README).
 //!
 //! ```text
 //! cargo run --release -p prepare-bench --bin fig6     # SLO violation, scaling
@@ -14,8 +15,7 @@
 //! cargo run --release -p prepare-bench --bin fig11    # 2-dep vs simple Markov accuracy
 //! cargo run --release -p prepare-bench --bin fig12    # k-of-W filter settings
 //! cargo run --release -p prepare-bench --bin fig13    # sampling interval sweep
-//! cargo run --release -p prepare-bench --bin table1   # module overhead summary
-//! cargo bench -p prepare-bench                        # Criterion micro-benchmarks
+//! cargo run --release -p prepare-bench --bin table1   # module overhead (Table I)
 //! ```
 
 #![forbid(unsafe_code)]

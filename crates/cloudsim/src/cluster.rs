@@ -163,14 +163,6 @@ impl Cluster {
         self.hypervisor_busy
     }
 
-    /// Empty cluster with a custom cost model.
-    pub fn with_costs(costs: ActuationCosts) -> Self {
-        Cluster {
-            costs,
-            ..Cluster::new()
-        }
-    }
-
     /// The cost model in effect.
     pub fn costs(&self) -> &ActuationCosts {
         &self.costs
@@ -647,11 +639,6 @@ impl Cluster {
     /// All actuation records so far.
     pub fn actions(&self) -> &[ActionRecord] {
         &self.actions
-    }
-
-    /// Drains the actuation log.
-    pub fn take_actions(&mut self) -> Vec<ActionRecord> {
-        std::mem::take(&mut self.actions)
     }
 }
 

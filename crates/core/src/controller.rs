@@ -583,8 +583,10 @@ impl PrepareController {
     ///    [`ControllerEvent::MonitoringDegraded`] /
     ///    [`ControllerEvent::MonitoringRecovered`] on the transitions.
     ///
-    /// With every reading fresh (the benign-infrastructure case) this is
-    /// byte-identical to [`PrepareController::on_sample`].
+    /// A VM named more than once in `readings` is one tick: only its
+    /// first reading is ingested. With every reading fresh (the
+    /// benign-infrastructure case) this is byte-identical to
+    /// [`PrepareController::on_sample`].
     ///
     /// # Panics
     ///
@@ -657,14 +659,20 @@ impl PrepareController {
         let events_before = self.events.len();
 
         // Resolve this round's usable evidence, by slot. A usable sample
-        // joins its VM's series on the spot.
+        // joins its VM's series on the spot. A VM named twice in one round
+        // is still one tick: only its first reading is ingested.
         let mut usable: Vec<(usize, MetricSample)> = Vec::with_capacity(self.table.len());
         let mut covered = vec![false; self.table.len()];
+        let mut seen = vec![false; self.table.len()];
         for (vm, stamped) in readings {
             let Some(slot) = self.slot_of(*vm) else {
                 // xtask-allow: panic -- documented contract of the ingest entry points
                 panic!("sample for unmanaged VM {vm}");
             };
+            // xtask-allow: index-in-loop -- one flag per table slot
+            if std::mem::replace(&mut seen[slot], true) {
+                continue;
+            }
             // xtask-allow: index-in-loop -- slot_of only returns slots of the table
             let rec = &mut self.table[slot];
             rec.imputer.observe(stamped);
@@ -2106,6 +2114,54 @@ mod tests {
             prepare_metrics::persist::from_bytes(&prepare_metrics::persist::to_bytes(&round))
                 .unwrap();
         assert_eq!(back, round);
+    }
+
+    /// A VM named twice in one round is one tick: only the first reading
+    /// enters the series, the predictor, the cause inference and the
+    /// imputer, live and in journal replay alike.
+    #[test]
+    fn duplicate_reading_in_a_round_is_ingested_once() {
+        let mut c1 = test_cluster();
+        let mut c2 = test_cluster();
+        let mut single = mk_controller(Scheme::Prepare);
+        let mut dup = mk_controller(Scheme::Prepare);
+        let mut ghost = mk_controller(Scheme::Prepare);
+        for i in 0..362u64 {
+            let t = i * 5;
+            let phase = i % 120;
+            let free = match phase {
+                0..=39 => 500.0,
+                40..=89 => 500.0 - (phase - 39) as f64 * 10.0,
+                90..=109 => 0.0,
+                _ => 500.0,
+            };
+            let violated = free < 50.0;
+            let first = (VmId(0), StampedSample::fresh(sample_for(t, 40.0, free)));
+            let second = (VmId(0), StampedSample::fresh(sample_for(t, 95.0, 0.0)));
+            let other = (VmId(1), StampedSample::fresh(sample_for(t, 30.0, 400.0)));
+            // The last two rounds lose VM 0's reading, so the held value
+            // the imputer replays shows which duplicate it kept.
+            let (readings, doubled) = if i < 360 {
+                (vec![first, other], vec![first, other, second])
+            } else {
+                (vec![other], vec![other])
+            };
+            let now = Timestamp::from_secs(t);
+            let before = dup.table[0].series.len();
+            let ev_single = single.on_readings(now, &readings, violated, &mut c1);
+            let (ev_dup, replies) = dup.on_readings_recorded(now, &doubled, violated, &mut c2);
+            let ev_ghost = ghost.on_readings_replay(now, &doubled, violated, &replies);
+            assert_eq!(dup.table[0].series.len(), before + 1, "round {i}");
+            assert_eq!(ev_dup, ev_single, "round {i}");
+            assert_eq!(ev_ghost, ev_single, "round {i}");
+        }
+        assert!(single.is_trained(), "scenario must exercise the predictors");
+        assert_eq!(dup.table[0].predictor, single.table[0].predictor);
+        assert_eq!(dup.table[0].series, single.table[0].series);
+        assert_eq!(dup.events, single.events);
+        assert_eq!(dup.model_fingerprint(), single.model_fingerprint());
+        assert_eq!(ghost.model_fingerprint(), single.model_fingerprint());
+        assert_eq!(c1, c2);
     }
 
     #[test]

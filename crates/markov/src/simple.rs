@@ -160,8 +160,9 @@ impl SimpleMarkov {
 
     /// The naive prediction path the snapshot engine is proven against:
     /// re-derives every transition row per step and allocates per step.
-    /// Kept public so the differential proptests and the `hotpath`
-    /// benchmark can compare the optimized path against it bit for bit.
+    /// Kept public so the differential proptests here and the predictor's
+    /// per-tick referee in `prepare-anomaly` can compare the optimized
+    /// path against it bit for bit.
     pub fn predict_reference(&self, steps: usize) -> StateDistribution {
         let mut dist = match self.current {
             Some(c) => StateDistribution::point(self.n, c),

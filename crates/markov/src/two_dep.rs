@@ -227,9 +227,9 @@ impl TwoDependentMarkov {
 
     /// The naive prediction path the snapshot engine is proven against:
     /// re-derives every `next_given` row per live cell per step and
-    /// allocates per step. Kept public so the differential proptests and
-    /// the `hotpath` benchmark can compare the optimized path against it
-    /// bit for bit.
+    /// allocates per step. Kept public so the differential proptests here
+    /// and the predictor's per-tick referee in `prepare-anomaly` can
+    /// compare the optimized path against it bit for bit.
     pub fn predict_reference(&self, steps: usize) -> StateDistribution {
         let (prev, cur) = match self.anchor() {
             None => {

@@ -168,22 +168,6 @@ impl VectorDiscretizer {
         VectorDiscretizer { per_attr }
     }
 
-    /// Fits from several series jointly (e.g. the monolithic-model case
-    /// where attributes from all VMs share one model).
-    pub fn fit_many<'a>(series: impl IntoIterator<Item = &'a TimeSeries>, bins: usize) -> Self {
-        let mut merged: Vec<Vec<f64>> = vec![Vec::new(); ATTRIBUTE_COUNT];
-        for s in series {
-            for (vals, a) in merged.iter_mut().zip(AttributeKind::ALL.iter()) {
-                vals.extend(s.attribute_values(*a));
-            }
-        }
-        let per_attr = merged
-            .iter()
-            .map(|vals| Discretizer::fit(vals, bins))
-            .collect();
-        VectorDiscretizer { per_attr }
-    }
-
     /// Number of bins per attribute.
     pub fn bins(&self) -> usize {
         self.per_attr[0].bins()

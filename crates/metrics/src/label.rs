@@ -3,10 +3,11 @@
 //! "PREPARE supports automatic runtime data labeling by matching the
 //! timestamps of system-level metric measurements and SLO violation logs."
 //! [`SloLog`] records violation intervals as the application reports them;
-//! [`Labeler`] then tags any metric sample *normal*/*abnormal* by timestamp.
+//! `Label::from_violation(log.is_violated_at(sample.time))` then tags any
+//! metric sample *normal*/*abnormal* by timestamp.
 
 use crate::persist::{Persist, PersistError, Reader, Writer};
-use crate::{Duration, MetricSample, Timestamp};
+use crate::{Duration, Timestamp};
 use std::fmt;
 
 /// Classification label of a system state.
@@ -207,31 +208,9 @@ impl Persist for SloLog {
     }
 }
 
-/// Labels metric samples against an [`SloLog`] by timestamp matching.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Labeler;
-
-impl Labeler {
-    /// Creates a labeler.
-    pub fn new() -> Self {
-        Labeler
-    }
-
-    /// Label of a single sample.
-    pub fn label(&self, sample: &MetricSample, log: &SloLog) -> Label {
-        Label::from_violation(log.is_violated_at(sample.time))
-    }
-
-    /// Labels a whole slice of samples.
-    pub fn label_all(&self, samples: &[MetricSample], log: &SloLog) -> Vec<Label> {
-        samples.iter().map(|s| self.label(s, log)).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MetricVector;
 
     fn t(s: u64) -> Timestamp {
         Timestamp::from_secs(s)
@@ -277,16 +256,15 @@ mod tests {
         assert!(!log.any_violation_in(t(20), t(40)));
     }
 
+    /// The route training takes: a sample's label is the SLO state at
+    /// its timestamp.
     #[test]
     fn labeler_matches_timestamps() {
         let log = log_from(&[(0, false), (10, true), (20, false)]);
-        let labeler = Labeler::new();
-        let normal = MetricSample::new(t(5), MetricVector::zeros());
-        let abnormal = MetricSample::new(t(12), MetricVector::zeros());
-        assert_eq!(labeler.label(&normal, &log), Label::Normal);
-        assert_eq!(labeler.label(&abnormal, &log), Label::Abnormal);
-        let labels = labeler.label_all(&[normal, abnormal], &log);
-        assert_eq!(labels, vec![Label::Normal, Label::Abnormal]);
+        let label_at = |s| Label::from_violation(log.is_violated_at(t(s)));
+        assert_eq!(label_at(5), Label::Normal);
+        assert_eq!(label_at(12), Label::Abnormal);
+        assert_eq!(label_at(20), Label::Normal);
     }
 
     #[test]

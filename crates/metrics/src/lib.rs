@@ -5,11 +5,11 @@
 //! - [`AttributeKind`]: the 13 system-level metrics PREPARE monitors per VM
 //!   (CPU, memory, network, disk and load statistics — §II-A of the paper).
 //! - [`MetricVector`] / [`MetricSample`]: one monitoring observation.
-//! - [`TimeSeries`] and [`SlidingWindow`]: storage and windowed statistics.
+//! - [`TimeSeries`]: storage and windowed statistics.
 //! - [`Discretizer`] / [`VectorDiscretizer`]: equal-width binning that turns
 //!   continuous metrics into the discrete states consumed by the Markov
 //!   value predictors and the TAN classifier.
-//! - [`SloLog`] / [`Labeler`]: automatic runtime data labeling by matching
+//! - [`SloLog`] / [`Label`]: automatic runtime data labeling by matching
 //!   measurement timestamps against SLO-violation intervals (§II-B).
 //! - [`CusumDetector`]: change-point detection used to tell workload changes
 //!   apart from internal faults (§II-C).
@@ -47,10 +47,10 @@ pub use attr::{AttributeKind, ScalableResource, VmId, ATTRIBUTE_COUNT};
 pub use changepoint::{ChangePoint, CusumDetector};
 pub use discretize::{DiscreteVector, Discretizer, VectorDiscretizer};
 pub use fingerprint::Fingerprint64;
-pub use label::{Label, Labeler, SloLog};
+pub use label::{Label, SloLog};
 pub use persist::{Persist, PersistError, Reader, Writer};
 pub use sample::{MetricSample, MetricVector};
-pub use series::{SeriesStats, SlidingWindow, TimeSeries};
+pub use series::{SeriesStats, TimeSeries};
 pub use staleness::{
     AttributeStamps, Freshness, LastValueImputer, StalenessBudget, StampedSample,
     DEFAULT_STALENESS_SECS,

@@ -2,7 +2,6 @@
 
 use crate::persist::{Persist, PersistError, Reader, Writer};
 use crate::{mean, std_dev, AttributeKind, MetricSample, MetricVector, Timestamp};
-use std::collections::VecDeque;
 
 /// An append-only sequence of [`MetricSample`]s for one VM.
 ///
@@ -162,78 +161,6 @@ impl SeriesStats {
     }
 }
 
-/// A fixed-capacity sliding window of scalar observations, used for
-/// look-back/look-ahead resource-usage comparisons during prevention
-/// validation (§II-D) and for alert voting.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct SlidingWindow {
-    capacity: usize,
-    values: VecDeque<f64>,
-}
-
-impl SlidingWindow {
-    /// Creates a window holding at most `capacity` values.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "sliding window capacity must be positive");
-        SlidingWindow {
-            capacity,
-            values: VecDeque::with_capacity(capacity),
-        }
-    }
-
-    /// Appends a value, evicting the oldest when full.
-    pub fn push(&mut self, v: f64) {
-        if self.values.len() == self.capacity {
-            self.values.pop_front();
-        }
-        self.values.push_back(v);
-    }
-
-    /// Number of stored values.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
-    /// True when at capacity.
-    pub fn is_full(&self) -> bool {
-        self.values.len() == self.capacity
-    }
-
-    /// Maximum number of stored values.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Mean of the stored values (0 when empty).
-    pub fn mean(&self) -> f64 {
-        let (a, b) = self.values.as_slices();
-        if self.values.is_empty() {
-            0.0
-        } else {
-            (a.iter().sum::<f64>() + b.iter().sum::<f64>()) / self.values.len() as f64
-        }
-    }
-
-    /// Iterator over stored values, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = f64> + '_ {
-        self.values.iter().copied()
-    }
-
-    /// Clears the window.
-    pub fn clear(&mut self) {
-        self.values.clear();
-    }
-}
-
 impl Persist for TimeSeries {
     fn store(&self, w: &mut Writer) {
         self.samples.store(w);
@@ -244,21 +171,6 @@ impl Persist for TimeSeries {
             return Err(PersistError::Invalid("TimeSeries samples out of order"));
         }
         Ok(TimeSeries { samples })
-    }
-}
-
-impl Persist for SlidingWindow {
-    fn store(&self, w: &mut Writer) {
-        w.put_usize(self.capacity);
-        self.values.store(w);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        let capacity = r.get_usize()?;
-        let values: VecDeque<f64> = Persist::load(r)?;
-        if capacity == 0 || values.len() > capacity {
-            return Err(PersistError::Invalid("SlidingWindow capacity"));
-        }
-        Ok(SlidingWindow { capacity, values })
     }
 }
 
@@ -321,17 +233,10 @@ mod tests {
     }
 
     #[test]
-    fn series_and_window_round_trip() {
+    fn series_round_trip() {
         let ts: TimeSeries = (0..10).map(|t| sample(t * 5, t as f64)).collect();
         let back: TimeSeries = crate::persist::from_bytes(&crate::persist::to_bytes(&ts)).unwrap();
         assert_eq!(back, ts);
-        let mut w = SlidingWindow::new(3);
-        w.push(1.0);
-        w.push(-0.0);
-        let back: SlidingWindow =
-            crate::persist::from_bytes(&crate::persist::to_bytes(&w)).unwrap();
-        assert_eq!(back, w);
-        assert_eq!(back.capacity(), 3);
     }
 
     #[test]
@@ -341,22 +246,5 @@ mod tests {
         vec![sample(10, 0.0), sample(5, 0.0)].store(&mut wtr);
         let res: Result<TimeSeries, _> = crate::persist::from_bytes(&wtr.into_bytes());
         assert!(matches!(res, Err(PersistError::Invalid(_))));
-    }
-
-    #[test]
-    fn sliding_window_evicts_oldest() {
-        let mut w = SlidingWindow::new(3);
-        for v in [1.0, 2.0, 3.0, 4.0] {
-            w.push(v);
-        }
-        assert!(w.is_full());
-        assert_eq!(w.iter().collect::<Vec<_>>(), vec![2.0, 3.0, 4.0]);
-        assert!((w.mean() - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity must be positive")]
-    fn sliding_window_rejects_zero_capacity() {
-        let _ = SlidingWindow::new(0);
     }
 }

@@ -12,7 +12,8 @@ use prepare_core::{
 };
 use prepare_metrics::{AttributeKind, Duration, Timestamp, VmId};
 
-/// The chaos seeds CI replays (mirrors the chaos test suite).
+/// The chaos seeds CI replays; the chaos test suite and the chaos bench
+/// use the same two.
 pub const PINNED_CHAOS_SEEDS: [u64; 2] = [0xC0FFEE, 0xBADC0DE];
 
 /// The experiment seed used by every pinned scenario.
@@ -118,13 +119,6 @@ pub fn check_traces(traces: &[(String, Vec<ControllerEvent>)]) -> Vec<CheckedTra
             violations: check_all(&props, events),
         })
         .collect()
-}
-
-/// Runs the full pinned suite at one worker count: the golden scenario
-/// and both hostile chaos seeds, each checked against the registered
-/// property catalogue.
-pub fn checked_suite(workers: usize) -> Vec<CheckedTrace> {
-    check_traces(&suite_traces(workers))
 }
 
 /// Compares two labeled trace sets from different worker counts and

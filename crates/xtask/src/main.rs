@@ -213,7 +213,7 @@ fn run_lint(
             _ => hard_findings.push(finding),
         }
     }
-    for finding in fidelity::check_design_bins(root)
+    for finding in fidelity::check_doc_bins(root)
         .into_iter()
         .chain(fidelity::check_crate_attrs(&files))
     {

@@ -14,60 +14,12 @@ use prepare_repro::core::{
     AppKind, ControllerEvent, Experiment, ExperimentResult, ExperimentSpec, FaultChoice, Scheme,
 };
 use prepare_repro::metrics::{AttributeKind, Duration, Timestamp, VmId};
+use prepare_tlc::suite::{hostile_plan, PINNED_CHAOS_SEEDS};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
-/// The two pinned seeds CI replays at `PREPARE_WORKERS=1` and `=4`.
-const PINNED_SEEDS: [u64; 2] = [0xC0FFEE, 0xBADC0DE];
-
 fn t(secs: u64) -> Timestamp {
     Timestamp::from_secs(secs)
-}
-
-/// An aggressive plan that piles every fault class onto the evaluated
-/// anomaly window (the second injection starts at t=800): lost and lagging
-/// samples, a wedged attribute reading, a busy hypervisor control plane,
-/// migrations that never switch over, and a host-wide blackout. All
-/// faults clear by t=1100, leaving 400 s to re-converge.
-fn hostile_plan(seed: u64) -> ChaosPlan {
-    ChaosPlan::new(seed)
-        .with_fault(
-            t(820),
-            t(880),
-            ChaosKind::DropSamples {
-                vm: None,
-                probability: 0.5,
-            },
-        )
-        .with_fault(
-            t(900),
-            t(960),
-            ChaosKind::DelaySamples {
-                vm: None,
-                probability: 0.8,
-            },
-        )
-        .with_fault(
-            t(820),
-            t(920),
-            ChaosKind::StuckAttribute {
-                vm: VmId(0),
-                attribute: AttributeKind::FreeMem,
-            },
-        )
-        .with_fault(
-            t(850),
-            t(950),
-            ChaosKind::HypervisorBusy { probability: 0.7 },
-        )
-        .with_fault(
-            t(800),
-            t(1100),
-            ChaosKind::MigrationTimeout {
-                timeout: Duration::from_secs(5),
-            },
-        )
-        .with_fault(t(960), t(1000), ChaosKind::HostBlackout { host: HostId(0) })
 }
 
 fn run_chaos(seed: u64, chaos_seed: u64, workers: usize) -> ExperimentResult {
@@ -193,7 +145,7 @@ fn assert_monitoring_reconverges(events: &[ControllerEvent]) {
 
 #[test]
 fn hostile_runs_hold_invariants_and_reconverge() {
-    for seed in PINNED_SEEDS {
+    for seed in PINNED_CHAOS_SEEDS {
         let r = run_chaos(42, seed, 1);
         assert_invariants(&r);
         assert_no_alerts_while_degraded(&r.events);
@@ -210,7 +162,7 @@ fn hostile_runs_hold_invariants_and_reconverge() {
 
 #[test]
 fn chaos_replay_is_byte_identical() {
-    for seed in PINNED_SEEDS {
+    for seed in PINNED_CHAOS_SEEDS {
         let a = transcript(&run_chaos(42, seed, 1));
         let b = transcript(&run_chaos(42, seed, 1));
         assert!(!a.is_empty());
@@ -220,7 +172,7 @@ fn chaos_replay_is_byte_identical() {
 
 #[test]
 fn chaos_traces_identical_across_worker_counts() {
-    for seed in PINNED_SEEDS {
+    for seed in PINNED_CHAOS_SEEDS {
         let sequential = transcript(&run_chaos(42, seed, 1));
         let sharded = transcript(&run_chaos(42, seed, 4));
         assert_eq!(
@@ -232,8 +184,8 @@ fn chaos_traces_identical_across_worker_counts() {
 
 #[test]
 fn different_chaos_seeds_diverge() {
-    let a = transcript(&run_chaos(42, PINNED_SEEDS[0], 1));
-    let b = transcript(&run_chaos(42, PINNED_SEEDS[1], 1));
+    let a = transcript(&run_chaos(42, PINNED_CHAOS_SEEDS[0], 1));
+    let b = transcript(&run_chaos(42, PINNED_CHAOS_SEEDS[1], 1));
     assert_ne!(a, b, "distinct chaos seeds should perturb the run");
 }
 
