@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Local mirror of the CI pipeline (.github/workflows/ci.yml): fmt,
-# clippy, xtask lint, prepare-tlc, the workspace tests at two worker
-# counts and the benchmark package tests.
+# clippy, rustdoc, xtask lint, prepare-tlc, the workspace tests at two
+# worker counts and the benchmark package tests.
 # CI-only steps, not run here: the recovery bench (--bin recovery),
 # whose BENCH_recovery.json CI uploads as an artifact, and the lint / tlc
 # report uploads.
@@ -14,6 +14,10 @@ cargo fmt --all -- --check
 
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --offline --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc (deny warnings)"
+# A dangling or private intra-doc link fails the build.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 
 echo "==> cargo xtask lint"
 # Build untimed, then hold the lint itself (which prints per-rule

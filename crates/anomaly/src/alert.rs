@@ -1,6 +1,6 @@
-//! Prediction results and anomaly alerts.
+//! Prediction results.
 
-use prepare_metrics::{AttributeKind, Duration, Fingerprint64, Label, Timestamp, VmId};
+use prepare_metrics::{AttributeKind, Duration, Fingerprint64, Label, Timestamp};
 use prepare_tan::AttributeStrength;
 
 /// The outcome of one prediction step of a per-VM model.
@@ -82,23 +82,6 @@ impl Prediction {
     }
 }
 
-/// An anomaly alert raised for one VM — the unit the cause inference and
-/// prevention actuation consume.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AnomalyAlert {
-    /// The VM whose model raised the alert (the pinpointed faulty VM).
-    pub vm: VmId,
-    /// The underlying prediction.
-    pub prediction: Prediction,
-}
-
-impl AnomalyAlert {
-    /// Convenience accessor for when the anomaly is expected.
-    pub fn expected_at(&self) -> Timestamp {
-        self.prediction.at + self.prediction.look_ahead
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,14 +154,5 @@ mod tests {
         let mut truncated = prediction(Label::Abnormal);
         truncated.predicted_states.pop();
         assert_ne!(base.fingerprint(), truncated.fingerprint());
-    }
-
-    #[test]
-    fn expected_at_adds_look_ahead() {
-        let alert = AnomalyAlert {
-            vm: VmId(1),
-            prediction: prediction(Label::Abnormal),
-        };
-        assert_eq!(alert.expected_at(), Timestamp::from_secs(130));
     }
 }

@@ -62,7 +62,7 @@ mod trainer;
 mod unsupervised;
 
 pub use accuracy::{evaluate_predictions, ConfusionMatrix};
-pub use alert::{AnomalyAlert, Prediction};
+pub use alert::Prediction;
 pub use clustering::{ClusterClassifier, KMeans};
 pub use filter::{AlertFilter, Vote};
 pub use model::{MarkovKind, ValueModel};

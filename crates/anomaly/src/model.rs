@@ -114,13 +114,6 @@ impl ValuePredictor for ValueModel {
         }
     }
 
-    fn predict(&self, steps: usize) -> StateDistribution {
-        match self {
-            ValueModel::Simple(m) => m.predict(steps),
-            ValueModel::TwoDependent(m) => m.predict(steps),
-        }
-    }
-
     fn predict_multi(&self, steps: &[usize]) -> Vec<StateDistribution> {
         match self {
             ValueModel::Simple(m) => m.predict_multi(steps),

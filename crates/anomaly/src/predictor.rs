@@ -48,11 +48,13 @@ impl PredictorConfig {
 ///
 /// Train once on a labeled trace ([`AnomalyPredictor::train`]), then feed
 /// live samples with [`observe`](AnomalyPredictor::observe) and ask for
-/// look-ahead predictions with [`predict`](AnomalyPredictor::predict).
+/// look-ahead predictions with
+/// [`predict_horizons`](AnomalyPredictor::predict_horizons) (or its
+/// one-horizon form, [`predict`](AnomalyPredictor::predict)).
 /// Observation keeps refining the Markov transition statistics online
 /// (the paper: "the attribute value prediction model is periodically
 /// updated with new data measurements"); the classifier stays fixed until
-/// [`retrain_classifier`](AnomalyPredictor::retrain_classifier) is called.
+/// the model is trained again.
 // xtask: checkpoint
 #[derive(Debug, Clone, PartialEq)]
 pub struct AnomalyPredictor {
@@ -140,47 +142,28 @@ impl AnomalyPredictor {
         slo: &SloLog,
         config: &PredictorConfig,
     ) -> Result<Self, TrainError> {
-        Self::train_par(series, slo, config, &prepare_par::ParConfig::serial())
-    }
-
-    /// [`AnomalyPredictor::train`] with the model-build work sharded
-    /// across the workers of `par`: the sample batch is discretized in
-    /// parallel and each attribute's value model is fitted on its own
-    /// worker. The trained model is bit-identical for every worker count
-    /// (each attribute's statistics depend only on that attribute's
-    /// discretized column, merged back in canonical attribute order).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`AnomalyPredictor::train`].
-    pub fn train_par(
-        series: &TimeSeries,
-        slo: &SloLog,
-        config: &PredictorConfig,
-        par: &prepare_par::ParConfig,
-    ) -> Result<Self, TrainError> {
         let labeled: Vec<(prepare_metrics::MetricVector, Label)> = series
             .iter()
             .map(|s| (s.values, Label::from_violation(slo.is_violated_at(s.time))))
             .collect();
-        Self::train_labeled_par(&labeled, config, par)
+        Self::train_labeled(&labeled, config)
     }
 
     /// The labeled-rows training core every entry point funnels through:
-    /// [`AnomalyPredictor::train_par`] resolves each sample's label from
-    /// the SLO log and delegates here, and the fleet trainer hands over the
+    /// [`AnomalyPredictor::train`] resolves each sample's label from the
+    /// SLO log and delegates here, and the fleet trainer hands over the
     /// `(vector, label)` window it labeled at ingest. Fitting the
     /// discretizer, discretizing the batch, building the TAN dataset, and
     /// training the per-attribute value models happen once, here, so the
-    /// two produce bit-identical models.
+    /// two produce bit-identical models. It runs on the calling thread:
+    /// training rounds fan out per VM, not inside one model.
     ///
     /// # Errors
     ///
     /// Same conditions as [`AnomalyPredictor::train`].
-    pub fn train_labeled_par(
+    pub fn train_labeled(
         labeled: &[(prepare_metrics::MetricVector, Label)],
         config: &PredictorConfig,
-        par: &prepare_par::ParConfig,
     ) -> Result<Self, TrainError> {
         if labeled.is_empty() {
             return Err(TrainError::EmptyDataset);
@@ -189,8 +172,10 @@ impl AnomalyPredictor {
             labeled.iter().map(|(v, _)| v),
             config.bins,
         );
-        let vectors: Vec<&prepare_metrics::MetricVector> = labeled.iter().map(|(v, _)| v).collect();
-        let rows = prepare_par::par_map(par, vectors, |v| discretizer.discretize(v));
+        let rows: Vec<_> = labeled
+            .iter()
+            .map(|(v, _)| discretizer.discretize(v))
+            .collect();
 
         let mut dataset = Dataset::with_uniform_bins(ATTRIBUTE_COUNT, config.bins);
         for (row, (_, label)) in rows.iter().zip(labeled.iter()) {
@@ -200,15 +185,16 @@ impl AnomalyPredictor {
         }
         let classifier = TanClassifier::train(&dataset)?;
 
-        let attrs: Vec<usize> = (0..ATTRIBUTE_COUNT).collect();
-        let value_models = prepare_par::par_map(par, attrs, |attr| {
-            let mut m = ValueModel::new(config.markov, config.bins);
-            for state in rows.iter().filter_map(|r| r.get(attr).copied()) {
-                m.observe(state);
-            }
-            m.reset_position();
-            m
-        });
+        let value_models = (0..ATTRIBUTE_COUNT)
+            .map(|attr| {
+                let mut m = ValueModel::new(config.markov, config.bins);
+                for state in rows.iter().filter_map(|r| r.get(attr).copied()) {
+                    m.observe(state);
+                }
+                m.reset_position();
+                m
+            })
+            .collect();
 
         Ok(AnomalyPredictor {
             config: config.clone(),
@@ -249,7 +235,8 @@ impl AnomalyPredictor {
     }
 
     /// Predicts the system state `look_ahead` into the future from the
-    /// most recently observed sample and classifies it.
+    /// most recently observed sample and classifies it:
+    /// [`AnomalyPredictor::predict_horizons`] with one horizon.
     ///
     /// Two summaries of each attribute's predicted distribution are
     /// classified and the more anomalous verdict wins:
@@ -262,9 +249,7 @@ impl AnomalyPredictor {
     ///   post-anomaly recovery the chain has also seen would land on a
     ///   middle bin no training sample ever occupied.
     pub fn predict(&self, look_ahead: Duration) -> Prediction {
-        let steps = self.config.steps_for(look_ahead);
-        let dists: Vec<_> = self.value_models.iter().map(|m| m.predict(steps)).collect();
-        self.classify_dists(look_ahead, dists.iter())
+        self.predict_horizons(&[look_ahead]).swap_remove(0)
     }
 
     /// Classifies one horizon's per-attribute predicted distributions:
@@ -365,37 +350,6 @@ impl AnomalyPredictor {
             .collect()
     }
 
-    /// The shortest horizon (of those given) whose prediction is already
-    /// abnormal, if any — the effective advance notice. Runs one
-    /// [`AnomalyPredictor::predict_horizons`] pass over the sorted
-    /// horizons instead of a fresh propagation per horizon.
-    pub fn earliest_alert_horizon(&self, horizons: &[Duration]) -> Option<Duration> {
-        let mut sorted: Vec<Duration> = horizons.to_vec();
-        sorted.sort();
-        self.predict_horizons(&sorted)
-            .into_iter()
-            .find(|p| p.is_alert())
-            .map(|p| p.look_ahead)
-    }
-
-    /// Re-fits the TAN classifier on a fresh labeled trace while keeping
-    /// the (continuously updated) value models — the periodic model update
-    /// loop of a long-running deployment.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`AnomalyPredictor::train`].
-    pub fn retrain_classifier(
-        &mut self,
-        series: &TimeSeries,
-        slo: &SloLog,
-    ) -> Result<(), TrainError> {
-        let retrained = AnomalyPredictor::train(series, slo, &self.config)?;
-        self.classifier = retrained.classifier;
-        self.discretizer = retrained.discretizer;
-        Ok(())
-    }
-
     /// Trace-driven accuracy evaluation (Figs. 10–13): replays `series`
     /// through a clone of this model and scores each look-ahead prediction
     /// against the true label from `slo` at the predicted time.
@@ -492,28 +446,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_training_is_bit_identical_to_sequential() {
-        let (series, slo) = ramp_fixture(400, 5, 40, 80.0);
-        let cfg = PredictorConfig::default();
-        let baseline = AnomalyPredictor::train(&series, &slo, &cfg).unwrap();
-        let baseline_pred = baseline.predict(Duration::from_secs(25));
-        for workers in [1usize, 2, 7] {
-            let par = prepare_par::ParConfig::with_workers(workers);
-            let p = AnomalyPredictor::train_par(&series, &slo, &cfg, &par).unwrap();
-            assert_eq!(p, baseline, "trained model diverged at workers={workers}");
-            let pred = p.predict(Duration::from_secs(25));
-            assert_eq!(pred, baseline_pred);
-            // The streaming fingerprint is the audit identity the bench
-            // uses in place of Debug strings; it must agree too.
-            assert_eq!(
-                pred.fingerprint(),
-                baseline_pred.fingerprint(),
-                "prediction fingerprint diverged at workers={workers}"
-            );
-        }
-    }
-
-    #[test]
     fn empty_series_is_error() {
         let cfg = PredictorConfig::default();
         let err = AnomalyPredictor::train(&TimeSeries::new(), &SloLog::new(), &cfg);
@@ -589,13 +521,6 @@ mod tests {
         for (pred, &h) in batch.iter().zip(&horizons) {
             assert_eq!(*pred, p.predict(h));
         }
-        // earliest_alert_horizon agrees with the batch.
-        let earliest = p.earliest_alert_horizon(&horizons);
-        let expected = batch
-            .iter()
-            .find(|pr| pr.is_alert())
-            .map(|pr| pr.look_ahead);
-        assert_eq!(earliest, expected);
     }
 
     /// The per-tick loop the controller runs — one `observe`, then every
@@ -671,14 +596,5 @@ mod tests {
         // match and the load must fail rather than mis-predict.
         bytes[..8].copy_from_slice(&7u64.to_le_bytes());
         assert!(prepare_metrics::persist::from_bytes::<AnomalyPredictor>(&bytes).is_err());
-    }
-
-    #[test]
-    fn retrain_classifier_succeeds_on_fresh_trace() {
-        let (series, slo) = ramp_fixture(300, 5, 40, 80.0);
-        let cfg = PredictorConfig::default();
-        let mut p = AnomalyPredictor::train(&series, &slo, &cfg).unwrap();
-        let (series2, slo2) = ramp_fixture(500, 5, 50, 70.0);
-        p.retrain_classifier(&series2, &slo2).unwrap();
     }
 }

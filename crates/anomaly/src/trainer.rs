@@ -9,7 +9,7 @@
 //!
 //! What it is: per slot (VM), the labeled samples in arrival order.
 //! [`FleetTrainer::derive`] hands the slot's window to
-//! [`AnomalyPredictor::train_labeled_par`], the routine every training
+//! [`AnomalyPredictor::train_labeled`], the routine every training
 //! entry point funnels through, so a derived model *is* the model
 //! [`AnomalyPredictor::train`] produces from the same samples under the
 //! same labels (the tests below). [`FleetTrainer::derive_cached_batch`]
@@ -86,8 +86,8 @@ impl FleetTrainer {
     }
 
     /// Trains a predictor from `slot`'s window as it stands, through
-    /// [`AnomalyPredictor::train_labeled_par`] (serially: a training round
-    /// shards over slots, not inside one).
+    /// [`AnomalyPredictor::train_labeled`] (on the calling thread: a
+    /// training round shards over slots, not inside one).
     ///
     /// # Errors
     ///
@@ -98,11 +98,7 @@ impl FleetTrainer {
     ///
     /// Panics if `slot` is out of range.
     pub fn derive(&self, slot: usize) -> Result<AnomalyPredictor, TrainError> {
-        AnomalyPredictor::train_labeled_par(
-            &self.windows[slot],
-            &self.config,
-            &prepare_par::ParConfig::serial(),
-        )
+        AnomalyPredictor::train_labeled(&self.windows[slot], &self.config)
     }
 
     /// Whether `slot` holds a cached derivation that is still valid (no
@@ -308,17 +304,14 @@ mod tests {
     }
 
     #[test]
-    fn trainer_matches_train_par_for_all_worker_counts() {
+    fn derive_equals_train() {
         let (series, slo): (TimeSeries, SloLog) = ramp_fixture(300, 5, 40, 80.0);
         let config = PredictorConfig::default();
         let mut trainer = FleetTrainer::new(1, &config);
         push_series(&mut trainer, &series, &slo);
         let derived = trainer.derive(0).unwrap();
-        for workers in [1usize, 2, 7] {
-            let par = prepare_par::ParConfig::with_workers(workers);
-            let trained = AnomalyPredictor::train_par(&series, &slo, &config, &par).unwrap();
-            assert_eq!(derived, trained, "workers={workers}");
-        }
+        let trained = AnomalyPredictor::train(&series, &slo, &config).unwrap();
+        assert_eq!(derived, trained);
     }
 
     #[test]

@@ -87,13 +87,6 @@ impl ExperimentReport {
         }
         report
     }
-
-    /// True when the run prevented the anomaly proactively: at least one
-    /// action landed before any violation of the evaluation window (or no
-    /// violation happened at all despite actions).
-    pub fn acted_proactively(&self) -> bool {
-        self.lead_time.is_some() || (self.eval_violation_secs == 0 && self.actions_issued > 0)
-    }
 }
 
 impl std::fmt::Display for ExperimentReport {
@@ -177,7 +170,6 @@ mod tests {
         let report = ExperimentReport::from_result(&r);
         assert_eq!(report.actions_issued, 0);
         assert_eq!(report.alerts_raised, 0);
-        assert!(!report.acted_proactively());
         assert!(report.eval_violation_secs > 100);
     }
 

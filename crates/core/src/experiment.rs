@@ -159,19 +159,6 @@ pub struct ExperimentResult {
     pub chaos_stats: Option<ChaosStats>,
 }
 
-impl ExperimentResult {
-    /// Violated seconds inside `[from, to)` computed from the per-tick
-    /// record.
-    pub fn violation_in(&self, from: Timestamp, to: Timestamp) -> Duration {
-        let secs = self
-            .ticks
-            .iter()
-            .filter(|t| t.slo_violated && t.time >= from && t.time < to)
-            .count() as u64;
-        Duration::from_secs(secs)
-    }
-}
-
 /// One experiment: a spec plus a seed.
 #[derive(Debug, Clone)]
 pub struct Experiment {
@@ -496,8 +483,8 @@ mod tests {
             5,
         )
         .run();
-        let whole = r.violation_in(Timestamp::ZERO, Timestamp::from_secs(1500));
-        assert_eq!(whole, r.total_violation_time);
+        let violated_ticks = r.ticks.iter().filter(|t| t.slo_violated).count() as u64;
+        assert_eq!(Duration::from_secs(violated_ticks), r.total_violation_time);
         assert!(r.eval_violation_time <= r.total_violation_time);
         assert_eq!(r.ticks.len(), 1500);
     }

@@ -39,16 +39,11 @@ const PAGING_FAULTS_PER_SEC: f64 = 100.0;
 /// scaling, migration to a bigger host) can actually fix.
 ///
 /// `series` holds one series per VM; the result is the implicated
-/// indices into it, ascending.
-pub fn implicated_vms(series: &[&TimeSeries], slo: &SloLog) -> Vec<usize> {
-    implicated_vms_par(series, slo, &ParConfig::serial())
-}
-
-/// [`implicated_vms`] with the per-VM scoring sharded across the workers
-/// of `par`. The scores — and therefore the implicated set — are
+/// indices into it, ascending. The per-VM scoring is sharded across the
+/// workers of `par`; the scores — and therefore the implicated set — are
 /// identical for every worker count: each VM is scored purely from its
 /// own series, and the merge keeps input order.
-pub fn implicated_vms_par(series: &[&TimeSeries], slo: &SloLog, par: &ParConfig) -> Vec<usize> {
+pub fn implicated_vms(series: &[&TimeSeries], slo: &SloLog, par: &ParConfig) -> Vec<usize> {
     let entries: Vec<(usize, &TimeSeries)> = series.iter().copied().enumerate().collect();
     prepare_par::par_map(par, entries, |(slot, ts)| {
         (implication_score(ts, slo) >= 1.0).then_some(slot)
@@ -80,21 +75,7 @@ pub fn implication_score(series: &TimeSeries, slo: &SloLog) -> f64 {
     best
 }
 
-/// The diagnosis produced for one confirmed anomaly.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Diagnosis {
-    /// When the diagnosis was made.
-    pub at: Timestamp,
-    /// Pinpointed faulty VMs with their blamed attributes, ranked most
-    /// relevant first.
-    pub faulty: Vec<(VmId, Vec<AttributeKind>)>,
-    /// True when the change-point quorum indicates an external workload
-    /// change rather than an internal fault.
-    pub workload_change: bool,
-}
-
-/// Tracks per-VM change points for the workload-change inference and
-/// packages diagnoses.
+/// Tracks per-VM change points for the workload-change inference.
 // xtask: checkpoint
 #[derive(Debug, Clone)]
 pub struct CauseInference {
@@ -111,12 +92,6 @@ pub struct CauseInference {
 }
 
 impl CauseInference {
-    /// Creates the inference engine for `vms`, updating detectors
-    /// sequentially.
-    pub fn new(vms: &[VmId], quorum: f64, recency_secs: u64) -> Self {
-        Self::with_par(vms, quorum, recency_secs, ParConfig::serial())
-    }
-
     /// Creates the inference engine for `vms` with detector updates
     /// sharded per VM across the workers of `par`. Each CUSUM detector
     /// consumes only its own VM's samples (in arrival order), so the
@@ -165,16 +140,6 @@ impl CauseInference {
             .filter(|d| d.changed_recently(now, self.recency_secs))
             .count();
         (changed as f64 / self.detectors.len() as f64) >= self.quorum
-    }
-
-    /// Builds the diagnosis from the set of confirmed alerting VMs and
-    /// their ranked attributes.
-    pub fn diagnose(&self, now: Timestamp, faulty: Vec<(VmId, Vec<AttributeKind>)>) -> Diagnosis {
-        Diagnosis {
-            at: now,
-            workload_change: self.workload_change(now),
-            faulty,
-        }
     }
 
     /// Serializes the inference state (detectors and tunables) for a
@@ -227,7 +192,7 @@ mod tests {
     #[test]
     fn global_traffic_jump_is_workload_change() {
         let vms: Vec<VmId> = (0..4).map(VmId).collect();
-        let mut ci = CauseInference::new(&vms, 0.8, 30);
+        let mut ci = CauseInference::with_par(&vms, 0.8, 30, ParConfig::serial());
         // Stable phase (with slight wiggle so CUSUM baselines are sane).
         for t in 0..40u64 {
             let w = if t % 2 == 0 { 1.0 } else { -1.0 };
@@ -257,7 +222,7 @@ mod tests {
     #[test]
     fn single_vm_change_is_not_workload_change() {
         let vms: Vec<VmId> = (0..4).map(VmId).collect();
-        let mut ci = CauseInference::new(&vms, 0.8, 30);
+        let mut ci = CauseInference::with_par(&vms, 0.8, 30, ParConfig::serial());
         for t in 0..40u64 {
             let w = if t % 2 == 0 { 1.0 } else { -1.0 };
             feed(
@@ -286,7 +251,7 @@ mod tests {
     #[test]
     fn change_points_age_out() {
         let vms: Vec<VmId> = (0..2).map(VmId).collect();
-        let mut ci = CauseInference::new(&vms, 0.8, 30);
+        let mut ci = CauseInference::with_par(&vms, 0.8, 30, ParConfig::serial());
         for t in 0..40u64 {
             let w = if t % 2 == 0 { 0.5 } else { -0.5 };
             feed(&mut ci, &vms, t * 5, &[100.0 + w, 100.0 + w]);
@@ -305,26 +270,9 @@ mod tests {
     }
 
     #[test]
-    fn diagnosis_carries_faulty_ranking() {
-        let vms: Vec<VmId> = (0..2).map(VmId).collect();
-        let ci = CauseInference::new(&vms, 0.8, 30);
-        let d = ci.diagnose(
-            Timestamp::from_secs(10),
-            vec![(
-                VmId(1),
-                vec![AttributeKind::FreeMem, AttributeKind::PageFaults],
-            )],
-        );
-        assert_eq!(d.faulty.len(), 1);
-        assert_eq!(d.faulty[0].0, VmId(1));
-        assert_eq!(d.faulty[0].1[0], AttributeKind::FreeMem);
-        assert!(!d.workload_change);
-    }
-
-    #[test]
     fn sharded_detector_updates_are_bit_identical_to_sequential() {
         let vms: Vec<VmId> = (0..5).map(VmId).collect();
-        let mut serial = CauseInference::new(&vms, 0.8, 30);
+        let mut serial = CauseInference::with_par(&vms, 0.8, 30, ParConfig::serial());
         let mut sharded: Vec<CauseInference> = [2usize, 7]
             .iter()
             .map(|&w| CauseInference::with_par(&vms, 0.8, 30, ParConfig::with_workers(w)))
@@ -349,14 +297,14 @@ mod tests {
 
     #[test]
     fn empty_vm_set_never_infers_change() {
-        let ci = CauseInference::new(&[], 0.8, 30);
+        let ci = CauseInference::with_par(&[], 0.8, 30, ParConfig::serial());
         assert!(!ci.workload_change(Timestamp::from_secs(0)));
     }
 
     #[test]
     fn state_round_trips_mid_stream() {
         let vms: Vec<VmId> = (0..3).map(VmId).collect();
-        let mut ci = CauseInference::new(&vms, 0.8, 30);
+        let mut ci = CauseInference::with_par(&vms, 0.8, 30, ParConfig::serial());
         for t in 0..50u64 {
             let base = if t < 40 { 100.0 } else { 260.0 };
             let w = if t % 2 == 0 { 1.0 } else { -1.0 };
@@ -387,7 +335,7 @@ mod tests {
 
     #[test]
     fn load_state_rejects_out_of_range_quorum() {
-        let ci = CauseInference::new(&[VmId(0)], 0.8, 30);
+        let ci = CauseInference::with_par(&[VmId(0)], 0.8, 30, ParConfig::serial());
         let mut w = prepare_metrics::persist::Writer::new();
         ci.store_state(&mut w);
         let mut bytes = w.into_bytes();
@@ -456,7 +404,7 @@ mod implication_tests {
     #[test]
     fn faulty_vm_is_implicated_ripples_are_not() {
         let (series, slo) = fixture();
-        let implicated = implicated_vms(&series.each_ref(), &slo);
+        let implicated = implicated_vms(&series.each_ref(), &slo, &ParConfig::serial());
         assert_eq!(implicated, vec![0]);
     }
 
@@ -491,10 +439,9 @@ mod implication_tests {
     #[test]
     fn parallel_implication_matches_sequential() {
         let (series, slo) = fixture();
-        let expect = implicated_vms(&series.each_ref(), &slo);
+        let expect = implicated_vms(&series.each_ref(), &slo, &ParConfig::serial());
         for workers in [1usize, 2, 7] {
-            let got =
-                implicated_vms_par(&series.each_ref(), &slo, &ParConfig::with_workers(workers));
+            let got = implicated_vms(&series.each_ref(), &slo, &ParConfig::with_workers(workers));
             assert_eq!(got, expect, "diverged at workers={workers}");
         }
     }
@@ -503,7 +450,7 @@ mod implication_tests {
     fn no_violations_means_no_implication() {
         let (series, _) = fixture();
         let quiet = SloLog::new();
-        assert!(implicated_vms(&series.each_ref(), &quiet).is_empty());
+        assert!(implicated_vms(&series.each_ref(), &quiet, &ParConfig::serial()).is_empty());
         assert_eq!(implication_score(&series[0], &quiet), 0.0);
     }
 }

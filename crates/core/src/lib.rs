@@ -58,9 +58,7 @@ pub use events::{ActionFailureKind, ControllerEvent};
 pub use experiment::{
     AppKind, Experiment, ExperimentResult, ExperimentSpec, FaultChoice, Scheme, TrialSummary,
 };
-pub use inference::{
-    implicated_vms, implicated_vms_par, implication_score, CauseInference, Diagnosis,
-};
+pub use inference::{implicated_vms, implication_score, CauseInference};
 pub use prevention::{ActuationError, PlannedAction, PreventionPlanner};
 pub use recovery::{
     Checkpoint, CrashImage, Journal, JournalScan, RecoveryManager, TickRecord, CHECKPOINT_MAGIC,

@@ -289,20 +289,6 @@ impl PreventionPlanner {
         }
     }
 
-    /// Plans a scaling action for a specific attribute (validation
-    /// fall-through: "scaling the next metric in the list of related
-    /// metrics provided by the TAN model").
-    pub fn plan_for_attribute(
-        &self,
-        cluster: &Cluster,
-        vm: VmId,
-        attribute: AttributeKind,
-    ) -> Option<PlannedAction> {
-        attribute
-            .scalable_resource()
-            .and_then(|r| self.scale_action(cluster, vm, r))
-    }
-
     /// Executes an action against the cluster.
     ///
     /// # Errors
@@ -653,27 +639,5 @@ mod tests {
                 tag: 7
             }
         ));
-    }
-
-    #[test]
-    fn plan_for_attribute_respects_attribute() {
-        let (mut c, vm) = setup();
-        c.apply_demand(
-            vm,
-            Demand {
-                cpu: 50.0,
-                mem_mb: 700.0,
-                ..Demand::default()
-            },
-            Timestamp::ZERO,
-        );
-        let p = planner(PreventionPolicy::ScalingFirst);
-        let a = p
-            .plan_for_attribute(&c, vm, AttributeKind::MemUtil)
-            .unwrap();
-        assert!(matches!(a, PlannedAction::ScaleMem { .. }));
-        assert!(p
-            .plan_for_attribute(&c, vm, AttributeKind::DiskRead)
-            .is_none());
     }
 }

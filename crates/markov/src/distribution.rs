@@ -1,6 +1,6 @@
 //! Probability distributions over discretized attribute states.
 
-use prepare_metrics::{debug_assert_all_finite, debug_assert_finite, Discretizer};
+use prepare_metrics::{debug_assert_all_finite, debug_assert_finite};
 use std::fmt;
 
 /// A probability distribution over the discrete states (bins) of one
@@ -129,17 +129,6 @@ impl StateDistribution {
         (e.round() as usize).min(bins - 1)
     }
 
-    /// Expected continuous value under a discretizer (mixture of bin
-    /// midpoints) — used when a continuous predicted value is reported.
-    pub fn expected_value(&self, d: &Discretizer) -> f64 {
-        debug_assert_finite!(self
-            .probs
-            .iter()
-            .enumerate()
-            .map(|(i, p)| d.bin_midpoint(i.min(d.bins() - 1)) * p)
-            .sum::<f64>())
-    }
-
     /// True when every probability is finite, non-negative, and the vector
     /// sums to 1 within tolerance.
     pub fn is_valid(&self) -> bool {
@@ -212,13 +201,6 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn negative_weights_rejected() {
         let _ = StateDistribution::from_weights(vec![1.0, -1.0]);
-    }
-
-    #[test]
-    fn expected_value_uses_midpoints() {
-        let disc = Discretizer::new(0.0, 10.0, 2); // midpoints 2.5, 7.5
-        let d = StateDistribution::from_weights(vec![1.0, 1.0]);
-        assert!((d.expected_value(&disc) - 5.0).abs() < 1e-12);
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //!   disambiguates the future) into Markovian ones.
 //!
 //! Both implement [`ValuePredictor`]: feed discretized observations with
-//! [`ValuePredictor::observe`], then ask for the state distribution `k`
-//! sampling steps ahead with [`ValuePredictor::predict`].
+//! [`ValuePredictor::observe`], then ask for the state distributions at
+//! one or more horizons with [`ValuePredictor::predict_multi`]
+//! ([`ValuePredictor::predict`] is its one-horizon form).
 //!
 //! # Example
 //!
@@ -60,19 +61,20 @@ pub trait ValuePredictor {
     /// Implementations panic if `state >= n_states()`.
     fn observe(&mut self, state: usize);
 
-    /// Distribution over states after `steps` transitions from the current
-    /// position. `steps == 0` returns a point mass on the current state
-    /// (uniform if nothing has been observed yet).
-    fn predict(&self, steps: usize) -> StateDistribution;
-
-    /// Distributions for several step counts at once, in the order given
-    /// (duplicates allowed). Must return exactly what
-    /// [`ValuePredictor::predict`] would return per entry — the built-in
-    /// models override this with a single propagation pass that emits each
+    /// Distributions over states after each of several step counts from
+    /// the current position, one per entry in the order given (duplicates
+    /// allowed, empty in → empty out). `0` steps is a point mass on the
+    /// current state (uniform if nothing has been observed yet).
+    ///
+    /// The one propagation path of a chain: a single pass emits each
     /// requested horizon's marginal as the iteration passes it, instead of
     /// restarting from step 0 per horizon.
-    fn predict_multi(&self, steps: &[usize]) -> Vec<StateDistribution> {
-        steps.iter().map(|&s| self.predict(s)).collect()
+    fn predict_multi(&self, steps: &[usize]) -> Vec<StateDistribution>;
+
+    /// Distribution over states after `steps` transitions from the current
+    /// position: [`ValuePredictor::predict_multi`] with one horizon.
+    fn predict(&self, steps: usize) -> StateDistribution {
+        self.predict_multi(&[steps]).swap_remove(0)
     }
 
     /// Forgets the current position (history) while keeping the learned
@@ -164,11 +166,17 @@ mod proptests {
         // The single-pass multi-horizon propagation must emit exactly the
         // per-horizon `predict` results (which are themselves proven
         // against the reference above) — including duplicate and unsorted
-        // horizons, the 0-step edge, and the 1-observation anchor.
+        // horizons, the 0-step edge, and the 1-observation anchor. The
+        // horizon strategy draws 0 about a third of the time, so the
+        // shared loop's edge cases come up: an empty horizon list, and 0
+        // repeated among (or without) later horizons.
         #[test]
         fn predict_multi_matches_per_horizon_predict(
             seq in proptest::collection::vec(0usize..4, 0..80),
-            steps in proptest::collection::vec(0usize..20, 0..6),
+            steps in proptest::collection::vec(
+                (0usize..30).prop_map(|s| s.saturating_sub(10)),
+                0..6,
+            ),
         ) {
             let mut simple = SimpleMarkov::new(4);
             let mut twodep = TwoDependentMarkov::new(4);

@@ -1,7 +1,7 @@
 //! First-order ("simple") Markov chain value predictor — the baseline from
 //! the authors' earlier work \[10\] that Fig. 11 compares against.
 
-use crate::snapshot::{normalize_in_place, TransitionTable};
+use crate::snapshot::{normalize_in_place, propagate, TransitionTable};
 use crate::{StateDistribution, ValuePredictor};
 use prepare_metrics::persist::{Persist, PersistError, Reader, Writer};
 use std::fmt;
@@ -14,10 +14,10 @@ use std::sync::OnceLock;
 /// matrix `steps` times. Rows never observed fall back to a self-loop
 /// biased uniform, keeping early predictions conservative.
 ///
-/// The propagation hot path runs over a lazily-built frozen
-/// [`TransitionTable`] (each smoothed row derived exactly once, not once
-/// per live cell per step) with a double-buffered scratch pair instead of
-/// a fresh allocation per step. Outputs are bit-identical to the kept
+/// The propagation hot path runs over a lazily-built frozen transition
+/// table (each smoothed row derived exactly once, not once per live cell
+/// per step) with a double-buffered scratch pair instead of a fresh
+/// allocation per step. Outputs are bit-identical to the kept
 /// naive path ([`SimpleMarkov::predict_reference`]); the crate's
 /// differential proptests assert it.
 // xtask: checkpoint
@@ -164,10 +164,7 @@ impl SimpleMarkov {
     /// per-tick referee in `prepare-anomaly` can compare the optimized
     /// path against it bit for bit.
     pub fn predict_reference(&self, steps: usize) -> StateDistribution {
-        let mut dist = match self.current {
-            Some(c) => StateDistribution::point(self.n, c),
-            None => StateDistribution::uniform(self.n),
-        };
+        let mut dist = self.start();
         for _ in 0..steps {
             dist = self.step_reference(&dist);
         }
@@ -233,50 +230,16 @@ impl ValuePredictor for SimpleMarkov {
         self.table.take();
     }
 
-    fn predict(&self, steps: usize) -> StateDistribution {
-        if steps == 0 {
-            return self.start();
-        }
-        let table = self.table();
-        let mut dist = self.start().as_slice().to_vec();
-        let mut scratch = vec![0.0; self.n];
-        for _ in 0..steps {
-            self.step_into(table, &dist, &mut scratch);
-            std::mem::swap(&mut dist, &mut scratch);
-        }
-        let out = StateDistribution::from_probs(dist);
-        crate::invariants::debug_assert_normalized(out.as_slice(), "SimpleMarkov::predict");
-        out
-    }
-
     fn predict_multi(&self, steps: &[usize]) -> Vec<StateDistribution> {
-        let mut wanted: Vec<usize> = steps.to_vec();
-        wanted.sort_unstable();
-        wanted.dedup();
-        let mut at: std::collections::BTreeMap<usize, StateDistribution> =
-            std::collections::BTreeMap::new();
-        if wanted.first() == Some(&0) {
-            at.insert(0, self.start());
-        }
-        let max_step = wanted.last().copied().unwrap_or(0);
-        if max_step > 0 {
-            let table = self.table();
-            let mut dist = self.start().as_slice().to_vec();
-            let mut scratch = vec![0.0; self.n];
-            for s in 1..=max_step {
-                self.step_into(table, &dist, &mut scratch);
-                std::mem::swap(&mut dist, &mut scratch);
-                if wanted.binary_search(&s).is_ok() {
-                    let out = StateDistribution::from_probs(dist.clone());
-                    crate::invariants::debug_assert_normalized(
-                        out.as_slice(),
-                        "SimpleMarkov::predict_multi",
-                    );
-                    at.insert(s, out);
-                }
-            }
-        }
-        steps.iter().map(|s| at[s].clone()).collect()
+        // Every step keeps the vector normalized, so the marginal wraps it
+        // without dividing again.
+        propagate(
+            steps,
+            self.start().as_slice().to_vec(),
+            || self.table(),
+            |table, dist, out| self.step_into(table, dist, out),
+            |dist| StateDistribution::from_probs(dist.to_vec()),
+        )
     }
 
     fn reset_position(&mut self) {

@@ -9,7 +9,8 @@
 //! matrix. The table is built lazily on the first prediction after an
 //! observation (see [`crate::SimpleMarkov`] / [`crate::TwoDependentMarkov`])
 //! and dropped whenever `observe`/`reset_position` touches the model, so
-//! it can never serve stale statistics.
+//! it can never serve stale statistics. Both chains walk it through
+//! [`propagate`], the one propagation loop of the crate.
 
 use crate::StateDistribution;
 
@@ -39,6 +40,54 @@ impl TransitionTable {
     pub(crate) fn row(&self, i: usize) -> &[f64] {
         &self.probs[i * self.n..(i + 1) * self.n]
     }
+}
+
+/// The one propagation loop of both chains: the distribution at each
+/// requested horizon, in the order given (duplicates allowed, `0` is the
+/// start itself). Horizons are sorted and deduplicated, the chain is
+/// stepped once up to the largest, and each horizon's marginal is emitted
+/// as the iteration passes it — one pass serves every horizon instead of
+/// restarting from step 0 per horizon.
+///
+/// A chain supplies its `start` vector, its `step` kernel over the frozen
+/// table (built by `table` only when a horizon lies past step 0) and the
+/// `marginal` that turns a propagated vector into a distribution over its
+/// single states. The scratch pair is double-buffered: no allocation per
+/// step.
+pub(crate) fn propagate<'t>(
+    horizons: &[usize],
+    start: Vec<f64>,
+    table: impl FnOnce() -> &'t TransitionTable,
+    step: impl Fn(&TransitionTable, &[f64], &mut [f64]),
+    marginal: impl Fn(&[f64]) -> StateDistribution,
+) -> Vec<StateDistribution> {
+    let mut wanted: Vec<usize> = horizons.to_vec();
+    wanted.sort_unstable();
+    wanted.dedup();
+    let mut emitted: Vec<StateDistribution> = Vec::with_capacity(wanted.len());
+    let mut dist = start;
+    if wanted.first() == Some(&0) {
+        emitted.push(marginal(&dist));
+    }
+    let max_step = wanted.last().copied().unwrap_or(0);
+    if max_step > 0 {
+        let table = table();
+        let mut scratch = vec![0.0; dist.len()];
+        for s in 1..=max_step {
+            step(table, &dist, &mut scratch);
+            std::mem::swap(&mut dist, &mut scratch);
+            if wanted.binary_search(&s).is_ok() {
+                let out = marginal(&dist);
+                crate::invariants::debug_assert_normalized(out.as_slice(), "propagate");
+                emitted.push(out);
+            }
+        }
+    }
+    horizons
+        .iter()
+        .filter_map(|s| wanted.binary_search(s).ok().and_then(|k| emitted.get(k)))
+        .cloned()
+        .collect()
 }
 
 /// In-place normalization with the exact arithmetic of

@@ -11,7 +11,7 @@
 //! combined states and marginalizes onto the current (most recent) single
 //! state.
 
-use crate::snapshot::TransitionTable;
+use crate::snapshot::{propagate, TransitionTable};
 use crate::{SimpleMarkov, StateDistribution, ValuePredictor};
 use prepare_metrics::persist::{Persist, PersistError, Reader, Writer};
 use std::fmt;
@@ -25,7 +25,7 @@ use std::sync::OnceLock;
 /// uniform guess.
 ///
 /// The propagation hot path runs over a lazily-built frozen `n² × n`
-/// [`TransitionTable`]: each `next_given(prev, cur)` row is computed exactly
+/// transition table: each `next_given(prev, cur)` row is computed exactly
 /// once, in the same arithmetic order, then reused. Propagation itself is
 /// double-buffered (no per-step `vec![0.0; n*n]`). Outputs are
 /// bit-identical to the kept naive path
@@ -112,11 +112,6 @@ impl TwoDependentMarkov {
         for &s in sequence {
             self.observe(s);
         }
-    }
-
-    /// Number of combined states (`n²`).
-    pub fn combined_states(&self) -> usize {
-        self.n * self.n
     }
 
     /// Distribution over the next single state out of combined state
@@ -313,70 +308,24 @@ impl ValuePredictor for TwoDependentMarkov {
         self.table.take();
     }
 
-    fn predict(&self, steps: usize) -> StateDistribution {
-        let (prev, cur) = match self.anchor() {
-            None => {
-                // No data at all.
-                return if steps == 0 {
-                    StateDistribution::uniform(self.n)
-                } else {
-                    self.fallback.predict(steps)
-                };
-            }
-            Some(pc) => pc,
-        };
-        if steps == 0 {
-            return StateDistribution::point(self.n, cur);
-        }
-        let table = self.table();
-        let mut dist = vec![0.0; self.n * self.n];
-        dist[prev * self.n + cur] = 1.0;
-        let mut scratch = vec![0.0; self.n * self.n];
-        for _ in 0..steps {
-            self.step_combined_into(table, &dist, &mut scratch);
-            std::mem::swap(&mut dist, &mut scratch);
-        }
-        let out = self.marginal_current(&dist);
-        crate::invariants::debug_assert_normalized(out.as_slice(), "TwoDependentMarkov::predict");
-        out
-    }
-
     fn predict_multi(&self, steps: &[usize]) -> Vec<StateDistribution> {
         let (prev, cur) = match self.anchor() {
             // No data: the fallback chain is also position-less, so its
-            // start (uniform) and propagation reproduce the per-horizon
-            // `predict` exactly.
+            // start (uniform) and propagation are the reference's.
             None => return self.fallback.predict_multi(steps),
             Some(pc) => pc,
         };
-        let mut wanted: Vec<usize> = steps.to_vec();
-        wanted.sort_unstable();
-        wanted.dedup();
-        let mut at: std::collections::BTreeMap<usize, StateDistribution> =
-            std::collections::BTreeMap::new();
-        if wanted.first() == Some(&0) {
-            at.insert(0, StateDistribution::point(self.n, cur));
-        }
-        let max_step = wanted.last().copied().unwrap_or(0);
-        if max_step > 0 {
-            let table = self.table();
-            let mut dist = vec![0.0; self.n * self.n];
-            dist[prev * self.n + cur] = 1.0;
-            let mut scratch = vec![0.0; self.n * self.n];
-            for s in 1..=max_step {
-                self.step_combined_into(table, &dist, &mut scratch);
-                std::mem::swap(&mut dist, &mut scratch);
-                if wanted.binary_search(&s).is_ok() {
-                    let out = self.marginal_current(&dist);
-                    crate::invariants::debug_assert_normalized(
-                        out.as_slice(),
-                        "TwoDependentMarkov::predict_multi",
-                    );
-                    at.insert(s, out);
-                }
-            }
-        }
-        steps.iter().map(|s| at[s].clone()).collect()
+        // A point mass on (prev, cur): its marginal is the point mass on
+        // `cur` bit for bit, so horizon 0 needs no arm of its own.
+        let mut start = vec![0.0; self.n * self.n];
+        start[prev * self.n + cur] = 1.0;
+        propagate(
+            steps,
+            start,
+            || self.table(),
+            |table, dist, out| self.step_combined_into(table, dist, out),
+            |dist| self.marginal_current(dist),
+        )
     }
 
     fn reset_position(&mut self) {
@@ -472,11 +421,6 @@ mod tests {
         m.observe(0);
         m.observe(1);
         assert_eq!(m.predict(1).most_likely(), 2);
-    }
-
-    #[test]
-    fn combined_state_count() {
-        assert_eq!(TwoDependentMarkov::new(3).combined_states(), 9);
     }
 
     #[test]

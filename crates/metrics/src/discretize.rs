@@ -100,21 +100,6 @@ impl Discretizer {
         let width = (self.hi - self.lo) / self.bins as f64;
         (((value - self.lo) / width) as usize).min(self.bins - 1)
     }
-
-    /// Representative (midpoint) continuous value of bin `bin`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bin >= bins`.
-    pub fn bin_midpoint(&self, bin: usize) -> f64 {
-        assert!(
-            bin < self.bins,
-            "bin {bin} out of range (bins={})",
-            self.bins
-        );
-        let width = (self.hi - self.lo) / self.bins as f64;
-        self.lo + width * (bin as f64 + 0.5)
-    }
 }
 
 /// Per-attribute discretizers for a full [`MetricVector`].
@@ -185,22 +170,6 @@ impl VectorDiscretizer {
             .map(|&a| self.per_attr[a.index()].discretize(v.get(a)))
             .collect()
     }
-
-    /// Discretizes every sample of a series, sharded across the workers
-    /// of `par` with results in sample order.
-    ///
-    /// The output is identical to mapping [`VectorDiscretizer::discretize`]
-    /// over the series sequentially, for any worker count — binning one
-    /// sample never depends on another, so this is the canonical batch
-    /// entry point for the parallel training pipeline.
-    pub fn discretize_series(
-        &self,
-        series: &TimeSeries,
-        par: &prepare_par::ParConfig,
-    ) -> Vec<DiscreteVector> {
-        let samples: Vec<&MetricVector> = series.iter().map(|s| &s.values).collect();
-        prepare_par::par_map(par, samples, |v| self.discretize(v))
-    }
 }
 
 impl Persist for Discretizer {
@@ -268,21 +237,6 @@ mod tests {
     }
 
     #[test]
-    fn midpoint_is_inside_bin() {
-        let d = Discretizer::new(0.0, 10.0, 5);
-        for bin in 0..5 {
-            let mid = d.bin_midpoint(bin);
-            assert_eq!(d.discretize(mid), bin, "midpoint of bin {bin} maps back");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn midpoint_rejects_bad_bin() {
-        Discretizer::new(0.0, 1.0, 2).bin_midpoint(2);
-    }
-
-    #[test]
     fn reversed_bounds_are_normalized() {
         let d = Discretizer::new(10.0, 0.0, 2);
         assert_eq!(d.lo(), 0.0);
@@ -301,21 +255,6 @@ mod tests {
         // Zero margin is identical to a plain fit.
         let zero = Discretizer::fit_with_margin(&values, 10, 0.0);
         assert_eq!(zero, tight);
-    }
-
-    #[test]
-    fn batch_discretization_matches_sequential() {
-        let mut series = TimeSeries::new();
-        for t in 0..50u64 {
-            let v = MetricVector::from_fn(|a| ((a.index() as u64 + 3) * (t + 1)) as f64 % 97.0);
-            series.push(MetricSample::new(Timestamp::from_secs(t), v));
-        }
-        let vd = VectorDiscretizer::fit(&series, 8);
-        let expect: Vec<DiscreteVector> = series.iter().map(|s| vd.discretize(&s.values)).collect();
-        for workers in [1usize, 2, 7] {
-            let got = vd.discretize_series(&series, &prepare_par::ParConfig::with_workers(workers));
-            assert_eq!(got, expect, "diverged at workers={workers}");
-        }
     }
 
     #[test]

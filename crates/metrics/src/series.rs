@@ -1,7 +1,7 @@
 //! Time-series storage and windowed statistics over metric samples.
 
 use crate::persist::{Persist, PersistError, Reader, Writer};
-use crate::{mean, std_dev, AttributeKind, MetricSample, MetricVector, Timestamp};
+use crate::{mean, std_dev, AttributeKind, MetricSample, Timestamp};
 
 /// An append-only sequence of [`MetricSample`]s for one VM.
 ///
@@ -71,26 +71,6 @@ impl TimeSeries {
     /// The values of one attribute across the whole series.
     pub fn attribute_values(&self, a: AttributeKind) -> Vec<f64> {
         self.samples.iter().map(|s| s.values.get(a)).collect()
-    }
-
-    /// Per-attribute min/max over the whole series — the fit input for
-    /// [`crate::VectorDiscretizer`]. Returns `None` for an empty series.
-    pub fn attribute_bounds(&self) -> Option<(MetricVector, MetricVector)> {
-        let first = self.samples.first()?;
-        let mut lo = first.values;
-        let mut hi = first.values;
-        for s in &self.samples[1..] {
-            for a in AttributeKind::ALL {
-                let v = s.values.get(a);
-                if v < lo.get(a) {
-                    lo.set(a, v);
-                }
-                if v > hi.get(a) {
-                    hi.set(a, v);
-                }
-            }
-        }
-        Some((lo, hi))
     }
 
     /// Summary statistics of one attribute over `[from, to)`.
@@ -201,21 +181,6 @@ mod tests {
         let mut ts = TimeSeries::new();
         ts.push(sample(10, 0.0));
         ts.push(sample(5, 0.0));
-    }
-
-    #[test]
-    fn bounds_cover_all_samples() {
-        let ts: TimeSeries = [sample(0, 3.0), sample(5, 9.0), sample(10, 1.0)]
-            .into_iter()
-            .collect();
-        let (lo, hi) = ts.attribute_bounds().unwrap();
-        assert_eq!(lo.get(AttributeKind::CpuTotal), 1.0);
-        assert_eq!(hi.get(AttributeKind::CpuTotal), 9.0);
-    }
-
-    #[test]
-    fn empty_series_has_no_bounds() {
-        assert!(TimeSeries::new().attribute_bounds().is_none());
     }
 
     #[test]

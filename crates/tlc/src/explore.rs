@@ -167,7 +167,7 @@ fn leak_free_mem(i: u64) -> f64 {
 
 /// The shared fault-free prefix of every explored case: the tiny
 /// cluster and the controller state after driving the scenario to
-/// [`PREFIX_SECS`] with no faults active. Cloned per interleaving.
+/// `PREFIX_SECS` (880 s) with no faults active. Cloned per interleaving.
 #[derive(Debug, Clone)]
 pub struct Prefix {
     cluster: Cluster,
@@ -223,7 +223,7 @@ fn step(t: u64, cluster: &mut Cluster, controller: &mut PrepareController) {
 /// Builds the shared prefix: two VCL hosts, the leaking VM 0 and a
 /// healthy VM 1 on host 0, a healthy VM 2 on host 1 (so migration has a
 /// target and a host blackout blinds two VMs at once), driven fault-free
-/// to [`PREFIX_SECS`]. Returns `None` only if the tiny cluster cannot
+/// to `PREFIX_SECS`. Returns `None` only if the tiny cluster cannot
 /// place its VMs (it always can on fresh VCL hosts).
 pub fn build_prefix() -> Option<Prefix> {
     let mut cluster = Cluster::new();
@@ -252,7 +252,7 @@ pub fn build_prefix() -> Option<Prefix> {
 /// controller's full event trace (prefix events included).
 ///
 /// The case's controller runs under a [`RecoveryManager`] (write-ahead
-/// journal, checkpoint every [`CHECKPOINT_EVERY_ROUNDS`] rounds), so
+/// journal, checkpoint every `CHECKPOINT_EVERY_ROUNDS` (8) rounds), so
 /// every explored trace carries checkpoint bookkeeping — and a
 /// [`ChaosKind::ControllerCrash`] fault can kill the controller
 /// mid-scenario and resurrect it from the durable artifacts, with the
@@ -326,7 +326,7 @@ pub fn run_case(case: &Case) -> Vec<ControllerEvent> {
 const PAIR_COMBOS: [(usize, usize); 5] = [(0, 0), (0, 1), (1, 0), (0, 2), (2, 0)];
 
 /// Every single-fault case over every window, followed by every
-/// unordered pair of distinct faults over [`PAIR_COMBOS`].
+/// unordered pair of distinct faults over the `PAIR_COMBOS` window pairs.
 pub fn all_cases() -> Vec<Case> {
     let n = catalogue().len();
     let w = WINDOWS.len();

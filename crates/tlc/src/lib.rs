@@ -10,7 +10,7 @@
 //! checker:
 //!
 //! * [`Trace`] wraps a finished [`ControllerEvent`] log;
-//! * combinators ([`always`], [`never`], [`leads_to`], [`since`],
+//! * combinators ([`always`], [`never`](fn@never), [`leads_to`], [`since`],
 //!   [`forbidden_between`], [`eventually_within`]) express per-VM
 //!   temporal obligations over it;
 //! * [`properties::standard_properties`] is the registered catalogue of

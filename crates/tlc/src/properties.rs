@@ -4,7 +4,7 @@
 //! event log — the things pinned-trace tests cannot say. The catalogue
 //! is the single registration point the `event-coverage` lint checks:
 //! every [`ControllerEvent`] variant must be referenced by this crate,
-//! and [`payload_sanity`]'s exhaustive match guarantees that adding a
+//! and the exhaustive match in `payload_sanity` guarantees that adding a
 //! variant without revisiting the checker is a compile error, not a
 //! blind spot.
 //!
