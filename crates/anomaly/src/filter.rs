@@ -29,7 +29,9 @@ pub enum Vote {
 // xtask: checkpoint
 #[derive(Debug, Clone, PartialEq)]
 pub struct AlertFilter {
+    // xtask: ephemeral -- supplied by PrepareConfig on load
     k: usize,
+    // xtask: ephemeral -- supplied by PrepareConfig on load
     w: usize,
     recent: VecDeque<bool>,
     abstentions: u64,
@@ -56,16 +58,6 @@ impl AlertFilter {
     /// The paper's setting: k = 3, W = 4.
     pub fn paper_default() -> Self {
         AlertFilter::new(3, 4)
-    }
-
-    /// Required alert count `k`.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Window size `W`.
-    pub fn w(&self) -> usize {
-        self.w
     }
 
     /// Feeds the latest raw prediction; returns `true` when the filtered
@@ -113,35 +105,38 @@ impl AlertFilter {
     pub fn reset(&mut self) {
         self.recent.clear();
     }
-}
 
-impl Default for AlertFilter {
-    fn default() -> Self {
-        AlertFilter::paper_default()
-    }
-}
-
-impl Persist for AlertFilter {
-    fn store(&self, w: &mut Writer) {
-        w.put_usize(self.k);
-        w.put_usize(self.w);
+    /// Serializes the vote window and the abstention odometer; `k` and
+    /// `W` are the owner's to supply on load.
+    pub fn store_state(&self, w: &mut Writer) {
         self.recent.store(w);
         w.put_u64(self.abstentions);
     }
-    fn load(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        let k = r.get_usize()?;
-        let w = r.get_usize()?;
+
+    /// Restores a `k`-of-`w` filter (a pair [`AlertFilter::new`] accepts)
+    /// written by [`AlertFilter::store_state`]. Nothing is reserved up
+    /// front, so the window costs no more than the bytes it was read from.
+    ///
+    /// # Errors
+    ///
+    /// A torn buffer, or a window longer than `w`.
+    pub fn load_state(r: &mut Reader<'_>, k: usize, w: usize) -> Result<Self, PersistError> {
         let recent: VecDeque<bool> = Persist::load(r)?;
-        let abstentions = r.get_u64()?;
-        if k == 0 || w == 0 || k > w || recent.len() > w {
-            return Err(PersistError::Invalid("AlertFilter window invariants"));
+        if recent.len() > w {
+            return Err(PersistError::Invalid("AlertFilter window longer than W"));
         }
         Ok(AlertFilter {
             k,
             w,
             recent,
-            abstentions,
+            abstentions: r.get_u64()?,
         })
+    }
+}
+
+impl Default for AlertFilter {
+    fn default() -> Self {
+        AlertFilter::paper_default()
     }
 }
 
@@ -350,8 +345,11 @@ mod tests {
         f.push_vote(Vote::Alert);
         f.push_vote(Vote::Abstain);
         f.push_vote(Vote::Alert);
-        let bytes = prepare_metrics::persist::to_bytes(&f);
-        let mut restored: AlertFilter = prepare_metrics::persist::from_bytes(&bytes).unwrap();
+        let mut w = Writer::new();
+        f.store_state(&mut w);
+        let mut r = Reader::new(w.bytes());
+        let mut restored = AlertFilter::load_state(&mut r, 3, 4).unwrap();
+        assert!(r.is_exhausted());
         assert_eq!(restored, f);
         assert_eq!(restored.abstentions(), 1);
         // The next alert completes k=3 on both copies.
@@ -360,11 +358,18 @@ mod tests {
     }
 
     #[test]
-    fn persist_load_rejects_k_greater_than_w() {
-        let f = AlertFilter::new(3, 4);
-        let mut bytes = prepare_metrics::persist::to_bytes(&f);
-        bytes[..8].copy_from_slice(&9u64.to_le_bytes());
-        assert!(prepare_metrics::persist::from_bytes::<AlertFilter>(&bytes).is_err());
+    fn load_state_rejects_a_window_longer_than_w() {
+        let mut f = AlertFilter::new(2, 3);
+        for _ in 0..3 {
+            f.push(true);
+        }
+        let mut w = Writer::new();
+        f.store_state(&mut w);
+        let mut r = Reader::new(w.bytes());
+        assert_eq!(
+            AlertFilter::load_state(&mut r, 2, 2),
+            Err(PersistError::Invalid("AlertFilter window longer than W"))
+        );
     }
 
     /// After an actuation the controller resets the filter so stale

@@ -32,12 +32,32 @@ impl ValueModel {
         }
     }
 
-    /// The kind of this model.
-    pub fn kind(&self) -> MarkovKind {
+    /// Serializes the chain's state; its kind and state count are the
+    /// owner's to supply on load.
+    pub fn store_state(&self, w: &mut Writer) {
         match self {
-            ValueModel::Simple(_) => MarkovKind::Simple,
-            ValueModel::TwoDependent(_) => MarkovKind::TwoDependent,
+            ValueModel::Simple(m) => m.store_state(w),
+            ValueModel::TwoDependent(m) => m.store_state(w),
         }
+    }
+
+    /// Restores a chain of `kind` over `n` states written by
+    /// [`ValueModel::store_state`].
+    ///
+    /// # Errors
+    ///
+    /// The chain loader's.
+    pub fn load_state(
+        r: &mut Reader<'_>,
+        kind: MarkovKind,
+        n: usize,
+    ) -> Result<Self, PersistError> {
+        Ok(match kind {
+            MarkovKind::Simple => ValueModel::Simple(SimpleMarkov::load_state(r, n)?),
+            MarkovKind::TwoDependent => {
+                ValueModel::TwoDependent(TwoDependentMarkov::load_state(r, n)?)
+            }
+        })
     }
 
     /// The underlying model's naive (non-snapshot) prediction path —
@@ -74,39 +94,7 @@ impl Persist for MarkovKind {
     }
 }
 
-impl Persist for ValueModel {
-    fn store(&self, w: &mut Writer) {
-        match self {
-            ValueModel::Simple(m) => {
-                w.put_u8(0);
-                m.store(w);
-            }
-            ValueModel::TwoDependent(m) => {
-                w.put_u8(1);
-                m.store(w);
-            }
-        }
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        match r.get_u8()? {
-            0 => Ok(ValueModel::Simple(Persist::load(r)?)),
-            1 => Ok(ValueModel::TwoDependent(Persist::load(r)?)),
-            tag => Err(PersistError::BadTag {
-                what: "ValueModel",
-                tag,
-            }),
-        }
-    }
-}
-
 impl ValuePredictor for ValueModel {
-    fn n_states(&self) -> usize {
-        match self {
-            ValueModel::Simple(m) => m.n_states(),
-            ValueModel::TwoDependent(m) => m.n_states(),
-        }
-    }
-
     fn observe(&mut self, state: usize) {
         match self {
             ValueModel::Simple(m) => m.observe(state),
@@ -141,18 +129,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn kind_round_trips() {
-        assert_eq!(
-            ValueModel::new(MarkovKind::Simple, 3).kind(),
-            MarkovKind::Simple
-        );
-        assert_eq!(
-            ValueModel::new(MarkovKind::TwoDependent, 3).kind(),
-            MarkovKind::TwoDependent
-        );
-    }
-
-    #[test]
     fn delegates_observe_and_predict() {
         for kind in [MarkovKind::Simple, MarkovKind::TwoDependent] {
             let mut m = ValueModel::new(kind, 4);
@@ -172,16 +148,19 @@ mod tests {
     }
 
     #[test]
-    fn persist_round_trips_both_kinds_with_anchor() {
+    fn state_round_trips_both_kinds_with_anchor() {
         for kind in [MarkovKind::Simple, MarkovKind::TwoDependent] {
             let mut m = ValueModel::new(kind, 5);
             for i in 0..60 {
                 m.observe((i * 2 + i / 7) % 5);
             }
-            let bytes = prepare_metrics::persist::to_bytes(&m);
-            let mut restored: ValueModel = prepare_metrics::persist::from_bytes(&bytes).unwrap();
+            let mut w = Writer::new();
+            m.store_state(&mut w);
+            let mut r = Reader::new(w.bytes());
+            let mut restored = ValueModel::load_state(&mut r, kind, 5).unwrap();
+            assert!(r.is_exhausted(), "kind {kind:?}");
             assert_eq!(restored, m, "kind {kind:?}");
-            // Persist keeps the mid-stream anchor: predictions continue
+            // The state keeps the mid-stream anchor: predictions continue
             // identically without re-observing.
             assert_eq!(
                 restored.predict(2).as_slice(),
@@ -192,13 +171,5 @@ mod tests {
             m.observe(3);
             assert_eq!(restored, m);
         }
-    }
-
-    #[test]
-    fn persist_rejects_unknown_model_tag() {
-        let m = ValueModel::new(MarkovKind::Simple, 3);
-        let mut bytes = prepare_metrics::persist::to_bytes(&m);
-        bytes[0] = 7;
-        assert!(prepare_metrics::persist::from_bytes::<ValueModel>(&bytes).is_err());
     }
 }

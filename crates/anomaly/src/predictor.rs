@@ -58,18 +58,13 @@ impl PredictorConfig {
 // xtask: checkpoint
 #[derive(Debug, Clone, PartialEq)]
 pub struct AnomalyPredictor {
+    // xtask: ephemeral -- supplied by PrepareConfig on load
     config: PredictorConfig,
     discretizer: prepare_metrics::VectorDiscretizer,
     value_models: Vec<ValueModel>,
     classifier: TanClassifier,
     last_time: Option<Timestamp>,
 }
-
-/// Largest bin count a stored configuration may name. A restore sizes
-/// `bins³` count tables per attribute from this one number, before any
-/// other byte of the image can vouch for it; at 64 a single table is
-/// already 2 MB, far past anything a training window could fill.
-const MAX_STORED_BINS: usize = 64;
 
 impl Persist for PredictorConfig {
     fn store(&self, w: &mut Writer) {
@@ -78,51 +73,10 @@ impl Persist for PredictorConfig {
         self.markov.store(w);
     }
     fn load(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        let bins = r.get_usize()?;
-        let sampling_interval = Duration::load(r)?;
-        let markov = MarkovKind::load(r)?;
-        if bins == 0 || bins > MAX_STORED_BINS {
-            return Err(PersistError::Invalid("PredictorConfig bins"));
-        }
         Ok(PredictorConfig {
-            bins,
-            sampling_interval,
-            markov,
-        })
-    }
-}
-
-impl Persist for AnomalyPredictor {
-    fn store(&self, w: &mut Writer) {
-        self.config.store(w);
-        self.discretizer.store(w);
-        self.value_models.store(w);
-        self.classifier.store(w);
-        self.last_time.store(w);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        let config = PredictorConfig::load(r)?;
-        let discretizer = prepare_metrics::VectorDiscretizer::load(r)?;
-        let value_models: Vec<ValueModel> = Persist::load(r)?;
-        let classifier = TanClassifier::load(r)?;
-        let last_time: Option<Timestamp> = Persist::load(r)?;
-        if value_models.len() != ATTRIBUTE_COUNT {
-            return Err(PersistError::Invalid("AnomalyPredictor model arity"));
-        }
-        if value_models
-            .iter()
-            .any(|m| m.n_states() != config.bins || m.kind() != config.markov)
-        {
-            return Err(PersistError::Invalid(
-                "AnomalyPredictor model/config mismatch",
-            ));
-        }
-        Ok(AnomalyPredictor {
-            config,
-            discretizer,
-            value_models,
-            classifier,
-            last_time,
+            bins: r.get_usize()?,
+            sampling_interval: Duration::load(r)?,
+            markov: MarkovKind::load(r)?,
         })
     }
 }
@@ -208,6 +162,46 @@ impl AnomalyPredictor {
     /// The model's configuration.
     pub fn config(&self) -> &PredictorConfig {
         &self.config
+    }
+
+    /// Serializes the trained state: the discretizer's ranges, each
+    /// attribute's chain, the classifier and the stream anchor. The
+    /// configuration is the owner's to supply on load, so no bin count,
+    /// Markov kind or table length is written.
+    pub fn store_state(&self, w: &mut Writer) {
+        self.discretizer.store_state(w);
+        for m in &self.value_models {
+            m.store_state(w);
+        }
+        self.classifier.store_state(w);
+        self.last_time.store(w);
+    }
+
+    /// Restores a predictor of shape `config` written by
+    /// [`AnomalyPredictor::store_state`]. Every loader below reads exactly
+    /// the number of values `config` implies.
+    ///
+    /// # Errors
+    ///
+    /// Any [`PersistError`] of the component loaders.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.bins == 0`; a loaded `PrepareConfig` never
+    /// carries one.
+    pub fn load_state(r: &mut Reader<'_>, config: &PredictorConfig) -> Result<Self, PersistError> {
+        let discretizer = prepare_metrics::VectorDiscretizer::load_state(r, config.bins)?;
+        let value_models = (0..ATTRIBUTE_COUNT)
+            .map(|_| ValueModel::load_state(r, config.markov, config.bins))
+            .collect::<Result<_, _>>()?;
+        let classifier = TanClassifier::load_state(r, &[config.bins; ATTRIBUTE_COUNT])?;
+        Ok(AnomalyPredictor {
+            config: config.clone(),
+            discretizer,
+            value_models,
+            classifier,
+            last_time: Persist::load(r)?,
+        })
     }
 
     /// The trained TAN classifier (exposed for cause-inference reporting).
@@ -567,8 +561,7 @@ mod tests {
         for s in series.iter().take(38) {
             p.observe(s);
         }
-        let bytes = prepare_metrics::persist::to_bytes(&p);
-        let mut restored: AnomalyPredictor = prepare_metrics::persist::from_bytes(&bytes).unwrap();
+        let mut restored = round_trip(&p, &cfg).unwrap();
         assert_eq!(restored, p);
         let horizons = [Duration::from_secs(5), Duration::from_secs(25)];
         assert_eq!(
@@ -586,15 +579,128 @@ mod tests {
         );
     }
 
+    /// `p`'s state image, restored under `cfg`, with every byte consumed.
+    fn round_trip(
+        p: &AnomalyPredictor,
+        cfg: &PredictorConfig,
+    ) -> Result<AnomalyPredictor, PersistError> {
+        let mut w = Writer::new();
+        p.store_state(&mut w);
+        let mut r = Reader::new(w.bytes());
+        let back = AnomalyPredictor::load_state(&mut r, cfg)?;
+        if r.is_exhausted() {
+            Ok(back)
+        } else {
+            Err(PersistError::Invalid("trailing bytes"))
+        }
+    }
+
+    /// The image holds no shape of its own: read under another bin count
+    /// or Markov kind, it runs out of bytes or leaves some over, and a
+    /// count block cut short is refused.
     #[test]
-    fn persist_load_rejects_model_config_mismatch() {
+    fn load_state_refuses_an_image_of_another_shape() {
         let (series, slo) = ramp_fixture(300, 5, 40, 80.0);
-        let cfg = PredictorConfig::default();
+        let cfg = PredictorConfig {
+            bins: 4,
+            ..PredictorConfig::default()
+        };
         let p = AnomalyPredictor::train(&series, &slo, &cfg).unwrap();
-        let mut bytes = prepare_metrics::persist::to_bytes(&p);
-        // Corrupt the configured bin count: the value models no longer
-        // match and the load must fail rather than mis-predict.
-        bytes[..8].copy_from_slice(&7u64.to_le_bytes());
-        assert!(prepare_metrics::persist::from_bytes::<AnomalyPredictor>(&bytes).is_err());
+        assert!(round_trip(&p, &cfg).is_ok());
+        for other in [
+            PredictorConfig {
+                bins: 3,
+                ..cfg.clone()
+            },
+            PredictorConfig {
+                bins: 5,
+                ..cfg.clone()
+            },
+            PredictorConfig {
+                markov: MarkovKind::Simple,
+                ..cfg.clone()
+            },
+        ] {
+            assert!(round_trip(&p, &other).is_err(), "{other:?}");
+        }
+        let mut w = Writer::new();
+        p.store_state(&mut w);
+        // The first chain's count block starts after the discretizer's
+        // ranges and the chain's alpha.
+        let counts_at = ATTRIBUTE_COUNT * 16 + 8;
+        let mut r = Reader::new(&w.bytes()[..counts_at + 8 * 4 * 4 * 4 - 3]);
+        assert!(matches!(
+            AnomalyPredictor::load_state(&mut r, &cfg),
+            Err(PersistError::Truncated { .. })
+        ));
+    }
+
+    /// A predictor image that loads is a predictor that runs. For both
+    /// Markov kinds at 3 bins, every byte of a trained predictor's image
+    /// has one bit flipped (bit `i % 8` of byte `i`); every image that
+    /// still loads must then observe a continuation that climbs through
+    /// the anomaly and predict every horizon after each sample without a
+    /// panic. A changed float is a different valid model; a changed
+    /// position, parent, bound or log-probability is either refused or
+    /// harmless.
+    #[test]
+    fn every_single_bit_flip_is_refused_or_runs() {
+        let (series, slo) = ramp_fixture(120, 5, 40, 60.0);
+        let train_len = 80;
+        let mut train_series = TimeSeries::new();
+        let mut train_slo = SloLog::new();
+        for s in series.iter().take(train_len) {
+            train_series.push(*s);
+            train_slo.record(s.time, slo.is_violated_at(s.time));
+        }
+        // Phases 22..27 of the third period: the CPU ramp crosses the
+        // 60 % threshold at phase 25.
+        let continuation: Vec<MetricSample> = series.iter().skip(102).take(6).copied().collect();
+        let horizons = [0, 15, 30, 60].map(Duration::from_secs);
+        for markov in [MarkovKind::Simple, MarkovKind::TwoDependent] {
+            let cfg = PredictorConfig {
+                bins: 3,
+                markov,
+                ..PredictorConfig::default()
+            };
+            let mut trained = AnomalyPredictor::train(&train_series, &train_slo, &cfg).unwrap();
+            for s in series.iter().skip(train_len).take(20) {
+                trained.observe(s);
+            }
+            let mut intact = trained.clone();
+            let alerts = continuation
+                .iter()
+                .filter(|s| {
+                    intact.observe(s);
+                    intact.predict(Duration::ZERO).label.is_abnormal()
+                })
+                .count();
+            assert!(
+                alerts > 0,
+                "{markov:?}: the continuation reaches the anomaly"
+            );
+            let mut w = Writer::new();
+            trained.store_state(&mut w);
+            let image = w.into_bytes();
+            let mut loaded = 0;
+            for i in 0..image.len() {
+                let mut bad = image.clone();
+                bad[i] ^= 1 << (i % 8);
+                let Ok(mut p) = AnomalyPredictor::load_state(&mut Reader::new(&bad), &cfg) else {
+                    continue;
+                };
+                loaded += 1;
+                for s in &continuation {
+                    p.observe(s);
+                    let predictions = p.predict_horizons(&horizons);
+                    assert_eq!(predictions.len(), horizons.len(), "{markov:?} byte {i}");
+                }
+            }
+            assert!(
+                loaded > 0 && loaded < image.len(),
+                "{markov:?}: {loaded} of {} flips loaded",
+                image.len()
+            );
+        }
     }
 }

@@ -109,29 +109,65 @@ impl Default for PrepareConfig {
     }
 }
 
+/// Largest bin count a configuration may name. Every per-VM model sizes
+/// `bins³` count tables per attribute from this one number; at 64 a
+/// single table is already 2 MB, far past anything a training window
+/// could fill.
+pub const MAX_BINS: usize = 64;
+
+/// Largest number of Markov steps one prediction may propagate:
+/// `predictor.steps_for(look_ahead)` is bounded by it, so a look-ahead
+/// cannot make every round's prediction run for minutes. The paper's
+/// settings need 12 steps and the ablation's widest 24.
+pub const MAX_LOOK_AHEAD_STEPS: usize = 1024;
+
 impl PrepareConfig {
+    /// The one consistency check of a configuration, shared by
+    /// [`PrepareConfig::validate`] and [`PrepareConfig::load_state`]:
+    /// `Err` names the first violated predicate.
+    ///
+    /// # Errors
+    ///
+    /// The violated predicate, when the filter parameters are
+    /// inconsistent, the scale factor is not > 1, a window is zero, the
+    /// quorum is not a fraction, the worker count is zero, the bin count
+    /// is outside `1..=MAX_BINS`, or a prediction would run more than
+    /// [`MAX_LOOK_AHEAD_STEPS`] steps.
+    pub fn check(&self) -> Result<(), &'static str> {
+        let ensure = |holds: bool, predicate| if holds { Ok(()) } else { Err(predicate) };
+        ensure(
+            self.filter_k > 0 && self.filter_k <= self.filter_w,
+            "invalid k-of-W",
+        )?;
+        // `partial_cmp` keeps NaN rejected (it compares as None).
+        let scale = self.scale_factor.partial_cmp(&1.0) == Some(std::cmp::Ordering::Greater);
+        ensure(scale, "scale factor must exceed 1.0")?;
+        ensure(!self.look_ahead.is_zero(), "look-ahead must be positive")?;
+        ensure(
+            !self.validation_window.is_zero(),
+            "validation window must be positive",
+        )?;
+        let quorum = (0.0..=1.0).contains(&self.workload_change_quorum);
+        ensure(quorum, "quorum must be a fraction")?;
+        ensure(self.par.workers >= 1, "worker count must be positive")?;
+        let bins = (1..=MAX_BINS).contains(&self.predictor.bins);
+        ensure(bins, "bin count must be in 1..=MAX_BINS")?;
+        let steps = self.predictor.steps_for(self.look_ahead);
+        ensure(
+            steps <= MAX_LOOK_AHEAD_STEPS,
+            "look-ahead must span at most MAX_LOOK_AHEAD_STEPS steps",
+        )
+    }
+
     /// Validates internal consistency.
     ///
     /// # Panics
     ///
-    /// Panics if the filter parameters are inconsistent, the scale factor
-    /// is not > 1, or windows are zero.
+    /// Panics with the predicate [`PrepareConfig::check`] finds violated.
     pub fn validate(&self) {
-        assert!(
-            self.filter_k > 0 && self.filter_k <= self.filter_w,
-            "invalid k-of-W"
-        );
-        assert!(self.scale_factor > 1.0, "scale factor must exceed 1.0");
-        assert!(!self.look_ahead.is_zero(), "look-ahead must be positive");
-        assert!(
-            !self.validation_window.is_zero(),
-            "validation window must be positive"
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.workload_change_quorum),
-            "quorum must be a fraction"
-        );
-        assert!(self.par.workers >= 1, "worker count must be positive");
+        if let Err(violated) = self.check() {
+            panic!("inconsistent PrepareConfig: {violated}"); // xtask-allow: panic -- the documented contract of validate
+        }
     }
 
     /// Returns the config with the given parallel-engine worker count.
@@ -167,8 +203,8 @@ impl PrepareConfig {
     /// # Errors
     ///
     /// Any [`PersistError`] on a torn buffer, plus
-    /// [`PersistError::Invalid`] when the decoded tunables are
-    /// internally inconsistent.
+    /// [`PersistError::Invalid`] naming the predicate of
+    /// [`PrepareConfig::check`] the decoded tunables violate.
     pub fn load_state(r: &mut Reader<'_>, par: ParConfig) -> Result<Self, PersistError> {
         let config = PrepareConfig {
             predictor: Persist::load(r)?,
@@ -188,16 +224,7 @@ impl PrepareConfig {
             // named above.
             ..PrepareConfig::default()
         };
-        if config.filter_k == 0
-            || config.filter_k > config.filter_w
-            // `partial_cmp` keeps NaN rejected (it compares as None).
-            || config.scale_factor.partial_cmp(&1.0) != Some(std::cmp::Ordering::Greater)
-            || config.look_ahead.is_zero()
-            || config.validation_window.is_zero()
-            || !(0.0..=1.0).contains(&config.workload_change_quorum)
-        {
-            return Err(PersistError::Invalid("PrepareConfig tunables"));
-        }
+        config.check().map_err(PersistError::Invalid)?;
         Ok(config)
     }
 }
@@ -277,21 +304,89 @@ mod tests {
         assert_eq!(back, config, "everything but par round-trips exactly");
     }
 
-    #[test]
-    fn load_state_rejects_inconsistent_tunables() {
-        let config = PrepareConfig::default();
+    /// `config`'s image with the eight bytes at `off` replaced by `value`,
+    /// loaded back.
+    fn load_patched(
+        config: &PrepareConfig,
+        off: usize,
+        value: u64,
+    ) -> Result<PrepareConfig, PersistError> {
         let mut w = Writer::new();
         config.store_state(&mut w);
         let mut bytes = w.into_bytes();
-        // filter_k sits right after PredictorConfig (bins u64 + interval
-        // u64 + markov tag) + look_ahead u64: corrupt it to 0.
-        let off = 8 + 8 + 1 + 8;
-        bytes[off..off + 8].copy_from_slice(&0u64.to_le_bytes());
-        let mut r = Reader::new(&bytes);
+        bytes[off..off + 8].copy_from_slice(&value.to_le_bytes());
+        PrepareConfig::load_state(&mut Reader::new(&bytes), ParConfig::serial())
+    }
+
+    /// Offsets in the image: `PredictorConfig` (bins u64, interval u64,
+    /// markov tag) then look_ahead u64, filter_k u64, ...
+    const BINS_AT: usize = 0;
+    const LOOK_AHEAD_AT: usize = 8 + 8 + 1;
+    const FILTER_K_AT: usize = LOOK_AHEAD_AT + 8;
+
+    #[test]
+    fn load_state_rejects_inconsistent_tunables() {
         assert_eq!(
-            PrepareConfig::load_state(&mut r, ParConfig::serial()),
-            Err(PersistError::Invalid("PrepareConfig tunables"))
+            load_patched(&PrepareConfig::default(), FILTER_K_AT, 0),
+            Err(PersistError::Invalid("invalid k-of-W"))
         );
+    }
+
+    /// The quorum is stored once, in the config, and refused there.
+    #[test]
+    fn load_state_rejects_out_of_range_quorum() {
+        let config = PrepareConfig::default();
+        let mut w = Writer::new();
+        config.store_state(&mut w);
+        // The quorum f64 sits right before the staleness budget.
+        let mut budget = Writer::new();
+        config.staleness.store(&mut budget);
+        let off = w.len() - budget.len() - 8;
+        assert_eq!(
+            load_patched(&config, off, 2.0f64.to_bits()),
+            Err(PersistError::Invalid("quorum must be a fraction"))
+        );
+    }
+
+    /// A live controller and a restore refuse the same configs: one past
+    /// the bin bound (which would seal an image its own recovery refuses),
+    /// and a look-ahead that makes every prediction a stall.
+    #[test]
+    fn new_and_load_state_refuse_the_same_shapes() {
+        let mut too_many_bins = PrepareConfig::default();
+        too_many_bins.predictor.bins = MAX_BINS + 1;
+        let far = PrepareConfig {
+            look_ahead: Duration::from_secs(5 * (MAX_LOOK_AHEAD_STEPS as u64 + 1)),
+            ..PrepareConfig::default()
+        };
+        let huge = PrepareConfig {
+            look_ahead: Duration::from_secs(1 << 40),
+            ..PrepareConfig::default()
+        };
+        for bad in [&too_many_bins, &far, &huge] {
+            let violated = bad.check().unwrap_err();
+            let panic = std::panic::catch_unwind(|| bad.validate()).unwrap_err();
+            let message = panic.downcast_ref::<String>().expect("formatted panic");
+            assert!(message.contains(violated), "{message}");
+            let mut w = Writer::new();
+            bad.store_state(&mut w);
+            assert_eq!(
+                PrepareConfig::load_state(&mut Reader::new(w.bytes()), ParConfig::serial()),
+                Err(PersistError::Invalid(violated))
+            );
+        }
+        assert_eq!(
+            load_patched(&PrepareConfig::default(), BINS_AT, MAX_BINS as u64 + 1),
+            Err(PersistError::Invalid("bin count must be in 1..=MAX_BINS"))
+        );
+        assert!(load_patched(&PrepareConfig::default(), LOOK_AHEAD_AT, 1 << 40).is_err());
+        // The bounds themselves are accepted.
+        let mut edge = PrepareConfig {
+            look_ahead: Duration::from_secs(5 * MAX_LOOK_AHEAD_STEPS as u64),
+            ..PrepareConfig::default()
+        };
+        edge.predictor.bins = MAX_BINS;
+        assert_eq!(edge.check(), Ok(()));
     }
 
     #[test]

@@ -327,22 +327,34 @@ impl VmRecord {
     }
 }
 
-impl Persist for VmRecord {
-    fn store(&self, w: &mut Writer) {
+impl VmRecord {
+    fn store_state(&self, w: &mut Writer) {
         self.series.store(w);
-        self.predictor.store(w);
-        self.filter.store(w);
+        match &self.predictor {
+            None => w.put_u8(0),
+            Some(p) => {
+                w.put_u8(1);
+                p.store_state(w);
+            }
+        }
+        self.filter.store_state(w);
         self.episode.store(w);
         self.last_migration.store(w);
         self.suppressed_until.store(w);
         self.imputer.store(w);
         self.degraded.store(w);
     }
-    fn load(r: &mut Reader<'_>) -> Result<Self, PersistError> {
+
+    /// Restores a record written by [`VmRecord::store_state`]; the
+    /// predictor's shape and the filter's k-of-W come from `config`.
+    fn load_state(r: &mut Reader<'_>, config: &PrepareConfig) -> Result<Self, PersistError> {
         Ok(VmRecord {
             series: TimeSeries::load(r)?,
-            predictor: Option::load(r)?,
-            filter: AlertFilter::load(r)?,
+            predictor: match r.get_bool()? {
+                false => None,
+                true => Some(AnomalyPredictor::load_state(r, &config.predictor)?),
+            },
+            filter: AlertFilter::load_state(r, config.filter_k, config.filter_w)?,
             episode: Option::load(r)?,
             last_migration: Option::load(r)?,
             suppressed_until: Option::load(r)?,
@@ -350,6 +362,14 @@ impl Persist for VmRecord {
             degraded: bool::load(r)?,
         })
     }
+}
+
+/// How recent (seconds) a change point must be to count toward a
+/// workload change: three sampling rounds (saturating, so any interval a
+/// restored config names is a window, not an overflow).
+fn change_recency_secs(config: &PrepareConfig) -> u64 {
+    let interval = config.predictor.sampling_interval.as_secs();
+    interval.saturating_mul(3)
 }
 
 /// The slots of `vms` sorted by VM id, and whether every id is distinct.
@@ -446,9 +466,12 @@ impl PrepareController {
         let (by_id, distinct) = slots_by_id(&vms);
         assert!(distinct, "controller VM ids must be distinct");
         config.validate();
-        let recency = config.predictor.sampling_interval.as_secs() * 3;
-        let inference =
-            CauseInference::with_par(&vms, config.workload_change_quorum, recency, config.par);
+        let inference = CauseInference::with_par(
+            &vms,
+            config.workload_change_quorum,
+            change_recency_secs(&config),
+            config.par,
+        );
         let planner = PreventionPlanner::new(config.policy, config.scale_factor);
         let violation_filter = AlertFilter::new(config.filter_k, config.filter_w);
         let blank = VmRecord {
@@ -1267,12 +1290,12 @@ impl PrepareController {
         self.vms.store(w);
         part_done(w);
         for rec in &self.table {
-            rec.store(w);
+            rec.store_state(w);
             part_done(w);
         }
         self.slo.store(w);
         self.inference.store_state(w);
-        self.violation_filter.store(w);
+        self.violation_filter.store_state(w);
         self.trained_at.store(w);
         self.last_retrain.store(w);
         self.last_workload_change.store(w);
@@ -1318,15 +1341,20 @@ impl PrepareController {
         }
         let mut table = Vec::with_capacity(bounded_capacity::<VmRecord>(vms.len(), r));
         for &vm in &vms {
-            let rec = VmRecord::load(r)?;
+            let rec = VmRecord::load_state(r, &config)?;
             if rec.episode.as_ref().is_some_and(|ep| ep.vm != vm) {
                 return Err(PersistError::Invalid("PrepareController episode slot"));
             }
             table.push(rec);
         }
         let slo = SloLog::load(r)?;
-        let inference = CauseInference::load_state(r, config.par)?;
-        let violation_filter = AlertFilter::load(r)?;
+        let inference = CauseInference::load_state(
+            r,
+            config.workload_change_quorum,
+            change_recency_secs(&config),
+            config.par,
+        )?;
+        let violation_filter = AlertFilter::load_state(r, config.filter_k, config.filter_w)?;
         let trained_at = Option::load(r)?;
         let last_retrain = Option::load(r)?;
         let last_workload_change = bool::load(r)?;

@@ -83,8 +83,10 @@ pub struct CauseInference {
     /// shifts arrive through the network on every component.
     detectors: BTreeMap<VmId, CusumDetector>,
     /// Quorum fraction required to call a workload change.
+    // xtask: ephemeral -- supplied by PrepareConfig on load
     quorum: f64,
     /// How recent (seconds) a change point must be to count.
+    // xtask: ephemeral -- supplied by PrepareConfig on load
     recency_secs: u64,
     /// Shard configuration for the per-VM detector updates.
     // xtask: ephemeral -- runtime worker config, supplied by the recovering process
@@ -142,24 +144,26 @@ impl CauseInference {
         (changed as f64 / self.detectors.len() as f64) >= self.quorum
     }
 
-    /// Serializes the inference state (detectors and tunables) for a
-    /// controller checkpoint. The shard configuration is ephemeral: the
-    /// recovering process supplies its own.
+    /// Serializes the inference state — the detectors — for a controller
+    /// checkpoint. The tunables are the owner's to supply on load, and the
+    /// shard configuration is the recovering process's.
     pub fn store_state(&self, w: &mut Writer) {
         self.detectors.store(w);
-        self.quorum.store(w);
-        self.recency_secs.store(w);
     }
 
-    /// Restores inference state written by [`CauseInference::store_state`],
-    /// adopting the worker configuration of the recovering process.
-    pub fn load_state(r: &mut Reader<'_>, par: ParConfig) -> Result<Self, PersistError> {
+    /// Restores inference state written by [`CauseInference::store_state`]
+    /// under the tunables [`CauseInference::with_par`] takes.
+    ///
+    /// # Errors
+    ///
+    /// Any [`PersistError`] of the detector map.
+    pub fn load_state(
+        r: &mut Reader<'_>,
+        quorum: f64,
+        recency_secs: u64,
+        par: ParConfig,
+    ) -> Result<Self, PersistError> {
         let detectors = BTreeMap::load(r)?;
-        let quorum = f64::load(r)?;
-        let recency_secs = u64::load(r)?;
-        if !(0.0..=1.0).contains(&quorum) {
-            return Err(PersistError::Invalid("CauseInference quorum"));
-        }
         Ok(CauseInference {
             detectors,
             quorum,
@@ -314,8 +318,8 @@ mod tests {
         ci.store_state(&mut w);
         let bytes = w.into_bytes();
         let mut r = prepare_metrics::persist::Reader::new(&bytes);
-        let back =
-            CauseInference::load_state(&mut r, ParConfig::with_workers(7)).expect("state loads");
+        let back = CauseInference::load_state(&mut r, 0.8, 30, ParConfig::with_workers(7))
+            .expect("state loads");
         assert!(r.is_exhausted());
         assert_eq!(
             format!("{:?}", back.detectors),
@@ -331,25 +335,6 @@ mod tests {
             let now = Timestamp::from_secs(t * 5);
             assert_eq!(back.workload_change(now), ci.workload_change(now));
         }
-    }
-
-    #[test]
-    fn load_state_rejects_out_of_range_quorum() {
-        let ci = CauseInference::with_par(&[VmId(0)], 0.8, 30, ParConfig::serial());
-        let mut w = prepare_metrics::persist::Writer::new();
-        ci.store_state(&mut w);
-        let mut bytes = w.into_bytes();
-        // The quorum f64 sits right after the detector map; corrupt it to
-        // an impossible value (2.0) by patching the last 16 bytes, which
-        // are quorum followed by recency_secs.
-        let n = bytes.len();
-        bytes[n - 16..n - 8].copy_from_slice(&2.0f64.to_bits().to_le_bytes());
-        let mut r = prepare_metrics::persist::Reader::new(&bytes);
-        let err = CauseInference::load_state(&mut r, ParConfig::serial()).unwrap_err();
-        assert!(matches!(
-            err,
-            prepare_metrics::persist::PersistError::Invalid("CauseInference quorum")
-        ));
     }
 }
 

@@ -48,7 +48,7 @@ mod recovery;
 mod validation;
 
 pub use analysis::{eval_violation_intervals, ExperimentReport};
-pub use config::{ParConfig, PrepareConfig, PreventionPolicy};
+pub use config::{ParConfig, PrepareConfig, PreventionPolicy, MAX_BINS, MAX_LOOK_AHEAD_STEPS};
 pub use controller::{
     ClusterIo, ClusterReply, ExecFailure, PrepareController, MAX_EPISODE_FAILURES,
     MIGRATE_RETRY_BASE_SECS, MIGRATION_COOLDOWN_SECS, RETRY_BACKOFF_CAP_SECS,

@@ -43,8 +43,8 @@ use prepare_metrics::{StampedSample, Timestamp, VmId};
 use prepare_par::ParConfig;
 use std::sync::Arc;
 
-/// Magic + version sealing a checkpoint frame ("PRPCKP" + version 05).
-pub const CHECKPOINT_MAGIC: u64 = u64::from_le_bytes(*b"PRPCKP05");
+/// Magic + version sealing a checkpoint frame ("PRPCKP" + version 06).
+pub const CHECKPOINT_MAGIC: u64 = u64::from_le_bytes(*b"PRPCKP06");
 
 /// The frame checksum: FNV-1a's constants and its xor-then-multiply
 /// fold, taken one little-endian 64-bit word at a time with a xor-shift
@@ -662,7 +662,13 @@ mod tests {
         ));
         // An earlier layout's version is a different format, not a frame
         // to try anyway.
-        for earlier in [b"PRPCKP01", b"PRPCKP02", b"PRPCKP03", b"PRPCKP04"] {
+        for earlier in [
+            b"PRPCKP01",
+            b"PRPCKP02",
+            b"PRPCKP03",
+            b"PRPCKP04",
+            b"PRPCKP05",
+        ] {
             let mut old = image.clone();
             old[..8].copy_from_slice(earlier);
             assert_eq!(

@@ -50,15 +50,12 @@ pub use two_dep::TwoDependentMarkov;
 /// the future — the "attribute value prediction" half of PREPARE's anomaly
 /// predictor.
 pub trait ValuePredictor {
-    /// Number of discrete states (bins) the predictor models.
-    fn n_states(&self) -> usize;
-
     /// Feeds the next observed state, updating both the transition
     /// statistics and the predictor's current position.
     ///
     /// # Panics
     ///
-    /// Implementations panic if `state >= n_states()`.
+    /// Implementations panic if `state` is not below the state count.
     fn observe(&mut self, state: usize);
 
     /// Distributions over states after each of several step counts from

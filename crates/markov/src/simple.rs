@@ -3,7 +3,7 @@
 
 use crate::snapshot::{normalize_in_place, propagate, TransitionTable};
 use crate::{StateDistribution, ValuePredictor};
-use prepare_metrics::persist::{Persist, PersistError, Reader, Writer};
+use prepare_metrics::persist::{bounded_capacity, Persist, PersistError, Reader, Writer};
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -23,6 +23,7 @@ use std::sync::OnceLock;
 // xtask: checkpoint
 #[derive(Clone)]
 pub struct SimpleMarkov {
+    // xtask: ephemeral -- supplied by PrepareConfig on load
     n: usize,
     /// Flat row-major transition counts: `counts[i * n + j]` = observed
     /// transitions i → j.
@@ -179,47 +180,72 @@ impl SimpleMarkov {
             None => StateDistribution::uniform(self.n),
         }
     }
-}
 
-impl Persist for SimpleMarkov {
-    fn store(&self, w: &mut Writer) {
-        w.put_usize(self.n);
+    /// Serializes the chain's state — `alpha`, the `n²` counts, the
+    /// position, the observation count; `n` is the owner's to supply on
+    /// load.
+    pub fn store_state(&self, w: &mut Writer) {
         w.put_f64(self.alpha);
-        self.counts.store(w);
+        store_counts(w, &self.counts);
         self.current.store(w);
         w.put_usize(self.observations);
     }
-    fn load(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        let n = r.get_usize()?;
+
+    /// Restores a chain over `n` states written by
+    /// [`SimpleMarkov::store_state`], refusing a negative or non-finite
+    /// `alpha` and a position outside `0..n`.
+    pub fn load_state(r: &mut Reader<'_>, n: usize) -> Result<Self, PersistError> {
         let alpha = r.get_f64()?;
-        let counts: Vec<f64> = Persist::load(r)?;
-        let current: Option<usize> = Persist::load(r)?;
-        let observations = r.get_usize()?;
-        if n == 0 || !(alpha.is_finite() && alpha >= 0.0) {
-            return Err(PersistError::Invalid("SimpleMarkov parameters"));
-        }
-        if n.checked_mul(n) != Some(counts.len()) {
-            return Err(PersistError::Invalid("SimpleMarkov counts arity"));
-        }
-        if current.is_some_and(|c| c >= n) {
-            return Err(PersistError::Invalid("SimpleMarkov position"));
+        if !(alpha.is_finite() && alpha >= 0.0) {
+            return Err(PersistError::Invalid("Markov alpha"));
         }
         Ok(SimpleMarkov {
             n,
-            counts,
+            counts: load_counts(r, n * n)?,
             alpha,
-            current,
-            observations,
+            current: load_position(r, n)?,
+            observations: r.get_usize()?,
             table: OnceLock::new(),
         })
+    }
+
+    /// The Laplace pseudo-count.
+    pub(crate) fn alpha(&self) -> f64 {
+        self.alpha
+    }
+
+    /// The current state, if any has been observed since the last reset.
+    pub(crate) fn current(&self) -> Option<usize> {
+        self.current
+    }
+}
+
+/// Writes a count table as whole numbers (`observe` only ever adds 1.0),
+/// with no length: the owner's state count fixes how many there are.
+pub(crate) fn store_counts(w: &mut Writer, counts: &[f64]) {
+    for &c in counts {
+        w.put_u64(c as u64);
+    }
+}
+
+/// Reads the `len` counts [`store_counts`] wrote.
+pub(crate) fn load_counts(r: &mut Reader<'_>, len: usize) -> Result<Vec<f64>, PersistError> {
+    let mut counts = Vec::with_capacity(bounded_capacity::<u64>(len, r));
+    for _ in 0..len {
+        counts.push(r.get_u64()? as f64);
+    }
+    Ok(counts)
+}
+
+/// Reads an optional position among `n` states.
+pub(crate) fn load_position(r: &mut Reader<'_>, n: usize) -> Result<Option<usize>, PersistError> {
+    match Option::<usize>::load(r)? {
+        Some(s) if s >= n => Err(PersistError::Invalid("Markov position")),
+        position => Ok(position),
     }
 }
 
 impl ValuePredictor for SimpleMarkov {
-    fn n_states(&self) -> usize {
-        self.n
-    }
-
     fn observe(&mut self, state: usize) {
         assert!(state < self.n, "state {state} out of range (n={})", self.n);
         if let Some(prev) = self.current {
@@ -350,9 +376,10 @@ mod tests {
         let mut m = SimpleMarkov::new(3);
         m.train(&[0, 1, 2, 0, 1, 1, 2]);
         let mut w = prepare_metrics::Writer::new();
-        m.store(&mut w);
+        m.store_state(&mut w);
         let mut r = prepare_metrics::Reader::new(w.bytes());
-        let mut back = SimpleMarkov::load(&mut r).expect("decodes");
+        let mut back = SimpleMarkov::load_state(&mut r, 3).expect("decodes");
+        assert!(r.is_exhausted());
         assert_eq!(back, m);
         for steps in 0..5 {
             assert_eq!(back.predict(steps), m.predict(steps));
@@ -363,15 +390,21 @@ mod tests {
     }
 
     #[test]
-    fn persist_load_rejects_corrupt_arity() {
+    fn load_state_refuses_a_truncated_count_block() {
+        // The counts carry no length: the state count says how many there
+        // are, and a block cut short is refused wherever the cut falls.
         let mut m = SimpleMarkov::new(3);
         m.train(&[0, 1, 2]);
         let mut w = prepare_metrics::Writer::new();
-        m.store(&mut w);
-        let mut bytes = w.into_bytes();
-        // Corrupt n (first u64) to mismatch the counts length.
-        bytes[..8].copy_from_slice(&4u64.to_le_bytes());
+        m.store_state(&mut w);
+        let bytes = w.into_bytes();
+        let counts_end = 8 + 9 * 8;
+        for cut in 8..counts_end {
+            let mut r = prepare_metrics::Reader::new(&bytes[..cut]);
+            assert!(SimpleMarkov::load_state(&mut r, 3).is_err(), "cut {cut}");
+        }
+        // Read as a 4-state chain, the same bytes run out.
         let mut r = prepare_metrics::Reader::new(&bytes);
-        assert!(SimpleMarkov::load(&mut r).is_err());
+        assert!(SimpleMarkov::load_state(&mut r, 4).is_err());
     }
 }

@@ -11,6 +11,7 @@
 //! combined states and marginalizes onto the current (most recent) single
 //! state.
 
+use crate::simple::{load_counts, load_position, store_counts};
 use crate::snapshot::{propagate, TransitionTable};
 use crate::{SimpleMarkov, StateDistribution, ValuePredictor};
 use prepare_metrics::persist::{Persist, PersistError, Reader, Writer};
@@ -34,16 +35,16 @@ use std::sync::OnceLock;
 // xtask: checkpoint
 #[derive(Clone)]
 pub struct TwoDependentMarkov {
+    // xtask: ephemeral -- supplied by PrepareConfig on load
     n: usize,
     /// Flat transition counts out of combined states:
     /// `counts[(prev * n + cur) * n + next]`.
     counts: Vec<f64>,
-    /// First-order fallback for unseen combined states.
+    /// First-order fallback for unseen combined states. It observes every
+    /// state this chain does, so it also holds the chain's `alpha`, its
+    /// current state and its observation count.
     fallback: SimpleMarkov,
-    alpha: f64,
     prev: Option<usize>,
-    current: Option<usize>,
-    observations: usize,
     /// Frozen `n² × n` transition rows, built on first use after an
     /// observation and invalidated by `observe`/`reset_position`. Derived
     /// state only: excluded from `Debug` and `PartialEq`.
@@ -56,10 +57,7 @@ impl fmt::Debug for TwoDependentMarkov {
             .field("n", &self.n)
             .field("counts", &self.counts)
             .field("fallback", &self.fallback)
-            .field("alpha", &self.alpha)
             .field("prev", &self.prev)
-            .field("current", &self.current)
-            .field("observations", &self.observations)
             .finish()
     }
 }
@@ -69,10 +67,7 @@ impl PartialEq for TwoDependentMarkov {
         self.n == other.n
             && self.counts == other.counts
             && self.fallback == other.fallback
-            && self.alpha == other.alpha
             && self.prev == other.prev
-            && self.current == other.current
-            && self.observations == other.observations
     }
 }
 
@@ -99,10 +94,7 @@ impl TwoDependentMarkov {
             n,
             counts: vec![0.0; n * n * n],
             fallback: SimpleMarkov::with_smoothing(n, alpha),
-            alpha,
             prev: None,
-            current: None,
-            observations: 0,
             table: OnceLock::new(),
         }
     }
@@ -121,7 +113,8 @@ impl TwoDependentMarkov {
         let row = &self.counts[pc * self.n..(pc + 1) * self.n];
         let total: f64 = row.iter().sum();
         if total > 0.0 {
-            let weights: Vec<f64> = row.iter().map(|c| c + self.alpha).collect();
+            let alpha = self.fallback.alpha();
+            let weights: Vec<f64> = row.iter().map(|c| c + alpha).collect();
             StateDistribution::from_weights(weights)
         } else {
             // Never saw this (prev, cur) pair: use the first-order view
@@ -213,7 +206,7 @@ impl TwoDependentMarkov {
     /// The anchoring combined state `(prev, cur)`, or `None` when nothing
     /// has been observed since the last reset.
     fn anchor(&self) -> Option<(usize, usize)> {
-        match (self.prev, self.current) {
+        match (self.prev, self.fallback.current()) {
             (_, None) => None,
             (None, Some(c)) => Some((c, c)), // one observation: assume steady
             (Some(p), Some(c)) => Some((p, c)),
@@ -249,62 +242,41 @@ impl TwoDependentMarkov {
         crate::invariants::debug_assert_normalized(out.as_slice(), "TwoDependentMarkov::predict");
         out
     }
-}
 
-impl Persist for TwoDependentMarkov {
-    fn store(&self, w: &mut Writer) {
-        w.put_usize(self.n);
-        w.put_f64(self.alpha);
-        self.counts.store(w);
-        self.fallback.store(w);
+    /// Serializes the chain's state — the previous state, the `n³`
+    /// combined-state counts, then the fallback's state (which holds the
+    /// chain's `alpha`, current state and observation count); `n` is the
+    /// owner's to supply on load.
+    pub fn store_state(&self, w: &mut Writer) {
         self.prev.store(w);
-        self.current.store(w);
-        w.put_usize(self.observations);
+        store_counts(w, &self.counts);
+        self.fallback.store_state(w);
     }
-    fn load(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        let n = r.get_usize()?;
-        let alpha = r.get_f64()?;
-        let counts: Vec<f64> = Persist::load(r)?;
-        let fallback = SimpleMarkov::load(r)?;
-        let prev: Option<usize> = Persist::load(r)?;
-        let current: Option<usize> = Persist::load(r)?;
-        let observations = r.get_usize()?;
-        if n == 0 || !(alpha.is_finite() && alpha >= 0.0) {
-            return Err(PersistError::Invalid("TwoDependentMarkov parameters"));
-        }
-        if n.checked_pow(3) != Some(counts.len()) || fallback.n_states() != n {
-            return Err(PersistError::Invalid("TwoDependentMarkov counts arity"));
-        }
-        if prev.is_some_and(|p| p >= n) || current.is_some_and(|c| c >= n) {
-            return Err(PersistError::Invalid("TwoDependentMarkov position"));
-        }
+
+    /// Restores a chain over `n` single states written by
+    /// [`TwoDependentMarkov::store_state`], refusing what
+    /// [`SimpleMarkov::load_state`] refuses and a previous state outside
+    /// `0..n`.
+    pub fn load_state(r: &mut Reader<'_>, n: usize) -> Result<Self, PersistError> {
         Ok(TwoDependentMarkov {
             n,
-            counts,
-            fallback,
-            alpha,
-            prev,
-            current,
-            observations,
+            prev: load_position(r, n)?,
+            counts: load_counts(r, n * n * n)?,
+            fallback: SimpleMarkov::load_state(r, n)?,
             table: OnceLock::new(),
         })
     }
 }
 
 impl ValuePredictor for TwoDependentMarkov {
-    fn n_states(&self) -> usize {
-        self.n
-    }
-
     fn observe(&mut self, state: usize) {
         assert!(state < self.n, "state {state} out of range (n={})", self.n);
-        if let (Some(p), Some(c)) = (self.prev, self.current) {
+        let current = self.fallback.current();
+        if let (Some(p), Some(c)) = (self.prev, current) {
             self.counts[(p * self.n + c) * self.n + state] += 1.0;
         }
         self.fallback.observe(state);
-        self.prev = self.current;
-        self.current = Some(state);
-        self.observations += 1;
+        self.prev = current;
         self.table.take();
     }
 
@@ -330,13 +302,12 @@ impl ValuePredictor for TwoDependentMarkov {
 
     fn reset_position(&mut self) {
         self.prev = None;
-        self.current = None;
         self.fallback.reset_position();
         self.table.take();
     }
 
     fn observations(&self) -> usize {
-        self.observations
+        self.fallback.observations()
     }
 }
 
@@ -493,9 +464,10 @@ mod tests {
             m.observe(wave[i % 4]);
         }
         let mut w = prepare_metrics::Writer::new();
-        m.store(&mut w);
+        m.store_state(&mut w);
         let mut r = prepare_metrics::Reader::new(w.bytes());
-        let mut back = TwoDependentMarkov::load(&mut r).expect("decodes");
+        let mut back = TwoDependentMarkov::load_state(&mut r, 3).expect("decodes");
+        assert!(r.is_exhausted());
         assert_eq!(back, m);
         // The (prev, cur) anchor survived: both continue identically.
         for steps in 0..5 {

@@ -10,6 +10,7 @@ use crate::persist::{Persist, PersistError, Reader, Writer};
 use crate::Timestamp;
 
 /// A detected change point.
+// xtask: checkpoint
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChangePoint {
     /// When the cumulative statistic crossed the threshold.

@@ -7,7 +7,7 @@
 //! attribute values. The paper does not commit to a bin count; we default
 //! to 10 and expose it as a parameter (swept in tests / ablations).
 
-use crate::persist::{Persist, PersistError, Reader, Writer};
+use crate::persist::{PersistError, Reader, Writer};
 use crate::{AttributeKind, MetricVector, TimeSeries, ATTRIBUTE_COUNT};
 
 /// A discretized metric vector: one bin index per attribute, in canonical
@@ -15,10 +15,12 @@ use crate::{AttributeKind, MetricVector, TimeSeries, ATTRIBUTE_COUNT};
 pub type DiscreteVector = Vec<usize>;
 
 /// Equal-width binning for one attribute.
+// xtask: checkpoint
 #[derive(Debug, Clone, PartialEq)]
 pub struct Discretizer {
     lo: f64,
     hi: f64,
+    // xtask: ephemeral -- supplied by PrepareConfig on load
     bins: usize,
 }
 
@@ -103,6 +105,7 @@ impl Discretizer {
 }
 
 /// Per-attribute discretizers for a full [`MetricVector`].
+// xtask: checkpoint
 #[derive(Debug, Clone, PartialEq)]
 pub struct VectorDiscretizer {
     per_attr: Vec<Discretizer>,
@@ -153,11 +156,6 @@ impl VectorDiscretizer {
         VectorDiscretizer { per_attr }
     }
 
-    /// Number of bins per attribute.
-    pub fn bins(&self) -> usize {
-        self.per_attr[0].bins()
-    }
-
     /// The discretizer for attribute `a`.
     pub fn attribute(&self, a: AttributeKind) -> &Discretizer {
         &self.per_attr[a.index()]
@@ -172,35 +170,40 @@ impl VectorDiscretizer {
     }
 }
 
-impl Persist for Discretizer {
-    fn store(&self, w: &mut Writer) {
+impl Discretizer {
+    fn store_state(&self, w: &mut Writer) {
         w.put_f64(self.lo);
         w.put_f64(self.hi);
-        w.put_usize(self.bins);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        let lo = r.get_f64()?;
-        let hi = r.get_f64()?;
-        let bins = r.get_usize()?;
-        if !(lo.is_finite() && hi.is_finite() && lo <= hi) {
-            return Err(PersistError::Invalid("Discretizer bounds"));
-        }
-        if bins == 0 {
-            return Err(PersistError::Invalid("Discretizer bin count"));
-        }
-        Ok(Discretizer { lo, hi, bins })
     }
 }
 
-impl Persist for VectorDiscretizer {
-    fn store(&self, w: &mut Writer) {
-        self.per_attr.store(w);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        let per_attr: Vec<Discretizer> = Persist::load(r)?;
-        if per_attr.len() != ATTRIBUTE_COUNT {
-            return Err(PersistError::Invalid("VectorDiscretizer arity"));
+impl VectorDiscretizer {
+    /// Serializes each attribute's fitted range, `lo` then `hi`, in
+    /// canonical order; the bin count is the owner's to supply on load.
+    pub fn store_state(&self, w: &mut Writer) {
+        for d in &self.per_attr {
+            d.store_state(w);
         }
+    }
+
+    /// Restores a discretizer of `bins` (> 0) bins per attribute written
+    /// by [`VectorDiscretizer::store_state`].
+    ///
+    /// # Errors
+    ///
+    /// A torn buffer, or a bound that is not finite or a range with
+    /// `lo > hi`.
+    pub fn load_state(r: &mut Reader<'_>, bins: usize) -> Result<Self, PersistError> {
+        let per_attr = (0..ATTRIBUTE_COUNT)
+            .map(|_| {
+                let (lo, hi) = (r.get_f64()?, r.get_f64()?);
+                if lo.is_finite() && hi.is_finite() && lo <= hi {
+                    Ok(Discretizer::new(lo, hi, bins))
+                } else {
+                    Err(PersistError::Invalid("Discretizer bounds"))
+                }
+            })
+            .collect::<Result<_, _>>()?;
         Ok(VectorDiscretizer { per_attr })
     }
 }
@@ -270,20 +273,35 @@ mod tests {
     }
 
     #[test]
-    fn discretizer_persist_round_trips_exact_bounds() {
-        let d = Discretizer::fit(&[3.0, -1.5, 8.25, 1.0 / 3.0], 7);
-        let back: Discretizer = crate::persist::from_bytes(&crate::persist::to_bytes(&d)).unwrap();
-        assert_eq!(back, d);
-        assert_eq!(back.lo().to_bits(), d.lo().to_bits());
+    fn state_round_trips_exact_bounds() {
         let mut series = TimeSeries::new();
         for t in 0..20u64 {
-            let v = MetricVector::from_fn(|a| (a.index() as f64 + 0.5) * t as f64);
+            let v = MetricVector::from_fn(|a| (a.index() as f64 + 0.5) * t as f64 / 3.0);
             series.push(MetricSample::new(Timestamp::from_secs(t), v));
         }
-        let vd = VectorDiscretizer::fit(&series, 10);
-        let back: VectorDiscretizer =
-            crate::persist::from_bytes(&crate::persist::to_bytes(&vd)).unwrap();
+        let vd = VectorDiscretizer::fit(&series, 7);
+        let mut w = Writer::new();
+        vd.store_state(&mut w);
+        assert_eq!(w.len(), ATTRIBUTE_COUNT * 16, "two bounds per attribute");
+        let mut r = Reader::new(w.bytes());
+        let back = VectorDiscretizer::load_state(&mut r, 7).unwrap();
+        assert!(r.is_exhausted());
         assert_eq!(back, vd);
+        for a in AttributeKind::ALL {
+            assert_eq!(
+                back.attribute(a).lo().to_bits(),
+                vd.attribute(a).lo().to_bits()
+            );
+            assert_eq!(
+                back.attribute(a).hi().to_bits(),
+                vd.attribute(a).hi().to_bits()
+            );
+        }
+        // A reversed or non-finite range is refused.
+        let mut bytes = w.into_bytes();
+        bytes[..8].copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
+        let err = VectorDiscretizer::load_state(&mut Reader::new(&bytes), 7).unwrap_err();
+        assert_eq!(err, PersistError::Invalid("Discretizer bounds"));
     }
 
     #[test]

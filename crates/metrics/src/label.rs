@@ -46,6 +46,7 @@ impl fmt::Display for Label {
 
 /// The application's SLO-violation log: a second-resolution record of when
 /// the SLO was violated, accumulated online.
+// xtask: checkpoint
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SloLog {
     /// Closed-open violation intervals `[start, end)`, non-overlapping and

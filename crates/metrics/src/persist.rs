@@ -14,7 +14,7 @@
 //! format, this module is the machine-exact state format.
 
 use crate::{Duration, MetricSample, MetricVector, Timestamp, ATTRIBUTE_COUNT};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 /// A decode failure. Encoding is infallible; decoding is not, because the
@@ -87,11 +87,6 @@ impl Writer {
     /// Appends one byte.
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
-    }
-
-    /// Appends a little-endian `u32`.
-    pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a little-endian `u64`.
@@ -207,19 +202,6 @@ impl<'a> Reader<'a> {
     /// [`PersistError::Truncated`] at end of buffer.
     pub fn get_u8(&mut self) -> Result<u8, PersistError> {
         Ok(self.take(1, "u8")?[0])
-    }
-
-    /// Reads a little-endian `u32`.
-    ///
-    /// # Errors
-    ///
-    /// [`PersistError::Truncated`] at end of buffer.
-    pub fn get_u32(&mut self) -> Result<u32, PersistError> {
-        let b = self.take(4, "u32")?;
-        let arr: [u8; 4] = b
-            .try_into()
-            .map_err(|_| PersistError::Truncated { what: "u32 bytes" })?;
-        Ok(u32::from_le_bytes(arr))
     }
 
     /// Reads a little-endian `u64`.
@@ -338,15 +320,6 @@ impl Persist for u8 {
     }
 }
 
-impl Persist for u32 {
-    fn store(&self, w: &mut Writer) {
-        w.put_u32(*self);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        r.get_u32()
-    }
-}
-
 impl Persist for u64 {
     fn store(&self, w: &mut Writer) {
         w.put_u64(*self);
@@ -415,8 +388,7 @@ impl<T: Persist> Persist for Option<T> {
 }
 
 /// Appends a sequence the way every collection here is laid out: its
-/// length, then each element. [`Vec`], [`VecDeque`] and [`BTreeSet`] decode
-/// it; callers holding only a borrowed slice encode through it directly.
+/// length, then each element. [`Vec`] and [`VecDeque`] decode it; callers holding only a borrowed slice encode through it directly.
 pub fn store_seq<'a, T: Persist + 'a>(w: &mut Writer, items: impl ExactSizeIterator<Item = &'a T>) {
     w.put_usize(items.len());
     for v in items {
@@ -481,20 +453,6 @@ impl<K: Persist + Ord, V: Persist> Persist for BTreeMap<K, V> {
     }
 }
 
-impl<T: Persist + Ord> Persist for BTreeSet<T> {
-    fn store(&self, w: &mut Writer) {
-        store_seq(w, self.iter());
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        let len = r.get_usize()?;
-        let mut out = BTreeSet::new();
-        for _ in 0..len {
-            out.insert(T::load(r)?);
-        }
-        Ok(out)
-    }
-}
-
 impl<A: Persist, B: Persist> Persist for (A, B) {
     fn store(&self, w: &mut Writer) {
         self.0.store(w);
@@ -502,17 +460,6 @@ impl<A: Persist, B: Persist> Persist for (A, B) {
     }
     fn load(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         Ok((A::load(r)?, B::load(r)?))
-    }
-}
-
-impl<A: Persist, B: Persist, C: Persist> Persist for (A, B, C) {
-    fn store(&self, w: &mut Writer) {
-        self.0.store(w);
-        self.1.store(w);
-        self.2.store(w);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok((A::load(r)?, B::load(r)?, C::load(r)?))
     }
 }
 
@@ -612,7 +559,6 @@ mod tests {
     fn primitives_round_trip() {
         round_trip(&0u8);
         round_trip(&u8::MAX);
-        round_trip(&u32::MAX);
         round_trip(&u64::MAX);
         round_trip(&usize::MAX);
         round_trip(&true);
@@ -660,9 +606,7 @@ mod tests {
         round_trip(&Vec::<u64>::new());
         round_trip(&VecDeque::from([true, false, true]));
         round_trip(&BTreeMap::from([(1u64, 2.0f64), (3, 4.0)]));
-        round_trip(&BTreeSet::from([crate::VmId(0), crate::VmId(7)]));
         round_trip(&(1u64, 2.0f64));
-        round_trip(&(1u64, 2.0f64, String::from("x")));
         round_trip(&[1.0f64, 2.0]);
         round_trip(&Timestamp::from_secs(42));
         round_trip(&Duration::from_secs(5));

@@ -8,6 +8,7 @@ use crate::{mean, std_dev, AttributeKind, MetricSample, Timestamp};
 /// Samples must be appended in non-decreasing timestamp order; this is the
 /// shape a real dom0 monitor produces and everything downstream (labeling,
 /// training, validation windows) relies on it.
+// xtask: checkpoint
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TimeSeries {
     samples: Vec<MetricSample>,

@@ -54,6 +54,7 @@ impl AttributeStamps {
 ///
 /// `sample.time` is when the consumer received the vector; each stamp is
 /// when that attribute was genuinely measured.
+// xtask: checkpoint
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StampedSample {
     /// The delivered measurement vector.
@@ -95,6 +96,7 @@ pub enum Freshness {
 
 /// Per-attribute bound on how old a reading may grow before the control
 /// loop stops trusting it.
+// xtask: checkpoint
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StalenessBudget {
     per_attribute: [Duration; ATTRIBUTE_COUNT],
@@ -154,6 +156,7 @@ impl Default for StalenessBudget {
 /// the last known vector re-timed to `now` while keeping its original
 /// collection stamps — so the imputed sample ages out naturally under a
 /// [`StalenessBudget`] instead of impersonating fresh data forever.
+// xtask: checkpoint
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LastValueImputer {
     last: Option<StampedSample>,

@@ -3,19 +3,18 @@
 //! attribution is unreliable, not because its accuracy was poor).
 
 use crate::{Classifier, Dataset, TrainError};
-use prepare_metrics::persist::{Persist, PersistError, Reader, Writer};
 use prepare_metrics::Label;
 
 /// Class-conditional probability table for one attribute with no attribute
 /// parent: `P(a_i = v | C = c)`, Laplace-smoothed.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) struct RootCpt {
+struct RootCpt {
     /// log_p[c][v]
     log_p: [Vec<f64>; 2],
 }
 
 impl RootCpt {
-    pub(crate) fn fit(ds: &Dataset, attr: usize, alpha: f64) -> Self {
+    fn fit(ds: &Dataset, attr: usize, alpha: f64) -> Self {
         let card = ds.cardinality(attr);
         let mut counts = [vec![0.0f64; card], vec![0.0f64; card]];
         for (row, label) in ds.iter() {
@@ -38,26 +37,8 @@ impl RootCpt {
         RootCpt { log_p }
     }
 
-    pub(crate) fn log_prob(&self, value: usize, class: Label) -> f64 {
+    fn log_prob(&self, value: usize, class: Label) -> f64 {
         self.log_p[class.is_abnormal() as usize][value]
-    }
-
-    /// The two class-conditional log-probability rows, normal class first.
-    pub(crate) fn rows(&self) -> impl Iterator<Item = &[f64]> {
-        self.log_p.iter().map(Vec::as_slice)
-    }
-}
-
-impl Persist for RootCpt {
-    fn store(&self, w: &mut Writer) {
-        self.log_p.store(w);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        let log_p: [Vec<f64>; 2] = Persist::load(r)?;
-        if log_p[0].len() != log_p[1].len() || log_p[0].is_empty() {
-            return Err(PersistError::Invalid("RootCpt table shape"));
-        }
-        Ok(RootCpt { log_p })
     }
 }
 

@@ -1,13 +1,15 @@
 //! The Tree-Augmented Naive Bayesian classifier (paper §II-B/C, Eq. 1–2,
 //! Fig. 3).
 
-use crate::naive::{clamp_value, log_prior_ratio, RootCpt};
+use crate::naive::{clamp_value, log_prior_ratio};
 use crate::{chow_liu_tree, Classifier, Dataset, TrainError};
 use prepare_metrics::persist::{Persist, PersistError, Reader, Writer};
 use prepare_metrics::{debug_assert_finite, Label};
 
 /// Class- and parent-conditional probability table:
-/// `P(a_i = v | a_p = u, C = c)`, Laplace-smoothed.
+/// `P(a_i = v | a_p = u, C = c)`, Laplace-smoothed. The tree root has no
+/// attribute parent; its table has one parent row, `u = 0`.
+// xtask: checkpoint
 #[derive(Debug, Clone, PartialEq)]
 struct EdgeCpt {
     /// log_p[c][u][v]
@@ -15,22 +17,23 @@ struct EdgeCpt {
 }
 
 impl EdgeCpt {
-    fn fit(ds: &Dataset, attr: usize, parent: usize, alpha: f64) -> Self {
+    fn fit(ds: &Dataset, attr: usize, parent: Option<usize>, alpha: f64) -> Self {
         let card = ds.cardinality(attr);
-        let pcard = ds.cardinality(parent);
+        let pcard = parent.map_or(1, |p| ds.cardinality(p));
         let mut counts = [
             vec![vec![0.0f64; card]; pcard],
             vec![vec![0.0f64; card]; pcard],
         ];
         for (row, label) in ds.iter() {
-            counts[label.is_abnormal() as usize][row[parent]][row[attr]] += 1.0;
+            let u = parent.and_then(|p| row.get(p).copied()).unwrap_or(0);
+            counts[label.is_abnormal() as usize][u][row[attr]] += 1.0;
         }
         Self::from_counts(counts, alpha)
     }
 
     /// Derives the smoothed log-probability table from
     /// `counts[class][parent value][value]` — the only count→probability
-    /// path for edge CPTs.
+    /// path for TAN tables.
     fn from_counts(counts: [Vec<Vec<f64>>; 2], alpha: f64) -> Self {
         let card = counts[0].first().map_or(0, Vec::len);
         let log_p: [Vec<Vec<f64>>; 2] = counts.map(|by_parent| {
@@ -58,50 +61,40 @@ impl EdgeCpt {
     fn rows(&self) -> impl Iterator<Item = &[f64]> {
         self.log_p.iter().flatten().map(Vec::as_slice)
     }
-}
 
-#[derive(Debug, Clone, PartialEq)]
-enum Cpt {
-    Root(RootCpt),
-    Edge { parent: usize, table: EdgeCpt },
-}
-
-impl Persist for EdgeCpt {
-    fn store(&self, w: &mut Writer) {
-        self.log_p.store(w);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        let log_p: [Vec<Vec<f64>>; 2] = Persist::load(r)?;
-        if log_p[0].len() != log_p[1].len() {
-            return Err(PersistError::Invalid("EdgeCpt table shape"));
-        }
-        Ok(EdgeCpt { log_p })
-    }
-}
-
-impl Persist for Cpt {
-    fn store(&self, w: &mut Writer) {
-        match self {
-            Cpt::Root(t) => {
-                w.put_u8(0);
-                t.store(w);
-            }
-            Cpt::Edge { parent, table } => {
-                w.put_u8(1);
-                w.put_usize(*parent);
-                table.store(w);
-            }
+    /// Writes every log-probability, class by class, row by row. The
+    /// table's shape is its owner's to supply on load.
+    fn store_state(&self, w: &mut Writer) {
+        for v in self.log_p.iter().flatten().flatten() {
+            w.put_f64(*v);
         }
     }
-    fn load(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        match r.get_u8()? {
-            0 => Ok(Cpt::Root(RootCpt::load(r)?)),
-            1 => Ok(Cpt::Edge {
-                parent: r.get_usize()?,
-                table: EdgeCpt::load(r)?,
-            }),
-            tag => Err(PersistError::BadTag { what: "Cpt", tag }),
-        }
+
+    /// Reads a table of `parent_card` rows of `card` log-probabilities per
+    /// class.
+    fn load_state(
+        r: &mut Reader<'_>,
+        parent_card: usize,
+        card: usize,
+    ) -> Result<Self, PersistError> {
+        let mut class = || -> Result<Vec<Vec<f64>>, PersistError> {
+            (0..parent_card)
+                .map(|_| (0..card).map(|_| get_log_prob(r)).collect())
+                .collect()
+        };
+        Ok(EdgeCpt {
+            log_p: [class()?, class()?],
+        })
+    }
+}
+
+/// Reads a stored log-probability, which must be finite.
+fn get_log_prob(r: &mut Reader<'_>) -> Result<f64, PersistError> {
+    let v = r.get_f64()?;
+    if v.is_finite() {
+        Ok(v)
+    } else {
+        Err(PersistError::Invalid("TanClassifier log-probability"))
     }
 }
 
@@ -133,25 +126,24 @@ pub struct TanVerdict {
 }
 
 /// A trained TAN anomaly classifier.
+// xtask: checkpoint
 #[derive(Debug, Clone, PartialEq)]
 pub struct TanClassifier {
-    cpts: Vec<Cpt>,
+    /// One table per attribute, conditioned on `parents[i]` (one parent
+    /// row for the root).
+    cpts: Vec<EdgeCpt>,
     parents: Vec<Option<usize>>,
     log_prior_ratio: f64,
+    // xtask: ephemeral -- supplied by PrepareConfig on load
     cardinalities: Vec<usize>,
 }
 
 impl TanClassifier {
     /// The Eq. 2 impact strength `L_i` of attribute `i` for input `x`.
-    fn strength_of(&self, x: &[usize], i: usize, cpt: &Cpt) -> f64 {
+    fn strength_of(&self, x: &[usize], i: usize, table: &EdgeCpt) -> f64 {
         let v = clamp_value(x, i, self.cardinalities[i]);
-        match cpt {
-            Cpt::Root(t) => t.log_prob(v, Label::Abnormal) - t.log_prob(v, Label::Normal),
-            Cpt::Edge { parent, table } => {
-                let u = clamp_value(x, *parent, self.cardinalities[*parent]);
-                table.log_prob(v, u, Label::Abnormal) - table.log_prob(v, u, Label::Normal)
-            }
-        }
+        let u = self.parents[i].map_or(0, |p| clamp_value(x, p, self.cardinalities[p]));
+        table.log_prob(v, u, Label::Abnormal) - table.log_prob(v, u, Label::Normal)
     }
 
     /// Sum of all attribute strengths without materializing the vector —
@@ -225,44 +217,48 @@ impl TanClassifier {
     /// be row-stochastic — `Σ_v exp(row[v]) = 1` — which the invariant
     /// test suite asserts over generated datasets.
     pub fn log_cpt_rows(&self) -> Vec<Vec<f64>> {
-        let mut rows = Vec::new();
-        for cpt in &self.cpts {
-            match cpt {
-                Cpt::Root(t) => rows.extend(t.rows().map(<[f64]>::to_vec)),
-                Cpt::Edge { table, .. } => rows.extend(table.rows().map(<[f64]>::to_vec)),
-            }
-        }
-        rows
+        self.cpts
+            .iter()
+            .flat_map(|t| t.rows().map(<[f64]>::to_vec))
+            .collect()
     }
-}
 
-impl Persist for TanClassifier {
-    fn store(&self, w: &mut Writer) {
-        self.cpts.store(w);
-        self.parents.store(w);
+    /// Serializes the trained model: each attribute's parent, the log
+    /// prior ratio, then every attribute's table. The cardinalities are
+    /// the owner's to supply on load, so no count or length is written.
+    pub fn store_state(&self, w: &mut Writer) {
+        for p in &self.parents {
+            p.store(w);
+        }
         w.put_f64(self.log_prior_ratio);
-        self.cardinalities.store(w);
+        for table in &self.cpts {
+            table.store_state(w);
+        }
     }
-    fn load(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        let cpts: Vec<Cpt> = Persist::load(r)?;
-        let parents: Vec<Option<usize>> = Persist::load(r)?;
-        let log_prior_ratio = r.get_f64()?;
-        let cardinalities: Vec<usize> = Persist::load(r)?;
-        let n = cpts.len();
-        if parents.len() != n || cardinalities.len() != n || n == 0 {
-            return Err(PersistError::Invalid("TanClassifier arity"));
-        }
-        if parents.iter().any(|p| p.is_some_and(|i| i >= n)) {
-            return Err(PersistError::Invalid("TanClassifier parent index"));
-        }
-        if cardinalities.contains(&0) {
-            return Err(PersistError::Invalid("TanClassifier cardinality"));
-        }
+
+    /// Restores a model over attributes of the given `cardinalities`
+    /// written by [`TanClassifier::store_state`], refusing a parent index
+    /// outside the attribute range and a non-finite log-probability or
+    /// log prior ratio.
+    pub fn load_state(r: &mut Reader<'_>, cardinalities: &[usize]) -> Result<Self, PersistError> {
+        let n = cardinalities.len();
+        let parents = (0..n)
+            .map(|_| match Option::<usize>::load(r)? {
+                Some(p) if p >= n => Err(PersistError::Invalid("TanClassifier parent index")),
+                p => Ok(p),
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let log_prior_ratio = get_log_prob(r)?;
+        let cpts = parents
+            .iter()
+            .zip(cardinalities)
+            .map(|(p, &card)| EdgeCpt::load_state(r, p.map_or(1, |p| cardinalities[p]), card))
+            .collect::<Result<Vec<_>, _>>()?;
         Ok(TanClassifier {
             cpts,
             parents,
             log_prior_ratio,
-            cardinalities,
+            cardinalities: cardinalities.to_vec(),
         })
     }
 }
@@ -274,13 +270,7 @@ impl Classifier for TanClassifier {
         let cpts = parents
             .iter()
             .enumerate()
-            .map(|(i, &p)| match p {
-                None => Cpt::Root(RootCpt::fit(ds, i, 1.0)),
-                Some(parent) => Cpt::Edge {
-                    parent,
-                    table: EdgeCpt::fit(ds, i, parent, 1.0),
-                },
-            })
+            .map(|(i, &p)| EdgeCpt::fit(ds, i, p, 1.0))
             .collect();
         Ok(TanClassifier {
             cpts,
@@ -389,9 +379,10 @@ mod tests {
     fn persist_round_trip_is_bit_identical() {
         let tan = TanClassifier::train(&leak_dataset()).unwrap();
         let mut w = prepare_metrics::Writer::new();
-        tan.store(&mut w);
+        tan.store_state(&mut w);
         let mut r = prepare_metrics::Reader::new(w.bytes());
-        let back = TanClassifier::load(&mut r).expect("decodes");
+        let back = TanClassifier::load_state(&mut r, &[4; 3]).expect("decodes");
+        assert!(r.is_exhausted());
         assert_eq!(back, tan);
         let bits = |t: &TanClassifier| {
             t.log_cpt_rows()
