@@ -54,10 +54,15 @@ fi
 echo "==> cargo test (PREPARE_WORKERS=1, sequential engine)"
 PREPARE_WORKERS=1 cargo test --offline --quiet --workspace
 
-# xtask is std-only and reads no PREPARE_WORKERS: its self-tests (two of
-# which lint the whole workspace) already ran in the pass above.
+# The second pass runs only the crates whose sources or tests name
+# ParConfig, prepare_par or PREPARE_WORKERS; the rest never see a worker
+# count and already ran in the pass above: xtask, prepare-markov,
+# prepare-tan, prepare-metrics, prepare-apps, prepare-cloudsim (which
+# names one only in a doc comment) and the proptest and rand shims.
 echo "==> cargo test (PREPARE_WORKERS=4, sharded engine)"
-PREPARE_WORKERS=4 cargo test --offline --quiet --workspace --exclude xtask
+PREPARE_WORKERS=4 cargo test --offline --quiet --workspace --exclude xtask \
+  --exclude prepare-markov --exclude prepare-tan --exclude prepare-metrics \
+  --exclude prepare-apps --exclude prepare-cloudsim --exclude proptest --exclude rand
 
 # benchmark/ is its own workspace, so --workspace never compiles it; its
 # tests are what notices a change to the API the benchmark pins.

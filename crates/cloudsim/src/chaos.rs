@@ -55,7 +55,7 @@ pub enum ChaosKind {
     },
     /// Each sampling round, hold the VM's sample back one round with
     /// this probability; held samples arrive late with their original
-    /// collection stamps, and a backlog collapses to the freshest
+    /// collection stamp, and a backlog collapses to the freshest
     /// reading once the lag clears.
     DelaySamples {
         /// Affected VM, or `None` for all VMs.
@@ -341,8 +341,9 @@ impl ChaosEngine {
         };
         let mut delivered = delivered?;
 
-        // 4. Stuck attributes: freeze value AND collection stamp at the
-        // first in-window reading, so staleness is observable downstream.
+        // 4. Stuck attributes: freeze the value at the first in-window
+        // reading and hold the collection stamp no later than that
+        // reading's, so staleness is observable downstream.
         for fault in &self.plan.faults {
             let ChaosKind::StuckAttribute {
                 vm: target,
@@ -362,7 +363,7 @@ impl ChaosEngine {
             match self.frozen.get(&key) {
                 Some(&(frozen_at, value)) => {
                     delivered.sample.values.set(attribute, value);
-                    delivered.stamps.set(attribute, frozen_at);
+                    delivered.collected = delivered.collected.min(frozen_at);
                     self.stats.stuck_readings += 1;
                 }
                 None => {
@@ -370,7 +371,7 @@ impl ChaosEngine {
                     self.frozen.insert(
                         key,
                         (
-                            delivered.stamps.get(attribute),
+                            delivered.sample.time,
                             delivered.sample.values.get(attribute),
                         ),
                     );
@@ -509,7 +510,7 @@ mod tests {
             .deliver(vm, HostId(0), sample_at(15, 15.0), t(15))
             .expect("previous round replays");
         assert_eq!(late.sample.values.get(AttributeKind::CpuTotal), 10.0);
-        assert_eq!(late.stamps.oldest(), t(10), "stamps keep collection time");
+        assert_eq!(late.collected, t(10), "the stamp keeps collection time");
         let late2 = e
             .deliver(vm, HostId(0), sample_at(20, 20.0), t(20))
             .expect("still replaying the backlog");
@@ -520,49 +521,80 @@ mod tests {
             .deliver(vm, HostId(0), sample_at(25, 25.0), t(25))
             .expect("fresh after recovery");
         assert_eq!(fresh.sample.values.get(AttributeKind::CpuTotal), 25.0);
-        assert_eq!(fresh.stamps.oldest(), t(25));
+        assert_eq!(fresh.collected, t(25));
         let s = e.stats();
         assert_eq!(s.delayed, 3);
         assert_eq!(s.coalesced, 1);
     }
 
+    /// A sample of 1 × `v` with FreeMem at 100 × `v`.
+    fn mk(secs: u64, v: f64) -> MetricSample {
+        let mut values = MetricVector::from_fn(|_| v);
+        values.set(AttributeKind::FreeMem, v * 100.0);
+        MetricSample::new(t(secs), values)
+    }
+
+    fn stuck(attribute: AttributeKind) -> ChaosKind {
+        ChaosKind::StuckAttribute {
+            vm: VmId(0),
+            attribute,
+        }
+    }
+
     #[test]
     fn stuck_attribute_freezes_value_and_stamp() {
-        let plan = ChaosPlan::new(1).with_fault(
-            t(10),
-            t(30),
-            ChaosKind::StuckAttribute {
-                vm: VmId(0),
-                attribute: AttributeKind::FreeMem,
-            },
-        );
+        let plan = ChaosPlan::new(1).with_fault(t(10), t(30), stuck(AttributeKind::FreeMem));
         let mut e = ChaosEngine::new(plan);
-        let mk = |secs: u64, v: f64| {
-            let mut values = MetricVector::from_fn(|_| v);
-            values.set(AttributeKind::FreeMem, v * 100.0);
-            MetricSample::new(t(secs), values)
-        };
         // First in-window reading becomes the freeze point.
         let first = e
             .deliver(VmId(0), HostId(0), mk(10, 1.0), t(10))
             .expect("delivered");
         assert_eq!(first.sample.values.get(AttributeKind::FreeMem), 100.0);
+        assert_eq!(first.collected, t(10));
         // Later readings keep reporting the frozen value with the old stamp.
         let wedged = e
             .deliver(VmId(0), HostId(0), mk(20, 2.0), t(20))
             .expect("delivered");
         assert_eq!(wedged.sample.values.get(AttributeKind::FreeMem), 100.0);
-        assert_eq!(wedged.stamps.get(AttributeKind::FreeMem), t(10));
+        assert_eq!(wedged.collected, t(10));
         // Other attributes stay live.
         assert_eq!(wedged.sample.values.get(AttributeKind::CpuTotal), 2.0);
-        assert_eq!(wedged.stamps.get(AttributeKind::CpuTotal), t(20));
+        assert_eq!(wedged.sample.time, t(20));
         // Window over: the agent recovers.
         let healed = e
             .deliver(VmId(0), HostId(0), mk(30, 3.0), t(30))
             .expect("delivered");
         assert_eq!(healed.sample.values.get(AttributeKind::FreeMem), 300.0);
-        assert_eq!(healed.stamps.get(AttributeKind::FreeMem), t(30));
+        assert_eq!(healed.collected, t(30));
         assert_eq!(e.stats().stuck_readings, 1);
+    }
+
+    #[test]
+    fn staggered_stuck_attributes_keep_the_earlier_freeze_point() {
+        let plan = ChaosPlan::new(1)
+            .with_fault(t(10), t(30), stuck(AttributeKind::FreeMem))
+            .with_fault(t(20), t(50), stuck(AttributeKind::CpuTotal));
+        let mut e = ChaosEngine::new(plan);
+        let mut at = |secs: u64| {
+            e.deliver(VmId(0), HostId(0), mk(secs, secs as f64), t(secs))
+                .expect("delivered")
+        };
+        assert_eq!(at(10).collected, t(10));
+        // Both faults active: the earlier freeze point wins.
+        let both = at(20);
+        assert_eq!(both.collected, t(10));
+        assert_eq!(both.sample.values.get(AttributeKind::FreeMem), 1000.0);
+        assert_eq!(both.sample.values.get(AttributeKind::CpuTotal), 20.0);
+        let both = at(25);
+        assert_eq!(both.collected, t(10));
+        assert_eq!(both.sample.values.get(AttributeKind::CpuTotal), 20.0);
+        // The first window is over: the later freeze point is the oldest.
+        let second = at(30);
+        assert_eq!(second.collected, t(20));
+        assert_eq!(second.sample.values.get(AttributeKind::FreeMem), 3000.0);
+        assert_eq!(second.sample.values.get(AttributeKind::CpuTotal), 20.0);
+        // Both windows over.
+        assert_eq!(at(50).collected, t(50));
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! per-tick demand resolution.
 
 use crate::{
-    ActionKind, ActionRecord, ActuationCosts, Demand, HostSpec, MigrateError, PlacementError,
-    PlacementStore, ScaleError, ServiceQuality,
+    ActionKind, ActionRecord, Demand, HostSpec, MigrateError, PlacementError, PlacementStore,
+    ScaleError, ServiceQuality, TABLE1_COSTS,
 };
 use prepare_metrics::{Duration, Timestamp, VmId};
 use std::fmt;
@@ -126,7 +126,6 @@ pub struct Cluster {
     hosts: Vec<Host>,
     vms: Vec<VmState>,
     actions: Vec<ActionRecord>,
-    costs: ActuationCosts,
     /// Incremental per-host committed/free capacity, kept in sync by
     /// every mutation below; see [`PlacementStore`] for the bit-exactness
     /// contract against the legacy occupant scan.
@@ -144,7 +143,6 @@ impl Cluster {
             hosts: Vec::new(),
             vms: Vec::new(),
             actions: Vec::new(),
-            costs: ActuationCosts::default(),
             placement: PlacementStore::default(),
             hypervisor_busy: false,
         }
@@ -161,11 +159,6 @@ impl Cluster {
     /// True while the control plane transiently rejects actuations.
     pub fn is_hypervisor_busy(&self) -> bool {
         self.hypervisor_busy
-    }
-
-    /// The cost model in effect.
-    pub fn costs(&self) -> &ActuationCosts {
-        &self.costs
     }
 
     /// Adds a physical host.
@@ -386,7 +379,7 @@ impl Cluster {
                 from: old,
                 to: new_alloc,
             },
-            cost_ms: self.costs.cpu_scaling_ms,
+            cost_ms: TABLE1_COSTS.cpu_scaling_ms,
         });
         crate::invariants::debug_validate(self);
         Ok(())
@@ -430,7 +423,7 @@ impl Cluster {
                 from: old,
                 to: new_alloc_mb,
             },
-            cost_ms: self.costs.mem_scaling_ms,
+            cost_ms: TABLE1_COSTS.mem_scaling_ms,
         });
         crate::invariants::debug_validate(self);
         Ok(())
@@ -482,9 +475,8 @@ impl Cluster {
         if state.cpu_alloc > free_cpu + 1e-9 || state.mem_alloc_mb > free_mem + 1e-9 {
             return Err(MigrateError::TargetFull(target));
         }
-        let duration = self
-            .costs
-            .migration_duration_under_load(state.mem_alloc_mb, state.stress());
+        let duration =
+            TABLE1_COSTS.migration_duration_under_load(state.mem_alloc_mb, state.stress());
         self.vms[vm.0].migration = Some(MigrationState {
             target,
             started_at: now,

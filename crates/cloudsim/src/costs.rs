@@ -59,12 +59,6 @@ impl ActuationCosts {
     }
 }
 
-impl Default for ActuationCosts {
-    fn default() -> Self {
-        TABLE1_COSTS
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

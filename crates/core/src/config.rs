@@ -38,9 +38,6 @@ pub struct PrepareConfig {
     pub policy: PreventionPolicy,
     /// Resource sizing: new allocation = observed demand × this factor.
     pub scale_factor: f64,
-    /// Length of the look-back / look-ahead windows used to validate
-    /// prevention effectiveness (§II-D).
-    pub validation_window: Duration,
     /// Minimum samples before the first training attempt.
     pub min_training_samples: usize,
     /// Interval between periodic model refreshes after the initial
@@ -62,13 +59,13 @@ pub struct PrepareConfig {
     /// for the workload-change inference to fire (§II-C: "all the
     /// application components"; a little slack absorbs detector jitter).
     pub workload_change_quorum: f64,
-    /// Per-attribute staleness budget for incoming samples: a reading
-    /// older than its budget no longer counts as evidence. While a VM's
-    /// entire vector is past budget the controller holds the last value
-    /// for bookkeeping but *abstains* from predictive votes and emits
+    /// Staleness budget for incoming samples: a reading whose oldest
+    /// attribute is older than the budget no longer counts as evidence.
+    /// While a VM has no such evidence the controller holds the last
+    /// value for bookkeeping but *abstains* from predictive votes and emits
     /// [`crate::ControllerEvent::MonitoringDegraded`] /
     /// [`crate::ControllerEvent::MonitoringRecovered`] edge events.
-    /// Defaults to a uniform 15 s — three sampling rounds.
+    /// Defaults to 15 s — three sampling rounds.
     pub staleness: StalenessBudget,
     /// Worker threads for the per-VM hot paths (training, prediction,
     /// diagnosis, implication scoring). Defaults to the `PREPARE_WORKERS`
@@ -97,7 +94,6 @@ impl Default for PrepareConfig {
             filter_w: 4,
             policy: PreventionPolicy::ScalingFirst,
             scale_factor: 1.3,
-            validation_window: Duration::from_secs(30),
             min_training_samples: 40,
             retrain_interval: Some(Duration::from_secs(600)),
             post_anomaly_quiet: Duration::from_secs(150),
@@ -129,7 +125,7 @@ impl PrepareConfig {
     /// # Errors
     ///
     /// The violated predicate, when the filter parameters are
-    /// inconsistent, the scale factor is not > 1, a window is zero, the
+    /// inconsistent, the scale factor is not > 1, the look-ahead is zero, the
     /// quorum is not a fraction, the worker count is zero, the bin count
     /// is outside `1..=MAX_BINS`, or a prediction would run more than
     /// [`MAX_LOOK_AHEAD_STEPS`] steps.
@@ -143,10 +139,6 @@ impl PrepareConfig {
         let scale = self.scale_factor.partial_cmp(&1.0) == Some(std::cmp::Ordering::Greater);
         ensure(scale, "scale factor must exceed 1.0")?;
         ensure(!self.look_ahead.is_zero(), "look-ahead must be positive")?;
-        ensure(
-            !self.validation_window.is_zero(),
-            "validation window must be positive",
-        )?;
         let quorum = (0.0..=1.0).contains(&self.workload_change_quorum);
         ensure(quorum, "quorum must be a fraction")?;
         ensure(self.par.workers >= 1, "worker count must be positive")?;
@@ -188,7 +180,6 @@ impl PrepareConfig {
         w.put_usize(self.filter_w);
         self.policy.store(w);
         w.put_f64(self.scale_factor);
-        self.validation_window.store(w);
         w.put_usize(self.min_training_samples);
         self.retrain_interval.store(w);
         self.post_anomaly_quiet.store(w);
@@ -213,7 +204,6 @@ impl PrepareConfig {
             filter_w: r.get_usize()?,
             policy: Persist::load(r)?,
             scale_factor: r.get_f64()?,
-            validation_window: Persist::load(r)?,
             min_training_samples: r.get_usize()?,
             retrain_interval: Persist::load(r)?,
             post_anomaly_quiet: Persist::load(r)?,

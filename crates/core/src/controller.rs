@@ -438,6 +438,10 @@ pub const SUPPRESSION_SECS: u64 = 60;
 /// not open episodes (reactive response to real violations is unaffected).
 pub const TRAINING_SETTLE_SECS: u64 = 60;
 
+/// Length of the look-back / look-ahead windows used to validate
+/// prevention effectiveness (§II-D).
+pub const VALIDATION_WINDOW: Duration = Duration::from_secs(30);
+
 /// Maximum scheduled retries of a transiently rejected (hypervisor-busy)
 /// action before the episode gives up on it, counts one failure, and
 /// falls through to the next-ranked candidate attribute.
@@ -1154,7 +1158,7 @@ impl PrepareController {
     /// Runs the look-back/look-ahead validation over open episodes, in
     /// VM-id order.
     fn validate_episodes(&mut self, now: Timestamp, slo_violated: bool, io: &mut ClusterIo<'_>) {
-        let window = self.config.validation_window;
+        let window = VALIDATION_WINDOW;
 
         // Observe migration outcomes first: an issued migration that is
         // no longer in flight either switched over (the VM now lives on
@@ -1350,6 +1354,7 @@ impl PrepareController {
         let slo = SloLog::load(r)?;
         let inference = CauseInference::load_state(
             r,
+            &vms,
             config.workload_change_quorum,
             change_recency_secs(&config),
             config.par,
@@ -2079,6 +2084,30 @@ mod tests {
                 "round {round}"
             );
         }
+    }
+
+    /// A fresh controller's core state grows per VM by the VM's one id,
+    /// its empty record and its detector's CUSUM state: the detector is
+    /// stored without an id and without the CUSUM tunables.
+    #[test]
+    fn a_fresh_vm_costs_its_id_record_and_detector_state() {
+        const ID: usize = 8;
+        const LEN: usize = 8;
+        const COUNT: usize = 8;
+        const F64: usize = 8;
+        const TAG: usize = 1;
+        // Series, predictor tag, filter window and abstention odometer,
+        // episode, last migration, suppression, imputer, degraded flag.
+        const RECORD: usize = LEN + TAG + LEN + COUNT + TAG + TAG + TAG + TAG + TAG;
+        // Baseline count, mean and m2, the two sums, the last change.
+        const DETECTOR: usize = COUNT + 2 * F64 + 2 * F64 + TAG;
+        let fresh = |n: usize| {
+            let vms = (0..n).map(VmId).collect();
+            PrepareController::new(vms, PrepareConfig::default(), Scheme::Prepare)
+                .core_state_bytes()
+        };
+        assert_eq!(fresh(3) - fresh(2), ID + RECORD + DETECTOR);
+        assert_eq!(fresh(3) - fresh(2), 79);
     }
 
     /// A controller fed only recorded cluster replies (no cluster at all)

@@ -101,10 +101,7 @@ impl CauseInference {
     /// identical for any worker count.
     pub fn with_par(vms: &[VmId], quorum: f64, recency_secs: u64, par: ParConfig) -> Self {
         CauseInference {
-            detectors: vms
-                .iter()
-                .map(|&vm| (vm, CusumDetector::with_defaults()))
-                .collect(),
+            detectors: vms.iter().map(|&vm| (vm, CusumDetector::new())).collect(),
             quorum,
             recency_secs,
             par,
@@ -144,32 +141,35 @@ impl CauseInference {
         (changed as f64 / self.detectors.len() as f64) >= self.quorum
     }
 
-    /// Serializes the inference state — the detectors — for a controller
-    /// checkpoint. The tunables are the owner's to supply on load, and the
-    /// shard configuration is the recovering process's.
+    /// Serializes the inference state — the detectors, in VM-id order
+    /// and without their ids — for a controller checkpoint. The ids and
+    /// the tunables are the owner's to supply on load, and the shard
+    /// configuration is the recovering process's.
     pub fn store_state(&self, w: &mut Writer) {
-        self.detectors.store(w);
+        for detector in self.detectors.values() {
+            detector.store(w);
+        }
     }
 
     /// Restores inference state written by [`CauseInference::store_state`]
-    /// under the tunables [`CauseInference::with_par`] takes.
+    /// for the VMs `vms` (in any order), under the tunables
+    /// [`CauseInference::with_par`] takes.
     ///
     /// # Errors
     ///
-    /// Any [`PersistError`] of the detector map.
+    /// Any [`PersistError`] of a detector.
     pub fn load_state(
         r: &mut Reader<'_>,
+        vms: &[VmId],
         quorum: f64,
         recency_secs: u64,
         par: ParConfig,
     ) -> Result<Self, PersistError> {
-        let detectors = BTreeMap::load(r)?;
-        Ok(CauseInference {
-            detectors,
-            quorum,
-            recency_secs,
-            par,
-        })
+        let mut inference = CauseInference::with_par(vms, quorum, recency_secs, par);
+        for detector in inference.detectors.values_mut() {
+            *detector = CusumDetector::load(r)?;
+        }
+        Ok(inference)
     }
 }
 
@@ -318,7 +318,7 @@ mod tests {
         ci.store_state(&mut w);
         let bytes = w.into_bytes();
         let mut r = prepare_metrics::persist::Reader::new(&bytes);
-        let back = CauseInference::load_state(&mut r, 0.8, 30, ParConfig::with_workers(7))
+        let back = CauseInference::load_state(&mut r, &vms, 0.8, 30, ParConfig::with_workers(7))
             .expect("state loads");
         assert!(r.is_exhausted());
         assert_eq!(

@@ -53,6 +53,7 @@ pub use controller::{
     ClusterIo, ClusterReply, ExecFailure, PrepareController, MAX_EPISODE_FAILURES,
     MIGRATE_RETRY_BASE_SECS, MIGRATION_COOLDOWN_SECS, RETRY_BACKOFF_CAP_SECS,
     SCALE_RETRY_BASE_SECS, SUPPRESSION_SECS, TRAINING_SETTLE_SECS, TRANSIENT_RETRY_LIMIT,
+    VALIDATION_WINDOW,
 };
 pub use events::{ActionFailureKind, ControllerEvent};
 pub use experiment::{

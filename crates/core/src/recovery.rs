@@ -43,8 +43,8 @@ use prepare_metrics::{StampedSample, Timestamp, VmId};
 use prepare_par::ParConfig;
 use std::sync::Arc;
 
-/// Magic + version sealing a checkpoint frame ("PRPCKP" + version 06).
-pub const CHECKPOINT_MAGIC: u64 = u64::from_le_bytes(*b"PRPCKP06");
+/// Magic + version sealing a checkpoint frame ("PRPCKP" + version 07).
+pub const CHECKPOINT_MAGIC: u64 = u64::from_le_bytes(*b"PRPCKP07");
 
 /// The frame checksum: FNV-1a's constants and its xor-then-multiply
 /// fold, taken one little-endian 64-bit word at a time with a xor-shift
@@ -533,7 +533,7 @@ impl RecoveryManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prepare_metrics::{MetricSample, MetricVector};
+    use prepare_metrics::{MetricSample, MetricVector, ATTRIBUTE_COUNT};
 
     fn record(t: u64) -> TickRecord {
         let v = MetricVector::from_fn(|_| t as f64 + 0.25);
@@ -641,6 +641,19 @@ mod tests {
         assert!(Journal::scan(&j.crash_image(0)).records.is_empty());
     }
 
+    /// A journaled reading is its VM id, its sample (a time and 13
+    /// values) and one collection stamp.
+    #[test]
+    fn a_fresh_journaled_reading_is_128_bytes() {
+        const VM_ID: usize = 8;
+        const SAMPLE: usize = 8 + ATTRIBUTE_COUNT * 8;
+        const STAMP: usize = 8;
+        let mut w = Writer::new();
+        record(3).readings[0].store(&mut w);
+        assert_eq!(w.len(), VM_ID + SAMPLE + STAMP);
+        assert_eq!(w.len(), 128);
+    }
+
     #[test]
     fn checkpoint_rejects_corruption() {
         let controller = PrepareController::new(
@@ -668,6 +681,7 @@ mod tests {
             b"PRPCKP03",
             b"PRPCKP04",
             b"PRPCKP05",
+            b"PRPCKP06",
         ] {
             let mut old = image.clone();
             old[..8].copy_from_slice(earlier);

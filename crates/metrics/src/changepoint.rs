@@ -21,18 +21,27 @@ pub struct ChangePoint {
     pub magnitude: f64,
 }
 
+/// CUSUM detection threshold, in baseline standard deviations.
+pub const CUSUM_THRESHOLD: f64 = 5.0;
+
+/// CUSUM slack per observation, in baseline standard deviations:
+/// deviations smaller than the drift never accumulate.
+pub const CUSUM_DRIFT: f64 = 0.5;
+
+/// Observations that establish the baseline before any detection can
+/// fire — one minute at the paper's 5 s sampling interval.
+pub const CUSUM_WARMUP: usize = 12;
+
 /// Two-sided CUSUM detector over one scalar stream.
 ///
-/// The detector learns the baseline mean/std from the first `warmup`
-/// observations, then accumulates standardized deviations; when either the
-/// high-side or low-side sum exceeds `threshold`, a change point is
-/// reported and the baseline re-anchors to the post-change level.
+/// The detector learns the baseline mean/std from the first
+/// [`CUSUM_WARMUP`] observations, then accumulates standardized
+/// deviations less [`CUSUM_DRIFT`]; when either the high-side or
+/// low-side sum exceeds [`CUSUM_THRESHOLD`], a change point is reported
+/// and the baseline re-anchors to the post-change level.
 // xtask: checkpoint
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CusumDetector {
-    threshold: f64,
-    drift: f64,
-    warmup: usize,
     // online baseline estimate
     count: usize,
     mean: f64,
@@ -44,42 +53,9 @@ pub struct CusumDetector {
 }
 
 impl CusumDetector {
-    /// Creates a detector.
-    ///
-    /// * `threshold` — detection threshold in standardized units (typical 5).
-    /// * `drift` — slack per observation in standardized units (typical 0.5);
-    ///   deviations smaller than the drift never accumulate.
-    /// * `warmup` — observations used to establish the baseline before any
-    ///   detection can fire.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threshold` or `drift` is not finite and positive-or-zero,
-    /// or `warmup` is zero.
-    pub fn new(threshold: f64, drift: f64, warmup: usize) -> Self {
-        assert!(
-            threshold.is_finite() && threshold > 0.0,
-            "threshold must be > 0"
-        );
-        assert!(drift.is_finite() && drift >= 0.0, "drift must be >= 0");
-        assert!(warmup > 0, "warmup must be positive");
-        CusumDetector {
-            threshold,
-            drift,
-            warmup,
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            high: 0.0,
-            low: 0.0,
-            last_change: None,
-        }
-    }
-
-    /// Detector with conventional defaults (threshold 5σ, drift 0.5σ,
-    /// 12-sample warmup — one minute at the paper's 5 s sampling interval).
-    pub fn with_defaults() -> Self {
-        CusumDetector::new(5.0, 0.5, 12)
+    /// A detector that has seen nothing yet.
+    pub fn new() -> Self {
+        CusumDetector::default()
     }
 
     fn baseline_std(&self) -> f64 {
@@ -108,15 +84,15 @@ impl CusumDetector {
         if !value.is_finite() {
             return None;
         }
-        if self.count < self.warmup {
+        if self.count < CUSUM_WARMUP {
             self.absorb(value);
             return None;
         }
         let sd = self.baseline_std();
         let z = (value - self.mean) / sd;
-        self.high = (self.high + z - self.drift).max(0.0);
-        self.low = (self.low - z - self.drift).max(0.0);
-        if self.high > self.threshold || self.low > self.threshold {
+        self.high = (self.high + z - CUSUM_DRIFT).max(0.0);
+        self.low = (self.low - z - CUSUM_DRIFT).max(0.0);
+        if self.high > CUSUM_THRESHOLD || self.low > CUSUM_THRESHOLD {
             let (direction, magnitude) = if self.high > self.low {
                 (1.0, self.high)
             } else {
@@ -173,9 +149,6 @@ impl Persist for ChangePoint {
 
 impl Persist for CusumDetector {
     fn store(&self, w: &mut Writer) {
-        w.put_f64(self.threshold);
-        w.put_f64(self.drift);
-        w.put_usize(self.warmup);
         w.put_usize(self.count);
         w.put_f64(self.mean);
         w.put_f64(self.m2);
@@ -184,22 +157,7 @@ impl Persist for CusumDetector {
         self.last_change.store(w);
     }
     fn load(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        let threshold = r.get_f64()?;
-        let drift = r.get_f64()?;
-        let warmup = r.get_usize()?;
-        if !(threshold.is_finite() && threshold > 0.0) {
-            return Err(PersistError::Invalid("CusumDetector threshold"));
-        }
-        if !(drift.is_finite() && drift >= 0.0) {
-            return Err(PersistError::Invalid("CusumDetector drift"));
-        }
-        if warmup == 0 {
-            return Err(PersistError::Invalid("CusumDetector warmup"));
-        }
         Ok(CusumDetector {
-            threshold,
-            drift,
-            warmup,
             count: r.get_usize()?,
             mean: r.get_f64()?,
             m2: r.get_f64()?,
@@ -220,7 +178,7 @@ mod tests {
 
     #[test]
     fn persist_round_trip_preserves_mid_stream_state() {
-        let mut d = CusumDetector::new(4.0, 0.5, 10);
+        let mut d = CusumDetector::new();
         for i in 0..25u64 {
             let v = 10.0 + if i % 2 == 0 { 0.1 } else { -0.1 };
             d.observe(t(i), v);
@@ -241,18 +199,8 @@ mod tests {
     }
 
     #[test]
-    fn persist_rejects_invalid_parameters() {
-        let d = CusumDetector::with_defaults();
-        let mut bytes = crate::persist::to_bytes(&d);
-        // Corrupt the threshold (first 8 bytes) into NaN.
-        bytes[..8].copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
-        let res: Result<CusumDetector, _> = crate::persist::from_bytes(&bytes);
-        assert!(matches!(res, Err(PersistError::Invalid(_))));
-    }
-
-    #[test]
     fn detects_step_change() {
-        let mut d = CusumDetector::new(4.0, 0.5, 10);
+        let mut d = CusumDetector::new();
         let mut detected = None;
         for i in 0..30u64 {
             // noiseless-ish baseline around 10
@@ -273,7 +221,7 @@ mod tests {
 
     #[test]
     fn detects_downward_change() {
-        let mut d = CusumDetector::new(4.0, 0.5, 10);
+        let mut d = CusumDetector::new();
         for i in 0..20u64 {
             let v = 50.0 + if i % 2 == 0 { 0.5 } else { -0.5 };
             d.observe(t(i), v);
@@ -291,7 +239,7 @@ mod tests {
 
     #[test]
     fn stable_stream_never_fires() {
-        let mut d = CusumDetector::with_defaults();
+        let mut d = CusumDetector::new();
         for i in 0..500u64 {
             let v = 5.0 + ((i % 7) as f64 - 3.0) * 0.05;
             assert!(d.observe(t(i), v).is_none(), "false alarm at {i}");
@@ -301,11 +249,11 @@ mod tests {
 
     #[test]
     fn changed_recently_window() {
-        let mut d = CusumDetector::new(3.0, 0.2, 5);
-        for i in 0..10u64 {
+        let mut d = CusumDetector::new();
+        for i in 0..12u64 {
             d.observe(t(i), 1.0 + (i % 2) as f64 * 0.01);
         }
-        for i in 10..30u64 {
+        for i in 12..30u64 {
             d.observe(t(i), 100.0);
             if d.last_change().is_some() {
                 break;
@@ -319,19 +267,19 @@ mod tests {
 
     #[test]
     fn ignores_non_finite_values() {
-        let mut d = CusumDetector::with_defaults();
+        let mut d = CusumDetector::new();
         assert!(d.observe(t(0), f64::NAN).is_none());
         assert!(d.observe(t(1), f64::INFINITY).is_none());
     }
 
     #[test]
     fn rearms_after_detection() {
-        let mut d = CusumDetector::new(3.0, 0.2, 5);
-        for i in 0..10u64 {
+        let mut d = CusumDetector::new();
+        for i in 0..12u64 {
             d.observe(t(i), 1.0 + (i % 2) as f64 * 0.01);
         }
         let mut first = None;
-        for i in 10..40u64 {
+        for i in 12..40u64 {
             if let Some(cp) = d.observe(t(i), 50.0 + (i % 2) as f64 * 0.01) {
                 first = Some(cp.time);
                 break;

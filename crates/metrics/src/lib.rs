@@ -44,17 +44,14 @@ mod time;
 mod trace;
 
 pub use attr::{AttributeKind, ScalableResource, VmId, ATTRIBUTE_COUNT};
-pub use changepoint::{ChangePoint, CusumDetector};
+pub use changepoint::{ChangePoint, CusumDetector, CUSUM_DRIFT, CUSUM_THRESHOLD, CUSUM_WARMUP};
 pub use discretize::{DiscreteVector, Discretizer, VectorDiscretizer};
 pub use fingerprint::Fingerprint64;
 pub use label::{Label, SloLog};
 pub use persist::{Persist, PersistError, Reader, Writer};
 pub use sample::{MetricSample, MetricVector};
 pub use series::{SeriesStats, TimeSeries};
-pub use staleness::{
-    AttributeStamps, Freshness, LastValueImputer, StalenessBudget, StampedSample,
-    DEFAULT_STALENESS_SECS,
-};
+pub use staleness::{LastValueImputer, StalenessBudget, StampedSample, DEFAULT_STALENESS_SECS};
 pub use stats::{mean, mean_std, percentile, std_dev};
 pub use time::{Duration, Timestamp};
 pub use trace::{TraceError, TraceStore};

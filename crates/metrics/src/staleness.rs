@@ -6,61 +6,33 @@
 //! loop the vocabulary to *see* that degradation instead of silently
 //! consuming garbage:
 //!
-//! - [`AttributeStamps`] / [`StampedSample`]: per-attribute collection
-//!   timestamps riding along with every sample, so a reading frozen by a
+//! - [`StampedSample`]: a sample plus one collection stamp, the oldest
+//!   collection time of any of its attributes, so a reading frozen by a
 //!   stuck monitoring agent is distinguishable from a genuinely constant
 //!   metric.
 //! - [`StalenessBudget`]: how old a reading may grow before the consumer
-//!   must stop trusting it ([`Freshness::Stale`]).
+//!   must stop trusting it.
 //! - [`LastValueImputer`]: hold-last-value imputation for short gaps.
-//!   Imputed samples keep their *original* collection stamps, so
+//!   Imputed samples keep their *original* collection stamp, so
 //!   imputation self-expires once the budget runs out — a gap can be
 //!   papered over for a few rounds, never forever.
 
 use crate::persist::{Persist, PersistError, Reader, Writer};
-use crate::{AttributeKind, Duration, MetricSample, Timestamp, ATTRIBUTE_COUNT};
+use crate::{Duration, MetricSample, Timestamp};
 
-/// Per-attribute collection timestamps for one [`StampedSample`].
+/// A [`MetricSample`] plus its collection stamp.
 ///
-/// `stamps.get(a)` is when attribute `a` was last actually measured; it
-/// can lag the sample's delivery time when a reading is stuck or the
-/// sample was imputed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AttributeStamps([Timestamp; ATTRIBUTE_COUNT]);
-
-impl AttributeStamps {
-    /// All attributes measured at the same instant `t`.
-    pub fn uniform(t: Timestamp) -> Self {
-        AttributeStamps([t; ATTRIBUTE_COUNT])
-    }
-
-    /// When attribute `a` was last measured.
-    pub fn get(&self, a: AttributeKind) -> Timestamp {
-        self.0[a.index()]
-    }
-
-    /// Records a measurement of attribute `a` at time `t`.
-    pub fn set(&mut self, a: AttributeKind, t: Timestamp) {
-        self.0[a.index()] = t;
-    }
-
-    /// The oldest collection time across all attributes.
-    pub fn oldest(&self) -> Timestamp {
-        self.0.iter().copied().min().unwrap_or(Timestamp::ZERO)
-    }
-}
-
-/// A [`MetricSample`] plus per-attribute collection stamps.
-///
-/// `sample.time` is when the consumer received the vector; each stamp is
-/// when that attribute was genuinely measured.
+/// `sample.time` is when the consumer received the vector; `collected`
+/// is the oldest time any of its attributes was genuinely measured. It
+/// lags the delivery time when a reading is stuck or the sample was
+/// imputed.
 // xtask: checkpoint
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StampedSample {
     /// The delivered measurement vector.
     pub sample: MetricSample,
-    /// Per-attribute collection timestamps.
-    pub stamps: AttributeStamps,
+    /// The oldest collection time of any attribute.
+    pub collected: Timestamp,
 }
 
 impl StampedSample {
@@ -68,38 +40,19 @@ impl StampedSample {
     /// `sample.time` — the benign-infrastructure case.
     pub fn fresh(sample: MetricSample) -> Self {
         StampedSample {
-            stamps: AttributeStamps::uniform(sample.time),
+            collected: sample.time,
             sample,
         }
     }
-
-    /// How old attribute `a`'s reading is at time `now`.
-    pub fn age_of(&self, a: AttributeKind, now: Timestamp) -> Duration {
-        now.since(self.stamps.get(a))
-    }
-
-    /// Age of the oldest attribute reading at time `now`.
-    pub fn max_age(&self, now: Timestamp) -> Duration {
-        now.since(self.stamps.oldest())
-    }
 }
 
-/// Whether a sample is still trustworthy under a [`StalenessBudget`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Freshness {
-    /// Every attribute is within its budget.
-    Fresh,
-    /// At least one attribute reading has outlived its budget; the
-    /// consumer must degrade (abstain) rather than trust the value.
-    Stale,
-}
-
-/// Per-attribute bound on how old a reading may grow before the control
-/// loop stops trusting it.
+/// How old a reading may grow before the control loop stops trusting
+/// it. One bound covers every attribute: a sample is stale as soon as
+/// its oldest reading is.
 // xtask: checkpoint
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StalenessBudget {
-    per_attribute: [Duration; ATTRIBUTE_COUNT],
+    limit: Duration,
 }
 
 /// Default staleness budget: three 5-second sampling rounds. One dropped
@@ -108,44 +61,21 @@ pub struct StalenessBudget {
 pub const DEFAULT_STALENESS_SECS: u64 = 15;
 
 impl StalenessBudget {
-    /// The same budget `d` for every attribute.
-    pub fn uniform(d: Duration) -> Self {
-        StalenessBudget {
-            per_attribute: [d; ATTRIBUTE_COUNT],
-        }
+    /// A budget of `d`.
+    pub fn new(d: Duration) -> Self {
+        StalenessBudget { limit: d }
     }
 
-    /// Budget for attribute `a`.
-    pub fn budget_for(&self, a: AttributeKind) -> Duration {
-        self.per_attribute[a.index()]
-    }
-
-    /// Overrides the budget for one attribute.
-    pub fn set(&mut self, a: AttributeKind, d: Duration) {
-        self.per_attribute[a.index()] = d;
-    }
-
-    /// Classifies a stamped sample at time `now`.
-    pub fn freshness(&self, now: Timestamp, s: &StampedSample) -> Freshness {
-        let stale = AttributeKind::ALL
-            .iter()
-            .any(|&a| s.age_of(a, now) > self.budget_for(a));
-        if stale {
-            Freshness::Stale
-        } else {
-            Freshness::Fresh
-        }
-    }
-
-    /// True when any attribute reading has outlived its budget at `now`.
+    /// True when the sample's oldest reading has outlived the budget at
+    /// `now`; the consumer must degrade (abstain) rather than trust it.
     pub fn is_exceeded(&self, now: Timestamp, s: &StampedSample) -> bool {
-        self.freshness(now, s) == Freshness::Stale
+        now.since(s.collected) > self.limit
     }
 }
 
 impl Default for StalenessBudget {
     fn default() -> Self {
-        StalenessBudget::uniform(Duration::from_secs(DEFAULT_STALENESS_SECS))
+        StalenessBudget::new(Duration::from_secs(DEFAULT_STALENESS_SECS))
     }
 }
 
@@ -154,7 +84,7 @@ impl Default for StalenessBudget {
 /// Feed every delivered sample through [`LastValueImputer::observe`];
 /// when a round delivers nothing, [`LastValueImputer::impute`] replays
 /// the last known vector re-timed to `now` while keeping its original
-/// collection stamps — so the imputed sample ages out naturally under a
+/// collection stamp — so the imputed sample ages out naturally under a
 /// [`StalenessBudget`] instead of impersonating fresh data forever.
 // xtask: checkpoint
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -179,44 +109,35 @@ impl LastValueImputer {
     }
 
     /// Replays the last known vector at time `now`, keeping its original
-    /// per-attribute stamps. `None` before the first observation.
+    /// collection stamp. `None` before the first observation.
     pub fn impute(&self, now: Timestamp) -> Option<StampedSample> {
         self.last.map(|prev| StampedSample {
             sample: MetricSample::new(now, prev.sample.values),
-            stamps: prev.stamps,
+            collected: prev.collected,
         })
-    }
-}
-
-impl Persist for AttributeStamps {
-    fn store(&self, w: &mut Writer) {
-        self.0.store(w);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(AttributeStamps(Persist::load(r)?))
     }
 }
 
 impl Persist for StampedSample {
     fn store(&self, w: &mut Writer) {
         self.sample.store(w);
-        self.stamps.store(w);
+        self.collected.store(w);
     }
     fn load(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         Ok(StampedSample {
             sample: MetricSample::load(r)?,
-            stamps: AttributeStamps::load(r)?,
+            collected: Timestamp::load(r)?,
         })
     }
 }
 
 impl Persist for StalenessBudget {
     fn store(&self, w: &mut Writer) {
-        self.per_attribute.store(w);
+        self.limit.store(w);
     }
     fn load(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         Ok(StalenessBudget {
-            per_attribute: Persist::load(r)?,
+            limit: Duration::load(r)?,
         })
     }
 }
@@ -235,65 +156,40 @@ impl Persist for LastValueImputer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MetricVector;
+    use crate::{AttributeKind, MetricVector};
 
     fn sample_at(secs: u64, v: f64) -> MetricSample {
         MetricSample::new(Timestamp::from_secs(secs), MetricVector::from_fn(|_| v))
     }
 
     #[test]
-    fn fresh_sample_has_uniform_stamps() {
+    fn fresh_sample_is_stamped_at_its_own_time() {
         let s = StampedSample::fresh(sample_at(10, 1.0));
-        for a in AttributeKind::ALL {
-            assert_eq!(s.stamps.get(a), Timestamp::from_secs(10));
-            assert_eq!(s.age_of(a, Timestamp::from_secs(12)).as_secs(), 2);
-        }
-        assert_eq!(s.max_age(Timestamp::from_secs(12)).as_secs(), 2);
+        assert_eq!(s.collected, Timestamp::from_secs(10));
     }
 
     #[test]
-    fn one_old_attribute_makes_the_sample_stale() {
+    fn an_old_stamp_makes_the_sample_stale() {
         let mut s = StampedSample::fresh(sample_at(100, 1.0));
         let budget = StalenessBudget::default();
         assert!(!budget.is_exceeded(Timestamp::from_secs(100), &s));
         // Within budget at +15 s, stale at +16 s.
         assert!(!budget.is_exceeded(Timestamp::from_secs(115), &s));
         assert!(budget.is_exceeded(Timestamp::from_secs(116), &s));
-        // A single stuck attribute is enough even when the rest is fresh.
-        s.stamps = AttributeStamps::uniform(Timestamp::from_secs(116));
-        s.stamps.set(AttributeKind::NetIn, Timestamp::from_secs(80));
+        // A single stuck attribute lowers the stamp: stale even though
+        // the vector was delivered just now.
+        s.sample.time = Timestamp::from_secs(116);
+        s.collected = Timestamp::from_secs(80);
         assert!(budget.is_exceeded(Timestamp::from_secs(116), &s));
-        assert_eq!(s.stamps.oldest(), Timestamp::from_secs(80));
-    }
-
-    #[test]
-    fn per_attribute_budgets_are_independent() {
-        let mut budget = StalenessBudget::uniform(Duration::from_secs(10));
-        budget.set(AttributeKind::Load5, Duration::from_secs(60));
-        assert_eq!(
-            budget.budget_for(AttributeKind::Load5),
-            Duration::from_secs(60)
-        );
-        let mut s = StampedSample::fresh(sample_at(100, 1.0));
-        s.stamps.set(AttributeKind::Load5, Timestamp::from_secs(70));
-        // Load5 is 30 s old but its budget is 60 s: still fresh.
-        assert_eq!(
-            budget.freshness(Timestamp::from_secs(100), &s),
-            Freshness::Fresh
-        );
-        s.stamps.set(AttributeKind::NetIn, Timestamp::from_secs(85));
-        assert_eq!(
-            budget.freshness(Timestamp::from_secs(100), &s),
-            Freshness::Stale
-        );
+        // A stamp ahead of `now` (a clock step back) is never stale.
+        assert!(!budget.is_exceeded(Timestamp::from_secs(50), &s));
     }
 
     #[test]
     fn staleness_state_round_trips() {
         let mut s = StampedSample::fresh(sample_at(100, 1.5));
-        s.stamps.set(AttributeKind::NetIn, Timestamp::from_secs(80));
-        let mut budget = StalenessBudget::uniform(Duration::from_secs(10));
-        budget.set(AttributeKind::Load5, Duration::from_secs(60));
+        s.collected = Timestamp::from_secs(80);
+        let budget = StalenessBudget::new(Duration::from_secs(10));
         let mut imp = LastValueImputer::new();
         imp.observe(&s);
         let s2: StampedSample = crate::persist::from_bytes(&crate::persist::to_bytes(&s)).unwrap();
@@ -318,8 +214,8 @@ mod tests {
         let ghost = imp.impute(Timestamp::from_secs(20)).expect("has history");
         assert_eq!(ghost.sample.time, Timestamp::from_secs(20));
         assert_eq!(ghost.sample.values.get(AttributeKind::CpuTotal), 7.0);
-        // Stamps stay at the genuine collection time...
-        assert_eq!(ghost.stamps.oldest(), Timestamp::from_secs(10));
+        // The stamp stays at the genuine collection time...
+        assert_eq!(ghost.collected, Timestamp::from_secs(10));
         // ...so imputation self-expires under the budget.
         let budget = StalenessBudget::default();
         assert!(!budget.is_exceeded(Timestamp::from_secs(20), &ghost));

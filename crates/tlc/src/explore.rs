@@ -38,17 +38,17 @@ const COIN_SEED: u64 = 7;
 /// the first anomaly period, inject faults around the second, and leave
 /// a fault-free tail past the last `leads_to` deadline (window end 1120
 /// + the 70 s retry-answer allowance = 1190 < 1200).
-const ROUNDS: u64 = 240;
+pub const ROUNDS: u64 = 240;
 
 /// Seconds between sampling rounds (mirrors the default predictor
 /// configuration).
-const SAMPLING_SECS: u64 = 5;
+pub const SAMPLING_SECS: u64 = 5;
 
 /// Every case is identical (no faults active) before this time, so the
 /// explorer drives the shared prefix once and forks the cluster,
 /// controller state for each interleaving. Must not exceed any window
 /// start.
-const PREFIX_SECS: u64 = 880;
+pub const PREFIX_SECS: u64 = 880;
 
 /// Fault activation windows (seconds): spanning the evaluated anomaly's
 /// predictive-alert ramp into its SLO-violation peak, staggered so
@@ -61,7 +61,10 @@ const WINDOWS: [(u64, u64); 3] = [(880, 960), (960, 1040), (1040, 1120)];
 /// `checkpoint-liveness` window the property catalogue enforces, and
 /// short enough that the many explored crash points each replay only a
 /// small journal suffix (the sweep shares the lint's CI time budget).
-const CHECKPOINT_EVERY_ROUNDS: u64 = 8;
+/// Not a divisor of the post-prefix range, so a crash sweep over it
+/// hits crashes right after a checkpoint (empty journal), right before
+/// one (longest journal), and everywhere in between.
+pub const CHECKPOINT_EVERY_ROUNDS: u64 = 8;
 
 /// The fixed fault catalogue, by index. Probabilities are 1.0 so a
 /// window's effect does not depend on coin flips. One representative
@@ -170,15 +173,17 @@ fn leak_free_mem(i: u64) -> f64 {
 /// `PREFIX_SECS` (880 s) with no faults active. Cloned per interleaving.
 #[derive(Debug, Clone)]
 pub struct Prefix {
-    cluster: Cluster,
-    controller: PrepareController,
+    /// The cluster at `PREFIX_SECS`.
+    pub cluster: Cluster,
+    /// The controller at `PREFIX_SECS`.
+    pub controller: PrepareController,
 }
 
 /// The scenario's inputs for the sampling round at time `t` (which must
 /// be a [`SAMPLING_SECS`] boundary): the delivered readings — routed
 /// through the chaos engine's monitoring-plane faults when one is active
 /// — and the SLO status.
-fn round_inputs(
+pub fn round_inputs(
     t: u64,
     cluster: &Cluster,
     chaos: Option<&mut ChaosEngine>,
@@ -223,9 +228,10 @@ fn step(t: u64, cluster: &mut Cluster, controller: &mut PrepareController) {
 /// Builds the shared prefix: two VCL hosts, the leaking VM 0 and a
 /// healthy VM 1 on host 0, a healthy VM 2 on host 1 (so migration has a
 /// target and a host blackout blinds two VMs at once), driven fault-free
-/// to `PREFIX_SECS`. Returns `None` only if the tiny cluster cannot
-/// place its VMs (it always can on fresh VCL hosts).
-pub fn build_prefix() -> Option<Prefix> {
+/// to `PREFIX_SECS` by a controller whose engine runs `workers` workers.
+/// Returns `None` only if the tiny cluster cannot place its VMs (it
+/// always can on fresh VCL hosts).
+pub fn build_prefix(workers: usize) -> Option<Prefix> {
     let mut cluster = Cluster::new();
     let h0 = cluster.add_host(HostSpec::vcl_default());
     let h1 = cluster.add_host(HostSpec::vcl_default());
@@ -238,7 +244,8 @@ pub fn build_prefix() -> Option<Prefix> {
         return None;
     }
     let vms = vec![VmId(0), VmId(1), VmId(2)];
-    let mut controller = PrepareController::new(vms, PrepareConfig::default(), Scheme::Prepare);
+    let config = PrepareConfig::default().with_workers(workers);
+    let mut controller = PrepareController::new(vms, config, Scheme::Prepare);
     for t in 0..PREFIX_SECS {
         step(t, &mut cluster, &mut controller);
     }
@@ -310,7 +317,7 @@ pub fn run_case_from(prefix: &Prefix, case: &Case) -> Vec<ControllerEvent> {
 /// [`build_prefix`] + [`run_case_from`]; this entry point exists for
 /// spot-checking a single case.
 pub fn run_case(case: &Case) -> Vec<ControllerEvent> {
-    match build_prefix() {
+    match build_prefix(ParConfig::from_env().workers) {
         Some(prefix) => run_case_from(&prefix, case),
         None => Vec::new(),
     }
@@ -364,7 +371,8 @@ pub fn explore() -> ExploreReport {
         events_checked: 0,
         violations: Vec::new(),
     };
-    let Some(prefix) = build_prefix() else {
+    let par = ParConfig::from_env();
+    let Some(prefix) = build_prefix(par.workers) else {
         report.violations.push(CaseViolation {
             case: "prefix".to_string(),
             violation: Violation {
@@ -375,7 +383,7 @@ pub fn explore() -> ExploreReport {
         });
         return report;
     };
-    let per_case = par_map(&ParConfig::from_env(), cases, |case| {
+    let per_case = par_map(&par, cases, |case| {
         let events = run_case_from(&prefix, &case);
         let violations = check_all(&props, &events);
         (case.to_string(), events.len(), violations)
@@ -446,7 +454,7 @@ mod tests {
         // actually drives the controller into its defensive machinery:
         // a host blackout must degrade monitoring, and a busy
         // hypervisor during the actuation phase must force retries.
-        let prefix = match build_prefix() {
+        let prefix = match build_prefix(ParConfig::from_env().workers) {
             Some(p) => p,
             None => unreachable!("tiny cluster must place its VMs"),
         };

@@ -4,17 +4,16 @@
 //! reassignments and call argument→return flow; interprocedural
 //! propagation runs per-function summaries (which params flow to the
 //! return value or to sinks) to fixpoint over the workspace call graph.
-//! Two zero-tolerance rule families ride on it:
+//! One zero-tolerance rule family rides on it, `determinism-taint`:
+//! values tainted by HashMap/HashSet iteration order,
+//! `Instant`/`SystemTime`, thread ids or pointer-derived keys must not
+//! reach trace-visible sinks (`ControllerEvent` construction,
+//! `fingerprint*` functions, `// xtask: taint-sink` fns). A
+//! `// xtask: taint-sanitize -- reason` fn cleanses its return value.
 //!
-//! * `determinism-taint` — values tainted by HashMap/HashSet iteration
-//!   order, `Instant`/`SystemTime`, thread ids or pointer-derived keys
-//!   must not reach trace-visible sinks (`ControllerEvent` construction,
-//!   `fingerprint*` functions, `// xtask: taint-sink` fns). A
-//!   `// xtask: taint-sanitize -- reason` fn cleanses its return value.
-//! * `shard-purity` — functions reachable from `par_map`/
-//!   `par_for_each_mut` shard closures must not take locks, touch
-//!   atomics, or write statics: the workers-N ≡ workers-1 byte-identity
-//!   proof becomes structural instead of test-only.
+//! That the results do not depend on the worker count is proved by the
+//! differential suites, which compare runs at 1, 2 and 7 workers byte
+//! for byte; no static rule duplicates that proof.
 //!
 //! The taint domain is a `u64` bitset: low 32 bits mean "depends on
 //! param i", bit 32 is the one taint kind, `nondet`. Its sources are
@@ -61,8 +60,7 @@ struct Summary {
 }
 
 /// Runs the engine: global Jacobi fixpoint over summaries, then one
-/// recording pass that emits findings, then the shard-purity and
-/// orphan-marker passes.
+/// recording pass that emits findings, then the orphan-marker pass.
 pub fn check(
     files: &[SourceFile],
     parsed: &[FileItems],
@@ -103,7 +101,6 @@ pub fn check(
             Some(findings),
         );
     }
-    shard_purity(files, parsed, graph, sites, findings);
     orphan_markers(files, parsed, &used, findings);
 }
 
@@ -609,163 +606,6 @@ fn split_args(f: &SourceFile, open: usize, close: usize) -> Vec<(usize, usize)> 
     out
 }
 
-/// Tokens that break shard purity inside a parallel closure.
-fn impure_sites(f: &SourceFile, s: usize, e: usize) -> Vec<(usize, String)> {
-    const ATOMIC_OPS: &[&str] = &[
-        "fetch_add",
-        "fetch_sub",
-        "fetch_or",
-        "fetch_and",
-        "fetch_xor",
-        "compare_exchange",
-        "compare_exchange_weak",
-    ];
-    let mut out = Vec::new();
-    let mut k = s;
-    while k < e {
-        let prev_dot = k.checked_sub(1).is_some_and(|p| f.cpunct(p, '.'));
-        match f.cident(k) {
-            Some(w @ ("lock" | "try_lock")) if prev_dot && f.cpunct(k + 1, '(') => {
-                out.push((k, format!(".{w}()")));
-            }
-            Some(w) if prev_dot && ATOMIC_OPS.contains(&w) => {
-                out.push((k, format!(".{w}(…)")));
-            }
-            Some("static") if f.cident(k + 1) == Some("mut") => {
-                out.push((k, "static mut".into()));
-            }
-            Some("thread_local") => out.push((k, "thread_local".into())),
-            Some(w)
-                if w.len() > 1
-                    && w.chars().any(|c| c.is_ascii_uppercase())
-                    && w.chars()
-                        .all(|c| c.is_ascii_uppercase() || c == '_' || c.is_ascii_digit())
-                    && f.cpunct(k + 1, '=')
-                    && !f.cpair(k + 1, '=', '=')
-                    && !f.cpair(k + 1, '=', '>') =>
-            {
-                out.push((k, format!("write to static `{w}`")));
-            }
-            _ => {}
-        }
-        k += 1;
-    }
-    out
-}
-
-/// The shard-purity rule: every closure passed to `par_map` /
-/// `par_for_each_mut`, and every workspace function reachable from it,
-/// must be free of locks, atomics and static writes — that is what
-/// makes the ordered-merge worker proof structural.
-fn shard_purity(
-    files: &[SourceFile],
-    parsed: &[FileItems],
-    graph: &Graph,
-    sites: &Sites,
-    findings: &mut Vec<Finding>,
-) {
-    let mut seen: BTreeSet<(usize, usize)> = BTreeSet::new();
-    for (id, &r) in graph.fns.iter().enumerate() {
-        let (Some(f), Some(item)) = (
-            files.get(r.file),
-            parsed.get(r.file).and_then(|it| it.fns.get(r.item)),
-        ) else {
-            continue;
-        };
-        if !analyzed(f, item) || item.body.is_none() {
-            continue;
-        }
-        let own_sites = sites.get(id).map(Vec::as_slice).unwrap_or(&[]);
-        for site in own_sites {
-            if !matches!(f.cident(site.pos), Some("par_map" | "par_for_each_mut")) {
-                continue;
-            }
-            let close = matching(f, site.paren, '(', ')');
-            for (a, b) in split_args(f, site.paren, close) {
-                // A closure argument: a top-level `|` opens the params.
-                let Some(bar) = (a..b).find(|&k| {
-                    f.cpunct(k, '|')
-                        && !f.cpair(k, '|', '|')
-                        && !k.checked_sub(1).is_some_and(|p| f.cpair(p, '|', '|'))
-                }) else {
-                    continue;
-                };
-                // Direct impurity inside the closure body.
-                for (pos, what) in impure_sites(f, bar, b) {
-                    if seen.insert((r.file, pos)) {
-                        push(
-                            f,
-                            findings,
-                            pos,
-                            Category::Taint,
-                            "shard-purity",
-                            format!(
-                                "`{what}` inside a shard closure of `{}` breaks the \
-                                 workers-N ≡ workers-1 determinism proof",
-                                item.name
-                            ),
-                        );
-                    }
-                }
-                // Transitive impurity through everything the closure calls.
-                let roots: Vec<FnId> = own_sites
-                    .iter()
-                    .filter(|s2| s2.pos > bar && s2.pos < b)
-                    .flat_map(|s2| s2.callees.iter().copied())
-                    .collect();
-                for root in roots {
-                    for (cid, chain) in graph.reachable_with_chains(root) {
-                        let Some(&cr) = graph.fns.get(cid) else {
-                            continue;
-                        };
-                        let (Some(cf), Some(citem)) = (
-                            files.get(cr.file),
-                            parsed.get(cr.file).and_then(|it| it.fns.get(cr.item)),
-                        ) else {
-                            continue;
-                        };
-                        let Some((copen, cclose)) = citem.body else {
-                            continue;
-                        };
-                        let hits = impure_sites(cf, copen + 1, cclose);
-                        if hits.is_empty() {
-                            continue;
-                        }
-                        let route: Vec<String> = chain
-                            .iter()
-                            .filter_map(|&x| {
-                                let xr = graph.fns.get(x)?;
-                                let xi = parsed.get(xr.file)?.fns.get(xr.item)?;
-                                Some(match &xi.self_ty {
-                                    Some(t) => format!("{t}::{}", xi.name),
-                                    None => xi.name.clone(),
-                                })
-                            })
-                            .collect();
-                        let route = route.join(" -> ");
-                        for (pos, what) in hits {
-                            if seen.insert((cr.file, pos)) {
-                                push(
-                                    cf,
-                                    findings,
-                                    pos,
-                                    Category::Taint,
-                                    "shard-purity",
-                                    format!(
-                                        "`{what}` is reachable from a shard closure of \
-                                         `{}`: {route}",
-                                        item.name
-                                    ),
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// A sanitize marker that cleansed nothing in the final recording pass
 /// is stale and hides future regressions — the same hygiene contract as
 /// `unused-allow`.
@@ -936,44 +776,6 @@ fn bench() -> u64 {
 ";
         let got = findings_of(&[("crates/bench/src/lib.rs", src)]);
         assert!(got.is_empty(), "findings: {got:?}");
-    }
-
-    // --- shard-purity ------------------------------------------------
-
-    #[test]
-    fn lock_in_a_shard_closure_is_a_finding() {
-        let src = "\
-fn refresh(&self, pool: &Pool) {
-    par_map(pool, self.slots(), |slot| self.shared.lock().rebuild(slot));
-}
-";
-        let got = rules_of(src);
-        assert!(got.contains(&"shard-purity"), "findings: {got:?}");
-    }
-
-    #[test]
-    fn impurity_reachable_from_a_shard_closure_reports_the_route() {
-        let src = "\
-fn rebuild(slot: usize) -> usize { tally(slot) }
-fn tally(slot: usize) -> usize { COUNTER.fetch_add(1); slot }
-fn refresh(pool: &Pool, slots: Vec<usize>) {
-    par_map(pool, slots, |slot| rebuild(slot));
-}
-";
-        let got = rules_of(src);
-        assert!(got.contains(&"shard-purity"), "findings: {got:?}");
-    }
-
-    #[test]
-    fn pure_shard_closures_pass() {
-        let src = "\
-fn rebuild(slot: usize) -> usize { slot + 1 }
-fn refresh(pool: &Pool, slots: Vec<usize>) {
-    par_map(pool, slots, |slot| rebuild(slot));
-}
-";
-        let got = rules_of(src);
-        assert!(!got.contains(&"shard-purity"), "findings: {got:?}");
     }
 
     // --- orphan markers ----------------------------------------------

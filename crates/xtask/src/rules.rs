@@ -48,8 +48,7 @@ pub enum Category {
     /// Zero tolerance.
     EventCoverage,
     /// Interprocedural contracts ([`crate::dataflow`]): determinism-taint
-    /// (one taint kind, `nondet`, with built-in sources) and
-    /// shard-purity. Zero tolerance.
+    /// (one taint kind, `nondet`, with built-in sources). Zero tolerance.
     Taint,
 }
 
@@ -109,7 +108,6 @@ pub const ALL_RULES: &[(&str, Category)] = &[
     ("event-wildcard", Category::EventCoverage),
     ("checkpoint-field", Category::Fidelity),
     ("determinism-taint", Category::Taint),
-    ("shard-purity", Category::Taint),
 ];
 
 /// Identifiers whose presence in a function body counts as a finiteness
