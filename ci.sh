@@ -6,6 +6,11 @@
 # whose BENCH_recovery.json CI uploads as an artifact, and the lint / tlc
 # report uploads.
 # All steps run offline: every dependency is vendored in shims/.
+# rustc and clippy enforce what the xtask lint no longer repeats: the
+# workspace [lints] table in Cargo.toml (unsafe_code forbidden, missing_docs
+# warned, in every member) and clippy.toml's disallowed types (HashMap,
+# HashSet); checkpoint coverage is a compile error, because every struct
+# serializer destructures `self` without `..`.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -13,6 +18,8 @@ echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
 echo "==> cargo clippy (deny warnings)"
+# -D warnings turns the workspace missing_docs warning and clippy.toml's
+# disallowed-types hits into errors.
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
 echo "==> cargo doc (deny warnings)"

@@ -32,14 +32,6 @@ impl ConfusionMatrix {
         }
     }
 
-    /// Merges another matrix into this one.
-    pub fn merge(&mut self, other: &ConfusionMatrix) {
-        self.true_positives += other.true_positives;
-        self.false_negatives += other.false_negatives;
-        self.false_positives += other.false_positives;
-        self.true_negatives += other.true_negatives;
-    }
-
     /// Total number of scored predictions.
     pub fn total(&self) -> usize {
         self.true_positives + self.false_negatives + self.false_positives + self.true_negatives
@@ -83,15 +75,6 @@ impl std::fmt::Display for ConfusionMatrix {
     }
 }
 
-/// Scores a sequence of `(predicted, truth)` label pairs.
-pub fn evaluate_predictions(pairs: impl IntoIterator<Item = (Label, Label)>) -> ConfusionMatrix {
-    let mut m = ConfusionMatrix::new();
-    for (p, t) in pairs {
-        m.record(p, t);
-    }
-    m
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,18 +106,9 @@ mod tests {
     }
 
     #[test]
-    fn merge_accumulates() {
-        let mut a = evaluate_predictions([(Label::Abnormal, Label::Abnormal)]);
-        let b = evaluate_predictions([(Label::Normal, Label::Normal)]);
-        a.merge(&b);
-        assert_eq!(a.true_positives, 1);
-        assert_eq!(a.true_negatives, 1);
-        assert_eq!(a.total(), 2);
-    }
-
-    #[test]
     fn display_contains_rates() {
-        let m = evaluate_predictions([(Label::Abnormal, Label::Abnormal)]);
+        let mut m = ConfusionMatrix::new();
+        m.record(Label::Abnormal, Label::Abnormal);
         let s = m.to_string();
         assert!(s.contains("A_T=100.0%"));
     }

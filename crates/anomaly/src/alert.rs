@@ -1,6 +1,6 @@
 //! Prediction results.
 
-use prepare_metrics::{AttributeKind, Duration, Fingerprint64, Label, Timestamp};
+use prepare_metrics::{AttributeKind, Duration, Label, Timestamp};
 use prepare_tan::AttributeStrength;
 
 /// The outcome of one prediction step of a per-VM model.
@@ -45,40 +45,6 @@ impl Prediction {
             .iter()
             .filter_map(|s| AttributeKind::from_index(s.attribute))
             .collect()
-    }
-
-    /// Streams every field of the prediction into `fp`, giving the
-    /// determinism audits an allocation-free identity (floats by bit
-    /// pattern, so signed zeros and NaN payloads are distinguished;
-    /// variable-length fields length-prefixed so adjacent predictions
-    /// cannot alias). Two predictions fingerprint equal iff they are
-    /// bit-identical field for field.
-    // xtask: hot-path
-    pub fn fingerprint_into(&self, fp: &mut Fingerprint64) {
-        fp.write_u64(self.at.as_secs());
-        fp.write_u64(self.look_ahead.as_secs());
-        fp.write_u8(self.label.is_abnormal() as u8);
-        fp.write_f64(self.score);
-        fp.write_f64(self.probability);
-        fp.write_usize(self.strengths.len());
-        for s in &self.strengths {
-            fp.write_usize(s.attribute);
-            fp.write_f64(s.strength);
-        }
-        fp.write_usize(self.predicted_states.len());
-        for &state in &self.predicted_states {
-            fp.write_usize(state);
-        }
-    }
-
-    /// The FNV-1a 64 fingerprint of the whole prediction — the
-    /// replacement for `format!("{self:?}")`-based audit strings on the
-    /// predict leg.
-    // xtask: hot-path
-    pub fn fingerprint(&self) -> u64 {
-        let mut fp = Fingerprint64::new();
-        self.fingerprint_into(&mut fp);
-        fp.finish()
     }
 }
 
@@ -129,30 +95,5 @@ mod tests {
         let ranked = p.ranked_attributes();
         assert_eq!(ranked.len(), 2); // index 99 dropped
         assert_eq!(ranked[0], AttributeKind::FreeMem);
-    }
-
-    #[test]
-    fn fingerprint_tracks_field_identity() {
-        let base = prediction(Label::Abnormal);
-        assert_eq!(
-            base.fingerprint(),
-            prediction(Label::Abnormal).fingerprint()
-        );
-        assert_ne!(
-            base.fingerprint(),
-            prediction(Label::Normal).fingerprint(),
-            "label (and the score it flips) must feed the hash"
-        );
-        let mut shifted = prediction(Label::Abnormal);
-        shifted.at = Timestamp::from_secs(101);
-        assert_ne!(base.fingerprint(), shifted.fingerprint());
-        let mut rescored = prediction(Label::Abnormal);
-        rescored.score = -0.0; // signed zero vs zero must differ from 0.0
-        let mut zeroed = prediction(Label::Abnormal);
-        zeroed.score = 0.0;
-        assert_ne!(rescored.fingerprint(), zeroed.fingerprint());
-        let mut truncated = prediction(Label::Abnormal);
-        truncated.predicted_states.pop();
-        assert_ne!(base.fingerprint(), truncated.fingerprint());
     }
 }

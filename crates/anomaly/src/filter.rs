@@ -26,12 +26,9 @@ pub enum Vote {
 }
 
 /// Majority-vote filter over the most recent `W` predictions.
-// xtask: checkpoint
 #[derive(Debug, Clone, PartialEq)]
 pub struct AlertFilter {
-    // xtask: ephemeral -- supplied by PrepareConfig on load
     k: usize,
-    // xtask: ephemeral -- supplied by PrepareConfig on load
     w: usize,
     recent: VecDeque<bool>,
     abstentions: u64,
@@ -109,8 +106,14 @@ impl AlertFilter {
     /// Serializes the vote window and the abstention odometer; `k` and
     /// `W` are the owner's to supply on load.
     pub fn store_state(&self, w: &mut Writer) {
-        self.recent.store(w);
-        w.put_u64(self.abstentions);
+        let Self {
+            k: _, // supplied by PrepareConfig on load
+            w: _, // supplied by PrepareConfig on load
+            recent,
+            abstentions,
+        } = self;
+        recent.store(w);
+        w.put_u64(*abstentions);
     }
 
     /// Restores a `k`-of-`w` filter (a pair [`AlertFilter::new`] accepts)

@@ -46,9 +46,6 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod accuracy;
 mod alert;
 mod clustering;
@@ -61,7 +58,7 @@ mod roc;
 mod trainer;
 mod unsupervised;
 
-pub use accuracy::{evaluate_predictions, ConfusionMatrix};
+pub use accuracy::ConfusionMatrix;
 pub use alert::Prediction;
 pub use clustering::{ClusterClassifier, KMeans};
 pub use filter::{AlertFilter, Vote};

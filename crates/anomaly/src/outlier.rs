@@ -72,22 +72,6 @@ impl OutlierDetector {
     pub fn classify(&self, v: &MetricVector) -> Label {
         Label::from_violation(self.score(v) > self.threshold)
     }
-
-    /// The attribute with the largest z-score — the (coarse) blame signal
-    /// available without labels.
-    pub fn most_deviant_attribute(&self, v: &MetricVector) -> AttributeKind {
-        let mut best = AttributeKind::ALL[0];
-        let mut best_z = -1.0;
-        for a in AttributeKind::ALL {
-            let i = a.index();
-            let z = ((v.get(a) - self.means[i]) / self.stds[i]).abs();
-            if z > best_z {
-                best = a;
-                best_z = z;
-            }
-        }
-        best
-    }
 }
 
 #[cfg(test)]
@@ -124,7 +108,6 @@ mod tests {
         let mut v = ts.last().unwrap().values;
         v.set(AttributeKind::FreeMem, 50.0); // memory collapsed
         assert_eq!(d.classify(&v), Label::Abnormal);
-        assert_eq!(d.most_deviant_attribute(&v), AttributeKind::FreeMem);
     }
 
     #[test]

@@ -12,7 +12,6 @@ use prepare_metrics::{
 use prepare_tan::{Classifier, Dataset, TanClassifier, TrainError};
 
 /// Tunables of the anomaly prediction model.
-// xtask: checkpoint
 #[derive(Debug, Clone, PartialEq)]
 pub struct PredictorConfig {
     /// Number of discretization bins per attribute (the paper's Fig. 2
@@ -55,10 +54,8 @@ impl PredictorConfig {
 /// (the paper: "the attribute value prediction model is periodically
 /// updated with new data measurements"); the classifier stays fixed until
 /// the model is trained again.
-// xtask: checkpoint
 #[derive(Debug, Clone, PartialEq)]
 pub struct AnomalyPredictor {
-    // xtask: ephemeral -- supplied by PrepareConfig on load
     config: PredictorConfig,
     discretizer: prepare_metrics::VectorDiscretizer,
     value_models: Vec<ValueModel>,
@@ -68,9 +65,14 @@ pub struct AnomalyPredictor {
 
 impl Persist for PredictorConfig {
     fn store(&self, w: &mut Writer) {
-        w.put_usize(self.bins);
-        self.sampling_interval.store(w);
-        self.markov.store(w);
+        let Self {
+            bins,
+            sampling_interval,
+            markov,
+        } = self;
+        w.put_usize(*bins);
+        sampling_interval.store(w);
+        markov.store(w);
     }
     fn load(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         Ok(PredictorConfig {
@@ -169,12 +171,19 @@ impl AnomalyPredictor {
     /// configuration is the owner's to supply on load, so no bin count,
     /// Markov kind or table length is written.
     pub fn store_state(&self, w: &mut Writer) {
-        self.discretizer.store_state(w);
-        for m in &self.value_models {
+        let Self {
+            config: _, // supplied by PrepareConfig on load
+            discretizer,
+            value_models,
+            classifier,
+            last_time,
+        } = self;
+        discretizer.store_state(w);
+        for m in value_models {
             m.store_state(w);
         }
-        self.classifier.store_state(w);
-        self.last_time.store(w);
+        classifier.store_state(w);
+        last_time.store(w);
     }
 
     /// Restores a predictor of shape `config` written by
@@ -574,8 +583,8 @@ mod tests {
         }
         assert_eq!(restored, p);
         assert_eq!(
-            restored.predict(Duration::from_secs(25)).fingerprint(),
-            p.predict(Duration::from_secs(25)).fingerprint()
+            restored.predict(Duration::from_secs(25)),
+            p.predict(Duration::from_secs(25))
         );
     }
 

@@ -196,13 +196,6 @@ impl FaultPlan {
         }
         mult
     }
-
-    /// True if any injection is active at `now` — ground truth for "a
-    /// fault is present", used by experiment reporting (not visible to
-    /// PREPARE itself).
-    pub fn any_active(&self, now: Timestamp) -> bool {
-        self.injections.iter().any(|i| i.is_active(now))
-    }
 }
 
 #[cfg(test)]
@@ -283,21 +276,6 @@ mod tests {
         assert_eq!(plan.workload_multiplier(t(350)), 1.0);
         // Workload faults impose no per-VM overlay.
         assert_eq!(plan.overlay(VmId(0), t(150)), Demand::default());
-    }
-
-    #[test]
-    fn any_active_tracks_windows() {
-        let plan = FaultPlan::recurrent(
-            Some(VmId(0)),
-            FaultKind::CpuHog { cpu: 50.0 },
-            t(100),
-            t(600),
-            d(300),
-        );
-        assert!(!plan.any_active(t(0)));
-        assert!(plan.any_active(t(200)));
-        assert!(!plan.any_active(t(450)));
-        assert!(plan.any_active(t(700)));
     }
 
     #[test]

@@ -22,9 +22,6 @@
 //! resolve contention, and derives achieved throughput / response time
 //! from the returned [`prepare_cloudsim::ServiceQuality`].
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod app;
 mod component;
 mod faults;

@@ -117,11 +117,6 @@ impl Rubis {
     pub fn specs(&self) -> &[ComponentSpec] {
         &self.specs
     }
-
-    /// The database VM — where the paper's RUBiS faults are injected.
-    pub fn db_vm(&self) -> VmId {
-        self.vms[DB]
-    }
 }
 
 impl Application for Rubis {
@@ -218,8 +213,7 @@ mod tests {
         let (cluster, app) = deploy();
         assert_eq!(app.vms().len(), 4);
         assert_eq!(cluster.n_hosts(), 5);
-        assert_eq!(app.vm_role(app.db_vm()), "db-server");
-        assert_eq!(app.bottleneck_vm(), app.db_vm());
+        assert_eq!(app.vm_role(app.bottleneck_vm()), "db-server");
     }
 
     #[test]
@@ -261,7 +255,7 @@ mod tests {
         let (mut cluster, mut app) = deploy();
         let mut faults = FaultPlan::new();
         faults.add(FaultInjection {
-            target: Some(app.db_vm()),
+            target: Some(app.bottleneck_vm()),
             kind: FaultKind::CpuHog { cpu: 70.0 },
             start: Timestamp::ZERO,
             duration: Duration::from_secs(300),
@@ -281,7 +275,7 @@ mod tests {
         let (mut cluster, mut app) = deploy();
         let mut faults = FaultPlan::new();
         faults.add(FaultInjection {
-            target: Some(app.db_vm()),
+            target: Some(app.bottleneck_vm()),
             kind: FaultKind::MemLeak {
                 rate_mb_per_sec: 2.0,
             },
@@ -316,7 +310,7 @@ mod tests {
         // web and app tiers still have CPU headroom
         let web = cluster.vm(app.vms()[0]);
         assert!(web.cpu_used < web.cpu_alloc * 0.95);
-        let db = cluster.vm(app.db_vm());
+        let db = cluster.vm(app.bottleneck_vm());
         assert!(db.cpu_used > db.cpu_alloc * 0.95);
     }
 

@@ -9,8 +9,6 @@
 //! Each sweep reports the evaluated SLO violation time (mean over three
 //! seeds) on the System S memory-leak scenario.
 
-#![forbid(unsafe_code)]
-
 use prepare_anomaly::MarkovKind;
 use prepare_core::{AppKind, ExperimentSpec, FaultChoice, PrepareConfig, Scheme, TrialSummary};
 use prepare_metrics::Duration;

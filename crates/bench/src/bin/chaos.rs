@@ -15,8 +15,6 @@
 //! chaos run is executed at 1 and 4 workers and the event logs must agree
 //! bit-for-bit before any number is reported.
 
-#![forbid(unsafe_code)]
-
 use prepare_bench::harness::{measured_ms, write_bench_json};
 use prepare_cloudsim::ChaosStats;
 use prepare_core::{

@@ -6,8 +6,6 @@
 //! scale → validate (no effect) → retire the resource → live-migrate off
 //! the contended host.
 
-#![forbid(unsafe_code)]
-
 use prepare_cloudsim::ActionKind;
 use prepare_core::{
     AppKind, ControllerEvent, Experiment, ExperimentSpec, FaultChoice, Scheme, TrialSummary,

@@ -2,8 +2,6 @@
 //! model** (all VMs' attributes in one model) across look-ahead windows —
 //! (a) memleak / System S, (b) cpuhog / RUBiS.
 
-#![forbid(unsafe_code)]
-
 use prepare_anomaly::{MonolithicPredictor, PredictorConfig};
 use prepare_bench::harness::{
     accuracy_sweep, print_accuracy_table, AccuracyRows, AccuracyTrace, LOOK_AHEADS,

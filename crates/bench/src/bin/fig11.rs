@@ -2,8 +2,6 @@
 //! simple (first-order) Markov model** across look-ahead windows —
 //! (a) memleak / System S, (b) bottleneck / RUBiS.
 
-#![forbid(unsafe_code)]
-
 use prepare_anomaly::{MarkovKind, PredictorConfig};
 use prepare_bench::harness::{accuracy_sweep, print_accuracy_table, AccuracyTrace, LOOK_AHEADS};
 use prepare_core::{AppKind, FaultChoice};

@@ -2,8 +2,6 @@
 //! false-alarm filter (k ∈ {1,2,3}, W = 4) for a bottleneck fault in
 //! RUBiS.
 
-#![forbid(unsafe_code)]
-
 use prepare_anomaly::PredictorConfig;
 use prepare_bench::harness::{
     filtered_accuracy_sweep, print_accuracy_table, AccuracyRows, AccuracyTrace, LOOK_AHEADS,

@@ -2,8 +2,6 @@
 //! intervals (1 s, 5 s, 10 s) for a bottleneck fault in RUBiS. A single
 //! 1-second base trace is downsampled so all variants see the same run.
 
-#![forbid(unsafe_code)]
-
 use prepare_anomaly::AnomalyPredictor;
 use prepare_anomaly::PredictorConfig;
 use prepare_bench::harness::{

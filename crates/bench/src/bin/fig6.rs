@@ -3,8 +3,6 @@
 //! cpuhog, bottleneck} × {PREPARE, reactive, none}, mean ± std over five
 //! runs (violation time measured from the second, evaluated injection).
 
-#![forbid(unsafe_code)]
-
 use prepare_bench::harness::print_violation_summary;
 use prepare_core::PreventionPolicy;
 

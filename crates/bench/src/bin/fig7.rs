@@ -2,8 +2,6 @@
 //! (a) memleak / System S throughput, (b) memleak / RUBiS response time,
 //! (c) cpuhog / System S, (d) cpuhog / RUBiS.
 
-#![forbid(unsafe_code)]
-
 use prepare_bench::harness::print_trace_panel;
 use prepare_core::{AppKind, FaultChoice, PreventionPolicy};
 

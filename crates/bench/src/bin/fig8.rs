@@ -1,8 +1,6 @@
 //! Figure 8: SLO violation time comparison using **live VM migration** as
 //! the prevention action (same grid as Fig. 6).
 
-#![forbid(unsafe_code)]
-
 use prepare_bench::harness::print_violation_summary;
 use prepare_core::PreventionPolicy;
 

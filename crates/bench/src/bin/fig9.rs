@@ -1,8 +1,6 @@
 //! Figure 9: sampled SLO metric traces under **live VM migration** (same
 //! four panels as Fig. 7).
 
-#![forbid(unsafe_code)]
-
 use prepare_bench::harness::print_trace_panel;
 use prepare_core::{AppKind, FaultChoice, PreventionPolicy};
 

@@ -16,8 +16,6 @@
 //! Every timed section runs best-of-N ([`TRIALS`]) so a shared machine's
 //! scheduler noise cannot fabricate a slowdown.
 
-#![forbid(unsafe_code)]
-
 use prepare_bench::harness::{measured_ms, write_bench_json};
 use prepare_cloudsim::{Cluster, HostSpec};
 use prepare_core::{Checkpoint, PrepareConfig, PrepareController, RecoveryManager, Scheme};

@@ -7,8 +7,6 @@
 //! the repository's one Table I measurement; the in-loop per-layer costs
 //! of the running controller come from `benchmark/`.
 
-#![forbid(unsafe_code)]
-
 use prepare_anomaly::{AnomalyPredictor, PredictorConfig};
 use prepare_cloudsim::{Cluster, Demand, HostSpec, Monitor, TABLE1_COSTS};
 use prepare_markov::{SimpleMarkov, TwoDependentMarkov};

@@ -10,8 +10,6 @@
 //! first injection window, false-alarm rate outside it, and detection
 //! delay from injection start.
 
-#![forbid(unsafe_code)]
-
 use prepare_anomaly::{PredictorConfig, UnsupervisedPredictor};
 use prepare_bench::harness::AccuracyTrace;
 use prepare_core::{AppKind, FaultChoice};

@@ -18,7 +18,4 @@
 //! cargo run --release -p prepare-bench --bin table1   # module overhead (Table I)
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod harness;

@@ -22,7 +22,6 @@ pub enum PreventionPolicy {
 }
 
 /// All tunables of the PREPARE controller.
-// xtask: checkpoint
 #[derive(Debug, Clone, PartialEq)]
 pub struct PrepareConfig {
     /// Per-VM anomaly predictor settings (bins, sampling interval, Markov
@@ -73,14 +72,12 @@ pub struct PrepareConfig {
     /// Any value produces bit-identical traces — `workers = 1` is the
     /// plain sequential loop; larger counts shard by VM with an ordered
     /// merge (see the `prepare-par` crate).
-    // xtask: ephemeral -- runtime worker config, supplied by the recovering process
     pub par: ParConfig,
     /// Inert: nothing reads it and the durable image does not carry it.
     /// Not on the control path — the controller trains from each VM's
     /// series and the SLO log, the only route there is. The field is named
     /// by `benchmark/benches/driver.rs` (a struct literal) and leaves with
     /// that file's next change.
-    // xtask: ephemeral -- inert, read by nothing; kept for a struct literal in benchmark/
     #[doc(hidden)]
     pub online_training: bool,
 }
@@ -174,17 +171,32 @@ impl PrepareConfig {
     /// the process, not the computation — every worker count produces the
     /// same trace, and the recovering process supplies its own.
     pub fn store_state(&self, w: &mut Writer) {
-        self.predictor.store(w);
-        self.look_ahead.store(w);
-        w.put_usize(self.filter_k);
-        w.put_usize(self.filter_w);
-        self.policy.store(w);
-        w.put_f64(self.scale_factor);
-        w.put_usize(self.min_training_samples);
-        self.retrain_interval.store(w);
-        self.post_anomaly_quiet.store(w);
-        w.put_f64(self.workload_change_quorum);
-        self.staleness.store(w);
+        let Self {
+            predictor,
+            look_ahead,
+            filter_k,
+            filter_w,
+            policy,
+            scale_factor,
+            min_training_samples,
+            retrain_interval,
+            post_anomaly_quiet,
+            workload_change_quorum,
+            staleness,
+            par: _,             // runtime worker config, supplied by the recovering process
+            online_training: _, // inert, read by nothing; kept for a struct literal in benchmark/
+        } = self;
+        predictor.store(w);
+        look_ahead.store(w);
+        w.put_usize(*filter_k);
+        w.put_usize(*filter_w);
+        policy.store(w);
+        w.put_f64(*scale_factor);
+        w.put_usize(*min_training_samples);
+        retrain_interval.store(w);
+        post_anomaly_quiet.store(w);
+        w.put_f64(*workload_change_quorum);
+        staleness.store(w);
     }
 
     /// Decodes a configuration serialized by

@@ -99,8 +99,9 @@ pub enum ClusterReply {
 
 impl Persist for ExecFailure {
     fn store(&self, w: &mut Writer) {
-        self.transient.store(w);
-        self.message.store(w);
+        let Self { transient, message } = self;
+        transient.store(w);
+        message.store(w);
     }
     fn load(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         Ok(ExecFailure {
@@ -294,7 +295,6 @@ impl<'a> ClusterIo<'a> {
 }
 
 /// Everything the control loop keeps per managed VM: one record per slot.
-// xtask: checkpoint
 #[derive(Debug, Clone)]
 struct VmRecord {
     /// The accumulated metric series.
@@ -329,20 +329,30 @@ impl VmRecord {
 
 impl VmRecord {
     fn store_state(&self, w: &mut Writer) {
-        self.series.store(w);
-        match &self.predictor {
+        let Self {
+            series,
+            predictor,
+            filter,
+            episode,
+            last_migration,
+            suppressed_until,
+            imputer,
+            degraded,
+        } = self;
+        series.store(w);
+        match predictor {
             None => w.put_u8(0),
             Some(p) => {
                 w.put_u8(1);
                 p.store_state(w);
             }
         }
-        self.filter.store_state(w);
-        self.episode.store(w);
-        self.last_migration.store(w);
-        self.suppressed_until.store(w);
-        self.imputer.store(w);
-        self.degraded.store(w);
+        filter.store_state(w);
+        episode.store(w);
+        last_migration.store(w);
+        suppressed_until.store(w);
+        imputer.store(w);
+        degraded.store(w);
     }
 
     /// Restores a record written by [`VmRecord::store_state`]; the
@@ -391,7 +401,6 @@ fn slots_by_id(vms: &[VmId]) -> (Vec<usize>, bool) {
 /// effectiveness. The controller is `Clone`, so a driver can snapshot a
 /// trained state once and fork it into many what-if continuations (the
 /// `prepare-tlc` explorer does exactly this).
-// xtask: checkpoint
 #[derive(Debug, Clone)]
 pub struct PrepareController {
     config: PrepareConfig,
@@ -405,11 +414,9 @@ pub struct PrepareController {
     /// lookup (binary search) and the walk order of everything that
     /// follows id order rather than constructor order: validation,
     /// retries and [`PrepareController::degraded_vms`].
-    // xtask: ephemeral -- pure function of vms, rebuilt on restore
     by_id: Vec<usize>,
     slo: SloLog,
     inference: CauseInference,
-    // xtask: ephemeral -- pure function of config, rebuilt on restore
     planner: PreventionPlanner,
     /// k-of-W debounce over the *observed* SLO status: the reactive
     /// trigger (and the reactive baseline scheme) confirms a violation
@@ -1289,20 +1296,35 @@ impl PrepareController {
     /// that only folds the bytes can drain `w` there and never hold more
     /// than one VM's record.
     fn store_core_parts(&self, w: &mut Writer, mut part_done: impl FnMut(&mut Writer)) {
-        self.config.store_state(w);
-        self.scheme.store(w);
-        self.vms.store(w);
+        let Self {
+            config,
+            scheme,
+            vms,
+            table,
+            by_id: _, // pure function of vms, rebuilt on restore
+            slo,
+            inference,
+            planner: _, // pure function of config, rebuilt on restore
+            violation_filter,
+            trained_at,
+            last_retrain,
+            last_workload_change,
+            events: _, // written after the core by `store_events`
+        } = self;
+        config.store_state(w);
+        scheme.store(w);
+        vms.store(w);
         part_done(w);
-        for rec in &self.table {
+        for rec in table {
             rec.store_state(w);
             part_done(w);
         }
-        self.slo.store(w);
-        self.inference.store_state(w);
-        self.violation_filter.store_state(w);
-        self.trained_at.store(w);
-        self.last_retrain.store(w);
-        self.last_workload_change.store(w);
+        slo.store(w);
+        inference.store_state(w);
+        violation_filter.store_state(w);
+        trained_at.store(w);
+        last_retrain.store(w);
+        last_workload_change.store(w);
         part_done(w);
     }
 

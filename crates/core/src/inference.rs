@@ -76,20 +76,16 @@ pub fn implication_score(series: &TimeSeries, slo: &SloLog) -> f64 {
 }
 
 /// Tracks per-VM change points for the workload-change inference.
-// xtask: checkpoint
 #[derive(Debug, Clone)]
 pub struct CauseInference {
     /// One CUSUM per VM on its input-traffic metric (NetIn) — workload
     /// shifts arrive through the network on every component.
     detectors: BTreeMap<VmId, CusumDetector>,
     /// Quorum fraction required to call a workload change.
-    // xtask: ephemeral -- supplied by PrepareConfig on load
     quorum: f64,
     /// How recent (seconds) a change point must be to count.
-    // xtask: ephemeral -- supplied by PrepareConfig on load
     recency_secs: u64,
     /// Shard configuration for the per-VM detector updates.
-    // xtask: ephemeral -- runtime worker config, supplied by the recovering process
     par: ParConfig,
 }
 
@@ -146,7 +142,13 @@ impl CauseInference {
     /// the tunables are the owner's to supply on load, and the shard
     /// configuration is the recovering process's.
     pub fn store_state(&self, w: &mut Writer) {
-        for detector in self.detectors.values() {
+        let Self {
+            detectors,
+            quorum: _,       // supplied by PrepareConfig on load
+            recency_secs: _, // supplied by PrepareConfig on load
+            par: _,          // runtime worker config, supplied by the recovering process
+        } = self;
+        for detector in detectors.values() {
             detector.store(w);
         }
     }

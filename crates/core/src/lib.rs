@@ -34,9 +34,6 @@
 //! println!("SLO violation time: {}", result.eval_violation_time);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod analysis;
 mod config;
 mod controller;

@@ -130,13 +130,13 @@ fn store_tick(
 
 impl Persist for TickRecord {
     fn store(&self, w: &mut Writer) {
-        store_tick(
-            w,
-            self.now,
-            &self.readings,
-            self.slo_violated,
-            &self.replies,
-        );
+        let Self {
+            now,
+            readings,
+            slo_violated,
+            replies,
+        } = self;
+        store_tick(w, *now, readings, *slo_violated, replies);
     }
     fn load(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         Ok(TickRecord {
@@ -857,6 +857,22 @@ mod tests {
         assert!(manager.controller().is_trained(), "scenario must train");
         assert_eq!(manager.journal_records(), 3);
         manager
+    }
+
+    /// The checkpoint image of [`trained_manager`] is pinned by its length
+    /// and fingerprint: a codec refactor that moves one byte of the layout
+    /// fails here, not three suites later in a recovery sweep.
+    #[test]
+    fn checkpoint_image_is_pinned() {
+        let manager = trained_manager();
+        let image = Checkpoint::write(manager.controller(), manager.tick_count());
+        let mut fp = prepare_metrics::Fingerprint64::new();
+        fp.write_bytes(&image);
+        assert_eq!(
+            (image.len(), fp.finish()),
+            (10_780, 0x54de_b162_9f88_7052),
+            "the checkpoint layout moved: bump `CHECKPOINT_MAGIC` and re-pin"
+        );
     }
 
     /// A crash image, and the manager recovered from it, hold the frame

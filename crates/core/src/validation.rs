@@ -31,7 +31,6 @@ pub enum ValidationOutcome {
 
 /// An open anomaly-handling episode for one VM: the confirmed diagnosis,
 /// the remaining candidate attributes, and the action trail.
-// xtask: checkpoint
 #[derive(Debug, Clone, PartialEq)]
 pub struct Episode {
     /// The faulty VM.
@@ -170,19 +169,34 @@ impl Episode {
 
 impl Persist for Episode {
     fn store(&self, w: &mut Writer) {
-        self.vm.store(w);
-        self.opened.store(w);
-        self.candidates.store(w);
-        self.last_action_at.store(w);
-        w.put_bool(self.migrated);
-        w.put_usize(self.actions_taken);
-        w.put_usize(self.failures);
-        w.put_usize(self.attempts_on_candidate);
-        self.last_resource.store(w);
-        self.ineffective_resources.store(w);
-        self.retry_at.store(w);
-        w.put_usize(self.transient_attempts);
-        self.migration_target.store(w);
+        let Self {
+            vm,
+            opened,
+            candidates,
+            last_action_at,
+            migrated,
+            actions_taken,
+            failures,
+            attempts_on_candidate,
+            last_resource,
+            ineffective_resources,
+            retry_at,
+            transient_attempts,
+            migration_target,
+        } = self;
+        vm.store(w);
+        opened.store(w);
+        candidates.store(w);
+        last_action_at.store(w);
+        w.put_bool(*migrated);
+        w.put_usize(*actions_taken);
+        w.put_usize(*failures);
+        w.put_usize(*attempts_on_candidate);
+        last_resource.store(w);
+        ineffective_resources.store(w);
+        retry_at.store(w);
+        w.put_usize(*transient_attempts);
+        migration_target.store(w);
     }
     fn load(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         let episode = Episode {

@@ -30,9 +30,6 @@
 //! assert_eq!(dist.most_likely(), 0); // last seen 1 → next 0
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod distribution;
 mod invariants;
 mod simple;

@@ -20,10 +20,8 @@ use std::sync::OnceLock;
 /// allocation per step. Outputs are bit-identical to the kept
 /// naive path ([`SimpleMarkov::predict_reference`]); the crate's
 /// differential proptests assert it.
-// xtask: checkpoint
 #[derive(Clone)]
 pub struct SimpleMarkov {
-    // xtask: ephemeral -- supplied by PrepareConfig on load
     n: usize,
     /// Flat row-major transition counts: `counts[i * n + j]` = observed
     /// transitions i → j.
@@ -35,7 +33,7 @@ pub struct SimpleMarkov {
     /// Frozen transition rows, built on first use after an observation and
     /// invalidated by `observe`/`reset_position`. Derived state only: it is
     /// excluded from `Debug` and `PartialEq`.
-    table: OnceLock<TransitionTable>, // xtask: ephemeral -- derived snapshot, rebuilt lazily on first predict
+    table: OnceLock<TransitionTable>,
 }
 
 impl fmt::Debug for SimpleMarkov {
@@ -185,10 +183,18 @@ impl SimpleMarkov {
     /// position, the observation count; `n` is the owner's to supply on
     /// load.
     pub fn store_state(&self, w: &mut Writer) {
-        w.put_f64(self.alpha);
-        store_counts(w, &self.counts);
-        self.current.store(w);
-        w.put_usize(self.observations);
+        let Self {
+            n: _, // supplied by PrepareConfig on load
+            counts,
+            alpha,
+            current,
+            observations,
+            table: _, // derived snapshot, rebuilt lazily on first predict
+        } = self;
+        w.put_f64(*alpha);
+        store_counts(w, counts);
+        current.store(w);
+        w.put_usize(*observations);
     }
 
     /// Restores a chain over `n` states written by

@@ -32,10 +32,8 @@ use std::sync::OnceLock;
 /// bit-identical to the kept naive path
 /// ([`TwoDependentMarkov::predict_reference`]); the crate's differential
 /// proptests assert it.
-// xtask: checkpoint
 #[derive(Clone)]
 pub struct TwoDependentMarkov {
-    // xtask: ephemeral -- supplied by PrepareConfig on load
     n: usize,
     /// Flat transition counts out of combined states:
     /// `counts[(prev * n + cur) * n + next]`.
@@ -48,7 +46,7 @@ pub struct TwoDependentMarkov {
     /// Frozen `n² × n` transition rows, built on first use after an
     /// observation and invalidated by `observe`/`reset_position`. Derived
     /// state only: excluded from `Debug` and `PartialEq`.
-    table: OnceLock<TransitionTable>, // xtask: ephemeral -- derived snapshot, rebuilt lazily on first predict
+    table: OnceLock<TransitionTable>,
 }
 
 impl fmt::Debug for TwoDependentMarkov {
@@ -248,9 +246,16 @@ impl TwoDependentMarkov {
     /// chain's `alpha`, current state and observation count); `n` is the
     /// owner's to supply on load.
     pub fn store_state(&self, w: &mut Writer) {
-        self.prev.store(w);
-        store_counts(w, &self.counts);
-        self.fallback.store_state(w);
+        let Self {
+            n: _, // supplied by PrepareConfig on load
+            counts,
+            fallback,
+            prev,
+            table: _, // derived snapshot, rebuilt lazily on first predict
+        } = self;
+        prev.store(w);
+        store_counts(w, counts);
+        fallback.store_state(w);
     }
 
     /// Restores a chain over `n` single states written by

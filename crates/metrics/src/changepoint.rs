@@ -10,7 +10,6 @@ use crate::persist::{Persist, PersistError, Reader, Writer};
 use crate::Timestamp;
 
 /// A detected change point.
-// xtask: checkpoint
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChangePoint {
     /// When the cumulative statistic crossed the threshold.
@@ -39,7 +38,6 @@ pub const CUSUM_WARMUP: usize = 12;
 /// deviations less [`CUSUM_DRIFT`]; when either the high-side or
 /// low-side sum exceeds [`CUSUM_THRESHOLD`], a change point is reported
 /// and the baseline re-anchors to the post-change level.
-// xtask: checkpoint
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CusumDetector {
     // online baseline estimate
@@ -134,9 +132,14 @@ impl CusumDetector {
 
 impl Persist for ChangePoint {
     fn store(&self, w: &mut Writer) {
-        self.time.store(w);
-        w.put_f64(self.direction);
-        w.put_f64(self.magnitude);
+        let Self {
+            time,
+            direction,
+            magnitude,
+        } = *self;
+        time.store(w);
+        w.put_f64(direction);
+        w.put_f64(magnitude);
     }
     fn load(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         Ok(ChangePoint {
@@ -149,12 +152,20 @@ impl Persist for ChangePoint {
 
 impl Persist for CusumDetector {
     fn store(&self, w: &mut Writer) {
-        w.put_usize(self.count);
-        w.put_f64(self.mean);
-        w.put_f64(self.m2);
-        w.put_f64(self.high);
-        w.put_f64(self.low);
-        self.last_change.store(w);
+        let Self {
+            count,
+            mean,
+            m2,
+            high,
+            low,
+            last_change,
+        } = *self;
+        w.put_usize(count);
+        w.put_f64(mean);
+        w.put_f64(m2);
+        w.put_f64(high);
+        w.put_f64(low);
+        last_change.store(w);
     }
     fn load(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         Ok(CusumDetector {

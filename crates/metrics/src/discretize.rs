@@ -15,12 +15,10 @@ use crate::{AttributeKind, MetricVector, TimeSeries, ATTRIBUTE_COUNT};
 pub type DiscreteVector = Vec<usize>;
 
 /// Equal-width binning for one attribute.
-// xtask: checkpoint
 #[derive(Debug, Clone, PartialEq)]
 pub struct Discretizer {
     lo: f64,
     hi: f64,
-    // xtask: ephemeral -- supplied by PrepareConfig on load
     bins: usize,
 }
 
@@ -105,7 +103,6 @@ impl Discretizer {
 }
 
 /// Per-attribute discretizers for a full [`MetricVector`].
-// xtask: checkpoint
 #[derive(Debug, Clone, PartialEq)]
 pub struct VectorDiscretizer {
     per_attr: Vec<Discretizer>,
@@ -172,8 +169,13 @@ impl VectorDiscretizer {
 
 impl Discretizer {
     fn store_state(&self, w: &mut Writer) {
-        w.put_f64(self.lo);
-        w.put_f64(self.hi);
+        let Self {
+            lo,
+            hi,
+            bins: _, // supplied by PrepareConfig on load
+        } = *self;
+        w.put_f64(lo);
+        w.put_f64(hi);
     }
 }
 
@@ -181,7 +183,8 @@ impl VectorDiscretizer {
     /// Serializes each attribute's fitted range, `lo` then `hi`, in
     /// canonical order; the bin count is the owner's to supply on load.
     pub fn store_state(&self, w: &mut Writer) {
-        for d in &self.per_attr {
+        let Self { per_attr } = self;
+        for d in per_attr {
             d.store_state(w);
         }
     }

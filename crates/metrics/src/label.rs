@@ -46,7 +46,6 @@ impl fmt::Display for Label {
 
 /// The application's SLO-violation log: a second-resolution record of when
 /// the SLO was violated, accumulated online.
-// xtask: checkpoint
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SloLog {
     /// Closed-open violation intervals `[start, end)`, non-overlapping and
@@ -90,14 +89,6 @@ impl SloLog {
         self.intervals
             .iter()
             .any(|&(start, end)| t >= start && end.is_none_or(|e| t < e))
-    }
-
-    /// True if any violation overlaps `[from, to)`.
-    pub fn any_violation_in(&self, from: Timestamp, to: Timestamp) -> bool {
-        self.intervals.iter().any(|&(start, end)| {
-            let e = end.unwrap_or(Timestamp::from_secs(u64::MAX));
-            start < to && from < e
-        })
     }
 
     /// Total violated time up to (and including) the last recorded sample —
@@ -198,8 +189,12 @@ impl Persist for Label {
 
 impl Persist for SloLog {
     fn store(&self, w: &mut Writer) {
-        self.intervals.store(w);
-        self.last_seen.store(w);
+        let Self {
+            intervals,
+            last_seen,
+        } = self;
+        intervals.store(w);
+        last_seen.store(w);
     }
     fn load(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         let intervals = Persist::load(r)?;
@@ -246,15 +241,6 @@ mod tests {
     fn empty_log_has_zero_violation_time() {
         assert_eq!(SloLog::new().total_violation_time(), Duration::ZERO);
         assert!(SloLog::new().first_violation().is_none());
-    }
-
-    #[test]
-    fn any_violation_in_window() {
-        let log = log_from(&[(0, false), (10, true), (20, false)]);
-        assert!(log.any_violation_in(t(0), t(11)));
-        assert!(log.any_violation_in(t(15), t(30)));
-        assert!(!log.any_violation_in(t(0), t(10)));
-        assert!(!log.any_violation_in(t(20), t(40)));
     }
 
     /// The route training takes: a sample's label is the SLO state at

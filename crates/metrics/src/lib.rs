@@ -25,9 +25,6 @@
 //! assert_eq!(Timestamp::from_secs(5).as_secs(), 5);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod attr;
 mod changepoint;
 mod discretize;

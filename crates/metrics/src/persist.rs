@@ -533,8 +533,9 @@ impl Persist for MetricVector {
 
 impl Persist for MetricSample {
     fn store(&self, w: &mut Writer) {
-        self.time.store(w);
-        self.values.store(w);
+        let Self { time, values } = self;
+        time.store(w);
+        values.store(w);
     }
     fn load(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         Ok(MetricSample::new(

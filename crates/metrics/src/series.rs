@@ -8,7 +8,6 @@ use crate::{mean, std_dev, AttributeKind, MetricSample, Timestamp};
 /// Samples must be appended in non-decreasing timestamp order; this is the
 /// shape a real dom0 monitor produces and everything downstream (labeling,
 /// training, validation windows) relies on it.
-// xtask: checkpoint
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TimeSeries {
     samples: Vec<MetricSample>,
@@ -144,7 +143,8 @@ impl SeriesStats {
 
 impl Persist for TimeSeries {
     fn store(&self, w: &mut Writer) {
-        self.samples.store(w);
+        let Self { samples } = self;
+        samples.store(w);
     }
     fn load(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         let samples: Vec<MetricSample> = Persist::load(r)?;

@@ -26,7 +26,6 @@ use crate::{Duration, MetricSample, Timestamp};
 /// is the oldest time any of its attributes was genuinely measured. It
 /// lags the delivery time when a reading is stuck or the sample was
 /// imputed.
-// xtask: checkpoint
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StampedSample {
     /// The delivered measurement vector.
@@ -49,7 +48,6 @@ impl StampedSample {
 /// How old a reading may grow before the control loop stops trusting
 /// it. One bound covers every attribute: a sample is stale as soon as
 /// its oldest reading is.
-// xtask: checkpoint
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StalenessBudget {
     limit: Duration,
@@ -86,7 +84,6 @@ impl Default for StalenessBudget {
 /// the last known vector re-timed to `now` while keeping its original
 /// collection stamp — so the imputed sample ages out naturally under a
 /// [`StalenessBudget`] instead of impersonating fresh data forever.
-// xtask: checkpoint
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LastValueImputer {
     last: Option<StampedSample>,
@@ -120,8 +117,9 @@ impl LastValueImputer {
 
 impl Persist for StampedSample {
     fn store(&self, w: &mut Writer) {
-        self.sample.store(w);
-        self.collected.store(w);
+        let Self { sample, collected } = self;
+        sample.store(w);
+        collected.store(w);
     }
     fn load(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         Ok(StampedSample {
@@ -133,7 +131,8 @@ impl Persist for StampedSample {
 
 impl Persist for StalenessBudget {
     fn store(&self, w: &mut Writer) {
-        self.limit.store(w);
+        let Self { limit } = self;
+        limit.store(w);
     }
     fn load(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         Ok(StalenessBudget {
@@ -144,7 +143,8 @@ impl Persist for StalenessBudget {
 
 impl Persist for LastValueImputer {
     fn store(&self, w: &mut Writer) {
-        self.last.store(w);
+        let Self { last } = self;
+        last.store(w);
     }
     fn load(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         Ok(LastValueImputer {

@@ -26,9 +26,6 @@
 //! [`std::panic::resume_unwind`], so a failing debug assertion inside a
 //! model surfaces identically under any worker count.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 use std::num::NonZeroUsize;
 
 /// How many OS worker threads the parallel engine may use.

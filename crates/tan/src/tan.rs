@@ -9,7 +9,6 @@ use prepare_metrics::{debug_assert_finite, Label};
 /// Class- and parent-conditional probability table:
 /// `P(a_i = v | a_p = u, C = c)`, Laplace-smoothed. The tree root has no
 /// attribute parent; its table has one parent row, `u = 0`.
-// xtask: checkpoint
 #[derive(Debug, Clone, PartialEq)]
 struct EdgeCpt {
     /// log_p[c][u][v]
@@ -65,7 +64,8 @@ impl EdgeCpt {
     /// Writes every log-probability, class by class, row by row. The
     /// table's shape is its owner's to supply on load.
     fn store_state(&self, w: &mut Writer) {
-        for v in self.log_p.iter().flatten().flatten() {
+        let Self { log_p } = self;
+        for v in log_p.iter().flatten().flatten() {
             w.put_f64(*v);
         }
     }
@@ -126,7 +126,6 @@ pub struct TanVerdict {
 }
 
 /// A trained TAN anomaly classifier.
-// xtask: checkpoint
 #[derive(Debug, Clone, PartialEq)]
 pub struct TanClassifier {
     /// One table per attribute, conditioned on `parents[i]` (one parent
@@ -134,7 +133,6 @@ pub struct TanClassifier {
     cpts: Vec<EdgeCpt>,
     parents: Vec<Option<usize>>,
     log_prior_ratio: f64,
-    // xtask: ephemeral -- supplied by PrepareConfig on load
     cardinalities: Vec<usize>,
 }
 
@@ -227,11 +225,17 @@ impl TanClassifier {
     /// prior ratio, then every attribute's table. The cardinalities are
     /// the owner's to supply on load, so no count or length is written.
     pub fn store_state(&self, w: &mut Writer) {
-        for p in &self.parents {
+        let Self {
+            cpts,
+            parents,
+            log_prior_ratio,
+            cardinalities: _, // supplied by PrepareConfig on load
+        } = self;
+        for p in parents {
             p.store(w);
         }
-        w.put_f64(self.log_prior_ratio);
-        for table in &self.cpts {
+        w.put_f64(*log_prior_ratio);
+        for table in cpts {
             table.store_state(w);
         }
     }

@@ -25,9 +25,6 @@
 //! Simulated time is discrete seconds, so "ticks" in property windows
 //! are [`Duration`] seconds.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod explore;
 pub mod properties;
 pub mod suite;

@@ -13,9 +13,6 @@
 //! skipped); CI leaves it unset so one invocation covers both engines.
 //! `--skip-explore` drops the explorer sweep for quick local runs.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 use std::time::Instant; // xtask-allow: time-source -- checker self-timing, reported to CI, never simulated
 
 use prepare_tlc::explore::explore;

@@ -1,10 +1,8 @@
 //! Paper-fidelity checks: the experiment index in DESIGN.md §4 and the
 //! README's commands must stay runnable (every referenced `--bin`
-//! exists), and every crate root must carry the workspace safety
-//! attributes.
+//! exists).
 
 use crate::rules::{Category, Finding};
-use crate::scan::SourceFile;
 use std::collections::BTreeSet;
 use std::fs;
 use std::path::Path;
@@ -70,60 +68,9 @@ pub fn check_doc_bins(root: &Path) -> Vec<Finding> {
     findings
 }
 
-/// True when `rel` is the root module of a crate (the file that must
-/// carry the crate-level attributes).
-fn is_crate_root(rel: &str) -> bool {
-    matches!(rel, "src/lib.rs" | "src/main.rs")
-        || (rel.starts_with("crates/") || rel.starts_with("shims/"))
-            && (rel.ends_with("/src/lib.rs") || rel.ends_with("/src/main.rs"))
-        || rel.starts_with("crates/bench/src/bin/")
-}
-
-/// Crate roots must forbid unsafe code; library roots must also warn on
-/// missing docs.
-pub fn check_crate_attrs(files: &[SourceFile]) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    for f in files {
-        if !is_crate_root(&f.rel_path) {
-            continue;
-        }
-        if !f.text.contains("#![forbid(unsafe_code)]") {
-            findings.push(Finding {
-                file: f.rel_path.clone(),
-                line: 1,
-                category: Category::Fidelity,
-                rule: "forbid-unsafe",
-                message: "crate root lacks #![forbid(unsafe_code)]".into(),
-            });
-        }
-        if f.rel_path.ends_with("lib.rs") && !f.text.contains("#![warn(missing_docs)]") {
-            findings.push(Finding {
-                file: f.rel_path.clone(),
-                line: 1,
-                category: Category::Fidelity,
-                rule: "warn-missing-docs",
-                message: "library crate root lacks #![warn(missing_docs)]".into(),
-            });
-        }
-    }
-    findings
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn crate_root_classification() {
-        assert!(is_crate_root("src/lib.rs"));
-        assert!(is_crate_root("src/main.rs"));
-        assert!(is_crate_root("crates/core/src/lib.rs"));
-        assert!(is_crate_root("shims/rand/src/lib.rs"));
-        assert!(is_crate_root("crates/xtask/src/main.rs"));
-        assert!(is_crate_root("crates/bench/src/bin/fig6.rs"));
-        assert!(!is_crate_root("crates/core/src/controller.rs"));
-        assert!(!is_crate_root("tests/end_to_end.rs"));
-    }
 
     #[test]
     fn design_bins_resolve_in_this_workspace() {

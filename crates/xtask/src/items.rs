@@ -130,23 +130,18 @@ impl FileItems {
 }
 
 /// One live `// xtask:` marker. The grammar is `xtask: <name>`, plus a
-/// mandatory `-- <reason>` for the two markers that suppress findings:
+/// mandatory `-- <reason>` for the one marker that suppresses findings:
 ///
 /// - `hot-path` — the next `fn` is a hot-path root;
 /// - `taint-sink` — nondet-tainted arguments reaching the next `fn` are
 ///   findings;
 /// - `taint-sanitize -- reason` — the next `fn` cleanses its return
-///   value of nondet taint;
-/// - `checkpoint` — every field of the next struct must be stored or
-///   exempted ([`crate::checkpoint`]);
-/// - `ephemeral -- reason` — exempts one field of a checkpointed struct.
+///   value of nondet taint.
 #[derive(Debug, Clone, Copy)]
 pub enum Marker {
     HotPath,
     TaintSink,
     TaintSanitize,
-    Checkpoint,
-    Ephemeral,
 }
 
 /// Parses one comment body ([`comment_body`]). `None` when the comment
@@ -162,16 +157,9 @@ pub fn parse_marker(body: &str) -> Option<Result<Marker, &'static str>> {
     Some(match name {
         "hot-path" if bare => Ok(Marker::HotPath),
         "taint-sink" if bare => Ok(Marker::TaintSink),
-        "checkpoint" if bare => Ok(Marker::Checkpoint),
         "taint-sanitize" if reasoned => Ok(Marker::TaintSanitize),
-        "ephemeral" if reasoned => Ok(Marker::Ephemeral),
-        "taint-sanitize" | "ephemeral" if bare || reason.is_some() => {
-            Err("requires a `-- reason` justification")
-        }
-        _ => Err(
-            "is not a live marker (`hot-path`, `taint-sink`, `taint-sanitize -- reason`, \
-             `checkpoint`, `ephemeral -- reason`)",
-        ),
+        "taint-sanitize" if bare || reason.is_some() => Err("requires a `-- reason` justification"),
+        _ => Err("is not a live marker (`hot-path`, `taint-sink`, `taint-sanitize -- reason`)"),
     })
 }
 
@@ -261,7 +249,6 @@ impl<'a> Parser<'a> {
                 Marker::HotPath => item.hot = true,
                 Marker::TaintSink => item.taint_sink = true,
                 Marker::TaintSanitize => item.taint_sanitize = Some(line),
-                Marker::Checkpoint | Marker::Ephemeral => {}
             }
         }
         items

@@ -286,21 +286,6 @@ pub mod v1 {
             }
         };
         if f.policy.determinism {
-            for name in ["HashMap", "HashSet"] {
-                for at in word_occurrences(&f.masked, name) {
-                    push(f, at, "hash-collection");
-                }
-            }
-            for name in ["thread_rng", "from_entropy", "OsRng"] {
-                for at in word_occurrences(&f.masked, name) {
-                    push(f, at, "ambient-rng");
-                }
-            }
-            for at in word_occurrences(&f.masked, "random") {
-                if f.masked[..at].ends_with("rand::") {
-                    push(f, at, "ambient-rng");
-                }
-            }
             if !f.policy.wall_clock_allowed {
                 for name in ["Instant", "SystemTime"] {
                     for at in word_occurrences(&f.masked, name) {
@@ -558,8 +543,6 @@ mod diff {
     /// Rules both engines implement, compared site-for-site under their
     /// v2 names (see [`v2_rule`]).
     const SHARED_RULES: &[&str] = &[
-        "hash-collection",
-        "ambient-rng",
         "time-source",
         "float-eq",
         "nan-unsafe-sort",

@@ -5,11 +5,8 @@
 //! and the library crates panic-honest. See DESIGN.md §8 for the
 //! policy, rules and ratchet workflow.
 
-#![forbid(unsafe_code)]
-
 mod baseline;
 mod callgraph;
-mod checkpoint;
 mod dataflow;
 mod fidelity;
 mod items;
@@ -213,10 +210,7 @@ fn run_lint(
             _ => hard_findings.push(finding),
         }
     }
-    for finding in fidelity::check_doc_bins(root)
-        .into_iter()
-        .chain(fidelity::check_crate_attrs(&files))
-    {
+    for finding in fidelity::check_doc_bins(root) {
         *rule_counts.entry(finding.rule).or_insert(0) += 1;
         hard_findings.push(finding);
     }

@@ -38,9 +38,7 @@ pub enum Category {
     /// tolerance.
     Hygiene,
     /// Drift between the artifacts and the code: DESIGN.md's experiment
-    /// index versus the crates, and checkpointed-struct fields that are
-    /// neither serialized nor declared ephemeral
-    /// ([`crate::checkpoint`]). Zero tolerance.
+    /// index versus the crates. Zero tolerance.
     Fidelity,
     /// Blind spots in the controller-event audit trail: an event variant
     /// no registered temporal property references, or a wildcard match
@@ -85,8 +83,6 @@ pub struct Finding {
 
 /// Every rule this module can emit, for per-rule reporting.
 pub const ALL_RULES: &[(&str, Category)] = &[
-    ("hash-collection", Category::Determinism),
-    ("ambient-rng", Category::Determinism),
     ("time-source", Category::Determinism),
     ("float-eq", Category::Determinism),
     ("nan-unsafe-sort", Category::Determinism),
@@ -106,7 +102,6 @@ pub const ALL_RULES: &[(&str, Category)] = &[
     ("orphan-marker", Category::Hygiene),
     ("event-coverage", Category::EventCoverage),
     ("event-wildcard", Category::EventCoverage),
-    ("checkpoint-field", Category::Fidelity),
     ("determinism-taint", Category::Taint),
 ];
 
@@ -160,7 +155,6 @@ pub fn check_workspace(files: &[SourceFile], crate_map: &BTreeMap<String, String
         }
     }
     event_coverage(files, &mut findings);
-    crate::checkpoint::check(files, &parsed, &mut findings);
     unused_allows(files, &mut findings);
     malformed_markers(files, &mut findings);
     findings
@@ -170,8 +164,6 @@ pub fn check_workspace(files: &[SourceFile], crate_map: &BTreeMap<String, String
 
 fn check_file(f: &SourceFile, it: &FileItems, findings: &mut Vec<Finding>) {
     if f.policy.determinism {
-        hash_collections(f, findings);
-        ambient_rng(f, findings);
         if !f.policy.wall_clock_allowed {
             time_source(f, findings);
         }
@@ -274,57 +266,6 @@ fn fn_guarded(f: &SourceFile, item: &FnItem) -> bool {
         return false;
     };
     (open..=close).any(|k| f.cident(k).is_some_and(|w| GUARD_IDENTS.contains(&w)))
-}
-
-/// `HashMap`/`HashSet` in simulation-visible code: iteration order is
-/// randomized per process, so any iteration that reaches simulation
-/// state or output de-reproduces runs. `BTreeMap`/`BTreeSet` are the
-/// deterministic replacements.
-fn hash_collections(f: &SourceFile, findings: &mut Vec<Finding>) {
-    for k in 0..f.code.len() {
-        if let Some(name @ ("HashMap" | "HashSet")) = f.cident(k) {
-            push(
-                f,
-                findings,
-                k,
-                Category::Determinism,
-                "hash-collection",
-                format!("{name} in simulation-visible code; use the BTree equivalent"),
-            );
-        }
-    }
-}
-
-/// Unseeded entropy sources in library code.
-fn ambient_rng(f: &SourceFile, findings: &mut Vec<Finding>) {
-    for k in 0..f.code.len() {
-        match f.cident(k) {
-            Some(name @ ("thread_rng" | "from_entropy" | "OsRng")) => push(
-                f,
-                findings,
-                k,
-                Category::Determinism,
-                "ambient-rng",
-                format!("{name} draws OS entropy; thread a seeded StdRng through instead"),
-            ),
-            // `rand::random()` specifically; only the qualified form, to
-            // avoid matching local identifiers.
-            Some("random")
-                if k >= 3 && f.cpair(k - 2, ':', ':') && f.cident(k - 3) == Some("rand") =>
-            {
-                push(
-                    f,
-                    findings,
-                    k,
-                    Category::Determinism,
-                    "ambient-rng",
-                    "rand::random() draws OS entropy; thread a seeded StdRng through instead"
-                        .into(),
-                )
-            }
-            _ => {}
-        }
-    }
 }
 
 /// Identifiers that smuggle host calendar/clock state into simulation
@@ -1164,24 +1105,11 @@ mod tests {
     }
 
     #[test]
-    fn detects_hash_collections_outside_tests() {
-        assert_eq!(
-            rules_of("use std::collections::HashMap;\n"),
-            ["hash-collection"]
-        );
-        assert!(rules_of("#[cfg(test)]\nmod t { use std::collections::HashMap; }\n").is_empty());
-        // Comments and strings never count.
-        assert!(rules_of("// HashMap\nlet s = \"HashSet\";\n").is_empty());
-    }
-
-    #[test]
-    fn detects_ambient_rng_and_wall_clock() {
-        assert_eq!(rules_of("let r = thread_rng();\n"), ["ambient-rng"]);
-        assert_eq!(rules_of("let x: f64 = rand::random();\n"), ["ambient-rng"]);
+    fn detects_wall_clock_reads() {
         assert_eq!(rules_of("let t = Instant::now();\n"), ["time-source"]);
         assert_eq!(rules_of("let t = SystemTime::now();\n"), ["time-source"]);
         // Unrelated identifiers do not trip word matching.
-        assert!(rules_of("let instant_rate = 1;\nlet randomizer = 2;\n").is_empty());
+        assert!(rules_of("let instant_rate = 1;\n").is_empty());
     }
 
     #[test]
@@ -1496,7 +1424,7 @@ fn d() {}
 // xtask: taint-sanitize
 fn e() {}
 struct S {
-    x: usize, // xtask: ephemeral
+    x: usize, // xtask: hot-path -- stray reason
 }
 // xtask: hot-path
 fn live() {}

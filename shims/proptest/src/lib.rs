@@ -7,9 +7,6 @@
 //! with no persistence files. There is no shrinking — failing inputs are
 //! printed whole via `Debug` instead.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 

@@ -15,9 +15,6 @@
 //! nothing in the workspace depends on the concrete stream, only on
 //! seed-determinism.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 /// Seedable generator types.
 pub mod rngs {
     /// The workspace's standard deterministic generator (xoshiro256**).

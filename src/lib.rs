@@ -1,8 +1,5 @@
 //! Umbrella crate re-exporting the PREPARE reproduction workspace.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub use prepare_anomaly as anomaly;
 pub use prepare_apps as apps;
 pub use prepare_cloudsim as cloudsim;

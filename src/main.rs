@@ -10,8 +10,6 @@
 //! Argument parsing is hand-rolled (no CLI dependency); every subcommand
 //! prints a paper-style report.
 
-#![forbid(unsafe_code)]
-
 use prepare_repro::core::{
     eval_violation_intervals, AppKind, Experiment, ExperimentReport, ExperimentSpec, FaultChoice,
     PreventionPolicy, Scheme, TrialSummary,
