@@ -7,10 +7,12 @@
 # report uploads.
 # All steps run offline: every dependency is vendored in shims/.
 # rustc and clippy enforce what the xtask lint no longer repeats: the
-# workspace [lints] table in Cargo.toml (unsafe_code forbidden, missing_docs
-# warned, in every member) and clippy.toml's disallowed types (HashMap,
-# HashSet); checkpoint coverage is a compile error, because every struct
-# serializer destructures `self` without `..`.
+# workspace [lints] tables in Cargo.toml (unsafe_code forbidden, missing_docs
+# warned, in every member; unwrap_used, expect_used, panic, todo,
+# unimplemented and unreachable denied outside test code, each remaining
+# site under a reasoned #[expect]) and clippy.toml's disallowed types
+# (HashMap, HashSet); checkpoint coverage is a compile error, because every
+# struct serializer destructures `self` without `..`.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -18,8 +20,8 @@ echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
 echo "==> cargo clippy (deny warnings)"
-# -D warnings turns the workspace missing_docs warning and clippy.toml's
-# disallowed-types hits into errors.
+# -D warnings turns the workspace missing_docs warning, clippy.toml's
+# disallowed-types hits and any unfulfilled #[expect] into errors.
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
 echo "==> cargo doc (deny warnings)"

@@ -63,11 +63,15 @@ impl MonolithicPredictor {
 
         let n_attrs = series.len() * ATTRIBUTE_COUNT;
         let mut dataset = Dataset::with_uniform_bins(n_attrs, config.bins);
-        for i in 0..len {
+        for (i, sample) in series[0].samples().iter().enumerate() {
             let row = Self::concat_row(&discretizers, series, i);
-            let t = series[0].samples()[i].time;
+            let label = Label::from_violation(slo.is_violated_at(sample.time));
+            #[expect(
+                clippy::expect_used,
+                reason = "concat_row yields n_attrs states, each below config.bins"
+            )]
             dataset
-                .push(row, Label::from_violation(slo.is_violated_at(t)))
+                .push(row, label)
                 .expect("concatenated rows match schema");
         }
         let classifier = TanClassifier::train(&dataset)?;
@@ -100,6 +104,7 @@ impl MonolithicPredictor {
     ) -> Vec<usize> {
         let mut row = Vec::with_capacity(series.len() * ATTRIBUTE_COUNT);
         for (d, s) in discretizers.iter().zip(series) {
+            // xtask-allow: index-in-loop -- callers pass i below the length train asserts for every trace
             row.extend(d.discretize(&s.samples()[i].values));
         }
         row
@@ -117,12 +122,13 @@ impl MonolithicPredictor {
     /// Panics if `samples.len() != n_vms()`.
     pub fn observe(&mut self, samples: &[MetricSample]) {
         assert_eq!(samples.len(), self.n_vms(), "one sample per VM required");
-        let mut idx = 0;
-        for (d, s) in self.discretizers.iter().zip(samples) {
-            for state in d.discretize(&s.values) {
-                self.value_models[idx].observe(state);
-                idx += 1;
-            }
+        let states = self
+            .discretizers
+            .iter()
+            .zip(samples)
+            .flat_map(|(d, s)| d.discretize(&s.values));
+        for (m, state) in self.value_models.iter_mut().zip(states) {
+            m.observe(state);
         }
     }
 
@@ -171,6 +177,7 @@ impl MonolithicPredictor {
         }
         let end = series[0].samples()[len - 1].time;
         for i in 0..len {
+            // xtask-allow: index-in-loop -- i < len, the length asserted for every trace above
             let samples: Vec<MetricSample> = series.iter().map(|s| s.samples()[i]).collect();
             model.observe(&samples);
             let target = samples[0].time + look_ahead;

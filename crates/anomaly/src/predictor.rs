@@ -135,6 +135,10 @@ impl AnomalyPredictor {
 
         let mut dataset = Dataset::with_uniform_bins(ATTRIBUTE_COUNT, config.bins);
         for (row, (_, label)) in rows.iter().zip(labeled.iter()) {
+            #[expect(
+                clippy::expect_used,
+                reason = "a discretized row has ATTRIBUTE_COUNT states, each below config.bins"
+            )]
             dataset
                 .push(row.clone(), *label)
                 .expect("discretized rows always match the dataset schema");

@@ -128,6 +128,10 @@ impl Application for Rubis {
         &self.vms
     }
 
+    #[expect(
+        clippy::panic,
+        reason = "documented contract of Application::vm_role: a foreign VM is a caller bug"
+    )]
     fn vm_role(&self, vm: VmId) -> &'static str {
         let idx = self
             .vms
@@ -161,24 +165,23 @@ impl Application for Rubis {
         let tier_rate = [rate, rate * 0.5, rate * 0.5, rate];
         let mut latency = [0.0f64; N_TIERS];
         let mut tf = [1.0f64; N_TIERS];
-        for i in 0..N_TIERS {
-            let demand = add_demand(
-                self.specs[i].demand(tier_rate[i]),
-                faults.overlay(self.vms[i], now),
-            );
-            let rho = if cluster.vm(self.vms[i]).cpu_alloc > 0.0 {
-                (demand.cpu / cluster.vm(self.vms[i]).cpu_alloc).min(MAX_RHO)
+        let tiers = self.specs.iter().zip(&self.vms).zip(tier_rate);
+        for (((spec, &vm), input), (lat, t)) in tiers.zip(latency.iter_mut().zip(&mut tf)) {
+            let demand = add_demand(spec.demand(input), faults.overlay(vm, now));
+            let alloc = cluster.vm(vm).cpu_alloc;
+            let rho = if alloc > 0.0 {
+                (demand.cpu / alloc).min(MAX_RHO)
             } else {
                 MAX_RHO
             };
-            let quality = cluster.apply_demand(self.vms[i], demand, now);
+            let quality = cluster.apply_demand(vm, demand, now);
             // Queueing delay from CPU utilization; paging and migration
             // multiply the effective service time.
             let service_inflation =
                 (1.0 / quality.mem_fraction.max(1e-3)) * (1.0 / quality.migration_penalty);
-            latency[i] = self.specs[i].service_ms * service_inflation / (1.0 - rho)
+            *lat = spec.service_ms * service_inflation / (1.0 - rho)
                 + quality.queue_delay_secs * 1000.0;
-            tf[i] = quality.throughput_factor();
+            *t = quality.throughput_factor();
         }
 
         let response_ms = (latency[WEB] + 0.5 * (latency[APP1] + latency[APP2]) + latency[DB])

@@ -129,6 +129,10 @@ impl Application for SystemS {
         &self.vms
     }
 
+    #[expect(
+        clippy::panic,
+        reason = "documented contract of Application::vm_role: a foreign VM is a caller bug"
+    )]
     fn vm_role(&self, vm: VmId) -> &'static str {
         let idx = self
             .vms
@@ -159,36 +163,28 @@ impl Application for SystemS {
     ) -> AppTick {
         // Propagate tuple rates through the dataflow in topological order.
         let mut out_rate = [0.0f64; N_PES];
-        let mut slowdown = [1.0f64; N_PES];
-        let mut queue_ms = [0.0f64; N_PES];
-        for i in 0..N_PES {
-            let in_rate: f64 = if UPSTREAM[i].is_empty() {
+        // Per-tuple time through each PE: slowed service plus queueing.
+        let mut pe_ms = [0.0f64; N_PES];
+        let pes = self.specs.iter().zip(&self.vms).zip(UPSTREAM);
+        for (i, (((spec, &vm), upstream), ms)) in pes.zip(&mut pe_ms).enumerate() {
+            let in_rate: f64 = if upstream.is_empty() {
                 rate
             } else {
-                UPSTREAM[i]
-                    .iter()
-                    .map(|&(u, share)| out_rate[u] * share)
-                    .sum()
+                // xtask-allow: index-in-loop -- UPSTREAM names only earlier PEs, so u < i < N_PES
+                upstream.iter().map(|&(u, share)| out_rate[u] * share).sum()
             };
-            let demand = add_demand(
-                self.specs[i].demand(in_rate),
-                faults.overlay(self.vms[i], now),
-            );
-            let quality = cluster.apply_demand(self.vms[i], demand, now);
+            let demand = add_demand(spec.demand(in_rate), faults.overlay(vm, now));
+            let quality = cluster.apply_demand(vm, demand, now);
+            // xtask-allow: index-in-loop -- i < N_PES; later PEs read this rate by index
             out_rate[i] = in_rate * quality.throughput_factor();
-            slowdown[i] = quality.slowdown();
             // A tuple entering a backlogged PE waits behind the queued work.
-            queue_ms[i] = quality.queue_delay_secs * 1000.0;
+            *ms = spec.service_ms * quality.slowdown() + quality.queue_delay_secs * 1000.0;
         }
 
         // Average per-tuple time across the two source→sink paths.
         let path_a = [0usize, 1, 3, 5, 6];
         let path_b = [0usize, 2, 4, 5, 6];
-        let path_ms = |path: &[usize]| -> f64 {
-            path.iter()
-                .map(|&i| self.specs[i].service_ms * slowdown[i] + queue_ms[i])
-                .sum()
-        };
+        let path_ms = |path: &[usize]| -> f64 { path.iter().map(|&i| pe_ms[i]).sum() };
         let latency_ms = 0.5 * (path_ms(&path_a) + path_ms(&path_b));
 
         let output_rate = out_rate[N_PES - 1];

@@ -20,6 +20,10 @@ fn monolithic_sweep(trace: &AccuracyTrace, config: &PredictorConfig) -> Accuracy
         .iter()
         .map(|(_, s)| trace.test_slice(s))
         .collect();
+    #[expect(
+        clippy::expect_used,
+        reason = "the synthetic fault trace violates its SLO inside the training slice"
+    )]
     let model = MonolithicPredictor::train(&train, &trace.slo, config)
         .expect("training slice contains both classes");
     LOOK_AHEADS

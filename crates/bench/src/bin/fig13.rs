@@ -27,6 +27,10 @@ fn sweep_at_interval(trace: &AccuracyTrace, factor: usize) -> AccuracyRows {
         .filter(|s| s.time > trace.train_end)
         .copied()
         .collect();
+    #[expect(
+        clippy::expect_used,
+        reason = "the synthetic fault trace violates its SLO inside the training slice"
+    )]
     let predictor =
         AnomalyPredictor::train(&train, &trace.slo, &config).expect("both classes in training");
     LOOK_AHEADS

@@ -16,6 +16,7 @@ use prepare_metrics::{
 use prepare_tan::{Classifier, Dataset, TanClassifier};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::error::Error;
 use std::time::Instant;
 
 /// 600-sample discretized training sequence (Table I uses 600 samples).
@@ -55,14 +56,14 @@ fn time_ms(iterations: u32, mut f: impl FnMut()) -> f64 {
     start.elapsed().as_secs_f64() * 1000.0 / iterations as f64
 }
 
-fn main() {
+fn main() -> Result<(), Box<dyn Error>> {
     println!("== Table I: PREPARE system overhead (this implementation vs paper) ==");
     let mut rng = StdRng::seed_from_u64(7);
 
     // VM monitoring: one 13-attribute sweep.
     let mut cluster = Cluster::new();
     let host = cluster.add_host(HostSpec::vcl_default());
-    let vm = cluster.create_vm(host, 100.0, 512.0).expect("fits");
+    let vm = cluster.create_vm(host, 100.0, 512.0)?;
     cluster.apply_demand(
         vm,
         Demand {
@@ -95,21 +96,20 @@ fn main() {
     let discretizer = prepare_metrics::VectorDiscretizer::fit(&series, 10);
     let mut dataset = Dataset::with_uniform_bins(13, 10);
     for s in series.iter() {
-        dataset
-            .push(
-                discretizer.discretize(&s.values),
-                prepare_metrics::Label::from_violation(slo.is_violated_at(s.time)),
-            )
-            .expect("schema matches");
+        dataset.push(
+            discretizer.discretize(&s.values),
+            prepare_metrics::Label::from_violation(slo.is_violated_at(s.time)),
+        )?;
     }
+    TanClassifier::train(&dataset)?;
     let tan_training = time_ms(100, || {
-        let _ = TanClassifier::train(&dataset).expect("both classes");
+        let _ = TanClassifier::train(&dataset);
     });
 
     // One full anomaly prediction (value prediction + classification +
     // attribution) on a trained per-VM model.
     let config = PredictorConfig::default();
-    let mut predictor = AnomalyPredictor::train(&series, &slo, &config).expect("trains");
+    let mut predictor = AnomalyPredictor::train(&series, &slo, &config)?;
     for s in series.iter().take(50) {
         predictor.observe(s);
     }
@@ -162,4 +162,5 @@ fn main() {
         format!("{} (modeled)", paper.migration_duration(512.0)),
         format!("{:.2} s", paper.migration_512mb_secs),
     );
+    Ok(())
 }

@@ -218,6 +218,10 @@ pub fn accuracy_sweep(
 ) -> AccuracyRows {
     let train = trace.training_slice(trace.faulty_series());
     let test = trace.test_slice(trace.faulty_series());
+    #[expect(
+        clippy::expect_used,
+        reason = "the synthetic fault trace violates its SLO inside the training slice"
+    )]
     let predictor = AnomalyPredictor::train(&train, &trace.slo, config)
         .expect("training slice contains both classes");
     look_aheads
@@ -240,6 +244,10 @@ pub fn filtered_accuracy_sweep(
 ) -> AccuracyRows {
     let train = trace.training_slice(trace.faulty_series());
     let test = trace.test_slice(trace.faulty_series());
+    #[expect(
+        clippy::expect_used,
+        reason = "the synthetic fault trace violates its SLO inside the training slice"
+    )]
     let predictor = AnomalyPredictor::train(&train, &trace.slo, config)
         .expect("training slice contains both classes");
     look_aheads

@@ -287,6 +287,10 @@ impl Cluster {
     ///
     /// Panics if `vm` is unknown (use [`Cluster::get_vm`] for a fallible
     /// lookup).
+    #[expect(
+        clippy::panic,
+        reason = "documented contract: an unknown id is a caller bug; get_vm is the fallible lookup"
+    )]
     pub fn vm(&self, vm: VmId) -> &VmState {
         self.get_vm(vm).unwrap_or_else(|| panic!("unknown VM {vm}"))
     }

@@ -153,9 +153,13 @@ impl PrepareConfig {
     /// # Panics
     ///
     /// Panics with the predicate [`PrepareConfig::check`] finds violated.
+    #[expect(
+        clippy::panic,
+        reason = "documented contract of validate; check is the fallible form"
+    )]
     pub fn validate(&self) {
         if let Err(violated) = self.check() {
-            panic!("inconsistent PrepareConfig: {violated}"); // xtask-allow: panic -- the documented contract of validate
+            panic!("inconsistent PrepareConfig: {violated}");
         }
     }
 

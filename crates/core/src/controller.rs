@@ -147,6 +147,44 @@ impl Persist for ClusterReply {
     }
 }
 
+/// A journaled reply stream being consumed in touch order during crash
+/// recovery.
+#[derive(Debug)]
+struct ReplyCursor<'a> {
+    /// The recorded replies, in touch order.
+    replies: &'a [ClusterReply],
+    /// Next reply to consume.
+    pos: usize,
+}
+
+impl<'a> ReplyCursor<'a> {
+    /// The next recorded reply; `expected` names the touch asking for it.
+    #[expect(
+        clippy::panic,
+        reason = "documented crash-consistency contract of on_readings_replay"
+    )]
+    fn next(&mut self, expected: &'static str) -> &'a ClusterReply {
+        let reply = self.replies.get(self.pos).unwrap_or_else(|| {
+            // Continuing a diverged replay would rebuild a controller
+            // whose state silently disagrees with the journal.
+            panic!("journal replay diverged: ran out of replies wanting {expected}")
+        });
+        self.pos += 1;
+        reply
+    }
+
+    /// Asserts every recorded reply was consumed — a replayed round that
+    /// leaves replies behind took a different branch than the original.
+    fn assert_drained(&self) {
+        assert!(
+            self.pos == self.replies.len(),
+            "journal replay diverged: {} of {} replies unconsumed",
+            self.replies.len() - self.pos,
+            self.replies.len()
+        );
+    }
+}
+
 /// The controller's window onto the cluster for one control round: either
 /// the live cluster (recording every reply), or a recorded reply stream
 /// being replayed during crash recovery.
@@ -157,7 +195,7 @@ impl Persist for ClusterReply {
 /// the live cluster, which already absorbed those actuations, is never
 /// contacted again.
 #[derive(Debug)]
-pub enum ClusterIo<'a> {
+enum ClusterIo<'a> {
     /// Drive the real cluster, logging each reply for the journal.
     Live {
         /// The cluster being actuated.
@@ -166,17 +204,12 @@ pub enum ClusterIo<'a> {
         log: Vec<ClusterReply>,
     },
     /// Consume a journaled reply stream instead of touching the cluster.
-    Replay {
-        /// The recorded replies, in touch order.
-        replies: &'a [ClusterReply],
-        /// Next reply to consume.
-        pos: usize,
-    },
+    Replay(ReplyCursor<'a>),
 }
 
 impl<'a> ClusterIo<'a> {
     /// A live window that records every reply.
-    pub fn live(cluster: &'a mut Cluster) -> Self {
+    fn live(cluster: &'a mut Cluster) -> Self {
         ClusterIo::Live {
             cluster,
             log: Vec::new(),
@@ -184,51 +217,22 @@ impl<'a> ClusterIo<'a> {
     }
 
     /// A replay window over a journaled reply stream.
-    pub fn replay(replies: &'a [ClusterReply]) -> Self {
-        ClusterIo::Replay { replies, pos: 0 }
+    fn replay(replies: &'a [ClusterReply]) -> Self {
+        ClusterIo::Replay(ReplyCursor { replies, pos: 0 })
     }
 
     /// The recorded replies of a live round (empty for replay).
-    pub fn into_log(self) -> Vec<ClusterReply> {
+    fn into_log(self) -> Vec<ClusterReply> {
         match self {
             ClusterIo::Live { log, .. } => log,
-            ClusterIo::Replay { .. } => Vec::new(),
+            ClusterIo::Replay(_) => Vec::new(),
         }
     }
 
-    fn next_reply(&mut self, expected: &'static str) -> &'a ClusterReply {
-        match self {
-            ClusterIo::Live { .. } => unreachable!("next_reply is replay-only"), // xtask-allow: unreachable -- private method, only called from Replay arms
-            ClusterIo::Replay { replies, pos } => {
-                let reply = replies.get(*pos).unwrap_or_else(|| {
-                    // Continuing a diverged replay would rebuild a controller
-                    // whose state silently disagrees with the journal.
-                    // xtask-allow: panic -- documented crash-consistency contract
-                    panic!("journal replay diverged: ran out of replies wanting {expected}")
-                });
-                *pos += 1;
-                reply
-            }
-        }
-    }
-
-    /// Asserts every recorded reply was consumed — a replayed round that
-    /// leaves replies behind took a different branch than the original.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a replay window with unconsumed replies.
-    pub fn assert_drained(&self) {
-        if let ClusterIo::Replay { replies, pos } = self {
-            assert!(
-                *pos == replies.len(),
-                "journal replay diverged: {} of {} replies unconsumed",
-                replies.len() - pos,
-                replies.len()
-            );
-        }
-    }
-
+    #[expect(
+        clippy::panic,
+        reason = "documented crash-consistency contract of on_readings_replay"
+    )]
     fn plan(
         &mut self,
         planner: &PreventionPlanner,
@@ -243,13 +247,17 @@ impl<'a> ClusterIo<'a> {
                 log.push(ClusterReply::Plan(action));
                 action
             }
-            ClusterIo::Replay { .. } => match self.next_reply("Plan") {
+            ClusterIo::Replay(cursor) => match cursor.next("Plan") {
                 ClusterReply::Plan(action) => *action,
-                other => panic!("journal replay diverged: wanted Plan, recorded {other:?}"), // xtask-allow: panic -- documented crash-consistency contract
+                other => panic!("journal replay diverged: wanted Plan, recorded {other:?}"),
             },
         }
     }
 
+    #[expect(
+        clippy::panic,
+        reason = "documented crash-consistency contract of on_readings_replay"
+    )]
     fn execute(
         &mut self,
         planner: &PreventionPlanner,
@@ -268,13 +276,17 @@ impl<'a> ClusterIo<'a> {
                 log.push(ClusterReply::Execute(failure.clone()));
                 failure
             }
-            ClusterIo::Replay { .. } => match self.next_reply("Execute") {
+            ClusterIo::Replay(cursor) => match cursor.next("Execute") {
                 ClusterReply::Execute(failure) => failure.clone(),
-                other => panic!("journal replay diverged: wanted Execute, recorded {other:?}"), // xtask-allow: panic -- documented crash-consistency contract
+                other => panic!("journal replay diverged: wanted Execute, recorded {other:?}"),
             },
         }
     }
 
+    #[expect(
+        clippy::panic,
+        reason = "documented crash-consistency contract of on_readings_replay"
+    )]
     fn vm_state(&mut self, vm: VmId) -> (bool, HostId) {
         match self {
             ClusterIo::Live { cluster, log } => {
@@ -286,9 +298,9 @@ impl<'a> ClusterIo<'a> {
                 });
                 snapshot
             }
-            ClusterIo::Replay { .. } => match self.next_reply("VmState") {
+            ClusterIo::Replay(cursor) => match cursor.next("VmState") {
                 ClusterReply::VmState { migrating, host } => (*migrating, *host),
-                other => panic!("journal replay diverged: wanted VmState, recorded {other:?}"), // xtask-allow: panic -- documented crash-consistency contract
+                other => panic!("journal replay diverged: wanted VmState, recorded {other:?}"),
             },
         }
     }
@@ -672,7 +684,9 @@ impl PrepareController {
     ) -> Vec<ControllerEvent> {
         let mut io = ClusterIo::replay(replies);
         let events = self.round(now, readings, slo_violated, &mut io);
-        io.assert_drained();
+        if let ClusterIo::Replay(cursor) = io {
+            cursor.assert_drained();
+        }
         events
     }
 

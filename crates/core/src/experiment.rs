@@ -249,6 +249,10 @@ impl Experiment {
         let spec = self.spec;
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut cluster = Cluster::new();
+        #[expect(
+            clippy::expect_used,
+            reason = "each app deploys onto fresh hosts sized to hold its VMs"
+        )]
         let mut app: Box<dyn Application> = match spec.app {
             AppKind::SystemS => {
                 Box::new(SystemS::deploy(&mut cluster).expect("fresh hosts fit the PEs"))

@@ -47,10 +47,9 @@ mod validation;
 pub use analysis::{eval_violation_intervals, ExperimentReport};
 pub use config::{ParConfig, PrepareConfig, PreventionPolicy, MAX_BINS, MAX_LOOK_AHEAD_STEPS};
 pub use controller::{
-    ClusterIo, ClusterReply, ExecFailure, PrepareController, MAX_EPISODE_FAILURES,
-    MIGRATE_RETRY_BASE_SECS, MIGRATION_COOLDOWN_SECS, RETRY_BACKOFF_CAP_SECS,
-    SCALE_RETRY_BASE_SECS, SUPPRESSION_SECS, TRAINING_SETTLE_SECS, TRANSIENT_RETRY_LIMIT,
-    VALIDATION_WINDOW,
+    ClusterReply, ExecFailure, PrepareController, MAX_EPISODE_FAILURES, MIGRATE_RETRY_BASE_SECS,
+    MIGRATION_COOLDOWN_SECS, RETRY_BACKOFF_CAP_SECS, SCALE_RETRY_BASE_SECS, SUPPRESSION_SECS,
+    TRAINING_SETTLE_SECS, TRANSIENT_RETRY_LIMIT, VALIDATION_WINDOW,
 };
 pub use events::{ActionFailureKind, ControllerEvent};
 pub use experiment::{

@@ -175,6 +175,7 @@ impl TwoDependentMarkov {
         let mut out = vec![0.0; self.n * self.n];
         for prev in 0..self.n {
             for cur in 0..self.n {
+                // xtask-allow: index-in-loop -- prev, cur < n index the n² combined states
                 let p = dist[prev * self.n + cur];
                 // xtask-allow: float-eq -- skipping exactly-zero mass is an optimization, not a tolerance question
                 if p == 0.0 {
@@ -182,6 +183,7 @@ impl TwoDependentMarkov {
                 }
                 let next_dist = self.next_given(prev, cur);
                 for next in 0..self.n {
+                    // xtask-allow: index-in-loop -- cur, next < n index the n² combined states
                     out[cur * self.n + next] += p * next_dist.probability(next);
                 }
             }
@@ -193,9 +195,9 @@ impl TwoDependentMarkov {
     /// distribution.
     fn marginal_current(&self, dist: &[f64]) -> StateDistribution {
         let mut weights = vec![0.0; self.n];
-        for prev in 0..self.n {
-            for (cur, w) in weights.iter_mut().enumerate() {
-                *w += dist[prev * self.n + cur];
+        for row in dist.chunks_exact(self.n) {
+            for (w, &p) in weights.iter_mut().zip(row) {
+                *w += p;
             }
         }
         StateDistribution::from_weights(weights)

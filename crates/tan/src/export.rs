@@ -30,8 +30,8 @@ impl TanClassifier {
         out.push_str("  class [label=\"SLO state (C)\", shape=doublecircle];\n");
         for i in 0..self.parents().len() {
             let mut node_label = label(i);
-            if let Some(s) = &strengths {
-                let _ = write!(node_label, "\\nL={:.2}", s[i]);
+            if let Some(l) = strengths.as_ref().and_then(|s| s.get(i)) {
+                let _ = write!(node_label, "\\nL={l:.2}");
             }
             let highlight = if top == Some(i) {
                 ", style=filled, fillcolor=lightcoral"

@@ -18,6 +18,7 @@ impl RootCpt {
         let card = ds.cardinality(attr);
         let mut counts = [vec![0.0f64; card], vec![0.0f64; card]];
         for (row, label) in ds.iter() {
+            // xtask-allow: index-in-loop -- Dataset::push keeps every value below its cardinality
             counts[label.is_abnormal() as usize][row[attr]] += 1.0;
         }
         Self::from_counts(counts, alpha)

@@ -25,6 +25,7 @@ impl EdgeCpt {
         ];
         for (row, label) in ds.iter() {
             let u = parent.and_then(|p| row.get(p).copied()).unwrap_or(0);
+            // xtask-allow: index-in-loop -- Dataset::push keeps every value below its cardinality
             counts[label.is_abnormal() as usize][u][row[attr]] += 1.0;
         }
         Self::from_counts(counts, alpha)

@@ -12,6 +12,10 @@ use proptest::prelude::*;
 /// Tolerance on each row's total probability mass.
 const MASS_EPS: f64 = 1e-9;
 
+#[expect(
+    clippy::expect_used,
+    reason = "the strategy draws every row within the schema"
+)]
 fn arb_dataset() -> impl Strategy<Value = Dataset> {
     (2usize..6, 2usize..5, 10usize..120).prop_flat_map(|(attrs, bins, rows)| {
         proptest::collection::vec(

@@ -454,10 +454,8 @@ mod tests {
         // actually drives the controller into its defensive machinery:
         // a host blackout must degrade monitoring, and a busy
         // hypervisor during the actuation phase must force retries.
-        let prefix = match build_prefix(ParConfig::from_env().workers) {
-            Some(p) => p,
-            None => unreachable!("tiny cluster must place its VMs"),
-        };
+        let prefix =
+            build_prefix(ParConfig::from_env().workers).expect("tiny cluster must place its VMs");
         let blackout = run_case_from(
             &prefix,
             &Case {

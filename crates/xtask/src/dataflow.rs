@@ -5,8 +5,8 @@
 //! propagation runs per-function summaries (which params flow to the
 //! return value or to sinks) to fixpoint over the workspace call graph.
 //! One zero-tolerance rule family rides on it, `determinism-taint`:
-//! values tainted by HashMap/HashSet iteration order,
-//! `Instant`/`SystemTime`, thread ids or pointer-derived keys must not
+//! values tainted by `Instant`/`SystemTime`, thread ids or
+//! pointer-derived keys must not
 //! reach trace-visible sinks (`ControllerEvent` construction,
 //! `fingerprint*` functions, `// xtask: taint-sink` fns). A
 //! `// xtask: taint-sanitize -- reason` fn cleanses its return value.
@@ -30,22 +30,8 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// Low 32 bits: the value depends on the corresponding parameter.
 const PARAM_MASK: u64 = 0xFFFF_FFFF;
-/// Nondeterminism kind: iteration order, wall clock, thread id, pointer.
+/// Nondeterminism kind: wall clock, thread id, pointer.
 const NONDET: u64 = 1 << 32;
-
-/// Iteration methods that expose HashMap/HashSet traversal order.
-const ITER_METHODS: &[&str] = &[
-    "iter",
-    "iter_mut",
-    "into_iter",
-    "into_keys",
-    "into_values",
-    "keys",
-    "values",
-    "values_mut",
-    "drain",
-    "retain",
-];
 
 /// Length-style accessors whose result is untainted by the receiver.
 const UNTAINTED_METHODS: &[&str] = &["len", "is_empty", "capacity"];
@@ -140,16 +126,12 @@ fn analyze(
             .map(|v| v.iter().map(|s| (s.pos, s)).collect())
             .unwrap_or_default();
         let mut vars: BTreeMap<String, u64> = BTreeMap::new();
-        let mut hash_vars: BTreeSet<String> = BTreeSet::new();
         for (i, p) in item.params.iter().enumerate().take(32) {
             let mut t = 1u64 << i;
             if p.ty.contains("Instant") || p.ty.contains("SystemTime") {
                 t |= NONDET;
             }
             vars.insert(p.name.clone(), t);
-            if p.ty.contains("HashMap") || p.ty.contains("HashSet") {
-                hash_vars.insert(p.name.clone());
-            }
         }
         // Inner fixpoint: loop-carried assignments converge in a few
         // passes because taint only ever grows.
@@ -165,7 +147,6 @@ fn analyze(
                 fi: r.file,
                 site_map: &site_map,
                 vars: &mut vars,
-                hash_vars: &mut hash_vars,
                 summ: &mut summ,
                 used,
                 seen,
@@ -203,7 +184,6 @@ struct Analyzer<'a, 'b> {
     fi: usize,
     site_map: &'a BTreeMap<usize, &'a CallSite>,
     vars: &'a mut BTreeMap<String, u64>,
-    hash_vars: &'a mut BTreeSet<String>,
     summ: &'a mut Summary,
     used: &'a mut BTreeSet<(usize, usize)>,
     seen: &'a mut BTreeSet<(usize, usize)>,
@@ -305,30 +285,16 @@ impl<'a, 'b> Analyzer<'a, 'b> {
             .filter(|w| !matches!(*w, "mut" | "ref" | "Some" | "Ok" | "Err"))
             .map(str::to_string)
             .collect();
-        let mut extra = 0u64;
-        let mut hashed = false;
-        if let Some(c) = colon {
-            for k in c + 1..bound_end {
-                match self.f.cident(k) {
-                    Some("Instant" | "SystemTime") => extra |= NONDET,
-                    Some("HashMap" | "HashSet") => hashed = true,
-                    _ => {}
-                }
-            }
-        }
+        let clock_typed = colon.is_some_and(|c| {
+            (c + 1..bound_end).any(|k| matches!(self.f.cident(k), Some("Instant" | "SystemTime")))
+        });
+        let extra = if clock_typed { NONDET } else { 0 };
         let rhs = match eq {
-            Some(eq) => {
-                hashed |=
-                    (eq + 1..e).any(|k| matches!(self.f.cident(k), Some("HashMap" | "HashSet")));
-                self.eval(eq + 1, e)
-            }
+            Some(eq) => self.eval(eq + 1, e),
             None => 0,
         };
         for name in names {
-            self.vars.insert(name.clone(), rhs | extra);
-            if hashed {
-                self.hash_vars.insert(name);
-            }
+            self.vars.insert(name, rhs | extra);
         }
         rhs | extra
     }
@@ -505,15 +471,6 @@ impl<'a, 'b> Analyzer<'a, 'b> {
                 "as_ptr" | "as_mut_ptr" => res |= NONDET,
                 w if UNTAINTED_METHODS.contains(&w) && method => res = 0,
                 _ => {}
-            }
-            if method && ITER_METHODS.contains(&name) {
-                let hashed = site
-                    .recv
-                    .and_then(|rk| self.f.cident(rk))
-                    .is_some_and(|n| self.hash_vars.contains(n));
-                if hashed {
-                    res |= NONDET;
-                }
             }
         } else {
             res = 0;
@@ -723,22 +680,6 @@ fn dirty(v: &[u8]) -> u64 { helper(src_v(v)) }
             1,
             "findings: {got:?}"
         );
-    }
-
-    #[test]
-    fn hash_iteration_order_taints_values() {
-        let src = "\
-fn fingerprint_keys(k: usize) -> usize { k }
-fn f(m: &HashMap<usize, usize>) -> usize {
-    let mut acc = 0;
-    for k in m.keys() {
-        acc = fingerprint_keys(acc + k);
-    }
-    acc
-}
-";
-        let got = rules_of(src);
-        assert!(got.contains(&"determinism-taint"), "findings: {got:?}");
     }
 
     #[test]

@@ -7,6 +7,13 @@ use std::collections::BTreeSet;
 use std::fs;
 use std::path::Path;
 
+/// Every rule [`check_doc_bins`] can emit, for per-rule reporting.
+pub const RULES: &[(&str, Category)] = &[
+    ("doc-readable", Category::Fidelity),
+    ("missing-bench-bin", Category::Fidelity),
+    ("design-experiment-index", Category::Fidelity),
+];
+
 /// The documents whose `--bin <name>` references must resolve.
 const BIN_DOCS: [&str; 2] = ["DESIGN.md", "README.md"];
 

@@ -302,32 +302,7 @@ pub mod v1 {
                 }
             }
         }
-        if f.policy.count_panic_debt {
-            for (rule, needle) in [
-                ("unwrap", ".unwrap()"),
-                ("expect", ".expect("),
-                ("panic", "panic!"),
-                ("unreachable", "unreachable!"),
-                ("todo", "todo!"),
-                ("unimplemented", "unimplemented!"),
-            ] {
-                let mut from = 0usize;
-                while let Some(found) = f.masked[from..].find(needle) {
-                    let at = from + found;
-                    from = at + needle.len();
-                    if needle.as_bytes()[0] != b'.'
-                        && at > 0
-                        && f.masked
-                            .as_bytes()
-                            .get(at - 1)
-                            .copied()
-                            .is_some_and(is_ident_byte)
-                    {
-                        continue;
-                    }
-                    push(f, at, rule);
-                }
-            }
+        if f.policy.nan_and_index_rules {
             index_in_loop(f, &mut push);
         }
         hot_path_alloc(f, &mut push);
@@ -546,12 +521,6 @@ mod diff {
         "time-source",
         "float-eq",
         "nan-unsafe-sort",
-        "unwrap",
-        "expect",
-        "panic",
-        "unreachable",
-        "todo",
-        "unimplemented",
         "index-in-loop",
         "hot-path-alloc",
     ];

@@ -11,6 +11,7 @@ use prepare_repro::anomaly::{AlertFilter, AnomalyPredictor, OutlierDetector, Pre
 use prepare_repro::metrics::{
     AttributeKind, Duration, MetricSample, MetricVector, SloLog, TimeSeries, Timestamp,
 };
+use std::error::Error;
 
 /// Builds a synthetic labeled trace: a service whose memory drains and
 /// whose SLO breaks whenever free memory is exhausted (a leak-like
@@ -55,13 +56,12 @@ fn labeled_trace() -> (TimeSeries, SloLog) {
     (series, slo)
 }
 
-fn main() {
+fn main() -> Result<(), Box<dyn Error>> {
     let (series, slo) = labeled_trace();
     let config = PredictorConfig::default();
 
     // --- Supervised path: train on the labeled history. ---
-    let predictor = AnomalyPredictor::train(&series, &slo, &config)
-        .expect("trace contains both normal and abnormal samples");
+    let predictor = AnomalyPredictor::train(&series, &slo, &config)?;
 
     // Accuracy across look-ahead windows (the Fig. 10–13 methodology).
     println!("trace-driven accuracy (A_T / A_F per look-ahead window):");
@@ -101,12 +101,13 @@ fn main() {
     let worst = series
         .iter()
         .map(|s| (s.time, detector.score(&s.values)))
-        .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite scores"))
-        .expect("non-empty series");
+        .max_by(|a, b| a.1.total_cmp(&b.1))
+        .ok_or("empty series")?;
     println!(
         "\nunsupervised outlier detector: max z-score {:.1} at {} (threshold {})",
         worst.1,
         worst.0,
         OutlierDetector::DEFAULT_THRESHOLD
     );
+    Ok(())
 }

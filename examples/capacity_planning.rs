@@ -10,10 +10,11 @@
 use prepare_repro::apps::{Application, FaultPlan, SystemS};
 use prepare_repro::cloudsim::{BestFit, Cluster, FirstFit, HostSpec, PlacementPolicy, WorstFit};
 use prepare_repro::metrics::Timestamp;
+use std::error::Error;
 
-fn main() {
+fn main() -> Result<(), Box<dyn Error>> {
     let mut cluster = Cluster::new();
-    let app = SystemS::deploy(&mut cluster).expect("fresh hosts fit the PEs");
+    let app = SystemS::deploy(&mut cluster)?;
 
     // 1. Analytic capacity: each PE's saturation point at its allocation,
     //    translated to the client rate that saturates it.
@@ -29,14 +30,14 @@ fn main() {
             worst = Some((spec.name, saturation));
         }
     }
-    let (bottleneck, capacity) = worst.expect("seven PEs");
+    let (bottleneck, capacity) = worst.ok_or("System S has no PEs")?;
     println!("analytic bottleneck: {bottleneck} at {capacity:.1} Ktuples/s\n");
 
     // 2. Verify by simulation: step the workload up and find where the
     //    SLO actually breaks.
     let faults = FaultPlan::new();
     let mut verify = Cluster::new();
-    let mut app2 = SystemS::deploy(&mut verify).expect("deploys");
+    let mut app2 = SystemS::deploy(&mut verify)?;
     let mut measured = None;
     for step in 0..200 {
         let rate = 10.0 + step as f64 * 0.25;
@@ -63,9 +64,10 @@ fn main() {
         }
         let mut placements = Vec::new();
         for _ in 0..6 {
-            let vm = c.place_vm(policy, 60.0, 512.0).expect("capacity exists");
+            let vm = c.place_vm(policy, 60.0, 512.0)?;
             placements.push(c.vm(vm).host.0);
         }
         println!("  {}: hosts {placements:?}", policy.name());
     }
+    Ok(())
 }

@@ -13,11 +13,12 @@
 use prepare_repro::apps::{Application, SystemS};
 use prepare_repro::cloudsim::Cluster;
 use prepare_repro::core::{AppKind, Experiment, ExperimentSpec, FaultChoice, Scheme, TrialSummary};
+use std::error::Error;
 
-fn main() {
+fn main() -> Result<(), Box<dyn Error>> {
     // Inspect the deployment itself first.
     let mut cluster = Cluster::new();
-    let app = SystemS::deploy(&mut cluster).expect("fresh hosts fit all PEs");
+    let app = SystemS::deploy(&mut cluster)?;
     println!("deployed {} on {} hosts:", app.name(), cluster.n_hosts());
     for &vm in app.vms() {
         let state = cluster.vm(vm);
@@ -68,4 +69,5 @@ fn main() {
             }
         );
     }
+    Ok(())
 }

@@ -231,7 +231,10 @@ fn cmd_trace(args: &Args) -> ExitCode {
             );
             return ExitCode::FAILURE;
         };
-        let csv = store.to_csv(*vm).expect("vm recorded above");
+        let Some(csv) = store.to_csv(*vm) else {
+            eprintln!("{vm} has no recorded samples");
+            return ExitCode::FAILURE;
+        };
         if let Err(e) = std::fs::write(path, csv) {
             eprintln!("cannot write {path}: {e}");
             return ExitCode::FAILURE;

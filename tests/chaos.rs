@@ -217,7 +217,7 @@ fn arb_fault() -> impl Strategy<Value = (u64, u64, ChaosKind)> {
         }),
         (0usize..7, 0usize..13).prop_map(|(vm, a)| ChaosKind::StuckAttribute {
             vm: VmId(vm),
-            attribute: AttributeKind::from_index(a).expect("13 attributes"),
+            attribute: AttributeKind::ALL[a],
         }),
         (0.05f64..0.9).prop_map(|probability| ChaosKind::HypervisorBusy { probability }),
         (2u64..30).prop_map(|secs| ChaosKind::MigrationTimeout {

@@ -22,6 +22,10 @@ pub const FIRST_SWEPT_ROUND: u64 = PREFIX_SECS / SAMPLING_SECS;
 pub const WORKER_COUNTS: [usize; 3] = [1, 2, 7];
 
 /// Drives the fault-free warmup with the engine pinned to `workers`.
+#[expect(
+    clippy::expect_used,
+    reason = "the explorer's fleet is sized to fit fresh hosts"
+)]
 pub fn build_prefix(workers: usize) -> Prefix {
     explore::build_prefix(workers).expect("fresh VCL hosts fit the tiny fleet")
 }
@@ -37,6 +41,10 @@ pub struct Run {
 /// Forks the prefix and drives the managed controller to the end,
 /// crashing (kill + rebuild from the durable artifacts) immediately
 /// before each round listed in `crash_rounds`.
+#[expect(
+    clippy::expect_used,
+    reason = "recovery reads back a checkpoint this process sealed"
+)]
 pub fn drive(prefix: &Prefix, workers: usize, crash_rounds: &BTreeSet<u64>) -> Run {
     let par = ParConfig::with_workers(workers);
     let mut cluster = prefix.cluster.clone();

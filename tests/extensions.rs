@@ -8,6 +8,10 @@ use prepare_repro::metrics::{Duration, Label, SloLog, TimeSeries, TraceStore};
 
 /// Runs the no-intervention paper schedule and returns the faulty VM's
 /// series plus the SLO log.
+#[expect(
+    clippy::expect_used,
+    reason = "implication scores are finite and every run records VM series"
+)]
 fn faulty_trace(app: AppKind, fault: FaultChoice, seed: u64) -> (TimeSeries, SloLog) {
     let spec = ExperimentSpec::paper_default(app, fault, Scheme::NoIntervention);
     let r = Experiment::new(spec, seed).run();

@@ -150,9 +150,7 @@ fn recovered_runs_are_worker_count_invariant() {
         .iter()
         .map(|&w| (w, drive(&build_prefix(w), w, &crashes)))
         .collect();
-    let Some(((first_w, first), rest)) = runs.split_first() else {
-        unreachable!("WORKER_COUNTS is non-empty");
-    };
+    let ((first_w, first), rest) = runs.split_first().expect("WORKER_COUNTS is non-empty");
     for (w, run) in rest {
         assert_eq!(
             render(first.manager.controller().events()),
