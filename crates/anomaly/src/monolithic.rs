@@ -63,8 +63,14 @@ impl MonolithicPredictor {
 
         let n_attrs = series.len() * ATTRIBUTE_COUNT;
         let mut dataset = Dataset::with_uniform_bins(n_attrs, config.bins);
+        let mut value_models: Vec<ValueModel> = (0..n_attrs)
+            .map(|_| ValueModel::new(config.markov, config.bins))
+            .collect();
         for (i, sample) in series[0].samples().iter().enumerate() {
             let row = Self::concat_row(&discretizers, series, i);
+            for (m, &state) in value_models.iter_mut().zip(&row) {
+                m.observe(state);
+            }
             let label = Label::from_violation(slo.is_violated_at(sample.time));
             #[expect(
                 clippy::expect_used,
@@ -75,16 +81,6 @@ impl MonolithicPredictor {
                 .expect("concatenated rows match schema");
         }
         let classifier = TanClassifier::train(&dataset)?;
-
-        let mut value_models: Vec<ValueModel> = (0..n_attrs)
-            .map(|_| ValueModel::new(config.markov, config.bins))
-            .collect();
-        for i in 0..len {
-            let row = Self::concat_row(&discretizers, series, i);
-            for (m, &state) in value_models.iter_mut().zip(&row) {
-                m.observe(state);
-            }
-        }
         for m in &mut value_models {
             m.reset_position();
         }

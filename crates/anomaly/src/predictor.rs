@@ -609,8 +609,8 @@ mod tests {
     }
 
     /// The image holds no shape of its own: read under another bin count
-    /// or Markov kind, it runs out of bytes or leaves some over, and a
-    /// count block cut short is refused.
+    /// or Markov kind, it runs out of bytes, leaves some over or holds a
+    /// count row that shape cannot, and a chain cut short is refused.
     #[test]
     fn load_state_refuses_an_image_of_another_shape() {
         let (series, slo) = ramp_fixture(300, 5, 40, 80.0);
@@ -638,14 +638,22 @@ mod tests {
         }
         let mut w = Writer::new();
         p.store_state(&mut w);
-        // The first chain's count block starts after the discretizer's
-        // ranges and the chain's alpha.
-        let counts_at = ATTRIBUTE_COUNT * 16 + 8;
-        let mut r = Reader::new(&w.bytes()[..counts_at + 8 * 4 * 4 * 4 - 3]);
-        assert!(matches!(
-            AnomalyPredictor::load_state(&mut r, &cfg),
-            Err(PersistError::Truncated { .. })
-        ));
+        // The first chain (its count rows among it) follows the
+        // discretizer's ranges; cut anywhere inside it, the image runs out.
+        let chain_at = ATTRIBUTE_COUNT * 16;
+        let mut chain = Writer::new();
+        p.value_models[0].store_state(&mut chain);
+        assert_eq!(w.bytes()[chain_at..chain_at + chain.len()], *chain.bytes());
+        for cut in chain_at..chain_at + chain.len() {
+            let mut r = Reader::new(&w.bytes()[..cut]);
+            assert!(
+                matches!(
+                    AnomalyPredictor::load_state(&mut r, &cfg),
+                    Err(PersistError::Truncated { .. })
+                ),
+                "cut {cut}"
+            );
+        }
     }
 
     /// A predictor image that loads is a predictor that runs. For both

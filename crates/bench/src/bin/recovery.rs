@@ -7,7 +7,9 @@
 //! 1. **Checkpoint** — a controller warmed over a monitored fleet of
 //!    256/1024/4096 VMs is serialized ([`Checkpoint::write`]) and
 //!    restored ([`Checkpoint::read`]); the restored model fingerprint is
-//!    asserted equal to the live one before any number is reported.
+//!    asserted equal to the live one before any number is reported. A
+//!    fourth row trains a 256-VM controller on one injected fault, so the
+//!    image also carries the per-VM predictors' Markov count tables.
 //! 2. **Journal** — a fixed 256-VM controller runs under a
 //!    [`RecoveryManager`] with checkpoints suppressed, and
 //!    [`RecoveryManager::recover`] is timed against crash images carrying
@@ -36,6 +38,22 @@ const SAMPLING_SECS: u64 = 5;
 /// Timed trials per cell; the best (minimum) is reported.
 const TRIALS: usize = 3;
 
+/// Fleet size of the trained checkpoint row.
+const TRAINED_FLEET: usize = 256;
+
+/// Every `FAULTY_EVERY`-th VM of the trained row runs hot during the
+/// fault, so it is implicated and gets a predictor.
+const FAULTY_EVERY: usize = 16;
+
+/// Rounds of the trained row: the fault runs over `FAULT_ROUNDS`, the SLO
+/// is violated over its second half, and training lands once the SLO has
+/// been quiet for `PrepareConfig::post_anomaly_quiet` (30 rounds); the
+/// predictors then observe the rest.
+const TRAINED_ROUNDS: u64 = 160;
+
+/// The fault window of the trained row.
+const FAULT_ROUNDS: std::ops::Range<u64> = 40..64;
+
 /// Fleet size for the journal-replay leg.
 const JOURNAL_FLEET: usize = 256;
 
@@ -54,6 +72,23 @@ fn sample_for(vm: usize, t: u64) -> MetricSample {
         _ => 10.0 + phase,
     });
     MetricSample::new(Timestamp::from_secs(t), v)
+}
+
+/// [`sample_for`] with a fault overlay: during the fault a faulty VM's CPU
+/// climbs past saturation and its free memory drains.
+fn faulty_sample_for(vm: usize, round: u64) -> MetricSample {
+    let t = round * SAMPLING_SECS;
+    let mut sample = sample_for(vm, t);
+    if vm.is_multiple_of(FAULTY_EVERY) && FAULT_ROUNDS.contains(&round) {
+        let progress = (round - FAULT_ROUNDS.start) as f64;
+        sample
+            .values
+            .set(AttributeKind::CpuTotal, (60.0 + 2.0 * progress).min(99.0));
+        sample
+            .values
+            .set(AttributeKind::FreeMem, (400.0 - 15.0 * progress).max(20.0));
+    }
+    sample
 }
 
 /// Builds a cluster hosting `n` VMs (two per VCL host) and a controller
@@ -89,6 +124,8 @@ fn readings(vms: &[VmId], t: u64) -> Vec<(VmId, StampedSample)> {
 
 struct CheckpointRow {
     vms: usize,
+    /// VMs holding a trained predictor (0 before training).
+    predictors: usize,
     bytes: usize,
     serialize_ms: f64,
     restore_ms: f64,
@@ -100,13 +137,72 @@ struct JournalRow {
     recover_ms: f64,
 }
 
+/// Serializes and restores `controller` (as of round `tick`) best-of-N,
+/// gated on the restored model fingerprint, and prints its row.
+fn checkpoint_row(
+    controller: &PrepareController,
+    vms: &[VmId],
+    tick: u64,
+    par: ParConfig,
+) -> CheckpointRow {
+    let n = vms.len();
+    let mut serialize_ms = f64::INFINITY;
+    let mut image = Vec::new();
+    for _ in 0..TRIALS {
+        let t0 = Instant::now();
+        let img = Checkpoint::write(controller, tick);
+        serialize_ms = serialize_ms.min(measured_ms(t0));
+        image = img;
+    }
+    let mut restore_ms = f64::INFINITY;
+    for _ in 0..TRIALS {
+        let t0 = Instant::now();
+        let restored = Checkpoint::read(&image, par);
+        let elapsed = measured_ms(t0);
+        match restored {
+            Ok((back, back_tick)) => {
+                // Fidelity gate: a checkpoint that does not round-trip
+                // the exact model state has no business being timed.
+                if back_tick != tick || back.model_fingerprint() != controller.model_fingerprint() {
+                    eprintln!("restored controller diverged at vms={n}");
+                    std::process::exit(1);
+                }
+            }
+            Err(err) => {
+                eprintln!("checkpoint restore failed at vms={n}: {err}");
+                std::process::exit(1);
+            }
+        }
+        restore_ms = restore_ms.min(elapsed);
+    }
+    let predictors = vms
+        .iter()
+        .filter(|&&vm| controller.predictor(vm).is_some())
+        .count();
+    println!(
+        "{:>6} {:>10} {:>14} {:>14.3} {:>13.3}",
+        n,
+        predictors,
+        image.len(),
+        serialize_ms,
+        restore_ms
+    );
+    CheckpointRow {
+        vms: n,
+        predictors,
+        bytes: image.len(),
+        serialize_ms,
+        restore_ms,
+    }
+}
+
 fn main() {
     let par = ParConfig::from_env();
 
     println!("== Checkpoint serialize/restore vs controller fleet size ==");
     println!(
-        "{:>6} {:>14} {:>14} {:>13}",
-        "VMs", "bytes", "serialize(ms)", "restore (ms)"
+        "{:>6} {:>10} {:>14} {:>14} {:>13}",
+        "VMs", "predictors", "bytes", "serialize(ms)", "restore (ms)"
     );
     let mut checkpoint_rows: Vec<CheckpointRow> = Vec::new();
     for &n in &FLEETS {
@@ -120,50 +216,28 @@ fn main() {
                 &mut cluster,
             );
         }
-        let mut serialize_ms = f64::INFINITY;
-        let mut image = Vec::new();
-        for _ in 0..TRIALS {
-            let t0 = Instant::now();
-            let img = Checkpoint::write(&controller, WARM_ROUNDS);
-            serialize_ms = serialize_ms.min(measured_ms(t0));
-            image = img;
+        checkpoint_rows.push(checkpoint_row(&controller, &vms, WARM_ROUNDS, par));
+    }
+    {
+        let (mut cluster, mut controller, vms) = build(TRAINED_FLEET);
+        let violated = (FAULT_ROUNDS.start + FAULT_ROUNDS.end) / 2..FAULT_ROUNDS.end;
+        for r in 0..TRAINED_ROUNDS {
+            let readings: Vec<_> = vms
+                .iter()
+                .map(|&vm| (vm, StampedSample::fresh(faulty_sample_for(vm.0, r))))
+                .collect();
+            controller.on_readings(
+                Timestamp::from_secs(r * SAMPLING_SECS),
+                &readings,
+                violated.contains(&r),
+                &mut cluster,
+            );
         }
-        let mut restore_ms = f64::INFINITY;
-        for _ in 0..TRIALS {
-            let t0 = Instant::now();
-            let restored = Checkpoint::read(&image, par);
-            let elapsed = measured_ms(t0);
-            match restored {
-                Ok((back, tick)) => {
-                    // Fidelity gate: a checkpoint that does not round-trip
-                    // the exact model state has no business being timed.
-                    if tick != WARM_ROUNDS
-                        || back.model_fingerprint() != controller.model_fingerprint()
-                    {
-                        eprintln!("restored controller diverged at vms={n}");
-                        std::process::exit(1);
-                    }
-                }
-                Err(err) => {
-                    eprintln!("checkpoint restore failed at vms={n}: {err}");
-                    std::process::exit(1);
-                }
-            }
-            restore_ms = restore_ms.min(elapsed);
+        if !controller.is_trained() {
+            eprintln!("the trained row's controller did not train");
+            std::process::exit(1);
         }
-        println!(
-            "{:>6} {:>14} {:>14.3} {:>13.3}",
-            n,
-            image.len(),
-            serialize_ms,
-            restore_ms
-        );
-        checkpoint_rows.push(CheckpointRow {
-            vms: n,
-            bytes: image.len(),
-            serialize_ms,
-            restore_ms,
-        });
+        checkpoint_rows.push(checkpoint_row(&controller, &vms, TRAINED_ROUNDS, par));
     }
 
     println!("\n== Recovery time vs journal length ({JOURNAL_FLEET} VMs) ==");
@@ -232,19 +306,23 @@ fn main() {
     json.push_str("  \"bench\": \"recovery\",\n");
     json.push_str(&format!("  \"trials\": {TRIALS},\n"));
     json.push_str(&format!("  \"warm_rounds\": {WARM_ROUNDS},\n"));
+    json.push_str(&format!("  \"trained_rounds\": {TRAINED_ROUNDS},\n"));
     json.push_str(
         "  \"note\": \"checkpoint leg: a controller monitoring the given fleet for warm_rounds \
          sampling rounds is serialized and restored, best-of-N; the restored model fingerprint \
-         is asserted equal to the live one before numbers are reported. journal leg: recovery \
+         is asserted equal to the live one before numbers are reported. The row with \
+         predictors > 0 instead runs trained_rounds rounds with one fault on every 16th VM and \
+         seals after training, so its image carries Markov count tables. journal leg: recovery \
          re-drives a journal suffix of the given length through replay on top of the initial \
          checkpoint, 256-VM fleet, fingerprint-gated like the checkpoint leg\",\n",
     );
     json.push_str("  \"checkpoint\": [\n");
     for (i, r) in checkpoint_rows.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"vms\": {}, \"checkpoint_bytes\": {}, \"serialize_ms\": {:.3}, \
-             \"restore_ms\": {:.3}}}{}\n",
+            "    {{\"vms\": {}, \"predictors\": {}, \"checkpoint_bytes\": {}, \
+             \"serialize_ms\": {:.3}, \"restore_ms\": {:.3}}}{}\n",
             r.vms,
+            r.predictors,
             r.bytes,
             r.serialize_ms,
             r.restore_ms,

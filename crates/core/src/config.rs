@@ -107,6 +107,7 @@ impl Default for PrepareConfig {
 /// single table is already 2 MB, far past anything a training window
 /// could fill.
 pub const MAX_BINS: usize = 64;
+const _: () = assert!(MAX_BINS <= prepare_markov::MAX_STATES);
 
 /// Largest number of Markov steps one prediction may propagate:
 /// `predictor.steps_for(look_ahead)` is bounded by it, so a look-ahead

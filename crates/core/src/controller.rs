@@ -2104,8 +2104,9 @@ mod tests {
     }
 
     /// Each sample is held once: a quiet round (no violation, no alert, no
-    /// episode) adds one encoded sample per VM to the core state — 8 B of
-    /// time and 13 × 8 B of values — and nothing else.
+    /// episode) adds one encoded sample per VM to the core state — its
+    /// time as a varint delta (one byte for the 5 s step) and 13 × 8 B of
+    /// values — and nothing else.
     #[test]
     fn quiet_round_grows_the_core_state_by_one_sample_per_vm() {
         let mut c = test_cluster();
@@ -2116,7 +2117,7 @@ mod tests {
             drive(&mut ctl, &mut c, round..round + 1);
             assert_eq!(
                 ctl.core_state_bytes() - before,
-                ctl.vms.len() * 112,
+                ctl.vms.len() * (1 + 13 * 8),
                 "round {round}"
             );
         }

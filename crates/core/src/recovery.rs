@@ -43,8 +43,8 @@ use prepare_metrics::{StampedSample, Timestamp, VmId};
 use prepare_par::ParConfig;
 use std::sync::Arc;
 
-/// Magic + version sealing a checkpoint frame ("PRPCKP" + version 07).
-pub const CHECKPOINT_MAGIC: u64 = u64::from_le_bytes(*b"PRPCKP07");
+/// Magic + version sealing a checkpoint frame ("PRPCKP" + version 08).
+pub const CHECKPOINT_MAGIC: u64 = u64::from_le_bytes(*b"PRPCKP08");
 
 /// The frame checksum: FNV-1a's constants and its xor-then-multiply
 /// fold, taken one little-endian 64-bit word at a time with a xor-shift
@@ -682,6 +682,7 @@ mod tests {
             b"PRPCKP04",
             b"PRPCKP05",
             b"PRPCKP06",
+            b"PRPCKP07",
         ] {
             let mut old = image.clone();
             old[..8].copy_from_slice(earlier);
@@ -870,7 +871,7 @@ mod tests {
         fp.write_bytes(&image);
         assert_eq!(
             (image.len(), fp.finish()),
-            (10_780, 0x54de_b162_9f88_7052),
+            (8_958, 0xea1f_23c4_13a6_2f4a),
             "the checkpoint layout moved: bump `CHECKPOINT_MAGIC` and re-pin"
         );
     }

@@ -40,6 +40,10 @@ pub use distribution::StateDistribution;
 pub use simple::SimpleMarkov;
 pub use two_dep::TwoDependentMarkov;
 
+/// The most states a chain may have: a stored count row names its
+/// nonzero cells and their columns in one byte each.
+pub const MAX_STATES: usize = u8::MAX as usize;
+
 /// A discretized-value predictor for a single attribute.
 ///
 /// Implementations learn online from a stream of bin indices and predict
@@ -83,9 +87,101 @@ pub trait ValuePredictor {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use prepare_metrics::{Reader, Writer};
     use proptest::prelude::*;
 
+    /// A count table of `cells` whole numbers in one of four shapes:
+    /// empty, dense, a single cell, or about one cell in eight. Counts
+    /// span one-byte varints, counts of 128 and more, and 2^53-scale
+    /// values.
+    fn count_table(cells: usize, shape: usize, seed: u64) -> Vec<f64> {
+        let mut x = seed | 1;
+        let mut next = move || {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            x
+        };
+        let count = |x: u64| match x % 3 {
+            0 => 1 + (x >> 59),
+            1 => 128 + (x >> 40) % 100_000,
+            _ => 1 + (x >> 11),
+        } as f64;
+        let mut table = vec![0.0; cells];
+        match shape {
+            0 => {}
+            1 => table.iter_mut().for_each(|c| *c = count(next())),
+            2 => {
+                let at = (next() % cells as u64) as usize;
+                table[at] = count(next());
+            }
+            _ => table.iter_mut().for_each(|c| {
+                let x = next();
+                if x.is_multiple_of(8) {
+                    *c = count(x >> 3);
+                }
+            }),
+        }
+        table
+    }
+
+    /// Every horizon's distribution as bit patterns.
+    fn bits(m: &impl ValuePredictor, steps: &[usize]) -> Vec<Vec<u64>> {
+        m.predict_multi(steps)
+            .iter()
+            .map(|d| d.as_slice().iter().map(|p| p.to_bits()).collect())
+            .collect()
+    }
+
     proptest! {
+        #[test]
+        fn count_tables_round_trip_through_sparse_rows(
+            n_at in 0usize..4,
+            shapes in (0usize..4, 0usize..4, 0usize..4),
+            seed in 0u64..u64::MAX,
+            anchor in (0usize..64, 0usize..64),
+            positioned in any::<bool>(),
+        ) {
+            let n = [1, 3, 10, 64][n_at];
+            let (prev, cur) = (anchor.0 % n, anchor.1 % n);
+            let current = positioned.then_some(cur);
+            let observations = (seed % 1000) as usize;
+            let simple = SimpleMarkov::from_parts(
+                n,
+                count_table(n * n, shapes.0, seed),
+                current,
+                observations,
+            );
+            let twodep = TwoDependentMarkov::from_parts(
+                n,
+                count_table(n * n * n, shapes.1, seed ^ 0x5555),
+                SimpleMarkov::from_parts(
+                    n,
+                    count_table(n * n, shapes.2, seed ^ 0xaaaa),
+                    current,
+                    observations,
+                ),
+                positioned.then_some(prev),
+            );
+            let steps = [0, 1, 3, 7];
+
+            let mut w = Writer::new();
+            simple.store_state(&mut w);
+            let mut r = Reader::new(w.bytes());
+            let back = SimpleMarkov::load_state(&mut r, n).expect("round trip");
+            prop_assert!(r.is_exhausted());
+            prop_assert_eq!(&back, &simple);
+            prop_assert_eq!(bits(&back, &steps), bits(&simple, &steps));
+
+            let mut w = Writer::new();
+            twodep.store_state(&mut w);
+            let mut r = Reader::new(w.bytes());
+            let back = TwoDependentMarkov::load_state(&mut r, n).expect("round trip");
+            prop_assert!(r.is_exhausted());
+            prop_assert_eq!(&back, &twodep);
+            prop_assert_eq!(bits(&back, &steps), bits(&twodep, &steps));
+        }
+
         #[test]
         fn simple_predictions_are_distributions(
             seq in proptest::collection::vec(0usize..5, 1..200),

@@ -2,8 +2,9 @@
 //! the authors' earlier work \[10\] that Fig. 11 compares against.
 
 use crate::snapshot::{normalize_in_place, propagate, TransitionTable};
+use crate::MAX_STATES;
 use crate::{StateDistribution, ValuePredictor};
-use prepare_metrics::persist::{bounded_capacity, Persist, PersistError, Reader, Writer};
+use prepare_metrics::persist::{Persist, PersistError, Reader, Writer};
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -64,7 +65,7 @@ impl SimpleMarkov {
     ///
     /// # Panics
     ///
-    /// Panics if `n == 0`.
+    /// Panics if `n` is outside `1..=MAX_STATES`.
     pub fn new(n: usize) -> Self {
         Self::with_smoothing(n, 0.02)
     }
@@ -73,9 +74,11 @@ impl SimpleMarkov {
     ///
     /// # Panics
     ///
-    /// Panics if `n == 0` or `alpha` is not finite and non-negative.
+    /// Panics if `n` is outside `1..=MAX_STATES` or `alpha` is not finite
+    /// and non-negative.
     pub fn with_smoothing(n: usize, alpha: f64) -> Self {
         assert!(n > 0, "state count must be positive");
+        assert!(n <= MAX_STATES, "state count must be at most MAX_STATES");
         assert!(alpha.is_finite() && alpha >= 0.0, "alpha must be >= 0");
         SimpleMarkov {
             n,
@@ -184,7 +187,7 @@ impl SimpleMarkov {
     /// load.
     pub fn store_state(&self, w: &mut Writer) {
         let Self {
-            n: _, // supplied by PrepareConfig on load
+            n, // the row width; supplied by PrepareConfig on load
             counts,
             alpha,
             current,
@@ -192,7 +195,7 @@ impl SimpleMarkov {
             table: _, // derived snapshot, rebuilt lazily on first predict
         } = self;
         w.put_f64(*alpha);
-        store_counts(w, counts);
+        store_counts(w, counts, *n);
         current.store(w);
         w.put_usize(*observations);
     }
@@ -207,7 +210,7 @@ impl SimpleMarkov {
         }
         Ok(SimpleMarkov {
             n,
-            counts: load_counts(r, n * n)?,
+            counts: load_counts(r, n, n)?,
             alpha,
             current: load_position(r, n)?,
             observations: r.get_usize()?,
@@ -226,19 +229,86 @@ impl SimpleMarkov {
     }
 }
 
-/// Writes a count table as whole numbers (`observe` only ever adds 1.0),
-/// with no length: the owner's state count fixes how many there are.
-pub(crate) fn store_counts(w: &mut Writer, counts: &[f64]) {
-    for &c in counts {
-        w.put_u64(c as u64);
+#[cfg(test)]
+impl SimpleMarkov {
+    /// A chain holding an arbitrary count table, for codec tests that
+    /// need tables `observe` would take millions of samples to fill.
+    pub(crate) fn from_parts(
+        n: usize,
+        counts: Vec<f64>,
+        current: Option<usize>,
+        observations: usize,
+    ) -> Self {
+        assert_eq!(counts.len(), n * n);
+        SimpleMarkov {
+            counts,
+            current,
+            observations,
+            ..SimpleMarkov::new(n)
+        }
     }
 }
 
-/// Reads the `len` counts [`store_counts`] wrote.
-pub(crate) fn load_counts(r: &mut Reader<'_>, len: usize) -> Result<Vec<f64>, PersistError> {
-    let mut counts = Vec::with_capacity(bounded_capacity::<u64>(len, r));
-    for _ in 0..len {
-        counts.push(r.get_u64()? as f64);
+/// Writes a count table of rows `n` wide, each row sparse: its number of
+/// nonzero cells as a `u8`, then a `(u8 column, varint count)` pair per
+/// nonzero cell in increasing column order. Counts are whole numbers
+/// (`observe` only ever adds 1.0) and most cells of a trained chain are
+/// zero. No row count is written: the owner's state count fixes it.
+pub(crate) fn store_counts(w: &mut Writer, counts: &[f64], n: usize) {
+    for row in counts.chunks_exact(n) {
+        let nonzero = || {
+            row.iter()
+                .map(|&c| c as u64)
+                .enumerate()
+                .filter(|&(_, c)| c != 0)
+        };
+        // `n <= MAX_STATES`, so both the cell count and a column fit a byte.
+        w.put_u8(nonzero().count() as u8);
+        for (col, c) in nonzero() {
+            w.put_u8(col as u8);
+            w.put_varint(c);
+        }
+    }
+}
+
+/// Reads the `rows` sparse rows of `n` cells [`store_counts`] wrote,
+/// refusing a state count outside `1..=MAX_STATES`, a row claiming more
+/// than `n` nonzero cells, a column at or past `n` or not above the
+/// previous one, and a stored count of 0.
+pub(crate) fn load_counts(
+    r: &mut Reader<'_>,
+    rows: usize,
+    n: usize,
+) -> Result<Vec<f64>, PersistError> {
+    if !(1..=MAX_STATES).contains(&n) {
+        return Err(PersistError::Invalid("Markov state count"));
+    }
+    // Every row takes at least its one-byte cell count.
+    let mut counts = Vec::with_capacity(rows.min(r.remaining()) * n);
+    for _ in 0..rows {
+        let nonzero = usize::from(r.get_u8()?);
+        if nonzero > n {
+            return Err(PersistError::Invalid("Markov row nonzero count"));
+        }
+        let start = counts.len();
+        counts.resize(start + n, 0.0);
+        let (_, row) = counts.split_at_mut(start);
+        let mut first_free = 0;
+        for _ in 0..nonzero {
+            let col = usize::from(r.get_u8()?);
+            let c = r.get_varint()?;
+            if col < first_free {
+                return Err(PersistError::Invalid("Markov count columns out of order"));
+            }
+            if c == 0 {
+                return Err(PersistError::Invalid("Markov stored count of 0"));
+            }
+            let cell = row
+                .get_mut(col)
+                .ok_or(PersistError::Invalid("Markov count column"))?;
+            *cell = c as f64;
+            first_free = col + 1;
+        }
     }
     Ok(counts)
 }
@@ -397,20 +467,102 @@ mod tests {
 
     #[test]
     fn load_state_refuses_a_truncated_count_block() {
-        // The counts carry no length: the state count says how many there
-        // are, and a block cut short is refused wherever the cut falls.
+        // The rows carry no count of their own: the state count says how
+        // many there are, and a block cut short is refused wherever the
+        // cut falls.
         let mut m = SimpleMarkov::new(3);
         m.train(&[0, 1, 2]);
         let mut w = prepare_metrics::Writer::new();
         m.store_state(&mut w);
         let bytes = w.into_bytes();
-        let counts_end = 8 + 9 * 8;
+        // alpha, then rows 0 → 1 and 1 → 2 as one (column, count) pair
+        // each, then row 2 with none.
+        let counts_end = 8 + 3 + 3 + 1;
+        assert_eq!(bytes[8..counts_end], [1, 1, 1, 1, 2, 1, 0]);
         for cut in 8..counts_end {
             let mut r = prepare_metrics::Reader::new(&bytes[..cut]);
-            assert!(SimpleMarkov::load_state(&mut r, 3).is_err(), "cut {cut}");
+            assert!(
+                matches!(
+                    SimpleMarkov::load_state(&mut r, 3),
+                    Err(PersistError::Truncated { .. })
+                ),
+                "cut {cut}"
+            );
         }
-        // Read as a 4-state chain, the same bytes run out.
+        // Read as a 4-state chain, the same bytes are refused.
         let mut r = prepare_metrics::Reader::new(&bytes);
         assert!(SimpleMarkov::load_state(&mut r, 4).is_err());
+    }
+
+    /// A 3-state image whose count block is `rows`, followed by no
+    /// position and 0 observations.
+    fn load_rows(rows: &[u8]) -> Result<SimpleMarkov, PersistError> {
+        let mut w = prepare_metrics::Writer::new();
+        w.put_f64(0.02);
+        w.put_raw(rows);
+        Option::<usize>::None.store(&mut w);
+        w.put_usize(0);
+        let bytes = w.into_bytes();
+        let mut r = prepare_metrics::Reader::new(&bytes);
+        let m = SimpleMarkov::load_state(&mut r, 3)?;
+        assert!(r.is_exhausted());
+        Ok(m)
+    }
+
+    #[test]
+    fn sparse_rows_load_into_the_dense_table() {
+        // Row 0: column 2 holds 300 (a two-byte varint); row 1: columns 0
+        // and 1; row 2: empty.
+        let m = load_rows(&[1, 2, 0xac, 0x02, 2, 0, 1, 1, 127, 0]).expect("valid rows");
+        assert_eq!(m.counts, [0.0, 0.0, 300.0, 1.0, 127.0, 0.0, 0.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    fn load_state_refuses_malformed_rows() {
+        let invalid = |rows: &[u8], what: &'static str| {
+            assert_eq!(
+                load_rows(rows),
+                Err(PersistError::Invalid(what)),
+                "{rows:?}"
+            );
+        };
+        invalid(&[1, 3, 1, 0, 0], "Markov count column");
+        invalid(&[1, 0xff, 1, 0, 0], "Markov count column");
+        invalid(&[2, 2, 1, 1, 1, 0, 0], "Markov count columns out of order");
+        invalid(&[2, 1, 1, 1, 1, 0, 0], "Markov count columns out of order");
+        invalid(&[0, 2, 1, 1, 0, 1, 0], "Markov count columns out of order");
+        invalid(&[4, 0, 1, 1, 1, 2, 1, 2, 1], "Markov row nonzero count");
+        invalid(&[1, 0, 0, 0, 0], "Markov stored count of 0");
+        invalid(&[1, 0, 0x81, 0x00, 0, 0], "non-minimal varint");
+        let mut overlong = vec![1, 0];
+        overlong.extend([0x80; 10]);
+        overlong.extend([0x01, 0, 0]);
+        invalid(&overlong, "overlong varint");
+        let mut overflow = vec![1, 0];
+        overflow.extend([0xff; 9]);
+        overflow.extend([0x02, 0, 0]);
+        invalid(&overflow, "varint overflows u64");
+        // A pair cut after its column, or inside a varint, runs out.
+        for rows in [&[1u8, 0][..], &[1, 0, 0x80]] {
+            let mut w = prepare_metrics::Writer::new();
+            w.put_f64(0.02);
+            w.put_raw(rows);
+            let mut r = prepare_metrics::Reader::new(w.bytes());
+            assert!(
+                matches!(
+                    SimpleMarkov::load_state(&mut r, 3),
+                    Err(PersistError::Truncated { .. })
+                ),
+                "{rows:?}"
+            );
+        }
+        // No chain has zero states, or more than a byte can number.
+        for n in [0, MAX_STATES + 1] {
+            let mut r = prepare_metrics::Reader::new(&[0u8; 16]);
+            assert_eq!(
+                SimpleMarkov::load_state(&mut r, n),
+                Err(PersistError::Invalid("Markov state count"))
+            );
+        }
     }
 }

@@ -13,7 +13,7 @@
 
 use crate::simple::{load_counts, load_position, store_counts};
 use crate::snapshot::{propagate, TransitionTable};
-use crate::{SimpleMarkov, StateDistribution, ValuePredictor};
+use crate::{SimpleMarkov, StateDistribution, ValuePredictor, MAX_STATES};
 use prepare_metrics::persist::{Persist, PersistError, Reader, Writer};
 use std::fmt;
 use std::sync::OnceLock;
@@ -75,7 +75,7 @@ impl TwoDependentMarkov {
     ///
     /// # Panics
     ///
-    /// Panics if `n == 0`.
+    /// Panics if `n` is outside `1..=MAX_STATES`.
     pub fn new(n: usize) -> Self {
         Self::with_smoothing(n, 0.02)
     }
@@ -84,9 +84,11 @@ impl TwoDependentMarkov {
     ///
     /// # Panics
     ///
-    /// Panics if `n == 0` or `alpha` is not finite and non-negative.
+    /// Panics if `n` is outside `1..=MAX_STATES` or `alpha` is not finite
+    /// and non-negative.
     pub fn with_smoothing(n: usize, alpha: f64) -> Self {
         assert!(n > 0, "state count must be positive");
+        assert!(n <= MAX_STATES, "state count must be at most MAX_STATES");
         assert!(alpha.is_finite() && alpha >= 0.0, "alpha must be >= 0");
         TwoDependentMarkov {
             n,
@@ -249,14 +251,14 @@ impl TwoDependentMarkov {
     /// owner's to supply on load.
     pub fn store_state(&self, w: &mut Writer) {
         let Self {
-            n: _, // supplied by PrepareConfig on load
+            n, // the row width; supplied by PrepareConfig on load
             counts,
             fallback,
             prev,
             table: _, // derived snapshot, rebuilt lazily on first predict
         } = self;
         prev.store(w);
-        store_counts(w, counts);
+        store_counts(w, counts, *n);
         fallback.store_state(w);
     }
 
@@ -268,10 +270,30 @@ impl TwoDependentMarkov {
         Ok(TwoDependentMarkov {
             n,
             prev: load_position(r, n)?,
-            counts: load_counts(r, n * n * n)?,
+            counts: load_counts(r, n * n, n)?,
             fallback: SimpleMarkov::load_state(r, n)?,
             table: OnceLock::new(),
         })
+    }
+}
+
+#[cfg(test)]
+impl TwoDependentMarkov {
+    /// A chain holding an arbitrary combined-state count table and
+    /// fallback, for codec tests.
+    pub(crate) fn from_parts(
+        n: usize,
+        counts: Vec<f64>,
+        fallback: SimpleMarkov,
+        prev: Option<usize>,
+    ) -> Self {
+        assert_eq!(counts.len(), n * n * n);
+        TwoDependentMarkov {
+            counts,
+            fallback,
+            prev,
+            ..TwoDependentMarkov::new(n)
+        }
     }
 }
 
@@ -460,6 +482,41 @@ mod tests {
                 }
             }
             proptest::prop_assert!(unseen > 0);
+        }
+    }
+
+    #[test]
+    fn load_state_refuses_a_bad_row_in_either_count_block() {
+        let mut m = TwoDependentMarkov::new(2);
+        m.train(&[0, 1, 1, 0]);
+        let mut w = prepare_metrics::Writer::new();
+        m.store_state(&mut w);
+        let bytes = w.into_bytes();
+        // prev (Some(1): a tag and a u64), the four combined rows (0, 1)
+        // → 1 and (1, 1) → 0, then the fallback's alpha and its rows 0 → 1
+        // and 1 → {0, 1}.
+        let combined_at = 1 + 8;
+        assert_eq!(
+            bytes[combined_at..combined_at + 8],
+            [0, 1, 1, 1, 0, 1, 0, 1]
+        );
+        let fallback_at = combined_at + 8 + 8;
+        assert_eq!(
+            bytes[fallback_at..fallback_at + 8],
+            [1, 1, 1, 2, 0, 1, 1, 1]
+        );
+        let load = |bytes: &[u8]| {
+            TwoDependentMarkov::load_state(&mut prepare_metrics::Reader::new(bytes), 2)
+        };
+        assert_eq!(load(&bytes).expect("intact"), m);
+        for at in [combined_at + 2, fallback_at + 1] {
+            let mut bad = bytes.clone();
+            bad[at] = 2;
+            assert_eq!(
+                load(&bad),
+                Err(PersistError::Invalid("Markov count column")),
+                "column at {at}"
+            );
         }
     }
 

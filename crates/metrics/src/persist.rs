@@ -94,6 +94,17 @@ impl Writer {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
+    /// Appends `v` as a minimal unsigned LEB128 varint: seven bits per
+    /// byte, lowest group first, the high bit set on every byte but the
+    /// last. Values below 128 take one byte, `u64::MAX` takes ten.
+    pub fn put_varint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.buf.push((v & 0x7f) as u8 | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v as u8);
+    }
+
     /// Appends a `usize` as a `u64` (layout-stable across platforms).
     pub fn put_usize(&mut self, v: usize) {
         self.put_u64(v as u64);
@@ -215,6 +226,34 @@ impl<'a> Reader<'a> {
             .try_into()
             .map_err(|_| PersistError::Truncated { what: "u64 bytes" })?;
         Ok(u64::from_le_bytes(arr))
+    }
+
+    /// Reads a varint [`Writer::put_varint`] wrote.
+    ///
+    /// # Errors
+    ///
+    /// [`PersistError::Truncated`] at end of buffer, or
+    /// [`PersistError::Invalid`] for an encoding the writer never
+    /// produces: a non-minimal one (a final zero byte after a
+    /// continuation), one longer than ten bytes, or one whose tenth byte
+    /// carries bits above `u64`'s 64th.
+    pub fn get_varint(&mut self) -> Result<u64, PersistError> {
+        let mut v = 0u64;
+        for shift in (0..64).step_by(7) {
+            let byte = self.take(1, "varint")?[0];
+            let group = u64::from(byte & 0x7f);
+            if shift == 63 && group > 1 {
+                return Err(PersistError::Invalid("varint overflows u64"));
+            }
+            v |= group << shift;
+            if byte & 0x80 == 0 {
+                if byte == 0 && shift > 0 {
+                    return Err(PersistError::Invalid("non-minimal varint"));
+                }
+                return Ok(v);
+            }
+        }
+        Err(PersistError::Invalid("overlong varint"))
     }
 
     /// Reads a `usize` (stored as `u64`).
@@ -627,6 +666,71 @@ mod tests {
             assert_eq!(back.get(a).to_bits(), v.get(a).to_bits());
         }
         round_trip(&MetricSample::new(Timestamp::from_secs(9), v));
+    }
+
+    fn varint(bytes: &[u8]) -> Result<u64, PersistError> {
+        let mut r = Reader::new(bytes);
+        let v = r.get_varint()?;
+        assert!(r.is_exhausted(), "{bytes:?} left bytes over");
+        Ok(v)
+    }
+
+    #[test]
+    fn varints_round_trip_at_every_group_boundary() {
+        let mut values = vec![0u64, 1, u64::MAX, u64::MAX - 1];
+        for bits in 1..64 {
+            values.extend([(1u64 << bits) - 1, 1u64 << bits, (1u64 << bits) + 1]);
+        }
+        for v in values {
+            let mut w = Writer::new();
+            w.put_varint(v);
+            let width = (64 - v.leading_zeros()).div_ceil(7).max(1) as usize;
+            assert_eq!(w.len(), width, "{v}");
+            assert_eq!(varint(w.bytes()), Ok(v));
+            for cut in 0..w.len() {
+                assert!(
+                    matches!(
+                        Reader::new(&w.bytes()[..cut]).get_varint(),
+                        Err(PersistError::Truncated { .. })
+                    ),
+                    "{v} cut at {cut}"
+                );
+            }
+        }
+        assert_eq!(varint(&[0x7f]), Ok(127));
+        assert_eq!(varint(&[0x80, 0x01]), Ok(128));
+    }
+
+    #[test]
+    fn malformed_varints_are_invalid() {
+        // Non-minimal: a zero final group after a continuation byte.
+        for bytes in [&[0x80, 0x00][..], &[0x81, 0x00], &[0xff, 0x80, 0x00]] {
+            assert_eq!(
+                varint(bytes),
+                Err(PersistError::Invalid("non-minimal varint")),
+                "{bytes:?}"
+            );
+        }
+        // Overlong: an eleventh byte is never needed.
+        let mut overlong = vec![0x80u8; 10];
+        overlong.push(0x01);
+        assert_eq!(
+            Reader::new(&overlong).get_varint(),
+            Err(PersistError::Invalid("overlong varint"))
+        );
+        // Overflow: the tenth byte holds bit 63 only.
+        let mut max = vec![0xffu8; 9];
+        max.push(0x01);
+        assert_eq!(varint(&max), Ok(u64::MAX));
+        for tenth in [0x02u8, 0x7f] {
+            let mut over = vec![0xffu8; 9];
+            over.push(tenth);
+            assert_eq!(
+                varint(&over),
+                Err(PersistError::Invalid("varint overflows u64")),
+                "{tenth:#x}"
+            );
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Time-series storage and windowed statistics over metric samples.
 
-use crate::persist::{Persist, PersistError, Reader, Writer};
-use crate::{mean, std_dev, AttributeKind, MetricSample, Timestamp};
+use crate::persist::{bounded_capacity, Persist, PersistError, Reader, Writer};
+use crate::{mean, std_dev, AttributeKind, MetricSample, MetricVector, Timestamp};
 
 /// An append-only sequence of [`MetricSample`]s for one VM.
 ///
@@ -141,15 +141,35 @@ impl SeriesStats {
     }
 }
 
+/// A series is its length, then per sample the time as a varint delta
+/// from the previous sample's (the first from 0) and the 13 values as
+/// [`MetricVector`]'s bit patterns. Samples are in time order, so no delta
+/// is negative; on load the running sum is checked, so a delta that
+/// would carry a time past `u64::MAX` is refused, not wrapped.
 impl Persist for TimeSeries {
     fn store(&self, w: &mut Writer) {
         let Self { samples } = self;
-        samples.store(w);
+        w.put_usize(samples.len());
+        let mut prev = 0;
+        for MetricSample { time, values } in samples {
+            // `push` and `load` keep the samples in time order.
+            w.put_varint(time.as_secs() - prev);
+            values.store(w);
+            prev = time.as_secs();
+        }
     }
     fn load(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        let samples: Vec<MetricSample> = Persist::load(r)?;
-        if samples.windows(2).any(|p| p[1].time < p[0].time) {
-            return Err(PersistError::Invalid("TimeSeries samples out of order"));
+        let len = r.get_usize()?;
+        let mut samples = Vec::with_capacity(bounded_capacity::<MetricSample>(len, r));
+        let mut time = 0u64;
+        for _ in 0..len {
+            time = time
+                .checked_add(r.get_varint()?)
+                .ok_or(PersistError::Invalid("TimeSeries time overflows u64"))?;
+            samples.push(MetricSample::new(
+                Timestamp::from_secs(time),
+                MetricVector::load(r)?,
+            ));
         }
         Ok(TimeSeries { samples })
     }
@@ -206,11 +226,60 @@ mod tests {
     }
 
     #[test]
-    fn series_load_rejects_out_of_order_samples() {
-        // Hand-craft a buffer with two samples whose times are inverted.
+    fn series_times_are_varint_deltas() {
+        // Length, then per sample a one-byte delta and 13 values.
+        let ts: TimeSeries = [0, 5, 10, 10, 200]
+            .map(|t| sample(t, 1.0))
+            .into_iter()
+            .collect();
+        let bytes = crate::persist::to_bytes(&ts);
+        assert_eq!(bytes.len(), 8 + 5 * (1 + 13 * 8) + 1);
+        let back: TimeSeries = crate::persist::from_bytes(&bytes).unwrap();
+        assert_eq!(back, ts);
+        // A first sample far from 0 and a repeated time round-trip too.
+        let ts: TimeSeries = [u64::MAX - 1, u64::MAX, u64::MAX]
+            .map(|t| sample(t, 2.0))
+            .into_iter()
+            .collect();
+        let back: TimeSeries = crate::persist::from_bytes(&crate::persist::to_bytes(&ts)).unwrap();
+        assert_eq!(back, ts);
+    }
+
+    #[test]
+    fn series_load_rejects_time_deltas_that_overflow() {
+        // Two deltas that each fit a u64 but whose sum does not.
         let mut wtr = crate::persist::Writer::new();
-        vec![sample(10, 0.0), sample(5, 0.0)].store(&mut wtr);
+        wtr.put_usize(2);
+        for delta in [u64::MAX, 1] {
+            wtr.put_varint(delta);
+            MetricVector::zeros().store(&mut wtr);
+        }
         let res: Result<TimeSeries, _> = crate::persist::from_bytes(&wtr.into_bytes());
-        assert!(matches!(res, Err(PersistError::Invalid(_))));
+        assert_eq!(
+            res,
+            Err(PersistError::Invalid("TimeSeries time overflows u64"))
+        );
+    }
+
+    #[test]
+    fn series_load_refuses_a_malformed_delta() {
+        let ts: TimeSeries = (0..3).map(|t| sample(t * 5, 0.0)).collect();
+        let mut bytes = crate::persist::to_bytes(&ts);
+        // The second sample's delta (5) becomes the non-minimal 0x85 0x00.
+        let at = 8 + 1 + 13 * 8;
+        assert_eq!(bytes[at], 5);
+        bytes[at] = 0x85;
+        bytes.insert(at + 1, 0);
+        let res: Result<TimeSeries, _> = crate::persist::from_bytes(&bytes);
+        assert_eq!(res, Err(PersistError::Invalid("non-minimal varint")));
+        // Cut anywhere, the series runs out of bytes.
+        let bytes = crate::persist::to_bytes(&ts);
+        for cut in 0..bytes.len() {
+            let res: Result<TimeSeries, _> = crate::persist::from_bytes(&bytes[..cut]);
+            assert!(
+                matches!(res, Err(PersistError::Truncated { .. })),
+                "cut {cut}"
+            );
+        }
     }
 }
