@@ -772,8 +772,9 @@ impl PrepareController {
             self.maybe_train(now);
             if self.is_trained() {
                 self.maybe_retrain(now, slo_violated);
-                self.observe_predictors(&usable);
-                self.predictive_round(now, slo_violated, violation_confirmed, io);
+                let horizon = (self.scheme == Scheme::Prepare).then_some(self.config.look_ahead);
+                let predictions = self.observe_predictors(&usable, horizon);
+                self.predictive_round(now, slo_violated, violation_confirmed, predictions, io);
                 self.validate_episodes(now, slo_violated, io);
                 self.process_retries(now, slo_violated, io);
             }
@@ -782,29 +783,41 @@ impl PrepareController {
         self.events[events_before..].to_vec()
     }
 
-    /// Streams this round's samples into the trained per-VM predictors,
-    /// one shard of VMs per worker. Each predictor consumes only its own
-    /// VM's samples in arrival order, so the resulting model positions
-    /// are bit-identical to the sequential loop for any worker count.
-    fn observe_predictors(&mut self, usable: &[(usize, MetricSample)]) {
-        // One batch per slot that holds a predictor, in slot order.
-        let mut work: Vec<(usize, &mut AnomalyPredictor, Vec<&MetricSample>)> = self
+    /// Streams this round's samples into the trained per-VM predictors
+    /// and, given a `horizon`, scores each at it: one fork over the
+    /// predictor holders, whose results come back in slot order. Each
+    /// predictor consumes only its own VM's sample (a slot has at most
+    /// one usable sample per round) and is then scored on its own state,
+    /// so the positions and scores are bit-identical to the sequential
+    /// loop for any worker count. Without a horizon the result is empty.
+    fn observe_predictors(
+        &mut self,
+        usable: &[(usize, MetricSample)],
+        horizon: Option<Duration>,
+    ) -> Vec<(usize, VmId, prepare_anomaly::Prediction)> {
+        // One item per slot that holds a predictor, in slot order.
+        let mut work: Vec<_> = self
             .table
             .iter_mut()
+            .zip(&self.vms)
             .enumerate()
-            .filter_map(|(slot, rec)| Some((slot, rec.predictor.as_mut()?, Vec::new())))
+            .filter_map(|(slot, (rec, &vm))| Some((slot, vm, rec.predictor.as_mut()?, None)))
             .collect();
         for (slot, sample) in usable {
-            if let Ok(i) = work.binary_search_by_key(slot, |w| w.0) {
-                // xtask-allow: index-in-loop -- a successful search returns an index of `work`
-                work[i].2.push(sample);
+            let found = work.binary_search_by_key(slot, |w| w.0).ok();
+            if let Some(item) = found.and_then(|i| work.get_mut(i)) {
+                item.3 = Some(sample);
             }
         }
-        prepare_par::par_for_each_mut(&self.config.par, &mut work, |(_, p, batch)| {
-            for sample in batch.iter() {
+        prepare_par::par_map(&self.config.par, work, |(slot, vm, p, sample)| {
+            if let Some(sample) = sample {
                 p.observe(sample);
             }
-        });
+            horizon.map(|h| (slot, vm, p.predict(h)))
+        })
+        .into_iter()
+        .flatten()
+        .collect()
     }
 
     /// One training pass: fault localization (the PAL step of §II-B),
@@ -905,40 +918,39 @@ impl PrepareController {
             .collect()
     }
 
+    /// Replays this round's look-ahead `predictions` (empty unless the
+    /// scheme is [`Scheme::Prepare`]) sequentially in slot order, so
+    /// events and filter updates land exactly as the sequential loop
+    /// would emit them, then opens episodes and handles the reactive
+    /// path.
     fn predictive_round(
         &mut self,
         now: Timestamp,
         slo_violated: bool,
         violation_confirmed: bool,
+        predictions: Vec<(usize, VmId, prepare_anomaly::Prediction)>,
         io: &mut ClusterIo<'_>,
     ) {
         let mut confirmed: Vec<(usize, VmId, Vec<AttributeKind>)> = Vec::new();
-
-        if self.scheme == Scheme::Prepare {
-            // Per-VM Markov + TAN scoring is the round's hot path: shard
-            // it across workers, then replay the results sequentially in
-            // slot order so events and filter updates land exactly as
-            // the sequential loop would emit them.
-            for (slot, vm, prediction) in self.predict_all(self.config.look_ahead) {
-                // xtask-allow: index-in-loop -- predict_all only returns slots of the table
-                let rec = &mut self.table[slot];
-                // No trustworthy evidence this round: the prediction ran
-                // on coasting model state, so it is neither an alert nor
-                // a "normal" vote — the k-of-W window holds its ground.
-                if rec.degraded {
-                    rec.filter.push_vote(Vote::Abstain);
-                    continue;
-                }
-                if prediction.is_alert() {
-                    self.events.push(ControllerEvent::AlertRaised {
-                        at: now,
-                        vm,
-                        score: prediction.score,
-                    });
-                }
-                if rec.filter.push(prediction.is_alert()) {
-                    confirmed.push((slot, vm, Self::positive_ranking(&prediction)));
-                }
+        for (slot, vm, prediction) in predictions {
+            // xtask-allow: index-in-loop -- predictions only carry slots of the table
+            let rec = &mut self.table[slot];
+            // No trustworthy evidence this round: the prediction ran
+            // on coasting model state, so it is neither an alert nor
+            // a "normal" vote — the k-of-W window holds its ground.
+            if rec.degraded {
+                rec.filter.push_vote(Vote::Abstain);
+                continue;
+            }
+            if prediction.is_alert() {
+                self.events.push(ControllerEvent::AlertRaised {
+                    at: now,
+                    vm,
+                    score: prediction.score,
+                });
+            }
+            if rec.filter.push(prediction.is_alert()) {
+                confirmed.push((slot, vm, Self::positive_ranking(&prediction)));
             }
         }
 
@@ -956,7 +968,7 @@ impl PrepareController {
             .trained_at
             .is_some_and(|t| now.since(t).as_secs() >= TRAINING_SETTLE_SECS);
         for (slot, vm, ranking) in confirmed {
-            // xtask-allow: index-in-loop -- confirmed slots come from predict_all
+            // xtask-allow: index-in-loop -- confirmed slots come from the predictions
             let rec = &mut self.table[slot];
             if !settled || rec.episode.is_some() || rec.is_suppressed(now) {
                 continue;
@@ -1393,7 +1405,6 @@ impl PrepareController {
             &vms,
             config.workload_change_quorum,
             change_recency_secs(&config),
-            config.par,
         )?;
         let violation_filter = AlertFilter::load_state(r, config.filter_k, config.filter_w)?;
         let trained_at = Option::load(r)?;

@@ -85,42 +85,34 @@ pub struct CauseInference {
     quorum: f64,
     /// How recent (seconds) a change point must be to count.
     recency_secs: u64,
-    /// Shard configuration for the per-VM detector updates.
-    par: ParConfig,
 }
 
 impl CauseInference {
-    /// Creates the inference engine for `vms` with detector updates
-    /// sharded per VM across the workers of `par`. Each CUSUM detector
-    /// consumes only its own VM's samples (in arrival order), so the
-    /// detector states — and every inference derived from them — are
-    /// identical for any worker count.
-    pub fn with_par(vms: &[VmId], quorum: f64, recency_secs: u64, par: ParConfig) -> Self {
+    /// Creates the inference engine for `vms`.
+    ///
+    /// `par` is unused: the detector updates run sequentially (see
+    /// [`CauseInference::observe`]). The argument stays so existing
+    /// callers keep compiling.
+    pub fn with_par(vms: &[VmId], quorum: f64, recency_secs: u64, _par: ParConfig) -> Self {
         CauseInference {
             detectors: vms.iter().map(|&vm| (vm, CusumDetector::new())).collect(),
             quorum,
             recency_secs,
-            par,
         }
     }
 
     /// Feeds this sampling round's observations into the change-point
-    /// detectors, one shard of VMs per worker.
+    /// detectors in arrival order; a sample for a VM outside the set is
+    /// dropped. Each detector consumes only its own VM's samples, so the
+    /// states equal those of any per-VM grouping. The updates run on the
+    /// calling thread: one costs tens of nanoseconds, far less than
+    /// spawning a worker.
     pub fn observe(&mut self, samples: &[(VmId, MetricSample)]) {
-        let mut per_vm: BTreeMap<VmId, Vec<&MetricSample>> = BTreeMap::new();
         for (vm, sample) in samples {
-            per_vm.entry(*vm).or_default().push(sample);
-        }
-        let mut work: Vec<(&mut CusumDetector, Vec<&MetricSample>)> = self
-            .detectors
-            .iter_mut()
-            .filter_map(|(vm, det)| per_vm.remove(vm).map(|batch| (det, batch)))
-            .collect();
-        prepare_par::par_for_each_mut(&self.par, &mut work, |(det, batch)| {
-            for sample in batch.iter() {
+            if let Some(det) = self.detectors.get_mut(vm) {
                 det.observe(sample.time, sample.values.get(AttributeKind::NetIn));
             }
-        });
+        }
     }
 
     /// True when at least the quorum fraction of components shows a
@@ -139,14 +131,12 @@ impl CauseInference {
 
     /// Serializes the inference state — the detectors, in VM-id order
     /// and without their ids — for a controller checkpoint. The ids and
-    /// the tunables are the owner's to supply on load, and the shard
-    /// configuration is the recovering process's.
+    /// the tunables are the owner's to supply on load.
     pub fn store_state(&self, w: &mut Writer) {
         let Self {
             detectors,
             quorum: _,       // supplied by PrepareConfig on load
             recency_secs: _, // supplied by PrepareConfig on load
-            par: _,          // runtime worker config, supplied by the recovering process
         } = self;
         for detector in detectors.values() {
             detector.store(w);
@@ -165,9 +155,9 @@ impl CauseInference {
         vms: &[VmId],
         quorum: f64,
         recency_secs: u64,
-        par: ParConfig,
     ) -> Result<Self, PersistError> {
-        let mut inference = CauseInference::with_par(vms, quorum, recency_secs, par);
+        let mut inference =
+            CauseInference::with_par(vms, quorum, recency_secs, ParConfig::serial());
         for detector in inference.detectors.values_mut() {
             *detector = CusumDetector::load(r)?;
         }
@@ -276,29 +266,43 @@ mod tests {
     }
 
     #[test]
-    fn sharded_detector_updates_are_bit_identical_to_sequential() {
-        let vms: Vec<VmId> = (0..5).map(VmId).collect();
-        let mut serial = CauseInference::with_par(&vms, 0.8, 30, ParConfig::serial());
-        let mut sharded: Vec<CauseInference> = [2usize, 7]
-            .iter()
-            .map(|&w| CauseInference::with_par(&vms, 0.8, 30, ParConfig::with_workers(w)))
-            .collect();
-        for t in 0..80u64 {
-            let base = if t < 50 { 100.0 } else { 260.0 };
-            let w = if t % 2 == 0 { 1.0 } else { -1.0 };
-            let rates: Vec<f64> = (0..5).map(|i| base + w + i as f64).collect();
-            feed(&mut serial, &vms, t * 5, &rates);
-            let now = Timestamp::from_secs(t * 5);
-            for ci in sharded.iter_mut() {
-                feed(ci, &vms, t * 5, &rates);
-                assert_eq!(
-                    format!("{:?}", ci.detectors),
-                    format!("{:?}", serial.detectors),
-                    "detector state diverged at t={t}"
-                );
-                assert_eq!(ci.workload_change(now), serial.workload_change(now));
+    fn a_batch_is_applied_in_arrival_order_and_unknown_vms_are_dropped() {
+        let vms = [VmId(0), VmId(1)];
+        let mut ci = CauseInference::with_par(&vms, 0.8, 30, ParConfig::serial());
+        let mut reference = [CusumDetector::new(), CusumDetector::new()];
+        for t in 0..20u64 {
+            let rate = if t % 2 == 0 { 101.0 } else { 99.0 };
+            feed(&mut ci, &vms, t * 5, &[rate, rate]);
+            for det in reference.iter_mut() {
+                det.observe(Timestamp::from_secs(t * 5), rate);
             }
         }
+        // VM 1 is named twice in one batch: its jump must be seen at the
+        // first sample's time. VM 9 is not managed.
+        ci.observe(&[
+            (VmId(1), sample(100, 1000.0)),
+            (VmId(0), sample(100, 100.0)),
+            (VmId(9), sample(100, 1000.0)),
+            (VmId(1), sample(105, 1000.0)),
+        ]);
+        let [mut vm0, mut vm1] = reference;
+        vm0.observe(Timestamp::from_secs(100), 100.0);
+        let mut reversed = vm1.clone();
+        vm1.observe(Timestamp::from_secs(100), 1000.0);
+        vm1.observe(Timestamp::from_secs(105), 1000.0);
+        reversed.observe(Timestamp::from_secs(105), 1000.0);
+        reversed.observe(Timestamp::from_secs(100), 1000.0);
+        assert_ne!(
+            vm1, reversed,
+            "the batch must be able to tell the orders apart"
+        );
+        assert_eq!(ci.detectors.get(&VmId(0)), Some(&vm0));
+        assert_eq!(ci.detectors.get(&VmId(1)), Some(&vm1));
+        assert_eq!(
+            vm1.last_change().map(|cp| cp.time),
+            Some(Timestamp::from_secs(100))
+        );
+        assert_eq!(ci.detectors.keys().copied().collect::<Vec<_>>(), vms);
     }
 
     #[test]
@@ -320,8 +324,7 @@ mod tests {
         ci.store_state(&mut w);
         let bytes = w.into_bytes();
         let mut r = prepare_metrics::persist::Reader::new(&bytes);
-        let back = CauseInference::load_state(&mut r, &vms, 0.8, 30, ParConfig::with_workers(7))
-            .expect("state loads");
+        let back = CauseInference::load_state(&mut r, &vms, 0.8, 30).expect("state loads");
         assert!(r.is_exhausted());
         assert_eq!(
             format!("{:?}", back.detectors),

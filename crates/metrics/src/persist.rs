@@ -502,22 +502,6 @@ impl<A: Persist, B: Persist> Persist for (A, B) {
     }
 }
 
-impl<T: Persist, const N: usize> Persist for [T; N] {
-    fn store(&self, w: &mut Writer) {
-        for v in self {
-            v.store(w);
-        }
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        let mut out = Vec::with_capacity(N);
-        for _ in 0..N {
-            out.push(T::load(r)?);
-        }
-        out.try_into()
-            .map_err(|_| PersistError::Invalid("array arity"))
-    }
-}
-
 impl Persist for Timestamp {
     fn store(&self, w: &mut Writer) {
         w.put_u64(self.as_secs());
@@ -560,12 +544,20 @@ impl Persist for crate::AttributeKind {
 
 impl Persist for MetricVector {
     fn store(&self, w: &mut Writer) {
-        for &v in self.as_slice() {
-            w.put_f64(v);
+        let mut bytes = [0u8; ATTRIBUTE_COUNT * 8];
+        for (word, v) in bytes.chunks_exact_mut(8).zip(self.as_slice()) {
+            word.copy_from_slice(&v.to_bits().to_le_bytes());
         }
+        w.put_raw(&bytes);
     }
     fn load(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        let values: [f64; ATTRIBUTE_COUNT] = Persist::load(r)?;
+        let bytes = r.get_raw(ATTRIBUTE_COUNT * 8)?;
+        let mut values = [0.0; ATTRIBUTE_COUNT];
+        for (v, word) in values.iter_mut().zip(bytes.chunks_exact(8)) {
+            let mut le = [0u8; 8];
+            le.copy_from_slice(word);
+            *v = f64::from_bits(u64::from_le_bytes(le));
+        }
         Ok(MetricVector::from(values))
     }
 }
@@ -647,7 +639,6 @@ mod tests {
         round_trip(&VecDeque::from([true, false, true]));
         round_trip(&BTreeMap::from([(1u64, 2.0f64), (3, 4.0)]));
         round_trip(&(1u64, 2.0f64));
-        round_trip(&[1.0f64, 2.0]);
         round_trip(&Timestamp::from_secs(42));
         round_trip(&Duration::from_secs(5));
     }
@@ -666,6 +657,26 @@ mod tests {
             assert_eq!(back.get(a).to_bits(), v.get(a).to_bits());
         }
         round_trip(&MetricSample::new(Timestamp::from_secs(9), v));
+    }
+
+    #[test]
+    fn a_metric_vector_is_thirteen_words_and_every_cut_is_truncated() {
+        let v = MetricVector::from_fn(|a| a.index() as f64 * -1.5 + 0.25);
+        let mut words = Writer::new();
+        for &x in v.as_slice() {
+            words.put_f64(x);
+        }
+        let bytes = to_bytes(&v);
+        assert_eq!(bytes, words.into_bytes());
+        for cut in 0..bytes.len() {
+            assert!(
+                matches!(
+                    from_bytes::<MetricVector>(&bytes[..cut]),
+                    Err(PersistError::Truncated { .. })
+                ),
+                "cut at {cut}"
+            );
+        }
     }
 
     fn varint(bytes: &[u8]) -> Result<u64, PersistError> {

@@ -22,16 +22,19 @@
 //!    worker count produces the same bytes. The workspace's differential
 //!    tests (`tests/differential.rs`) assert this end to end.
 //!
-//! Worker panics are re-raised on the caller thread via
-//! [`std::panic::resume_unwind`], so a failing debug assertion inside a
-//! model surfaces identically under any worker count.
+//! The calling thread is one of the workers: it maps shard 0 itself, so
+//! a fork over `w` workers spawns `w - 1` threads. Worker panics are
+//! re-raised on the caller thread via [`std::panic::resume_unwind`],
+//! after every spawned shard has been joined, so a failing debug
+//! assertion inside a model surfaces identically under any worker count.
 
 use std::num::NonZeroUsize;
 
 /// How many OS worker threads the parallel engine may use.
 ///
 /// `workers = 1` is the sequential path (no threads are spawned at all);
-/// any larger count fans work out over `std::thread::scope`. The result
+/// any larger count fans work out over `std::thread::scope`, with the
+/// calling thread counted as one of the workers. The result
 /// of every operation in this crate is identical for every `workers`
 /// value — the knob trades wall-clock time only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -109,11 +112,15 @@ pub fn shard_indices(n: usize, workers: usize) -> Vec<Vec<usize>> {
 }
 
 /// Applies `f` to every item and returns the results **in input order**,
-/// using up to `cfg.workers` threads.
+/// using up to `cfg.workers` threads, the calling thread among them.
 ///
 /// Determinism: the output is exactly `items.map(f)` for any worker
 /// count. With one (effective) worker no thread is spawned and the items
-/// are mapped in a plain sequential loop.
+/// are mapped in a plain sequential loop. With `w > 1` workers the caller
+/// maps shard 0 itself and spawns only `w - 1` threads for the rest. A
+/// panic in any shard reaches the caller after every spawned shard has
+/// been joined: `std::thread::scope` joins its threads before it
+/// re-raises the caller's own panic.
 pub fn par_map<T, R, F>(cfg: &ParConfig, items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
@@ -136,21 +143,20 @@ where
         }
     }
 
-    // Fan out, then merge ordered by the original index.
+    // Fan out shards 1.., map shard 0 here, then merge ordered by the
+    // original index.
+    let run = |shard: Vec<(usize, T)>| -> Vec<(usize, R)> {
+        shard.into_iter().map(|(i, item)| (i, f(item))).collect()
+    };
+    let mut shards = shards.into_iter();
+    let own = shards.next().unwrap_or_default();
     let mut tagged: Vec<(usize, R)> = Vec::with_capacity(n);
     std::thread::scope(|scope| {
-        let f = &f;
+        let run = &run;
         let handles: Vec<_> = shards
-            .into_iter()
-            .map(|shard| {
-                scope.spawn(move || {
-                    shard
-                        .into_iter()
-                        .map(|(i, item)| (i, f(item)))
-                        .collect::<Vec<(usize, R)>>()
-                })
-            })
+            .map(|shard| scope.spawn(move || run(shard)))
             .collect();
+        tagged.extend(run(own));
         for handle in handles {
             match handle.join() {
                 Ok(part) => tagged.extend(part),
@@ -160,57 +166,6 @@ where
     });
     tagged.sort_unstable_by_key(|&(i, _)| i);
     tagged.into_iter().map(|(_, r)| r).collect()
-}
-
-/// Applies `f` to every element of `items` in place, sharded across up to
-/// `cfg.workers` threads.
-///
-/// Elements must be mutually independent (each `f` call touches only its
-/// own element); under that contract the final state of `items` is
-/// identical for every worker count. With one (effective) worker the
-/// items are visited in a plain sequential loop.
-pub fn par_for_each_mut<T, F>(cfg: &ParConfig, items: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(&mut T) + Sync,
-{
-    let n = items.len();
-    let workers = cfg.effective_workers(n);
-    if workers <= 1 {
-        for item in items.iter_mut() {
-            f(item);
-        }
-        return;
-    }
-
-    // Fixed partition over &mut references: reference i → shard i % workers.
-    let mut shards: Vec<Vec<&mut T>> = (0..workers)
-        .map(|_| Vec::with_capacity(n.div_ceil(workers)))
-        .collect();
-    for (i, item) in items.iter_mut().enumerate() {
-        if let Some(shard) = shards.get_mut(i % workers) {
-            shard.push(item);
-        }
-    }
-
-    std::thread::scope(|scope| {
-        let f = &f;
-        let handles: Vec<_> = shards
-            .into_iter()
-            .map(|shard| {
-                scope.spawn(move || {
-                    for item in shard {
-                        f(item);
-                    }
-                })
-            })
-            .collect();
-        for handle in handles {
-            if let Err(payload) = handle.join() {
-                std::panic::resume_unwind(payload);
-            }
-        }
-    });
 }
 
 #[cfg(test)]
@@ -277,21 +232,9 @@ mod tests {
     }
 
     #[test]
-    fn par_for_each_mut_touches_every_item_once() {
-        for w in [1usize, 2, 5, 8] {
-            let mut items: Vec<u32> = (0..41).collect();
-            par_for_each_mut(&ParConfig::with_workers(w), &mut items, |x| *x += 100);
-            let expect: Vec<u32> = (0..41).map(|x| x + 100).collect();
-            assert_eq!(items, expect, "diverged at workers={w}");
-        }
-    }
-
-    #[test]
     fn empty_input_is_fine() {
         let out: Vec<u8> = par_map(&ParConfig::with_workers(4), Vec::<u8>::new(), |x| x);
         assert!(out.is_empty());
-        let mut none: [u8; 0] = [];
-        par_for_each_mut(&ParConfig::with_workers(4), &mut none, |_| {});
     }
 
     #[test]
@@ -303,6 +246,41 @@ mod tests {
             })
         });
         assert!(result.is_err(), "worker panic must reach the caller");
+    }
+
+    #[test]
+    fn the_caller_maps_shard_zero() {
+        let caller = std::thread::current().id();
+        let ran_on = par_map(
+            &ParConfig::with_workers(2),
+            (0..10).collect(),
+            |i: usize| (i, std::thread::current().id()),
+        );
+        for (i, thread) in ran_on {
+            assert_eq!(
+                thread == caller,
+                i % 2 == 0,
+                "item {i} ran on the wrong thread"
+            );
+        }
+    }
+
+    #[test]
+    fn a_caller_shard_panic_waits_for_the_spawned_shards() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let spawned_done = AtomicBool::new(false);
+        let result = std::panic::catch_unwind(|| {
+            par_map(&ParConfig::with_workers(2), vec![0, 1], |i: usize| {
+                assert!(i != 0, "boom in the caller's shard");
+                std::thread::sleep(std::time::Duration::from_millis(50));
+                spawned_done.store(true, Ordering::SeqCst);
+            })
+        });
+        assert!(result.is_err(), "the caller's own panic must reach it");
+        assert!(
+            spawned_done.load(Ordering::SeqCst),
+            "the panic surfaced before the spawned shard was joined"
+        );
     }
 
     #[test]
