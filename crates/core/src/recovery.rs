@@ -43,32 +43,53 @@ use prepare_metrics::{StampedSample, Timestamp, VmId};
 use prepare_par::ParConfig;
 use std::sync::Arc;
 
-/// Magic + version sealing a checkpoint frame ("PRPCKP" + version 08).
-pub const CHECKPOINT_MAGIC: u64 = u64::from_le_bytes(*b"PRPCKP08");
+/// Magic + version sealing a checkpoint frame ("PRPCKP" + version 09).
+pub const CHECKPOINT_MAGIC: u64 = u64::from_le_bytes(*b"PRPCKP09");
 
 /// The frame checksum: FNV-1a's constants and its xor-then-multiply
-/// fold, taken one little-endian 64-bit word at a time with a xor-shift
-/// after each multiply, then byte by byte over the `len % 8` tail.
+/// step with a xor-shift after each multiply, over little-endian 64-bit
+/// words. Word `j` of each whole 32-byte block goes to lane `j`; the
+/// four lanes, each starting at the FNV offset, are then folded into one
+/// state in lane order, and the words and bytes after the last whole
+/// block are folded into it one at a time. The lanes are four
+/// independent multiply chains, so the processor overlaps them.
 ///
 /// Each step `s ← mix((s ^ x) · P)` is a bijection of `s` for a fixed
 /// `x` (`P` is odd, `mix(s) = s ^ (s >> 32)` is invertible) and
 /// injective in `x` for a fixed `s`. So two payloads of one length that
-/// differ in exactly one word, or one tail byte, never share a sum: the
-/// states part at that step and no later step can rejoin them. The shift
-/// is there because a bare multiply only carries differences upward — a
+/// differ in exactly one word, or one tail byte, never share a sum: a
+/// block word moves exactly its own lane, which the lane fold feeds in
+/// as one word; a later word or byte parts the folded states at its own
+/// step. Once parted, no later step can rejoin the states. The shift is
+/// there because a bare multiply only carries differences upward — a
 /// flipped top bit in two words would cancel.
+// xtask: hot-path
 fn checksum(payload: &[u8]) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let step = |s: u64, x: u64| {
+    let fold_in = |s: u64, x: u64| {
         let s = (s ^ x).wrapping_mul(PRIME);
         s ^ (s >> 32)
     };
-    let (words, tail) = payload.as_chunks::<8>();
+    let (blocks, rest) = payload.as_chunks::<32>();
+    let mut lanes = [OFFSET; 4];
+    for block in blocks {
+        for (lane, w) in lanes.iter_mut().zip(block.as_chunks::<8>().0) {
+            *lane = fold_in(*lane, u64::from_le_bytes(*w));
+        }
+    }
+    let s = lanes.iter().fold(OFFSET, |s, &lane| fold_in(s, lane));
+    let (words, tail) = rest.as_chunks::<8>();
     let s = words
         .iter()
-        .fold(OFFSET, |s, w| step(s, u64::from_le_bytes(*w)));
-    tail.iter().fold(s, |s, &b| step(s, u64::from(b)))
+        .fold(s, |s, w| fold_in(s, u64::from_le_bytes(*w)));
+    tail.iter().fold(s, |s, &b| fold_in(s, u64::from(b)))
+}
+
+/// The capacity a seal needs after an image of `len` bytes: the image
+/// rarely shrinks between seals, so its size plus an eighth.
+fn seal_reserve(len: usize) -> usize {
+    len + len / 8
 }
 
 /// Starts a frame in place: reserves the length word and returns its
@@ -376,7 +397,11 @@ impl RecoveryManager {
     /// Panics if `checkpoint_every` is zero.
     pub fn new(controller: PrepareController, checkpoint_every: u64) -> Self {
         assert!(checkpoint_every > 0, "checkpoint interval must be positive");
-        let checkpoint = Arc::new(Checkpoint::write(&controller, 0));
+        let mut first = Checkpoint::write(&controller, 0);
+        // The room a seal gives a fresh buffer (see `tick`), so that this
+        // frame's allocation serves later seals like any other spare.
+        first.reserve_exact(2 * seal_reserve(first.len()) - first.len());
+        let checkpoint = Arc::new(first);
         RecoveryManager {
             controller,
             checkpoint_every,
@@ -431,15 +456,18 @@ impl RecoveryManager {
             // legitimately carries extra crash/recovery events in its
             // log, and the recovery-equivalence proofs compare
             // post-recovery event streams byte-for-byte.
-            // The image rarely shrinks between seals, so the buffer gets
-            // the last image's size plus an eighth in one allocation. Grown
-            // by doubling instead, it copied megabytes mid-seal and left
-            // holes in the heap whose reuse, not the state, decided the
-            // process's peak resident set from one run to the next.
-            let reserve = self.checkpoint.len() + self.checkpoint.len() / 8;
+            // The buffer is allocated once, never grown by doubling:
+            // that copied megabytes mid-seal and left holes in the heap
+            // whose reuse, not the state, decided the process's peak
+            // resident set from one run to the next. The spare was sized
+            // two seals back, so a fresh buffer gets twice the reserve: a
+            // growing image still fits when the buffer comes back as the
+            // spare, and only the first seal after a recovery allocates.
+            // Capacity never written is not resident.
+            let reserve = seal_reserve(self.checkpoint.len());
             let mut buf = std::mem::take(&mut self.spare);
             if buf.capacity() < reserve {
-                buf = Vec::with_capacity(reserve);
+                buf = Vec::with_capacity(2 * reserve);
             }
             let (mut payload, frame) = Checkpoint::begin(self.tick, buf);
             let before_core = payload.len();
@@ -683,6 +711,7 @@ mod tests {
             b"PRPCKP05",
             b"PRPCKP06",
             b"PRPCKP07",
+            b"PRPCKP08",
         ] {
             let mut old = image.clone();
             old[..8].copy_from_slice(earlier);
@@ -815,6 +844,96 @@ mod tests {
         assert_ne!(checksum(&[0u8; 8]), checksum(&[0u8; 9]));
     }
 
+    /// The single-word guarantee at every shape the fold has: every
+    /// length from empty to five blocks (each lane, each leftover word
+    /// count, each tail length) and a page of 128 blocks. Every bit flip
+    /// moves the sum, and so does replacing any one word — or tail byte —
+    /// by its complement or by an unrelated value.
+    #[test]
+    fn checksum_moves_under_every_single_bit_and_word_change_at_every_length() {
+        for len in (0usize..=160).chain([4_096]) {
+            let payload = noise(len);
+            let sum = checksum(&payload);
+            let mut other = payload.clone();
+            for bit in 0..len * 8 {
+                other[bit / 8] ^= 1 << (bit % 8);
+                assert_ne!(checksum(&other), sum, "len {len} bit {bit}");
+                other[bit / 8] ^= 1 << (bit % 8);
+            }
+            let unrelated = noise(len + 8);
+            for at in (0..len / 8 * 8).step_by(8) {
+                let word = &payload[at..at + 8];
+                let flipped = word.iter().map(|b| !b).collect::<Vec<_>>();
+                for value in [&flipped[..], &unrelated[len - at..len - at + 8]] {
+                    if value == word {
+                        continue;
+                    }
+                    other[at..at + 8].copy_from_slice(value);
+                    assert_ne!(checksum(&other), sum, "len {len} word at {at}");
+                }
+                other[at..at + 8].copy_from_slice(word);
+            }
+            for at in len / 8 * 8..len {
+                other[at] = !payload[at];
+                assert_ne!(checksum(&other), sum, "len {len} tail byte {at}");
+                other[at] = payload[at];
+            }
+        }
+    }
+
+    /// The checksum's definition is part of the frame layout: a payload
+    /// of two blocks, one leftover word and a five-byte tail sums to a
+    /// fixed value. A new definition needs a new `CHECKPOINT_MAGIC`.
+    #[test]
+    fn checksum_is_pinned() {
+        assert_eq!(
+            checksum(&noise(77)),
+            0xd907_4692_c350_86e4,
+            "the checksum moved: bump `CHECKPOINT_MAGIC` and re-pin"
+        );
+    }
+
+    /// A seal writes into the allocation of the frame sealed two seals
+    /// earlier, which the previous seal released as the spare, even while
+    /// the image grows: each fresh buffer has room for the image after
+    /// next. Only the first seals, before any spare of that size exists,
+    /// may allocate.
+    #[test]
+    fn a_growing_image_reuses_the_spare() {
+        let mut cluster = Cluster::new();
+        let host = cluster.add_host(prepare_cloudsim::HostSpec::vcl_default());
+        cluster
+            .create_vm(host, 100.0, 512.0)
+            .expect("host has room");
+        let mut controller = PrepareController::new(
+            vec![VmId(0)],
+            crate::PrepareConfig::default(),
+            crate::Scheme::Prepare,
+        );
+        for t in 0..24u64 {
+            let rec = record(t * 5);
+            controller.on_readings(rec.now, &rec.readings, rec.slo_violated, &mut cluster);
+        }
+        let mut manager = RecoveryManager::new(controller, 1);
+        let mut frames = vec![(manager.checkpoint.as_ptr(), manager.checkpoint_bytes())];
+        for t in 24..32u64 {
+            let rec = record(t * 5);
+            manager.tick(rec.now, &rec.readings, rec.slo_violated, &mut cluster);
+            frames.push((manager.checkpoint.as_ptr(), manager.checkpoint_bytes()));
+        }
+        for (seal, pair) in frames.windows(2).enumerate() {
+            assert!(pair[1].1 > pair[0].1, "seal {} did not grow", seal + 1);
+        }
+        for (seal, triple) in frames.windows(3).enumerate().skip(1) {
+            assert_eq!(
+                triple[2].0,
+                triple[0].0,
+                "seal {} got a fresh buffer",
+                seal + 2
+            );
+        }
+    }
+
     /// The tunables of [`trained_manager`]: a 3-bin first-order model
     /// that trains after a handful of samples.
     fn small_config() -> crate::PrepareConfig {
@@ -871,7 +990,7 @@ mod tests {
         fp.write_bytes(&image);
         assert_eq!(
             (image.len(), fp.finish()),
-            (8_958, 0xea1f_23c4_13a6_2f4a),
+            (8_958, 0x9dc3_42be_431f_3d84),
             "the checkpoint layout moved: bump `CHECKPOINT_MAGIC` and re-pin"
         );
     }
