@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Local mirror of the CI pipeline (.github/workflows/ci.yml): fmt,
 # clippy, rustdoc, xtask lint, prepare-tlc, the workspace tests at two
-# worker counts and the benchmark package tests.
+# worker counts, the benchmark package tests and one traced
+# crash_recovery pass of the benchmark.
 # CI-only steps, not run here: the recovery bench (--bin recovery),
 # whose BENCH_recovery.json CI uploads as an artifact, and the lint / tlc
 # report uploads.
@@ -77,5 +78,14 @@ PREPARE_WORKERS=4 cargo test --offline --quiet --workspace --exclude xtask \
 # tests are what notices a change to the API the benchmark pins.
 echo "==> benchmark package tests"
 cargo test --offline --quiet --manifest-path benchmark/Cargo.toml
+
+# One traced pass of the closed loop that seals and crashes: it exits
+# non-zero when a recovery does not restore the pre-crash
+# model_fingerprint() or the digest differs between passes, and its
+# shadow restores every crash image through Checkpoint::read. Release
+# only: a debug pass takes minutes.
+echo "==> crash_recovery smoke (benchmark, traced, 1 s)"
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+  --workload crash_recovery --seed 7 --seconds 1 --trace 1 > /dev/null
 
 echo "ci.sh: all checks passed"

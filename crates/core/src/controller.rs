@@ -339,8 +339,19 @@ impl VmRecord {
     }
 }
 
+/// Where a VM record's metric series goes when the record is written.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum SeriesIn {
+    /// The whole series, inline: the one-piece encoding of
+    /// [`PrepareController::store_state`], which the fingerprint hashes.
+    Record,
+    /// Only its length, the sealed sample count, in the series' place:
+    /// a checkpoint's state frame, whose samples are in its series frames.
+    Frames,
+}
+
 impl VmRecord {
-    fn store_state(&self, w: &mut Writer) {
+    fn store_state(&self, w: &mut Writer, series_in: SeriesIn) {
         let Self {
             series,
             predictor,
@@ -351,7 +362,10 @@ impl VmRecord {
             imputer,
             degraded,
         } = self;
-        series.store(w);
+        match series_in {
+            SeriesIn::Record => series.store(w),
+            SeriesIn::Frames => w.put_usize(series.len()),
+        }
         match predictor {
             None => w.put_u8(0),
             Some(p) => {
@@ -368,10 +382,24 @@ impl VmRecord {
     }
 
     /// Restores a record written by [`VmRecord::store_state`]; the
-    /// predictor's shape and the filter's k-of-W come from `config`.
-    fn load_state(r: &mut Reader<'_>, config: &PrepareConfig) -> Result<Self, PersistError> {
-        Ok(VmRecord {
-            series: TimeSeries::load(r)?,
+    /// predictor's shape and the filter's k-of-W come from `config`. A
+    /// [`SeriesIn::Frames`] record comes back with an empty series and
+    /// its sealed sample count.
+    fn load_state(
+        r: &mut Reader<'_>,
+        config: &PrepareConfig,
+        series_in: SeriesIn,
+    ) -> Result<(Self, usize), PersistError> {
+        let (series, sealed) = match series_in {
+            SeriesIn::Record => {
+                let series = TimeSeries::load(r)?;
+                let len = series.len();
+                (series, len)
+            }
+            SeriesIn::Frames => (TimeSeries::new(), r.get_usize()?),
+        };
+        let rec = VmRecord {
+            series,
             predictor: match r.get_bool()? {
                 false => None,
                 true => Some(AnomalyPredictor::load_state(r, &config.predictor)?),
@@ -382,7 +410,8 @@ impl VmRecord {
             suppressed_until: Option::load(r)?,
             imputer: LastValueImputer::load(r)?,
             degraded: bool::load(r)?,
-        })
+        };
+        Ok((rec, sealed))
     }
 }
 
@@ -1314,14 +1343,28 @@ impl PrepareController {
     /// The table is written as exactly `vms.len()` records with no length
     /// of its own: the VM count is stored once.
     pub(crate) fn store_core(&self, w: &mut Writer) {
-        self.store_core_parts(w, |_| {});
+        self.store_core_parts(w, SeriesIn::Record, |_| {});
+    }
+
+    /// The core as a checkpoint's state frame holds it:
+    /// [`PrepareController::store_core`] with each VM's series replaced by
+    /// its length, the count of samples the series frames sealed so far
+    /// hold. The samples themselves go to the frames
+    /// ([`TimeSeries::store_since`]).
+    pub(crate) fn store_core_framed(&self, w: &mut Writer) {
+        self.store_core_parts(w, SeriesIn::Frames, |_| {});
     }
 
     /// [`PrepareController::store_core`] in parts: the head, each VM's
     /// record, the tail, calling `part_done` on `w` after each. A caller
     /// that only folds the bytes can drain `w` there and never hold more
     /// than one VM's record.
-    fn store_core_parts(&self, w: &mut Writer, mut part_done: impl FnMut(&mut Writer)) {
+    fn store_core_parts(
+        &self,
+        w: &mut Writer,
+        series_in: SeriesIn,
+        mut part_done: impl FnMut(&mut Writer),
+    ) {
         let Self {
             config,
             scheme,
@@ -1342,7 +1385,7 @@ impl PrepareController {
         vms.store(w);
         part_done(w);
         for rec in table {
-            rec.store_state(w);
+            rec.store_state(w, series_in);
             part_done(w);
         }
         slo.store(w);
@@ -1381,6 +1424,42 @@ impl PrepareController {
     /// VM id stored twice, an episode filed under another VM's slot, or
     /// inconsistent tunables.
     pub fn load_state(r: &mut Reader<'_>, par: ParConfig) -> Result<Self, PersistError> {
+        Self::load_parts(r, par, SeriesIn::Record).map(|(controller, _)| controller)
+    }
+
+    /// Restores the state frame [`PrepareController::store_core_framed`]
+    /// and [`PrepareController::store_events`] wrote: a controller whose
+    /// series are empty, and each slot's sealed sample count, for the
+    /// caller to fill in from the series frames
+    /// ([`PrepareController::adopt_series`]).
+    pub(crate) fn load_framed(
+        r: &mut Reader<'_>,
+        par: ParConfig,
+    ) -> Result<(Self, Vec<usize>), PersistError> {
+        Self::load_parts(r, par, SeriesIn::Frames)
+    }
+
+    /// Hands each slot its series, in slot order: the other half of
+    /// [`PrepareController::load_framed`].
+    pub(crate) fn adopt_series(&mut self, series: Vec<TimeSeries>) {
+        for (rec, series) in self.table.iter_mut().zip(series) {
+            rec.series = series;
+        }
+    }
+
+    /// Every VM's series in slot order, the order of a checkpoint's
+    /// series frames.
+    pub(crate) fn slot_series(&self) -> impl Iterator<Item = &TimeSeries> {
+        self.table.iter().map(|rec| &rec.series)
+    }
+
+    /// [`PrepareController::load_state`] or
+    /// [`PrepareController::load_framed`], by where the series are.
+    fn load_parts(
+        r: &mut Reader<'_>,
+        par: ParConfig,
+        series_in: SeriesIn,
+    ) -> Result<(Self, Vec<usize>), PersistError> {
         let config = PrepareConfig::load_state(r, par)?;
         let scheme = Scheme::load(r)?;
         let vms = Vec::<VmId>::load(r)?;
@@ -1392,12 +1471,14 @@ impl PrepareController {
             return Err(PersistError::Invalid("PrepareController duplicate VM id"));
         }
         let mut table = Vec::with_capacity(bounded_capacity::<VmRecord>(vms.len(), r));
+        let mut sealed = Vec::with_capacity(table.capacity());
         for &vm in &vms {
-            let rec = VmRecord::load_state(r, &config)?;
+            let (rec, len) = VmRecord::load_state(r, &config, series_in)?;
             if rec.episode.as_ref().is_some_and(|ep| ep.vm != vm) {
                 return Err(PersistError::Invalid("PrepareController episode slot"));
             }
             table.push(rec);
+            sealed.push(len);
         }
         let slo = SloLog::load(r)?;
         let inference = CauseInference::load_state(
@@ -1412,7 +1493,7 @@ impl PrepareController {
         let last_workload_change = bool::load(r)?;
         let events = Vec::load(r)?;
         let planner = PreventionPlanner::new(config.policy, config.scale_factor);
-        Ok(PrepareController {
+        let controller = PrepareController {
             config,
             scheme,
             vms,
@@ -1426,7 +1507,8 @@ impl PrepareController {
             last_retrain,
             last_workload_change,
             events,
-        })
+        };
+        Ok((controller, sealed))
     }
 
     /// FNV-1a fingerprint of the serialized core state (everything except
@@ -1444,7 +1526,7 @@ impl PrepareController {
         let mut fp = Fingerprint64::new();
         fp.write_usize(self.core_state_bytes());
         let mut w = Writer::new();
-        self.store_core_parts(&mut w, |w| {
+        self.store_core_parts(&mut w, SeriesIn::Record, |w| {
             for &b in w.bytes() {
                 fp.write_u8(b);
             }
@@ -1461,7 +1543,7 @@ impl PrepareController {
     pub fn core_state_bytes(&self) -> usize {
         let mut bytes = 0;
         let mut w = Writer::new();
-        self.store_core_parts(&mut w, |w| {
+        self.store_core_parts(&mut w, SeriesIn::Record, |w| {
             bytes += w.len();
             w.clear();
         });

@@ -58,6 +58,7 @@ pub use experiment::{
 pub use inference::{implicated_vms, implication_score, CauseInference};
 pub use prevention::{ActuationError, PlannedAction, PreventionPlanner};
 pub use recovery::{
-    Checkpoint, CrashImage, Journal, JournalScan, RecoveryManager, TickRecord, CHECKPOINT_MAGIC,
+    Checkpoint, CheckpointBytes, CheckpointImage, CrashImage, Journal, JournalScan,
+    RecoveryManager, TickRecord, CHECKPOINT_MAGIC,
 };
 pub use validation::{Episode, ValidationOutcome};

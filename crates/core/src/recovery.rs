@@ -3,10 +3,16 @@
 //!
 //! The durability model has two artifacts:
 //!
-//! 1. **Checkpoint** — a framed snapshot of the complete controller
-//!    state ([`PrepareController::store_state`]): magic + version, a
-//!    length-prefixed payload, and a word-wise checksum over the payload.
-//!    Written every `checkpoint_every` ticks.
+//! 1. **Checkpoint** — a chain of immutable, checksummed frames, written
+//!    every `checkpoint_every` ticks. Each seal appends one *series
+//!    frame*, holding every VM's metric samples ingested since the
+//!    previous seal, and rewrites the *state frame*: magic + version, the
+//!    tick, the complete controller state with each VM's series reduced
+//!    to its sealed sample count, and the checksum of the last series
+//!    frame it covers. Each series frame names its predecessor's
+//!    checksum, so a frame dropped, repeated, reordered or taken from
+//!    another image is refused. The series are append-only, so a seal
+//!    writes only what changed since the last one.
 //! 2. **Write-ahead journal** — one [`TickRecord`] per control round
 //!    appended *after* the round ran: the round's inputs (timestamp,
 //!    stamped readings, SLO status) plus every cluster reply the round
@@ -39,12 +45,16 @@
 use crate::{ClusterReply, ControllerEvent, PrepareController};
 use prepare_cloudsim::Cluster;
 use prepare_metrics::persist::{store_seq, Persist, PersistError, Reader, Writer};
-use prepare_metrics::{StampedSample, Timestamp, VmId};
+use prepare_metrics::{StampedSample, TimeSeries, Timestamp, VmId, ATTRIBUTE_COUNT};
 use prepare_par::ParConfig;
 use std::sync::Arc;
 
-/// Magic + version sealing a checkpoint frame ("PRPCKP" + version 09).
-pub const CHECKPOINT_MAGIC: u64 = u64::from_le_bytes(*b"PRPCKP09");
+/// Magic + version opening a checkpoint's state frame ("PRPCKP" + version
+/// 10).
+pub const CHECKPOINT_MAGIC: u64 = u64::from_le_bytes(*b"PRPCKP10");
+
+/// The predecessor checksum a checkpoint's first series frame names.
+const CHAIN_START: u64 = 0;
 
 /// The frame checksum: FNV-1a's constants and its xor-then-multiply
 /// step with a xor-shift after each multiply, over little-endian 64-bit
@@ -86,8 +96,9 @@ fn checksum(payload: &[u8]) -> u64 {
     tail.iter().fold(s, |s, &b| fold_in(s, u64::from(b)))
 }
 
-/// The capacity a seal needs after an image of `len` bytes: the image
-/// rarely shrinks between seals, so its size plus an eighth.
+/// The capacity a seal needs for its state frame after one of `len`
+/// bytes: the state frame rarely shrinks between seals, so its size plus
+/// an eighth.
 fn seal_reserve(len: usize) -> usize {
     len + len / 8
 }
@@ -102,22 +113,107 @@ fn open_frame(w: &mut Writer) -> usize {
 }
 
 /// Ends the frame opened at `at`: patches the payload length into the
-/// reserved word and appends the payload's checksum.
-fn close_frame(w: &mut Writer, at: usize) {
+/// reserved word and appends the payload's checksum, which it returns.
+fn close_frame(w: &mut Writer, at: usize) -> u64 {
     let start = at + 8;
     w.patch_u64(at, (w.len() - start) as u64);
     let sum = checksum(&w.bytes()[start..]);
     w.put_u64(sum);
+    sum
 }
 
 /// Reads one frame back, rejecting a payload that fails its checksum.
 fn get_frame<'a>(r: &mut Reader<'a>) -> Result<&'a [u8], PersistError> {
+    get_summed_frame(r).map(|(payload, _)| payload)
+}
+
+/// [`get_frame`], also returning the payload's checksum.
+fn get_summed_frame<'a>(r: &mut Reader<'a>) -> Result<(&'a [u8], u64), PersistError> {
     let len = r.get_usize()?;
     let payload = r.get_raw(len)?;
-    if r.get_u64()? != checksum(payload) {
+    let sum = checksum(payload);
+    if r.get_u64()? != sum {
         return Err(PersistError::BadChecksum);
     }
-    Ok(payload)
+    Ok((payload, sum))
+}
+
+/// Writes one series frame: the checksum of the frame before it, then
+/// how many samples each slot has after its `sealed` count (a slot
+/// `sealed` does not name counts from 0) as runs of equal counts — a
+/// varint slot count and a varint sample count per run, covering the
+/// slots in order — then each slot's new samples in slot order
+/// ([`TimeSeries::store_since`]). Every VM gains one sample a round, so
+/// a frame's counts are usually one run. Returns the frame's checksum,
+/// which the next frame names.
+// xtask: hot-path
+fn write_series_frame(
+    w: &mut Writer,
+    controller: &PrepareController,
+    sealed: &[usize],
+    prev: u64,
+) -> u64 {
+    let from = |slot: usize| sealed.get(slot).copied().unwrap_or(0);
+    let at = open_frame(w);
+    w.put_u64(prev);
+    let mut run: Option<(usize, u64)> = None;
+    for (slot, series) in controller.slot_series().enumerate() {
+        let new = series.len().saturating_sub(from(slot)) as u64;
+        run = match run {
+            Some((slots, count)) if count == new => Some((slots + 1, count)),
+            done => {
+                if let Some((slots, count)) = done {
+                    w.put_varint(slots as u64);
+                    w.put_varint(count);
+                }
+                Some((1, new))
+            }
+        };
+    }
+    if let Some((slots, count)) = run {
+        w.put_varint(slots as u64);
+        w.put_varint(count);
+    }
+    for (slot, series) in controller.slot_series().enumerate() {
+        series.store_since(w, from(slot));
+    }
+    close_frame(w, at)
+}
+
+/// Appends one series frame's samples to `series`, one per slot, after
+/// checking that the frame names `prev` as its predecessor.
+fn load_series_frame(
+    frame: &[u8],
+    prev: u64,
+    series: &mut [TimeSeries],
+) -> Result<(), PersistError> {
+    let mut r = Reader::new(frame);
+    if r.get_u64()? != prev {
+        return Err(PersistError::BrokenChain);
+    }
+    let mut runs = Vec::new();
+    let mut covered = 0;
+    while covered < series.len() {
+        let slots = usize::try_from(r.get_varint()?)
+            .map_err(|_| PersistError::Invalid("series frame run"))?;
+        if slots == 0 || slots > series.len() - covered {
+            return Err(PersistError::Invalid("series frame run"));
+        }
+        let count = usize::try_from(r.get_varint()?)
+            .map_err(|_| PersistError::Invalid("usize overflow"))?;
+        runs.push((slots, count));
+        covered += slots;
+    }
+    let mut slots = series.iter_mut();
+    for (run, count) in runs {
+        for s in slots.by_ref().take(run) {
+            s.load_since(&mut r, count)?;
+        }
+    }
+    if !r.is_exhausted() {
+        return Err(PersistError::Invalid("series frame trailing bytes"));
+    }
+    Ok(())
 }
 
 /// One journaled control round: everything needed to re-drive the round
@@ -299,60 +395,217 @@ impl Journal {
     }
 }
 
-/// Checkpoint framing: magic + version, length-prefixed payload
-/// (`tick` then the full controller state), payload checksum.
+/// Checkpoint framing. An image is the state frame — magic + version,
+/// then a length-prefixed payload and its checksum — followed by its
+/// series frames, oldest first, each a length-prefixed payload and its
+/// checksum. The state payload is the tick, the controller state of
+/// [`PrepareController::store_state`] with each VM's series replaced by
+/// its sealed sample count, and the checksum of the last series frame. A
+/// series payload is its predecessor's checksum (the first names 0), then
+/// how many samples each VM gained since the previous frame, run-length
+/// coded, then those samples, VM by VM in slot order.
+///
+/// An image comes in two shapes that [`Checkpoint::read`] both reads: a
+/// [`RecoveryManager`]'s chain ([`CheckpointImage`]), each frame its own
+/// buffer, and the one-piece layout ([`Checkpoint::write`],
+/// [`CheckpointImage::to_vec`]), whose state frame's length and checksum
+/// run over the series frames too. Either way each series frame is
+/// checked on its own and against its neighbours.
 #[derive(Debug)]
 pub struct Checkpoint;
 
 impl Checkpoint {
     /// Serializes `controller` (as of tick index `tick`) into a sealed
-    /// checkpoint frame.
+    /// one-piece checkpoint with a single series frame.
     pub fn write(controller: &PrepareController, tick: u64) -> Vec<u8> {
-        let (mut w, frame) = Self::begin(tick, Vec::new());
-        controller.store_state(&mut w);
+        let mut w = Writer::new();
+        w.put_u64(CHECKPOINT_MAGIC);
+        let frame = open_frame(&mut w);
+        w.put_u64(tick);
+        controller.store_core_framed(&mut w);
+        controller.store_events(&mut w);
+        // The tip comes before the frame whose checksum it is: reserved
+        // here, patched once the frame is written.
+        let tip_at = w.len();
+        w.put_u64(CHAIN_START);
+        let tip = write_series_frame(&mut w, controller, &[], CHAIN_START);
+        w.patch_u64(tip_at, tip);
         close_frame(&mut w, frame);
         w.into_bytes()
     }
 
-    /// The head of a checkpoint, written into `buf`'s allocation: magic,
-    /// an open frame, the tick index. The caller writes the controller
-    /// state and closes the frame.
-    fn begin(tick: u64, buf: Vec<u8>) -> (Writer, usize) {
-        let mut w = Writer::reusing(buf);
-        w.put_u64(CHECKPOINT_MAGIC);
-        let frame = open_frame(&mut w);
-        w.put_u64(tick);
-        (w, frame)
-    }
-
-    /// Restores a controller (and its tick index) from a checkpoint
-    /// frame, adopting the worker configuration of the recovering
-    /// process.
+    /// Restores a controller (and its tick index) from a checkpoint —
+    /// one piece or a chain of frames — adopting the worker configuration
+    /// of the recovering process.
     ///
     /// # Errors
     ///
     /// Returns a [`PersistError`] on a wrong magic/version, a torn or
-    /// corrupt frame (checksum mismatch), or invalid payload bytes.
-    pub fn read(image: &[u8], par: ParConfig) -> Result<(PrepareController, u64), PersistError> {
-        let mut r = Reader::new(image);
-        let magic = r.get_u64()?;
-        if magic != CHECKPOINT_MAGIC {
-            return Err(PersistError::BadMagic {
-                found: magic,
-                expected: CHECKPOINT_MAGIC,
+    /// corrupt frame (checksum mismatch), a series frame missing, extra,
+    /// out of order or from another image
+    /// ([`PersistError::BrokenChain`]), or invalid payload bytes.
+    pub fn read(
+        image: &(impl CheckpointBytes + ?Sized),
+        par: ParConfig,
+    ) -> Result<(PrepareController, u64), PersistError> {
+        restore(image, par).map(|restored| (restored.controller, restored.tick))
+    }
+}
+
+/// A checkpoint image [`Checkpoint::read`] reads: the one-piece layout,
+/// as bytes, or a [`CheckpointImage`].
+pub trait CheckpointBytes {
+    /// The image's bytes in order, in pieces that each hold whole frames.
+    fn pieces(&self) -> impl Iterator<Item = &[u8]>;
+}
+
+impl CheckpointBytes for [u8] {
+    fn pieces(&self) -> impl Iterator<Item = &[u8]> {
+        std::iter::once(self)
+    }
+}
+
+impl CheckpointBytes for Vec<u8> {
+    fn pieces(&self) -> impl Iterator<Item = &[u8]> {
+        std::iter::once(self.as_slice())
+    }
+}
+
+impl CheckpointBytes for CheckpointImage {
+    fn pieces(&self) -> impl Iterator<Item = &[u8]> {
+        self.frames()
+    }
+}
+
+/// A checkpoint restored, with where its series frames end.
+struct Restored {
+    controller: PrepareController,
+    tick: u64,
+    /// Each slot's sealed sample count.
+    sealed: Vec<usize>,
+    /// The checksum of the last series frame.
+    tip: u64,
+}
+
+/// Reads a checkpoint from its pieces: the first holds the state frame
+/// (and, in the one-piece layout, the series frames inside it), the rest
+/// hold series frames.
+fn restore(
+    image: &(impl CheckpointBytes + ?Sized),
+    par: ParConfig,
+) -> Result<Restored, PersistError> {
+    let mut pieces = image.pieces();
+    let mut r = Reader::new(pieces.next().unwrap_or_default());
+    let magic = r.get_u64()?;
+    if magic != CHECKPOINT_MAGIC {
+        return Err(PersistError::BadMagic {
+            found: magic,
+            expected: CHECKPOINT_MAGIC,
+        });
+    }
+    let payload = get_frame(&mut r)?;
+    if !r.is_exhausted() {
+        return Err(PersistError::Invalid("checkpoint trailing bytes"));
+    }
+    let mut pr = Reader::new(payload);
+    let tick = pr.get_u64()?;
+    let (mut controller, sealed) = PrepareController::load_framed(&mut pr, par)?;
+    let tip = pr.get_u64()?;
+    let inline = pr.get_raw(pr.remaining())?;
+    // Each series gets its sealed count's room up front, not a doubling
+    // per frame; no more in all than the image has bytes for, so a
+    // damaged count reserves nothing the image could not hold.
+    let mut room = image.pieces().map(<[u8]>::len).sum::<usize>() / MIN_SAMPLE_BYTES;
+    let mut series = vec![TimeSeries::new(); sealed.len()];
+    for (s, &count) in series.iter_mut().zip(&sealed) {
+        let take = count.min(room);
+        s.reserve(take);
+        room -= take;
+    }
+    let mut prev = CHAIN_START;
+    for piece in std::iter::once(inline).chain(pieces) {
+        let mut fr = Reader::new(piece);
+        while !fr.is_exhausted() {
+            let (frame, sum) = get_summed_frame(&mut fr)?;
+            load_series_frame(frame, prev, &mut series)?;
+            prev = sum;
+        }
+    }
+    if prev != tip {
+        return Err(PersistError::BrokenChain);
+    }
+    for (s, &count) in series.iter().zip(&sealed) {
+        if s.len() < count {
+            return Err(PersistError::Truncated {
+                what: "sealed series samples",
             });
         }
-        let payload = get_frame(&mut r)?;
-        if !r.is_exhausted() {
-            return Err(PersistError::Invalid("checkpoint trailing bytes"));
+        if s.len() > count {
+            return Err(PersistError::Invalid("series frames past the sealed count"));
         }
-        let mut pr = Reader::new(payload);
-        let tick = pr.get_u64()?;
-        let controller = PrepareController::load_state(&mut pr, par)?;
-        if !pr.is_exhausted() {
-            return Err(PersistError::Invalid("checkpoint payload trailing bytes"));
+    }
+    controller.adopt_series(series);
+    Ok(Restored {
+        controller,
+        tick,
+        sealed,
+        tip,
+    })
+}
+
+/// A sealed checkpoint as a [`RecoveryManager`] keeps it: the state
+/// frame, which each seal replaces, and the series frames, to which each
+/// seal appends one. Every frame is an immutable buffer shared by `Arc`
+/// among the manager, its crash images and the managers recovered from
+/// them; cloning an image copies no frame.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CheckpointImage {
+    /// The magic, then the state frame.
+    state: Arc<Vec<u8>>,
+    /// The series frames, oldest first.
+    series: Vec<Arc<Vec<u8>>>,
+}
+
+impl CheckpointImage {
+    /// Bytes of every frame: what a seal has made durable.
+    pub fn len(&self) -> usize {
+        self.state.len() + self.series_bytes()
+    }
+
+    /// True for an image with no bytes, which no seal produces.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Bytes of the series frames.
+    fn series_bytes(&self) -> usize {
+        self.series.iter().map(|f| f.len()).sum()
+    }
+
+    /// The frames in image order: the state frame (with the magic), then
+    /// the series frames, oldest first.
+    fn frames(&self) -> impl Iterator<Item = &[u8]> {
+        std::iter::once(self.state.as_slice()).chain(self.series.iter().map(|f| f.as_slice()))
+    }
+
+    /// The image in the one-piece layout [`Checkpoint::write`] emits: the
+    /// same bytes in the same order, with the state frame's length and
+    /// checksum run over the series frames as well.
+    pub fn to_vec(&self) -> Vec<u8> {
+        let head = 8 + 8;
+        let state_payload = self
+            .state
+            .get(head..self.state.len().saturating_sub(8))
+            .unwrap_or_default();
+        let mut w = Writer::reusing(Vec::with_capacity(self.len()));
+        w.put_u64(CHECKPOINT_MAGIC);
+        let frame = open_frame(&mut w);
+        w.put_raw(state_payload);
+        for f in &self.series {
+            w.put_raw(f);
         }
-        Ok((controller, tick))
+        close_frame(&mut w, frame);
+        w.into_bytes()
     }
 }
 
@@ -360,8 +613,9 @@ impl Checkpoint {
 /// tail; use [`Journal::crash_image`] directly to model torn tails).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CrashImage {
-    /// The last sealed checkpoint frame, shared with (not copied from) its manager.
-    pub checkpoint: Arc<Vec<u8>>,
+    /// The last sealed checkpoint, its frames shared with (not copied
+    /// from) its manager.
+    pub checkpoint: CheckpointImage,
     /// The journal bytes up to the last durability barrier.
     pub journal: Vec<u8>,
 }
@@ -376,13 +630,18 @@ pub struct RecoveryManager {
     /// Ticks driven since the controller was created (survives crashes:
     /// restored as checkpoint tick + replayed journal records).
     tick: u64,
-    /// The last sealed checkpoint frame, shared with its crash images.
-    checkpoint: Arc<Vec<u8>>,
-    /// The frame `checkpoint` replaced, if no crash image still holds it.
-    /// The next seal is written into its allocation when it is large
-    /// enough: a fresh multi-megabyte buffer per seal is a fresh mapping
-    /// per seal, paid for in page faults while the round waits. Capacity
-    /// only: its bytes are never read.
+    /// The last sealed checkpoint, its frames shared with its crash images.
+    checkpoint: CheckpointImage,
+    /// Each slot's samples the series frames hold: where the next series
+    /// frame starts.
+    sealed: Vec<usize>,
+    /// The checksum of the last series frame, which the next one names.
+    tip: u64,
+    /// The state frame `checkpoint` replaced, if no crash image still
+    /// holds it. The next seal writes its state frame into this
+    /// allocation when it is large enough: a fresh half-megabyte buffer
+    /// per seal is a fresh mapping per seal, paid for in page faults while
+    /// the round waits. Capacity only: its bytes are never read.
     spare: Vec<u8>,
     journal: Journal,
 }
@@ -397,19 +656,21 @@ impl RecoveryManager {
     /// Panics if `checkpoint_every` is zero.
     pub fn new(controller: PrepareController, checkpoint_every: u64) -> Self {
         assert!(checkpoint_every > 0, "checkpoint interval must be positive");
-        let mut first = Checkpoint::write(&controller, 0);
-        // The room a seal gives a fresh buffer (see `tick`), so that this
-        // frame's allocation serves later seals like any other spare.
-        first.reserve_exact(2 * seal_reserve(first.len()) - first.len());
-        let checkpoint = Arc::new(first);
-        RecoveryManager {
+        let mut manager = RecoveryManager {
             controller,
             checkpoint_every,
             tick: 0,
-            checkpoint,
+            checkpoint: CheckpointImage {
+                state: Arc::default(),
+                series: Vec::new(),
+            },
+            sealed: Vec::new(),
+            tip: CHAIN_START,
             spare: Vec::new(),
             journal: Journal::new(),
-        }
+        };
+        manager.seal(|_, _| {});
+        manager
     }
 
     /// The managed controller.
@@ -427,7 +688,8 @@ impl RecoveryManager {
         self.journal.records()
     }
 
-    /// Size in bytes of the last sealed checkpoint frame.
+    /// Size in bytes of the last sealed checkpoint: every byte of every
+    /// frame.
     pub fn checkpoint_bytes(&self) -> usize {
         self.checkpoint.len()
     }
@@ -450,55 +712,77 @@ impl RecoveryManager {
         self.journal.barrier();
         self.tick += 1;
         if self.tick.is_multiple_of(self.checkpoint_every) {
-            // The state is serialized once, straight into the checkpoint
-            // frame. The core goes first and its length is what the
-            // event reports: a recovered run's full checkpoint
-            // legitimately carries extra crash/recovery events in its
-            // log, and the recovery-equivalence proofs compare
-            // post-recovery event streams byte-for-byte.
-            // The buffer is allocated once, never grown by doubling:
-            // that copied megabytes mid-seal and left holes in the heap
-            // whose reuse, not the state, decided the process's peak
-            // resident set from one run to the next. The spare was sized
-            // two seals back, so a fresh buffer gets twice the reserve: a
-            // growing image still fits when the buffer comes back as the
-            // spare, and only the first seal after a recovery allocates.
-            // Capacity never written is not resident.
-            let reserve = seal_reserve(self.checkpoint.len());
-            let mut buf = std::mem::take(&mut self.spare);
-            if buf.capacity() < reserve {
-                buf = Vec::with_capacity(2 * reserve);
-            }
-            let (mut payload, frame) = Checkpoint::begin(self.tick, buf);
-            let before_core = payload.len();
-            self.controller.store_core(&mut payload);
-            let bytes = payload.len() - before_core;
-            let taken = ControllerEvent::CheckpointTaken { at: now, bytes };
-            let truncated = ControllerEvent::JournalTruncated {
-                at: now,
-                records: self.journal.records(),
-            };
-            // Both bookkeeping events land in the log *before* the log
-            // joins the payload, so a restore from this checkpoint
-            // carries them — otherwise a crash on the next round would
-            // rebuild a log missing its own truncation marker.
-            self.controller.record_event(taken.clone());
-            self.controller.record_event(truncated.clone());
-            events.push(taken);
-            events.push(truncated);
-            self.controller.store_events(&mut payload);
-            close_frame(&mut payload, frame);
-            let old = std::mem::replace(&mut self.checkpoint, Arc::new(payload.into_bytes()));
-            self.spare = Arc::try_unwrap(old).unwrap_or_default();
+            let records = self.journal.records();
+            self.seal(|controller, bytes| {
+                let taken = ControllerEvent::CheckpointTaken { at: now, bytes };
+                let truncated = ControllerEvent::JournalTruncated { at: now, records };
+                controller.record_event(taken.clone());
+                controller.record_event(truncated.clone());
+                events.push(taken);
+                events.push(truncated);
+            });
             self.journal.truncate();
         }
         events
     }
 
+    /// Seals a checkpoint: appends a series frame with every VM's samples
+    /// since the last seal, then writes a fresh state frame. `bookkeeping`
+    /// runs after the state's core is written and before its event log,
+    /// with the size the seal reports: the series frames plus the core.
+    /// Events it records therefore land in the frame, so a restore from
+    /// this checkpoint carries them — otherwise a crash on the next round
+    /// would rebuild a log missing its own truncation marker. The size
+    /// leaves out the log, because a recovered run's log legitimately
+    /// carries extra crash/recovery events and the recovery-equivalence
+    /// proofs compare post-recovery event streams byte-for-byte; the
+    /// series frames a recovered run appends are its referee's.
+    fn seal(&mut self, bookkeeping: impl FnOnce(&mut PrepareController, usize)) {
+        // Each frame's buffer is allocated at a size that holds it, never
+        // grown by doubling: that copied megabytes mid-seal and left holes
+        // in the heap whose reuse, not the state, decided the process's
+        // peak resident set. Capacity never written is not resident.
+        let most = self
+            .controller
+            .slot_series()
+            .zip(self.sealed.iter().copied().chain(std::iter::repeat(0)))
+            .map(|(series, from)| 10 + series.len().saturating_sub(from) * MAX_SAMPLE_BYTES)
+            .sum::<usize>();
+        let mut frame = Writer::reusing(Vec::with_capacity(3 * 8 + most));
+        self.tip = write_series_frame(&mut frame, &self.controller, &self.sealed, self.tip);
+        self.checkpoint.series.push(Arc::new(frame.into_bytes()));
+        self.sealed.clear();
+        self.sealed
+            .extend(self.controller.slot_series().map(TimeSeries::len));
+
+        // The state frame goes into the spare, sized two seals back, so a
+        // fresh buffer gets twice the reserve: a growing frame still fits
+        // when the buffer comes back as the spare, and only the first
+        // seals after a recovery allocate.
+        let reserve = seal_reserve(self.checkpoint.state.len());
+        let mut buf = std::mem::take(&mut self.spare);
+        if buf.capacity() < reserve {
+            buf = Vec::with_capacity(2 * reserve);
+        }
+        let mut state = Writer::reusing(buf);
+        state.put_u64(CHECKPOINT_MAGIC);
+        let at = open_frame(&mut state);
+        state.put_u64(self.tick);
+        let before_core = state.len();
+        self.controller.store_core_framed(&mut state);
+        let bytes = self.checkpoint.series_bytes() + (state.len() - before_core);
+        bookkeeping(&mut self.controller, bytes);
+        self.controller.store_events(&mut state);
+        state.put_u64(self.tip);
+        close_frame(&mut state, at);
+        let old = std::mem::replace(&mut self.checkpoint.state, Arc::new(state.into_bytes()));
+        self.spare = Arc::try_unwrap(old).unwrap_or_default();
+    }
+
     /// The durable artifacts a crash right now would leave behind.
     pub fn crash_image(&self) -> CrashImage {
         CrashImage {
-            checkpoint: Arc::clone(&self.checkpoint),
+            checkpoint: self.checkpoint.clone(),
             journal: self.journal.crash_image(0),
         }
     }
@@ -507,6 +791,9 @@ impl RecoveryManager {
     /// re-drives every intact journal record through replay (consuming
     /// recorded cluster replies — the live cluster is not touched), and
     /// resumes with the journal contents intact for the next checkpoint.
+    /// The recovered manager shares the image's frames and appends its
+    /// next series frame after them, from the sample counts the image
+    /// sealed (the replayed samples are not sealed yet).
     /// Emits [`ControllerEvent::ControllerCrashed`] and
     /// [`ControllerEvent::RecoveryCompleted`] after the replay (both
     /// stamped `crashed_at`): replayed rounds carry pre-crash timestamps,
@@ -518,7 +805,7 @@ impl RecoveryManager {
     ///
     /// # Errors
     ///
-    /// Returns a [`PersistError`] when the checkpoint frame is corrupt.
+    /// Returns a [`PersistError`] when the checkpoint is corrupt.
     /// A torn journal tail is *not* an error: the torn frames were never
     /// acknowledged durable and are discarded by the scan.
     pub fn recover(
@@ -528,7 +815,12 @@ impl RecoveryManager {
         crashed_at: Timestamp,
     ) -> Result<RecoveryManager, PersistError> {
         assert!(checkpoint_every > 0, "checkpoint interval must be positive");
-        let (mut controller, checkpoint_tick) = Checkpoint::read(&image.checkpoint, par)?;
+        let Restored {
+            mut controller,
+            tick: checkpoint_tick,
+            sealed,
+            tip,
+        } = restore(&image.checkpoint, par)?;
         let scan = Journal::scan(&image.journal);
         let mut journal = Journal::new();
         for record in &scan.records {
@@ -551,17 +843,27 @@ impl RecoveryManager {
             controller,
             checkpoint_every,
             tick: checkpoint_tick + replayed as u64,
-            checkpoint: Arc::clone(&image.checkpoint),
+            checkpoint: image.checkpoint.clone(),
+            sealed,
+            tip,
             spare: Vec::new(),
             journal,
         })
     }
 }
 
+/// The most bytes one sample takes in a series frame: a ten-byte varint
+/// time delta and its values.
+const MAX_SAMPLE_BYTES: usize = 10 + ATTRIBUTE_COUNT * 8;
+
+/// The fewest bytes one sample takes in a series frame: a one-byte time
+/// delta and its values.
+const MIN_SAMPLE_BYTES: usize = 1 + ATTRIBUTE_COUNT * 8;
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prepare_metrics::{MetricSample, MetricVector, ATTRIBUTE_COUNT};
+    use prepare_metrics::{MetricSample, MetricVector};
 
     fn record(t: u64) -> TickRecord {
         let v = MetricVector::from_fn(|_| t as f64 + 0.25);
@@ -712,6 +1014,7 @@ mod tests {
             b"PRPCKP06",
             b"PRPCKP07",
             b"PRPCKP08",
+            b"PRPCKP09",
         ] {
             let mut old = image.clone();
             old[..8].copy_from_slice(earlier);
@@ -735,12 +1038,11 @@ mod tests {
         assert!(Checkpoint::read(&image[..image.len() - 3], ParConfig::serial()).is_err());
     }
 
-    /// The manager serializes the state once per seal, in two steps around
-    /// the bookkeeping events. The frame it keeps must be the frame the
-    /// one-step reference writer produces for the same controller, and
-    /// the reported size must be the core's.
+    /// At every seal the manager's chain restores the controller the
+    /// one-piece reference writer's image restores, and the reported size
+    /// is the series frames plus the state frame's core.
     #[test]
-    fn seal_once_frame_matches_checkpoint_write() {
+    fn a_sealed_chain_restores_what_checkpoint_write_restores() {
         let mut cluster = Cluster::new();
         let host = cluster.add_host(prepare_cloudsim::HostSpec::vcl_default());
         cluster
@@ -752,6 +1054,7 @@ mod tests {
             crate::Scheme::Prepare,
         );
         let mut manager = RecoveryManager::new(controller, 3);
+        let par = ParConfig::serial();
         for t in 0..7u64 {
             let rec = record(t * 5);
             let events = manager.tick(rec.now, &rec.readings, rec.slo_violated, &mut cluster);
@@ -760,16 +1063,36 @@ mod tests {
             if !sealed {
                 continue;
             }
+            let image = manager.crash_image().checkpoint;
+            let one_piece = Checkpoint::write(manager.controller(), manager.tick_count());
+            assert_eq!(image.len(), manager.checkpoint_bytes());
+            let state = |bytes: Result<(PrepareController, u64), PersistError>| {
+                let (controller, tick) = bytes.expect("intact image");
+                let mut w = Writer::new();
+                controller.store_state(&mut w);
+                (w.into_bytes(), tick)
+            };
+            let mut live = Writer::new();
+            manager.controller().store_state(&mut live);
+            let want = (live.into_bytes(), manager.tick_count());
+            assert_eq!(state(Checkpoint::read(&image, par)), want, "tick {t}");
             assert_eq!(
-                *manager.crash_image().checkpoint,
-                Checkpoint::write(manager.controller(), manager.tick_count()),
+                state(Checkpoint::read(&image.to_vec(), par)),
+                want,
                 "tick {t}"
             );
+            assert_eq!(state(Checkpoint::read(&one_piece, par)), want, "tick {t}");
+            let mut core = Writer::new();
+            manager.controller().store_core_framed(&mut core);
             let reported = events.iter().find_map(|e| match e {
                 ControllerEvent::CheckpointTaken { bytes, .. } => Some(*bytes),
                 _ => None,
             });
-            assert_eq!(reported, Some(manager.controller().core_state_bytes()));
+            assert_eq!(
+                reported,
+                Some(image.series_bytes() + core.len()),
+                "tick {t}"
+            );
         }
     }
 
@@ -893,33 +1216,31 @@ mod tests {
         );
     }
 
-    /// A seal writes into the allocation of the frame sealed two seals
-    /// earlier, which the previous seal released as the spare, even while
-    /// the image grows: each fresh buffer has room for the image after
-    /// next. Only the first seals, before any spare of that size exists,
-    /// may allocate.
+    /// A seal writes its state frame into the allocation of the state
+    /// frame sealed two seals earlier, which the previous seal released as
+    /// the spare, even while the image grows: each fresh buffer has room
+    /// for the frame after next. Only the first seals, before any spare of
+    /// that size exists, may allocate.
     #[test]
     fn a_growing_image_reuses_the_spare() {
-        let mut cluster = Cluster::new();
-        let host = cluster.add_host(prepare_cloudsim::HostSpec::vcl_default());
-        cluster
-            .create_vm(host, 100.0, 512.0)
-            .expect("host has room");
+        let mut cluster = two_vm_cluster();
         let mut controller = PrepareController::new(
-            vec![VmId(0)],
-            crate::PrepareConfig::default(),
+            vec![VmId(0), VmId(1)],
+            small_config(),
             crate::Scheme::Prepare,
         );
-        for t in 0..24u64 {
-            let rec = record(t * 5);
-            controller.on_readings(rec.now, &rec.readings, rec.slo_violated, &mut cluster);
+        for i in 0..15u64 {
+            let (now, readings, sick) = trained_round(i);
+            controller.on_readings(now, &readings, sick, &mut cluster);
         }
+        assert!(controller.is_trained());
         let mut manager = RecoveryManager::new(controller, 1);
-        let mut frames = vec![(manager.checkpoint.as_ptr(), manager.checkpoint_bytes())];
-        for t in 24..32u64 {
-            let rec = record(t * 5);
-            manager.tick(rec.now, &rec.readings, rec.slo_violated, &mut cluster);
-            frames.push((manager.checkpoint.as_ptr(), manager.checkpoint_bytes()));
+        let state = |m: &RecoveryManager| (m.checkpoint.state.as_ptr(), m.checkpoint.state.len());
+        let mut frames = vec![state(&manager)];
+        for i in 15..23u64 {
+            let (now, readings, sick) = trained_round(i);
+            manager.tick(now, &readings, sick, &mut cluster);
+            frames.push(state(&manager));
         }
         for (seal, pair) in frames.windows(2).enumerate() {
             assert!(pair[1].1 > pair[0].1, "seal {} did not grow", seal + 1);
@@ -953,6 +1274,22 @@ mod tests {
     /// anomaly on VM 0, a seal after round 12 and three journaled rounds
     /// after it.
     fn trained_manager() -> RecoveryManager {
+        let mut cluster = two_vm_cluster();
+        let config = small_config();
+        let controller =
+            PrepareController::new(vec![VmId(0), VmId(1)], config, crate::Scheme::Prepare);
+        let mut manager = RecoveryManager::new(controller, 12);
+        for i in 0..15u64 {
+            let (now, readings, sick) = trained_round(i);
+            manager.tick(now, &readings, sick, &mut cluster);
+        }
+        assert!(manager.controller().is_trained(), "scenario must train");
+        assert_eq!(manager.journal_records(), 3);
+        manager
+    }
+
+    /// A cluster of two hosts with one VM each.
+    fn two_vm_cluster() -> Cluster {
         let mut cluster = Cluster::new();
         for _ in 0..2 {
             let host = cluster.add_host(prepare_cloudsim::HostSpec::vcl_default());
@@ -960,23 +1297,21 @@ mod tests {
                 .create_vm(host, 100.0, 512.0)
                 .expect("host has room");
         }
-        let config = small_config();
-        let controller =
-            PrepareController::new(vec![VmId(0), VmId(1)], config, crate::Scheme::Prepare);
-        let mut manager = RecoveryManager::new(controller, 12);
-        for i in 0..15u64 {
-            let now = Timestamp::from_secs(i * 5);
-            let sick = (4..7).contains(&i);
-            let reading = |vm: usize, level: f64| {
-                let v = MetricVector::from_fn(|a| level + a.index() as f64 + (i % 3) as f64);
-                (VmId(vm), StampedSample::fresh(MetricSample::new(now, v)))
-            };
-            let readings = [reading(0, if sick { 90.0 } else { 20.0 }), reading(1, 30.0)];
-            manager.tick(now, &readings, sick, &mut cluster);
-        }
-        assert!(manager.controller().is_trained(), "scenario must train");
-        assert_eq!(manager.journal_records(), 3);
-        manager
+        cluster
+    }
+
+    /// Round `i` of [`trained_manager`]'s scenario: its time, both VMs'
+    /// readings, and the SLO status — violated, with VM 0 running hot, in
+    /// rounds 4 to 6.
+    fn trained_round(i: u64) -> (Timestamp, [(VmId, StampedSample); 2], bool) {
+        let now = Timestamp::from_secs(i * 5);
+        let sick = (4..7).contains(&i);
+        let reading = |vm: usize, level: f64| {
+            let v = MetricVector::from_fn(|a| level + a.index() as f64 + (i % 3) as f64);
+            (VmId(vm), StampedSample::fresh(MetricSample::new(now, v)))
+        };
+        let readings = [reading(0, if sick { 90.0 } else { 20.0 }), reading(1, 30.0)];
+        (now, readings, sick)
     }
 
     /// The checkpoint image of [`trained_manager`] is pinned by its length
@@ -990,23 +1325,222 @@ mod tests {
         fp.write_bytes(&image);
         assert_eq!(
             (image.len(), fp.finish()),
-            (8_958, 0x9dc3_42be_431f_3d84),
+            (8_992, 0xcb61_35a6_6b73_6481),
             "the checkpoint layout moved: bump `CHECKPOINT_MAGIC` and re-pin"
         );
     }
 
-    /// A crash image, and the manager recovered from it, hold the frame
-    /// the crashed manager sealed — not copies of it.
+    /// A crash image, and the manager recovered from it, hold the frames
+    /// the crashed manager sealed — not copies of them.
     #[test]
-    fn crash_and_recovery_share_the_sealed_frame() {
+    fn crash_and_recovery_share_the_sealed_frames() {
         let manager = trained_manager();
         let image = manager.crash_image();
-        assert!(Arc::ptr_eq(&image.checkpoint, &manager.checkpoint));
         let recovered =
             RecoveryManager::recover(&image, 12, ParConfig::serial(), Timestamp::from_secs(75))
                 .expect("intact image");
-        assert!(Arc::ptr_eq(&recovered.checkpoint, &image.checkpoint));
+        for holder in [&image.checkpoint, &recovered.checkpoint] {
+            assert!(Arc::ptr_eq(&holder.state, &manager.checkpoint.state));
+            assert_eq!(holder.series.len(), manager.checkpoint.series.len());
+            for (a, b) in holder.series.iter().zip(&manager.checkpoint.series) {
+                assert!(Arc::ptr_eq(a, b));
+            }
+        }
         assert_eq!(recovered.checkpoint_bytes(), manager.checkpoint_bytes());
+        assert_eq!(recovered.sealed, manager.sealed);
+        assert_eq!(recovered.tip, manager.tip);
+    }
+
+    /// A one-VM controller warmed up for 24 rounds, then managed with a
+    /// seal after every round for `seals` rounds. `offset` moves every
+    /// reading, so two offsets are two runs whose frames have equal
+    /// lengths and different bytes.
+    fn sealing_manager(offset: f64, seals: u64) -> RecoveryManager {
+        let mut cluster = Cluster::new();
+        let host = cluster.add_host(prepare_cloudsim::HostSpec::vcl_default());
+        cluster
+            .create_vm(host, 100.0, 512.0)
+            .expect("host has room");
+        let mut controller = PrepareController::new(
+            vec![VmId(0)],
+            crate::PrepareConfig::default(),
+            crate::Scheme::Prepare,
+        );
+        let rec = |t: u64| {
+            let mut rec = record(t * 5);
+            for (_, reading) in &mut rec.readings {
+                reading.sample.values = MetricVector::from_fn(|_| t as f64 + offset);
+            }
+            rec
+        };
+        for t in 0..24 {
+            let rec = rec(t);
+            controller.on_readings(rec.now, &rec.readings, rec.slo_violated, &mut cluster);
+        }
+        let mut manager = RecoveryManager::new(controller, 1);
+        for t in 24..24 + seals {
+            let rec = rec(t);
+            manager.tick(rec.now, &rec.readings, rec.slo_violated, &mut cluster);
+        }
+        manager
+    }
+
+    /// Each seal's series frame holds exactly the samples ingested since
+    /// the seal before it, and the chain restores the controller a
+    /// one-piece image of it restores.
+    #[test]
+    fn a_seal_writes_only_new_samples() {
+        let manager = sealing_manager(0.25, 6);
+        let series = manager.controller().series(VmId(0)).expect("managed VM");
+        assert_eq!(series.len(), 30);
+        let frames = &manager.checkpoint.series;
+        assert_eq!(frames.len(), 7, "the initial seal and six more");
+        // The initial frame holds the warm-up, each later one a round.
+        let mut decoded = TimeSeries::new();
+        let mut prev = CHAIN_START;
+        for (k, frame) in frames.iter().enumerate() {
+            let mut r = Reader::new(frame);
+            let (payload, sum) = get_summed_frame(&mut r).expect("intact frame");
+            assert!(r.is_exhausted());
+            let before = decoded.len();
+            load_series_frame(payload, prev, std::slice::from_mut(&mut decoded))
+                .expect("the frame's samples");
+            let end = if k == 0 { 24 } else { 24 + k };
+            assert_eq!(decoded.samples(), &series.samples()[..end], "frame {k}");
+            assert_eq!(before, if k == 0 { 0 } else { end - 1 }, "frame {k}");
+            // The frame is its link, one run and its samples.
+            let samples = 8 + 1 + 1 + (end - before) * (1 + ATTRIBUTE_COUNT * 8);
+            assert_eq!(payload.len(), samples, "frame {k}");
+            prev = sum;
+        }
+        assert_eq!(prev, manager.tip);
+        assert_eq!(manager.sealed, [30]);
+
+        let par = ParConfig::serial();
+        let (chain, tick) =
+            Checkpoint::read(&manager.crash_image().checkpoint, par).expect("intact chain");
+        let one_piece = Checkpoint::write(manager.controller(), manager.tick_count());
+        let (single, single_tick) = Checkpoint::read(&one_piece, par).expect("intact image");
+        assert_eq!((tick, single_tick), (6, 6));
+        assert_eq!(chain.model_fingerprint(), single.model_fingerprint());
+        assert_eq!(
+            chain.model_fingerprint(),
+            manager.controller().model_fingerprint()
+        );
+    }
+
+    /// A series frame's runs cover the slots exactly: a run of no slots,
+    /// one past the last slot, or samples left over are refused.
+    #[test]
+    fn a_series_frame_whose_runs_miss_the_slots_never_loads() {
+        let frame = |runs: &[u64], tail: &[u8]| {
+            let mut w = Writer::new();
+            w.put_u64(CHAIN_START);
+            for &v in runs {
+                w.put_varint(v);
+            }
+            w.put_raw(tail);
+            w.into_bytes()
+        };
+        let mut series = vec![TimeSeries::new(); 3];
+        let load =
+            |bytes: &[u8], series: &mut [TimeSeries]| load_series_frame(bytes, CHAIN_START, series);
+        assert_eq!(load(&frame(&[3, 0], &[]), &mut series), Ok(()));
+        assert_eq!(load(&frame(&[1, 0, 2, 0], &[]), &mut series), Ok(()));
+        let run = Err(PersistError::Invalid("series frame run"));
+        assert_eq!(load(&frame(&[0, 0, 3, 0], &[]), &mut series), run);
+        assert_eq!(load(&frame(&[2, 0, 2, 0], &[]), &mut series), run);
+        assert_eq!(load(&frame(&[4, 0], &[]), &mut series), run);
+        assert_eq!(
+            load(&frame(&[3, 0], &[7]), &mut series),
+            Err(PersistError::Invalid("series frame trailing bytes"))
+        );
+        assert!(matches!(
+            load(&frame(&[2, 0], &[]), &mut series),
+            Err(PersistError::Truncated { .. })
+        ));
+        assert_eq!(
+            load_series_frame(&frame(&[3, 0], &[]), 1, &mut series),
+            Err(PersistError::BrokenChain)
+        );
+        assert!(series.iter().all(TimeSeries::is_empty));
+    }
+
+    /// A chain whose series frames were tampered with never loads, in
+    /// either layout: a frame dropped (first, middle, last), repeated,
+    /// swapped with another, or replaced by a frame of the same length
+    /// from another run. Each frame's own checksum holds; the links do
+    /// not.
+    #[test]
+    fn a_checkpoint_with_a_missing_extra_reordered_or_foreign_frame_never_loads() {
+        let image = sealing_manager(0.25, 4).crash_image().checkpoint;
+        let foreign = sealing_manager(0.5, 4).crash_image().checkpoint;
+        let par = ParConfig::serial();
+        assert!(Checkpoint::read(&image, par).is_ok());
+        let frames = image.series.len();
+        assert_eq!(frames, 5);
+        let mut damaged: Vec<(String, CheckpointImage)> = Vec::new();
+        type SeriesFrames = Vec<Arc<Vec<u8>>>;
+        let mut with = |what: String, edit: &dyn Fn(&mut SeriesFrames)| {
+            let mut bad = image.clone();
+            edit(&mut bad.series);
+            damaged.push((what, bad));
+        };
+        for k in 0..frames {
+            with(format!("frame {k} dropped"), &|f| {
+                f.remove(k);
+            });
+            with(format!("frame {k} repeated"), &|f| {
+                f.insert(k, Arc::clone(&f[k]))
+            });
+            assert_eq!(foreign.series[k].len(), image.series[k].len());
+            assert_ne!(foreign.series[k], image.series[k]);
+            with(format!("frame {k} foreign"), &|f| {
+                f[k] = Arc::clone(&foreign.series[k]);
+            });
+            for j in k + 1..frames {
+                with(format!("frames {k} and {j} swapped"), &|f| f.swap(k, j));
+            }
+        }
+        for (what, bad) in &damaged {
+            assert_eq!(
+                Checkpoint::read(bad, par).err(),
+                Some(PersistError::BrokenChain),
+                "{what}"
+            );
+            assert_eq!(
+                Checkpoint::read(&bad.to_vec(), par).err(),
+                Some(PersistError::BrokenChain),
+                "{what}, one piece"
+            );
+        }
+    }
+
+    /// The bit-flip sweep, frame by frame: every bit of every frame of a
+    /// trained manager's chain — the state frame and each series frame —
+    /// flipped on its own, and each damaged chain is refused.
+    #[test]
+    fn every_bit_of_every_frame_of_a_chain_is_refused() {
+        let image = trained_manager().crash_image().checkpoint;
+        let par = ParConfig::serial();
+        assert!(Checkpoint::read(&image, par).is_ok());
+        assert_eq!(image.frames().count(), 3, "a state and two series frames");
+        let mut flipped = 0;
+        for k in 0..=image.series.len() {
+            let frame = image.frames().nth(k).expect("frame k").to_vec();
+            for bit in 0..frame.len() * 8 {
+                let mut bad_frame = frame.clone();
+                bad_frame[bit / 8] ^= 1 << (bit % 8);
+                let mut bad = image.clone();
+                match k {
+                    0 => bad.state = Arc::new(bad_frame),
+                    _ => bad.series[k - 1] = Arc::new(bad_frame),
+                }
+                assert!(Checkpoint::read(&bad, par).is_err(), "frame {k} bit {bit}");
+                flipped += 1;
+            }
+        }
+        assert_eq!(flipped, image.len() * 8);
     }
 
     /// ROADMAP item 4's fuzz: truncate the checkpoint of a trained

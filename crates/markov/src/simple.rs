@@ -254,7 +254,40 @@ impl SimpleMarkov {
 /// nonzero cell in increasing column order. Counts are whole numbers
 /// (`observe` only ever adds 1.0) and most cells of a trained chain are
 /// zero. No row count is written: the owner's state count fixes it.
+///
+/// One pass per row, with no per-cell work for a row of nothing but
+/// `+0.0` cells — most rows of a trained chain: one branch-free test
+/// writes its zero byte. Any other row reserves its cell count and
+/// patches it once the row's pairs are out. A cell is nonzero when it
+/// truncates to a nonzero `u64`, so the bytes are
+/// [`store_counts_reference`]'s for every table.
+// xtask: hot-path
 pub(crate) fn store_counts(w: &mut Writer, counts: &[f64], n: usize) {
+    for row in counts.chunks_exact(n) {
+        if row.iter().fold(0, |bits, c| bits | c.to_bits()) == 0 {
+            w.put_u8(0);
+            continue;
+        }
+        let at = w.len();
+        w.put_u8(0);
+        // `n <= MAX_STATES`, so both the cell count and a column fit a byte.
+        let mut nonzero = 0u8;
+        for (col, &c) in row.iter().enumerate() {
+            let c = c as u64;
+            if c != 0 {
+                w.put_u8(col as u8);
+                w.put_varint(c);
+                nonzero += 1;
+            }
+        }
+        w.patch_u8(at, nonzero);
+    }
+}
+
+/// The two-pass encoder [`store_counts`] replaced, kept verbatim as the
+/// referee of its bytes.
+#[cfg(test)]
+pub(crate) fn store_counts_reference(w: &mut Writer, counts: &[f64], n: usize) {
     for row in counts.chunks_exact(n) {
         let nonzero = || {
             row.iter()
@@ -563,6 +596,93 @@ mod tests {
                 SimpleMarkov::load_state(&mut r, n),
                 Err(PersistError::Invalid("Markov state count"))
             );
+        }
+    }
+}
+
+#[cfg(test)]
+mod codec_proptests {
+    use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The counts the sparse layout treats specially: the smallest, the
+    /// largest one-byte varint and the smallest two-byte one, and the
+    /// largest whole number every smaller one of which an `f64` holds.
+    const EDGE_COUNTS: [f64; 4] = [1.0, 127.0, 128.0, 9_007_199_254_740_992.0];
+
+    /// One nonzero count: an edge count or a random whole number up to 2^53.
+    fn count(rng: &mut StdRng) -> f64 {
+        match rng.gen_range(0..EDGE_COUNTS.len() + 2) {
+            k if k < EDGE_COUNTS.len() => EDGE_COUNTS[k],
+            k if k == EDGE_COUNTS.len() => rng.gen_range(1u64..200) as f64,
+            _ => rng.gen_range(1u64..=1 << 53) as f64,
+        }
+    }
+
+    /// A table of rows `n` wide: an all-zero row, a full row, then a few
+    /// rows of random density, in a random order.
+    fn table(rng: &mut StdRng, n: usize) -> Vec<f64> {
+        let mut rows: Vec<Vec<f64>> = vec![vec![0.0; n], (0..n).map(|_| count(rng)).collect()];
+        for _ in 0..rng.gen_range(0usize..4) {
+            let density = rng.gen::<f64>();
+            rows.push(
+                (0..n)
+                    .map(|_| {
+                        if rng.gen_bool(density) {
+                            count(rng)
+                        } else {
+                            0.0
+                        }
+                    })
+                    .collect(),
+            );
+        }
+        let first = rng.gen_range(0..rows.len());
+        rows.swap(0, first);
+        rows.concat()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+        // For every state count a chain can have (which covers every
+        // `MAX_BINS`-bounded configuration), the one-pass encoder writes
+        // the reference encoder's bytes, and `load_counts` reads the
+        // table back exactly.
+        #[test]
+        fn store_counts_writes_the_reference_bytes_and_load_counts_inverts_it(seed in 0u64..u64::MAX) {
+            for n in 1..=MAX_STATES {
+                let mut rng = StdRng::seed_from_u64(seed ^ ((n as u64) << 32));
+                let counts = table(&mut rng, n);
+                let rows = counts.len() / n;
+                let mut fast = Writer::new();
+                store_counts(&mut fast, &counts, n);
+                let mut reference = Writer::new();
+                store_counts_reference(&mut reference, &counts, n);
+                prop_assert_eq!(fast.bytes(), reference.bytes(), "n {}", n);
+                let mut r = Reader::new(fast.bytes());
+                let back = load_counts(&mut r, rows, n).expect("the encoder's own bytes");
+                prop_assert!(r.is_exhausted(), "n {}", n);
+                prop_assert_eq!(back, counts, "n {}", n);
+            }
+        }
+    }
+
+    /// Cells that are not whole positive numbers — what `observe` never
+    /// stores — still encode as the reference does: they truncate.
+    #[test]
+    fn cells_that_truncate_to_zero_match_the_reference() {
+        let cells = [0.5, -0.0, -3.0, f64::NAN, 0.999, 2.5, f64::INFINITY, 1e300];
+        for n in 1..=cells.len() {
+            for start in 0..cells.len() {
+                let row: Vec<f64> = cells.iter().cycle().skip(start).take(n).copied().collect();
+                let mut fast = Writer::new();
+                store_counts(&mut fast, &row, n);
+                let mut reference = Writer::new();
+                store_counts_reference(&mut reference, &row, n);
+                assert_eq!(fast.bytes(), reference.bytes(), "{row:?}");
+            }
         }
     }
 }

@@ -45,6 +45,9 @@ pub enum PersistError {
     },
     /// A decoded value violated a structural invariant.
     Invalid(&'static str),
+    /// A frame of a chained image does not follow the frame before it: a
+    /// frame is missing, extra, out of order or from another image.
+    BrokenChain,
 }
 
 impl fmt::Display for PersistError {
@@ -59,6 +62,12 @@ impl fmt::Display for PersistError {
             PersistError::BadChecksum => write!(f, "checksum mismatch (torn or corrupt frame)"),
             PersistError::BadTag { what, tag } => write!(f, "unknown tag {tag} for {what}"),
             PersistError::Invalid(what) => write!(f, "invalid value: {what}"),
+            PersistError::BrokenChain => {
+                write!(
+                    f,
+                    "frame chain broken (a frame missing, extra, reordered or foreign)"
+                )
+            }
         }
     }
 }
@@ -140,6 +149,16 @@ impl Writer {
     /// Panics unless `at + 8` bytes have been written.
     pub fn patch_u64(&mut self, at: usize, v: u64) {
         self.buf[at..at + 8].copy_from_slice(&v.to_le_bytes());
+    }
+
+    /// Overwrites the byte at offset `at` — how a writer fills in a count
+    /// it reserved before the items it counts.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `at + 1` bytes have been written.
+    pub fn patch_u8(&mut self, at: usize, v: u8) {
+        self.buf[at] = v;
     }
 
     /// Drops every byte written so far, keeping the allocation.

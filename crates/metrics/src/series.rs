@@ -46,6 +46,11 @@ impl TimeSeries {
         self.samples.is_empty()
     }
 
+    /// Makes room for at least `additional` more samples.
+    pub fn reserve(&mut self, additional: usize) {
+        self.samples.reserve_exact(additional);
+    }
+
     /// All samples in time order.
     pub fn samples(&self) -> &[MetricSample] {
         &self.samples
@@ -141,8 +146,52 @@ impl SeriesStats {
     }
 }
 
-/// A series is its length, then per sample the time as a varint delta
-/// from the previous sample's (the first from 0) and the 13 values as
+impl TimeSeries {
+    /// Writes the samples from index `from` on — what a checkpoint's
+    /// series frame holds of this series — in the whole-series layout,
+    /// the first one's time delta-coded from the sample before it (from 0
+    /// when there is none). The samples before `from` are in earlier
+    /// frames; their count is the frame's to write.
+    // xtask: hot-path
+    pub fn store_since(&self, w: &mut Writer, from: usize) {
+        let (sealed, new) = self.samples.split_at(from.min(self.samples.len()));
+        let mut prev = sealed.last().map_or(0, |s| s.time.as_secs());
+        for MetricSample { time, values } in new {
+            // `push` and `load` keep the samples in time order.
+            w.put_varint(time.as_secs() - prev);
+            values.store(w);
+            prev = time.as_secs();
+        }
+    }
+
+    /// Appends `len` samples [`TimeSeries::store_since`] wrote, whose
+    /// times continue from this series' last sample. The running time
+    /// sum is checked, so a delta that would carry a time past
+    /// `u64::MAX` is refused, not wrapped.
+    ///
+    /// # Errors
+    ///
+    /// A [`PersistError`] when the bytes run out or a time overflows.
+    pub fn load_since(&mut self, r: &mut Reader<'_>, len: usize) -> Result<(), PersistError> {
+        self.samples
+            .reserve(bounded_capacity::<MetricSample>(len, r));
+        let mut time = self.samples.last().map_or(0, |s| s.time.as_secs());
+        for _ in 0..len {
+            time = time
+                .checked_add(r.get_varint()?)
+                .ok_or(PersistError::Invalid("TimeSeries time overflows u64"))?;
+            self.samples.push(MetricSample::new(
+                Timestamp::from_secs(time),
+                MetricVector::load(r)?,
+            ));
+        }
+        Ok(())
+    }
+}
+
+/// A series is its length, then its samples as [`TimeSeries::store_since`]
+/// writes them from index 0 — per sample the time as a varint delta from
+/// the previous sample's (the first from 0) and the 13 values as
 /// [`MetricVector`]'s bit patterns. Samples are in time order, so no delta
 /// is negative; on load the running sum is checked, so a delta that
 /// would carry a time past `u64::MAX` is refused, not wrapped.
@@ -150,28 +199,13 @@ impl Persist for TimeSeries {
     fn store(&self, w: &mut Writer) {
         let Self { samples } = self;
         w.put_usize(samples.len());
-        let mut prev = 0;
-        for MetricSample { time, values } in samples {
-            // `push` and `load` keep the samples in time order.
-            w.put_varint(time.as_secs() - prev);
-            values.store(w);
-            prev = time.as_secs();
-        }
+        self.store_since(w, 0);
     }
     fn load(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         let len = r.get_usize()?;
-        let mut samples = Vec::with_capacity(bounded_capacity::<MetricSample>(len, r));
-        let mut time = 0u64;
-        for _ in 0..len {
-            time = time
-                .checked_add(r.get_varint()?)
-                .ok_or(PersistError::Invalid("TimeSeries time overflows u64"))?;
-            samples.push(MetricSample::new(
-                Timestamp::from_secs(time),
-                MetricVector::load(r)?,
-            ));
-        }
-        Ok(TimeSeries { samples })
+        let mut series = TimeSeries::new();
+        series.load_since(r, len)?;
+        Ok(series)
     }
 }
 
@@ -243,6 +277,50 @@ mod tests {
             .collect();
         let back: TimeSeries = crate::persist::from_bytes(&crate::persist::to_bytes(&ts)).unwrap();
         assert_eq!(back, ts);
+    }
+
+    /// Split at any point, a series written as its head and then its
+    /// tail (the tail's first time delta-coded from the head's last)
+    /// reads back whole, in the whole-series layout's bytes less its
+    /// length.
+    #[test]
+    fn a_series_written_in_parts_reads_back_whole() {
+        let ts: TimeSeries = [3, 5, 10, 10, 200, 1_000]
+            .map(|t| sample(t, t as f64))
+            .into_iter()
+            .collect();
+        let whole = crate::persist::to_bytes(&ts);
+        for split in 0..=ts.len() {
+            let mut w = crate::persist::Writer::new();
+            let prefix: TimeSeries = ts.samples()[..split].iter().copied().collect();
+            prefix.store_since(&mut w, 0);
+            ts.store_since(&mut w, split);
+            assert_eq!(w.bytes(), &whole[8..], "split {split}");
+            let mut r = crate::persist::Reader::new(w.bytes());
+            let mut back = TimeSeries::new();
+            back.load_since(&mut r, split).expect("head");
+            assert_eq!(back.samples(), &ts.samples()[..split]);
+            back.load_since(&mut r, ts.len() - split).expect("tail");
+            assert!(r.is_exhausted());
+            assert_eq!(back, ts, "split {split}");
+        }
+        // Past the end, there is nothing new to write.
+        let mut w = crate::persist::Writer::new();
+        ts.store_since(&mut w, ts.len() + 3);
+        assert!(w.is_empty());
+    }
+
+    #[test]
+    fn a_tail_whose_times_overflow_is_refused() {
+        let ts: TimeSeries = [u64::MAX - 1].map(|t| sample(t, 0.0)).into_iter().collect();
+        let mut w = crate::persist::Writer::new();
+        w.put_varint(2);
+        MetricVector::zeros().store(&mut w);
+        let mut back = ts.clone();
+        assert_eq!(
+            back.load_since(&mut crate::persist::Reader::new(w.bytes()), 1),
+            Err(PersistError::Invalid("TimeSeries time overflows u64"))
+        );
     }
 
     #[test]

@@ -11,92 +11,112 @@ use prepare_metrics::{debug_assert_finite, Label};
 /// attribute parent; its table has one parent row, `u = 0`.
 #[derive(Debug, Clone, PartialEq)]
 struct EdgeCpt {
-    /// log_p[c][u][v]
-    log_p: [Vec<Vec<f64>>; 2],
+    /// Every log-probability in one flat table, row-major: `log_p[(c ·
+    /// parent_card + u) · card + v]`. One allocation per table, so a
+    /// restore reads each table in one pass instead of building a vector
+    /// per row.
+    log_p: Vec<f64>,
+    /// Rows per class: the parent's cardinality (1 for the root).
+    parent_card: usize,
+    /// Cells per row: the attribute's cardinality.
+    card: usize,
 }
 
 impl EdgeCpt {
     fn fit(ds: &Dataset, attr: usize, parent: Option<usize>, alpha: f64) -> Self {
         let card = ds.cardinality(attr);
-        let pcard = parent.map_or(1, |p| ds.cardinality(p));
-        let mut counts = [
-            vec![vec![0.0f64; card]; pcard],
-            vec![vec![0.0f64; card]; pcard],
-        ];
+        let parent_card = parent.map_or(1, |p| ds.cardinality(p));
+        let mut counts = vec![0.0f64; 2 * parent_card * card];
         for (row, label) in ds.iter() {
             let u = parent.and_then(|p| row.get(p).copied()).unwrap_or(0);
+            let c = label.is_abnormal() as usize;
             // xtask-allow: index-in-loop -- Dataset::push keeps every value below its cardinality
-            counts[label.is_abnormal() as usize][u][row[attr]] += 1.0;
+            counts[(c * parent_card + u) * card + row[attr]] += 1.0;
         }
-        Self::from_counts(counts, alpha)
+        Self::from_counts(counts, parent_card, card, alpha)
     }
 
-    /// Derives the smoothed log-probability table from
-    /// `counts[class][parent value][value]` — the only count→probability
-    /// path for TAN tables.
-    fn from_counts(counts: [Vec<Vec<f64>>; 2], alpha: f64) -> Self {
-        let card = counts[0].first().map_or(0, Vec::len);
-        let log_p: [Vec<Vec<f64>>; 2] = counts.map(|by_parent| {
-            by_parent
-                .into_iter()
-                .map(|cs| {
-                    let total: f64 = cs.iter().sum::<f64>() + alpha * card as f64;
-                    cs.iter().map(|c| ((c + alpha) / total).ln()).collect()
-                })
-                .collect()
-        });
-        for by_parent in &log_p {
-            for row in by_parent {
-                crate::invariants::debug_assert_row_stochastic(row, "EdgeCpt::fit");
+    /// Derives the smoothed log-probability table from the flat
+    /// `counts[(class · parent_card + parent value) · card + value]` — the
+    /// only count→probability path for TAN tables.
+    fn from_counts(mut counts: Vec<f64>, parent_card: usize, card: usize, alpha: f64) -> Self {
+        for row in counts.chunks_exact_mut(card.max(1)) {
+            let total: f64 = row.iter().sum::<f64>() + alpha * card as f64;
+            for c in row.iter_mut() {
+                *c = ((*c + alpha) / total).ln();
             }
+            crate::invariants::debug_assert_row_stochastic(row, "EdgeCpt::fit");
         }
-        EdgeCpt { log_p }
+        EdgeCpt {
+            log_p: counts,
+            parent_card,
+            card,
+        }
     }
 
     fn log_prob(&self, value: usize, parent_value: usize, class: Label) -> f64 {
-        self.log_p[class.is_abnormal() as usize][parent_value][value]
+        let c = class.is_abnormal() as usize;
+        self.log_p[(c * self.parent_card + parent_value) * self.card + value]
     }
 
     /// Every `(class, parent value)` log-probability row.
     fn rows(&self) -> impl Iterator<Item = &[f64]> {
-        self.log_p.iter().flatten().map(Vec::as_slice)
+        self.log_p.chunks_exact(self.card.max(1))
     }
 
     /// Writes every log-probability, class by class, row by row. The
     /// table's shape is its owner's to supply on load.
     fn store_state(&self, w: &mut Writer) {
-        let Self { log_p } = self;
-        for v in log_p.iter().flatten().flatten() {
+        let Self {
+            log_p,
+            parent_card: _, // the parent's cardinality, supplied on load
+            card: _,        // the attribute's cardinality, supplied on load
+        } = self;
+        for v in log_p {
             w.put_f64(*v);
         }
     }
 
     /// Reads a table of `parent_card` rows of `card` log-probabilities per
-    /// class.
+    /// class, in one pass over the bytes.
     fn load_state(
         r: &mut Reader<'_>,
         parent_card: usize,
         card: usize,
     ) -> Result<Self, PersistError> {
-        let mut class = || -> Result<Vec<Vec<f64>>, PersistError> {
-            (0..parent_card)
-                .map(|_| (0..card).map(|_| get_log_prob(r)).collect())
-                .collect()
-        };
+        let cells = parent_card
+            .checked_mul(card)
+            .and_then(|n| n.checked_mul(2))
+            .ok_or(PersistError::Invalid("TanClassifier table shape"))?;
+        let bytes = r.get_raw(
+            cells
+                .checked_mul(8)
+                .ok_or(PersistError::Invalid("TanClassifier table shape"))?,
+        )?;
+        let mut log_p = Vec::with_capacity(cells);
+        for b in bytes.as_chunks::<8>().0 {
+            log_p.push(finite_log_prob(f64::from_le_bytes(*b))?);
+        }
         Ok(EdgeCpt {
-            log_p: [class()?, class()?],
+            log_p,
+            parent_card,
+            card,
         })
     }
 }
 
-/// Reads a stored log-probability, which must be finite.
-fn get_log_prob(r: &mut Reader<'_>) -> Result<f64, PersistError> {
-    let v = r.get_f64()?;
+/// A stored log-probability, which must be finite.
+fn finite_log_prob(v: f64) -> Result<f64, PersistError> {
     if v.is_finite() {
         Ok(v)
     } else {
         Err(PersistError::Invalid("TanClassifier log-probability"))
     }
+}
+
+/// Reads a stored log-probability, which must be finite.
+fn get_log_prob(r: &mut Reader<'_>) -> Result<f64, PersistError> {
+    finite_log_prob(r.get_f64()?)
 }
 
 /// The impact strength `L_i` of one attribute on an abnormal verdict
