@@ -11,9 +11,13 @@
 # workspace [lints] tables in Cargo.toml (unsafe_code forbidden, missing_docs
 # warned, in every member; unwrap_used, expect_used, panic, todo,
 # unimplemented and unreachable denied outside test code, each remaining
-# site under a reasoned #[expect]) and clippy.toml's disallowed types
-# (HashMap, HashSet); checkpoint coverage is a compile error, because every
-# struct serializer destructures `self` without `..`.
+# site under a reasoned #[expect]; ref_as_ptr and borrow_as_ptr denied) and
+# clippy.toml's disallowed-types (HashMap, HashSet, Instant, SystemTime,
+# ThreadId) and disallowed-methods (Instant/SystemTime now and elapsed,
+# thread::current, as_ptr/as_mut_ptr on Vec, slice and str, Arc/Rc
+# as_ptr), each legitimate read under a reasoned #[expect]; checkpoint
+# coverage is a compile error, because every struct serializer destructures
+# `self` without `..`.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -22,7 +26,9 @@ cargo fmt --all -- --check
 
 echo "==> cargo clippy (deny warnings)"
 # -D warnings turns the workspace missing_docs warning, clippy.toml's
-# disallowed-types hits and any unfulfilled #[expect] into errors.
+# disallowed-types and disallowed-methods hits (hash collections, host
+# clocks, thread ids, address reads) and any unfulfilled #[expect] into
+# errors.
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
 echo "==> cargo doc (deny warnings)"

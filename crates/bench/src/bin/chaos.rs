@@ -15,13 +15,12 @@
 //! chaos run is executed at 1 and 4 workers and the event logs must agree
 //! bit-for-bit before any number is reported.
 
-use prepare_bench::harness::{measured_ms, write_bench_json};
+use prepare_bench::harness::{write_bench_json, Stopwatch};
 use prepare_cloudsim::ChaosStats;
 use prepare_core::{
     AppKind, Experiment, ExperimentReport, ExperimentResult, ExperimentSpec, FaultChoice, Scheme,
 };
 use prepare_tlc::suite::{hostile_plan, PINNED_CHAOS_SEEDS};
-use std::time::Instant;
 
 /// Simulation seed shared by every run (chaos perturbs on top of it).
 const SEED: u64 = 42;
@@ -52,9 +51,9 @@ fn run(
         spec = spec.with_chaos(hostile_plan(seed));
     }
     spec.config = spec.config.with_workers(workers);
-    let t0 = Instant::now();
+    let clock = Stopwatch::start();
     let result = Experiment::new(spec, SEED).run();
-    let wall_ms = measured_ms(t0);
+    let wall_ms = clock.elapsed_ms();
     prepare_bench::harness::assert_trace_clean(
         &format!("{app:?}/{scheme:?}/chaos={chaos_seed:?}/workers={workers}"),
         &result.events,

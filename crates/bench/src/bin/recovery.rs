@@ -18,12 +18,11 @@
 //! Every timed section runs best-of-N ([`TRIALS`]) so a shared machine's
 //! scheduler noise cannot fabricate a slowdown.
 
-use prepare_bench::harness::{measured_ms, write_bench_json};
+use prepare_bench::harness::{write_bench_json, Stopwatch};
 use prepare_cloudsim::{Cluster, HostSpec};
 use prepare_core::{Checkpoint, PrepareConfig, PrepareController, RecoveryManager, Scheme};
 use prepare_metrics::{AttributeKind, MetricSample, MetricVector, StampedSample, Timestamp, VmId};
 use prepare_par::ParConfig;
-use std::time::Instant;
 
 /// Controller fleet sizes for the checkpoint leg.
 const FLEETS: [usize; 3] = [256, 1024, 4096];
@@ -149,16 +148,16 @@ fn checkpoint_row(
     let mut serialize_ms = f64::INFINITY;
     let mut image = Vec::new();
     for _ in 0..TRIALS {
-        let t0 = Instant::now();
+        let clock = Stopwatch::start();
         let img = Checkpoint::write(controller, tick);
-        serialize_ms = serialize_ms.min(measured_ms(t0));
+        serialize_ms = serialize_ms.min(clock.elapsed_ms());
         image = img;
     }
     let mut restore_ms = f64::INFINITY;
     for _ in 0..TRIALS {
-        let t0 = Instant::now();
+        let clock = Stopwatch::start();
         let restored = Checkpoint::read(&image, par);
-        let elapsed = measured_ms(t0);
+        let elapsed = clock.elapsed_ms();
         match restored {
             Ok((back, back_tick)) => {
                 // Fidelity gate: a checkpoint that does not round-trip
@@ -271,9 +270,9 @@ fn main() {
     for (records, image, fingerprint) in &images {
         let mut recover_ms = f64::INFINITY;
         for _ in 0..TRIALS {
-            let t0 = Instant::now();
+            let clock = Stopwatch::start();
             let recovered = RecoveryManager::recover(image, no_checkpoints, par, crashed_at);
-            let elapsed = measured_ms(t0);
+            let elapsed = clock.elapsed_ms();
             match recovered {
                 Ok(recovered) => {
                     if recovered.controller().model_fingerprint() != *fingerprint {

@@ -8,6 +8,7 @@
 //! of the running controller come from `benchmark/`.
 
 use prepare_anomaly::{AnomalyPredictor, PredictorConfig};
+use prepare_bench::harness::Stopwatch;
 use prepare_cloudsim::{Cluster, Demand, HostSpec, Monitor, TABLE1_COSTS};
 use prepare_markov::{SimpleMarkov, TwoDependentMarkov};
 use prepare_metrics::{
@@ -17,7 +18,6 @@ use prepare_tan::{Classifier, Dataset, TanClassifier};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::error::Error;
-use std::time::Instant;
 
 /// 600-sample discretized training sequence (Table I uses 600 samples).
 fn training_sequence(rng: &mut StdRng) -> Vec<usize> {
@@ -49,11 +49,11 @@ fn training_trace(rng: &mut StdRng) -> (TimeSeries, SloLog) {
 fn time_ms(iterations: u32, mut f: impl FnMut()) -> f64 {
     // warm-up
     f();
-    let start = Instant::now();
+    let clock = Stopwatch::start();
     for _ in 0..iterations {
         f();
     }
-    start.elapsed().as_secs_f64() * 1000.0 / iterations as f64
+    clock.elapsed_ms() / iterations as f64
 }
 
 fn main() -> Result<(), Box<dyn Error>> {

@@ -25,20 +25,37 @@ pub fn assert_trace_clean(label: &str, events: &[ControllerEvent]) {
     );
 }
 
-/// Milliseconds elapsed since `t0`. The single point where bench wall
-/// time becomes data: everything downstream carries a clean value, so
-/// the taint engine can prove the measurement never feeds simulation
-/// state or a trace fingerprint.
-// xtask: taint-sanitize -- measured wall time is the bench's payload; it is reported, never fed back into simulation or fingerprints
-pub fn measured_ms(t0: std::time::Instant) -> f64 {
-    t0.elapsed().as_secs_f64() * 1000.0
+pub use stopwatch::Stopwatch;
+
+#[expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "bench wall time is the payload: read here, reported as milliseconds, never fed \
+              back into simulation state or a fingerprint"
+)]
+mod stopwatch {
+    use std::time::Instant;
+
+    /// The bench binaries' one host clock. The `Instant` is private and
+    /// the only output is milliseconds: a caller gets a number to report,
+    /// never an `Instant` to compare, offset or keep as a deadline.
+    pub struct Stopwatch(Instant);
+
+    impl Stopwatch {
+        /// Starts timing now.
+        pub fn start() -> Stopwatch {
+            Stopwatch(Instant::now())
+        }
+
+        /// Milliseconds since [`Stopwatch::start`].
+        pub fn elapsed_ms(&self) -> f64 {
+            self.0.elapsed().as_secs_f64() * 1000.0
+        }
+    }
 }
 
-/// Writes one `BENCH_*.json` artifact. Marked as a determinism sink:
-/// any nondet-tainted value (iteration order, raw clock reads, pointer
-/// keys) reaching the emitted JSON is a lint finding — measured times
-/// must come through [`measured_ms`].
-// xtask: taint-sink
+/// Writes one `BENCH_*.json` artifact; measured times reach it only as
+/// [`Stopwatch`] milliseconds.
 pub fn write_bench_json(name: &str, json: &str) {
     if let Err(err) = std::fs::write(name, json) {
         eprintln!("failed to write {name}: {err}");

@@ -1222,6 +1222,10 @@ mod tests {
     /// for the frame after next. Only the first seals, before any spare of
     /// that size exists, may allocate.
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the assertion is that the sealed image keeps its allocation"
+    )]
     fn a_growing_image_reuses_the_spare() {
         let mut cluster = two_vm_cluster();
         let mut controller = PrepareController::new(

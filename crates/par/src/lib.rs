@@ -249,6 +249,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the assertion is about which thread ran each shard"
+    )]
     fn the_caller_maps_shard_zero() {
         let caller = std::thread::current().id();
         let ran_on = par_map(

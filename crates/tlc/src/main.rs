@@ -13,8 +13,6 @@
 //! skipped); CI leaves it unset so one invocation covers both engines.
 //! `--skip-explore` drops the explorer sweep for quick local runs.
 
-use std::time::Instant; // xtask-allow: time-source -- checker self-timing, reported to CI, never simulated
-
 use prepare_tlc::explore::explore;
 use prepare_tlc::suite::{check_traces, suite_traces, worker_divergences, CheckedTrace};
 
@@ -53,8 +51,13 @@ fn render_suite(report: &mut String, checked: &[CheckedTrace]) -> usize {
     violations
 }
 
+#[expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "checker self-timing, reported to CI, never simulated"
+)]
 fn main() {
-    let start = Instant::now(); // xtask-allow: time-source -- checker self-timing, reported to CI, never simulated
+    let start = std::time::Instant::now();
     let mut report_path = String::from("target/tlc-report.txt");
     let mut skip_explore = false;
     let mut args = std::env::args().skip(1);

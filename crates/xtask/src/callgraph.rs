@@ -34,25 +34,6 @@ pub struct Graph {
     pub edges: Vec<Vec<FnId>>,
 }
 
-/// One `name(…)` call site inside a function body, with its resolution.
-/// The dataflow engine maps argument spans to callee parameters through
-/// these; `callees` is empty for std/unresolvable calls.
-#[derive(Debug, Clone)]
-pub struct CallSite {
-    /// Code position of the callee name token.
-    pub pos: usize,
-    /// Code position of the argument list's `(`.
-    pub paren: usize,
-    /// Workspace functions this call can reach (empty = std/unknown).
-    pub callees: Vec<FnId>,
-    /// Code position of the receiver identifier for `recv.name(…)`
-    /// method calls whose receiver is a plain identifier.
-    pub recv: Option<usize>,
-}
-
-/// Per-function call sites, indexed by [`FnId`].
-pub type Sites = Vec<Vec<CallSite>>;
-
 /// Method names so common in std that an unknown-receiver fallback edge
 /// on them would connect the graph into one blob. Calls to these through
 /// an *unresolved* receiver create no edge; a receiver narrowed to a
@@ -200,15 +181,13 @@ pub fn crate_dir(rel: &str) -> String {
     }
 }
 
-/// Builds the call graph plus every function's resolved call sites (one
-/// resolution pass serves both the graph and the dataflow engine).
-/// `crate_map` maps crate identifiers (`prepare_markov`) to their
-/// directory prefix (`crates/markov`).
-pub fn build_with_sites(
+/// Builds the call graph. `crate_map` maps crate identifiers
+/// (`prepare_markov`) to their directory prefix (`crates/markov`).
+pub fn build(
     files: &[SourceFile],
     items: &[FileItems],
     crate_map: &BTreeMap<String, String>,
-) -> (Graph, Sites) {
+) -> Graph {
     let mut fns: Vec<FnRef> = Vec::new();
     for (fi, fitems) in items.iter().enumerate() {
         for ii in 0..fitems.fns.len() {
@@ -261,18 +240,11 @@ pub fn build_with_sites(
         free_by_name: &free_by_name,
     };
 
-    let mut edges: Vec<Vec<FnId>> = Vec::with_capacity(fns.len());
-    let mut sites: Sites = Vec::with_capacity(fns.len());
-    for r in &fns {
-        let s = resolver.sites_of(*r);
-        let mut out: BTreeSet<FnId> = BTreeSet::new();
-        for site in &s {
-            out.extend(site.callees.iter().copied());
-        }
-        edges.push(out.into_iter().collect());
-        sites.push(s);
-    }
-    (Graph { fns, edges }, sites)
+    let edges = fns
+        .iter()
+        .map(|&r| resolver.callees_of(r).into_iter().collect())
+        .collect();
+    Graph { fns, edges }
 }
 
 impl Graph {
@@ -311,20 +283,21 @@ struct Resolver<'a> {
 }
 
 impl<'a> Resolver<'a> {
-    fn sites_of(&self, r: FnRef) -> Vec<CallSite> {
+    /// Every workspace function a call in `r`'s body can reach.
+    fn callees_of(&self, r: FnRef) -> BTreeSet<FnId> {
+        let mut out: BTreeSet<FnId> = BTreeSet::new();
         let (Some(file), Some(fitems)) = (self.files.get(r.file), self.items.get(r.file)) else {
-            return Vec::new();
+            return out;
         };
         let Some(item) = fitems.fns.get(r.item) else {
-            return Vec::new();
+            return out;
         };
         let Some((open, close)) = item.body else {
-            return Vec::new();
+            return out;
         };
         let own_dir = crate_dir(&file.rel_path);
         let env = self.build_env(file, fitems, r.item, open, close);
 
-        let mut sites: Vec<CallSite> = Vec::new();
         let mut j = open + 1;
         while j < close {
             let Some(w) = file.cident(j).filter(|w| !CALL_KEYWORDS.contains(w)) else {
@@ -341,13 +314,9 @@ impl<'a> Resolver<'a> {
                 j += 1;
                 continue;
             }
-            let mut out: BTreeSet<FnId> = BTreeSet::new();
-            let mut recv = None;
-            let mut is_call = true;
             if j > 0 && file.cpunct(j - 1, '.') {
                 // Method call: narrow by receiver when possible.
                 self.resolve_method(file, &env, j, w, &mut out);
-                recv = j.checked_sub(2).filter(|&k| file.cident(k).is_some());
             } else if j >= 2 && file.cpair(j - 2, ':', ':') {
                 self.resolve_path(
                     file,
@@ -359,21 +328,12 @@ impl<'a> Resolver<'a> {
                     &mut out,
                 );
             } else if !(j > 0 && file.ctext(j - 1) == "fn") {
+                // (A nested `fn name(` is a definition, not a call.)
                 self.resolve_free(fitems, &own_dir, w, &mut out);
-            } else {
-                is_call = false; // nested `fn name(` definition
-            }
-            if is_call {
-                sites.push(CallSite {
-                    pos: j,
-                    paren: after,
-                    callees: out.into_iter().collect(),
-                    recv,
-                });
             }
             j = after;
         }
-        sites
+        out
     }
 
     /// Receiver-typed environment: `self`, typed params, and one-step
@@ -628,7 +588,7 @@ mod tests {
         let mut crate_map = BTreeMap::new();
         crate_map.insert("prepare_markov".to_string(), "crates/markov".to_string());
         crate_map.insert("prepare_tan".to_string(), "crates/tan".to_string());
-        let (graph, _sites) = build_with_sites(&files, &items, &crate_map);
+        let graph = build(&files, &items, &crate_map);
         (files, items, graph)
     }
 

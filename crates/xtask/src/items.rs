@@ -36,13 +36,6 @@ pub struct FnItem {
     pub body: Option<(usize, usize)>,
     /// Armed by a preceding `// xtask: hot-path` comment.
     pub hot: bool,
-    /// Armed by `// xtask: taint-sink`: nondet-tainted arguments are
-    /// findings.
-    pub taint_sink: bool,
-    /// 1-based line of a `// xtask: taint-sanitize -- reason` comment
-    /// arming the fn: its return value is cleansed of nondet taint. The
-    /// line attributes an orphan-marker finding when it cleanses nothing.
-    pub taint_sanitize: Option<usize>,
     /// True when the item sits inside a `#[cfg(test)]` region.
     pub in_test: bool,
 }
@@ -129,37 +122,18 @@ impl FileItems {
     }
 }
 
-/// One live `// xtask:` marker. The grammar is `xtask: <name>`, plus a
-/// mandatory `-- <reason>` for the one marker that suppresses findings:
-///
-/// - `hot-path` — the next `fn` is a hot-path root;
-/// - `taint-sink` — nondet-tainted arguments reaching the next `fn` are
-///   findings;
-/// - `taint-sanitize -- reason` — the next `fn` cleanses its return
-///   value of nondet taint.
-#[derive(Debug, Clone, Copy)]
-pub enum Marker {
-    HotPath,
-    TaintSink,
-    TaintSanitize,
-}
-
 /// Parses one comment body ([`comment_body`]). `None` when the comment
-/// is not an `xtask:` marker at all; `Some(Err(why))` when it starts
-/// with `xtask:` but is no live marker (a typo, a retired marker, a
-/// stray argument or a missing reason) — an `orphan-marker` finding.
-pub fn parse_marker(body: &str) -> Option<Result<Marker, &'static str>> {
+/// is not an `xtask:` marker at all; `Some(Ok(()))` for the one live
+/// marker, `xtask: hot-path`, which makes the next `fn` a hot-path root;
+/// `Some(Err(why))` when it starts with `xtask:` but is no live marker (a
+/// typo, a retired marker or a stray argument) — an `orphan-marker`
+/// finding.
+pub fn parse_marker(body: &str) -> Option<Result<(), &'static str>> {
     let rest = body.strip_prefix("xtask:")?.trim();
-    let (name, tail) = rest.split_once(char::is_whitespace).unwrap_or((rest, ""));
-    let reason = tail.trim_start().strip_prefix("--").map(str::trim);
-    let bare = tail.trim().is_empty();
-    let reasoned = reason.is_some_and(|r| !r.is_empty());
-    Some(match name {
-        "hot-path" if bare => Ok(Marker::HotPath),
-        "taint-sink" if bare => Ok(Marker::TaintSink),
-        "taint-sanitize" if reasoned => Ok(Marker::TaintSanitize),
-        "taint-sanitize" if bare || reason.is_some() => Err("requires a `-- reason` justification"),
-        _ => Err("is not a live marker (`hot-path`, `taint-sink`, `taint-sanitize -- reason`)"),
+    Some(if rest == "hot-path" {
+        Ok(())
+    } else {
+        Err("is not a live marker (`hot-path`)")
     })
 }
 
@@ -188,16 +162,15 @@ impl<'a> Parser<'a> {
     fn run(&self) -> FileItems {
         let mut items = FileItems::default();
         // Marker comments arm the next `fn`: code position of the first
-        // token after each marker, plus what it arms. The token stream
-        // keeps comments, so a marker cannot come from a string literal.
-        let mut marks: Vec<(usize, usize, Marker)> = Vec::new();
+        // token after each marker. The token stream keeps comments, so a
+        // marker cannot come from a string literal.
+        let mut marks: Vec<usize> = Vec::new();
         for (i, t) in self.f.tokens.iter().enumerate() {
             if !t.kind.is_trivia() {
                 continue;
             }
-            if let Some(Ok(m)) = parse_marker(comment_body(t.text(&self.f.text))) {
-                let after = self.f.code.partition_point(|&c| c < i);
-                marks.push((after, t.line, m));
+            if let Some(Ok(())) = parse_marker(comment_body(t.text(&self.f.text))) {
+                marks.push(self.f.code.partition_point(|&c| c < i));
             }
         }
 
@@ -240,15 +213,10 @@ impl<'a> Parser<'a> {
             k += 1;
         }
 
-        // Arm the fn markers: each one arms the next `fn` after it.
-        for (at, line, m) in marks {
-            let Some(item) = items.fns.iter_mut().find(|f| f.fn_pos >= at) else {
-                continue;
-            };
-            match m {
-                Marker::HotPath => item.hot = true,
-                Marker::TaintSink => item.taint_sink = true,
-                Marker::TaintSanitize => item.taint_sanitize = Some(line),
+        // Each marker arms the next `fn` after it.
+        for at in marks {
+            if let Some(item) = items.fns.iter_mut().find(|f| f.fn_pos >= at) {
+                item.hot = true;
             }
         }
         items
@@ -486,8 +454,6 @@ impl<'a> Parser<'a> {
             fn_pos: k,
             body,
             hot: false,
-            taint_sink: false,
-            taint_sanitize: None,
             in_test: self
                 .f
                 .ctok(k)
@@ -699,22 +665,6 @@ fn cold() {}
         let items = items_of(src);
         assert!(items.fns[0].hot);
         assert!(!items.fns[1].hot);
-    }
-
-    #[test]
-    fn taint_markers_arm_the_next_fn() {
-        let src = "\
-// xtask: taint-sink
-fn sink(x: f64) {}
-// xtask: taint-sanitize -- measured wall time is the payload
-fn cleanse(x: f64) -> f64 { x }
-fn plain() {}
-";
-        let items = items_of(src);
-        assert!(items.fns[0].taint_sink);
-        assert_eq!(items.fns[1].taint_sanitize, Some(3));
-        let f2 = &items.fns[2];
-        assert!(!f2.taint_sink && f2.taint_sanitize.is_none());
     }
 
     #[test]

@@ -286,13 +286,6 @@ pub mod v1 {
             }
         };
         if f.policy.determinism {
-            if !f.policy.wall_clock_allowed {
-                for name in ["Instant", "SystemTime"] {
-                    for at in word_occurrences(&f.masked, name) {
-                        push(f, at, "wall-clock");
-                    }
-                }
-            }
             float_eq(f, &mut push);
             for at in word_occurrences(&f.masked, "partial_cmp") {
                 let window_end = (at + 160).min(f.masked.len());
@@ -515,24 +508,13 @@ mod diff {
     use std::collections::BTreeSet;
     use std::path::Path;
 
-    /// Rules both engines implement, compared site-for-site under their
-    /// v2 names (see [`v2_rule`]).
+    /// Rules both engines implement, compared site-for-site.
     const SHARED_RULES: &[&str] = &[
-        "time-source",
         "float-eq",
         "nan-unsafe-sort",
         "index-in-loop",
         "hot-path-alloc",
     ];
-
-    /// The v2 name of a v1 rule: v2 folds v1's `wall-clock` into
-    /// `time-source`, which flags the same `Instant`/`SystemTime` sites.
-    fn v2_rule(v1_rule: &'static str) -> &'static str {
-        match v1_rule {
-            "wall-clock" => "time-source",
-            rule => rule,
-        }
-    }
 
     /// Documented v1 findings the v2 engine deliberately drops — each a
     /// false positive of the masked-substring scanner. `(file suffix,
@@ -540,8 +522,7 @@ mod diff {
     const EXCEPTIONS: &[(&str, usize, &str)] = &[];
 
     /// On the real workspace, every v1 finding must reappear in v2 at
-    /// the same (file, line, rule), under its v2 name — minus the
-    /// documented exceptions.
+    /// the same (file, line, rule) — minus the documented exceptions.
     /// Allow markers are stripped on the v2 side so both engines report
     /// raw detector output.
     #[test]
@@ -562,7 +543,7 @@ mod diff {
         for f in &files {
             let lf = v1::analyze(f.text.clone(), f.policy);
             for (line, rule) in v1::check_file(&lf) {
-                v1_set.insert((f.rel_path.clone(), line, v2_rule(rule)));
+                v1_set.insert((f.rel_path.clone(), line, rule));
             }
         }
 

@@ -8,7 +8,6 @@
 //! root `Cargo.toml`). See DESIGN.md §8 for the policy and rules.
 
 mod callgraph;
-mod dataflow;
 mod fidelity;
 mod items;
 mod legacy;
@@ -20,7 +19,6 @@ use rules::Finding;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::time::Instant; // xtask-allow: time-source -- lint self-timing, reported to CI, never simulated
 
 const USAGE: &str = "\
 cargo xtask <command>
@@ -32,8 +30,8 @@ Commands:
                           counts, findings with file:line spans, timings)
 
 The lint exits non-zero on any finding: determinism, nan-safety,
-index-in-loop, taint, hot-path, hygiene (unused allow, orphan marker),
-event coverage or fidelity.
+index-in-loop, hot-path, hygiene (unused allow, orphan marker), event
+coverage or fidelity.
 ";
 
 fn main() -> ExitCode {
@@ -183,9 +181,13 @@ fn json_report(
 }
 
 /// Runs the full lint. Returns `Ok(true)` when the tree is clean.
+#[expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "lint self-timing, reported to CI, never simulated"
+)]
 fn run_lint(root: &Path, json: Option<&Path>) -> Result<bool, String> {
-    // xtask-allow: time-source -- lint self-timing, reported to CI, never simulated
-    let t0 = Instant::now();
+    let t0 = std::time::Instant::now();
     let files = scan::load_workspace(root)?;
     let crate_map = scan::crate_idents(root);
 
@@ -265,6 +267,66 @@ mod tests {
             "an unmarked index-in-loop site must fail the lint"
         );
         assert!(clean_ok, "a reasoned marker must clear the site");
+    }
+
+    /// Clippy cannot report a list entry or a lint level that was
+    /// deleted, so only this test notices the determinism sources
+    /// eroding: every host clock, thread identity and address read stays
+    /// refused.
+    #[test]
+    fn clippy_toml_keeps_its_determinism_sources() {
+        let read = |file: &str| {
+            std::fs::read_to_string(workspace_root().join(file)).expect("root file is readable")
+        };
+        let toml = read("clippy.toml");
+        let lists = [
+            (
+                "disallowed-types",
+                &[
+                    "std::collections::HashMap",
+                    "std::collections::HashSet",
+                    "std::time::Instant",
+                    "std::time::SystemTime",
+                    "std::thread::ThreadId",
+                ][..],
+            ),
+            (
+                "disallowed-methods",
+                &[
+                    "std::time::Instant::now",
+                    "std::time::Instant::elapsed",
+                    "std::time::SystemTime::now",
+                    "std::time::SystemTime::elapsed",
+                    "std::thread::current",
+                    "std::vec::Vec::as_ptr",
+                    "std::vec::Vec::as_mut_ptr",
+                    "slice::as_ptr",
+                    "slice::as_mut_ptr",
+                    "str::as_ptr",
+                    "str::as_mut_ptr",
+                    "std::sync::Arc::as_ptr",
+                    "std::rc::Rc::as_ptr",
+                ][..],
+            ),
+        ];
+        for (key, paths) in lists {
+            let start = toml.find(&format!("{key} = [")).expect("list present");
+            let len = toml[start..].find("\n]").expect("list closed");
+            let list = &toml[start..start + len];
+            for path in paths {
+                let entry = format!("path = \"{path}\"");
+                assert!(list.contains(&entry), "{key} lost `{path}`");
+            }
+        }
+        // The `as *const` casts of a reference, which no path can name.
+        let manifest = read("Cargo.toml");
+        for lint in ["ref_as_ptr", "borrow_as_ptr"] {
+            let level = format!("\n{lint} = \"deny\"");
+            assert!(
+                manifest.contains(&level),
+                "Cargo.toml no longer denies {lint}"
+            );
+        }
     }
 
     /// Every rule `fidelity.rs` can emit is counted on the `per-rule:`

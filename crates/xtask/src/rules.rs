@@ -1,15 +1,16 @@
 //! The lint rules: determinism hazards, NaN safety, indexing in loops
 //! and hot-path purity. (Every other panic site is clippy's: see
-//! `[workspace.lints.clippy]` in the root `Cargo.toml`.)
+//! `[workspace.lints.clippy]` in the root `Cargo.toml`; host clocks,
+//! thread ids and address reads are the root `clippy.toml`'s.)
 //!
 //! Every detector walks the real token stream ([`crate::lexer`]), so
 //! comments and literal bodies can never produce findings. Detectors
 //! skip `#[cfg(test)]` regions and honour `// xtask-allow: <rule> --
 //! <reason>` markers; a marker no detector consumes is itself a finding
 //! (`unused-allow`). The hot-path rule is transitive: it follows the
-//! workspace call graph from every hot-path-marked function (see
-//! [`items::Marker::HotPath`]). Every comment that starts with `xtask:`
-//! must be a live marker ([`items::parse_marker`]); anything else is an
+//! workspace call graph from every function a `// xtask: hot-path`
+//! comment arms. Every comment that starts with `xtask:` must be that
+//! live marker ([`items::parse_marker`]); anything else is an
 //! `orphan-marker` finding.
 
 use crate::callgraph::{self, Graph};
@@ -43,9 +44,6 @@ pub enum Category {
     /// no registered temporal property references, or a wildcard match
     /// arm that would silently swallow future variants in checker code.
     EventCoverage,
-    /// Interprocedural contracts ([`crate::dataflow`]): determinism-taint
-    /// (one taint kind, `nondet`, with built-in sources).
-    Taint,
 }
 
 impl Category {
@@ -59,7 +57,6 @@ impl Category {
             Category::Hygiene => "hygiene",
             Category::Fidelity => "fidelity",
             Category::EventCoverage => "event-coverage",
-            Category::Taint => "taint",
         }
     }
 }
@@ -81,7 +78,6 @@ pub struct Finding {
 
 /// Every rule this module can emit, for per-rule reporting.
 pub const ALL_RULES: &[(&str, Category)] = &[
-    ("time-source", Category::Determinism),
     ("float-eq", Category::Determinism),
     ("nan-unsafe-sort", Category::Determinism),
     ("unguarded-log", Category::NanSafety),
@@ -94,7 +90,6 @@ pub const ALL_RULES: &[(&str, Category)] = &[
     ("orphan-marker", Category::Hygiene),
     ("event-coverage", Category::EventCoverage),
     ("event-wildcard", Category::EventCoverage),
-    ("determinism-taint", Category::Taint),
 ];
 
 /// Identifiers whose presence in a function body counts as a finiteness
@@ -137,10 +132,8 @@ pub fn check_workspace(files: &[SourceFile], crate_map: &BTreeMap<String, String
     for (f, it) in files.iter().zip(&parsed) {
         check_file(f, it, &mut findings);
     }
-    // One resolution pass serves the hot-path rule and the taint engine.
-    let (graph, sites) = callgraph::build_with_sites(files, &parsed, crate_map);
+    let graph = callgraph::build(files, &parsed, crate_map);
     transitive_hot_path(files, &parsed, &graph, &mut findings);
-    crate::dataflow::check(files, &parsed, &graph, &sites, &mut findings);
     for f in files {
         if event_match_scope(&f.rel_path) {
             event_wildcard(f, &mut findings);
@@ -156,9 +149,6 @@ pub fn check_workspace(files: &[SourceFile], crate_map: &BTreeMap<String, String
 
 fn check_file(f: &SourceFile, it: &FileItems, findings: &mut Vec<Finding>) {
     if f.policy.determinism {
-        if !f.policy.wall_clock_allowed {
-            time_source(f, findings);
-        }
         float_eq(f, findings);
         nan_unsafe_sort(f, findings);
     }
@@ -178,7 +168,7 @@ fn check_file(f: &SourceFile, it: &FileItems, findings: &mut Vec<Finding>) {
 /// Records a finding anchored at code position `k`, unless it sits in a
 /// test region or an allow marker covers it. Consulting the marker also
 /// marks it used.
-pub(crate) fn push(
+fn push(
     f: &SourceFile,
     findings: &mut Vec<Finding>,
     k: usize,
@@ -206,7 +196,7 @@ pub(crate) fn push(
 
 /// Code position of the punct matching `open_c` at position `open`
 /// (depth-matched over `open_c`/`close_c`); `code.len()` if unmatched.
-pub(crate) fn matching(f: &SourceFile, open: usize, open_c: char, close_c: char) -> usize {
+fn matching(f: &SourceFile, open: usize, open_c: char, close_c: char) -> usize {
     let mut depth = 0i64;
     let mut j = open;
     loop {
@@ -257,40 +247,6 @@ fn fn_guarded(f: &SourceFile, item: &FnItem) -> bool {
         return false;
     };
     (open..=close).any(|k| f.cident(k).is_some_and(|w| GUARD_IDENTS.contains(&w)))
-}
-
-/// Identifiers that smuggle host calendar/clock state into simulation
-/// code: the epoch constant and `chrono`-style date APIs.
-const DATE_IDENTS: &[&str] = &[
-    "UNIX_EPOCH",
-    "Utc",
-    "Local",
-    "Datelike",
-    "Timelike",
-    "chrono",
-    "NaiveDateTime",
-];
-
-/// Host clock and calendar reads in simulation-visible code: `std::time`
-/// paths, `Instant`/`SystemTime` and calendar identifiers. The chaos
-/// layer's contract is that every fault decision is a pure function of
-/// `(seed, fault, entity, tick)`; one host-clock or calendar read
-/// anywhere on that path silently breaks replay, so the import itself
-/// is the finding — not just a `::now()` call.
-fn time_source(f: &SourceFile, findings: &mut Vec<Finding>) {
-    for (k, what) in time_sites(f, 0, f.code.len()) {
-        push(
-            f,
-            findings,
-            k,
-            Category::Determinism,
-            "time-source",
-            format!(
-                "`{what}` reads the host clock/calendar; simulation code must derive all time \
-                 from the simulated prepare_metrics Timestamp/Duration"
-            ),
-        );
-    }
 }
 
 /// `==`/`!=` against a float literal: exact float comparison is almost
@@ -689,41 +645,11 @@ fn alloc_sites(f: &SourceFile, open: usize, close: usize) -> Vec<(usize, &'stati
     out
 }
 
-/// Clock / calendar reads at code positions `[from, to)`: what the
-/// per-file `time-source` rule looks for, and what the hot-path walk
-/// re-checks transitively where that rule is switched off.
-fn time_sites(f: &SourceFile, from: usize, to: usize) -> Vec<(usize, String)> {
-    let mut out = Vec::new();
-    let mut k = from;
-    while k < to {
-        if f.cident(k) == Some("std") && f.cpair(k + 1, ':', ':') && f.cident(k + 3) == Some("time")
-        {
-            out.push((k, "std::time".to_string()));
-            k += 4;
-            continue;
-        }
-        if let Some(name) = f
-            .cident(k)
-            .filter(|w| matches!(*w, "Instant" | "SystemTime") || DATE_IDENTS.contains(w))
-        {
-            out.push((k, name.to_string()));
-        }
-        k += 1;
-    }
-    out
-}
-
 /// The transitive hot-path rule: from every function armed by a
 /// `// xtask: hot-path` comment, walk the workspace call graph and flag
 /// any allocation in any reachable body, reporting the call chain that
 /// reaches it. Each allocation site is reported once even when several
 /// roots reach it.
-///
-/// The same walk also closes the `wall_clock_allowed` gap: in files
-/// whose per-file determinism rules are off (timing harnesses, tests),
-/// a clock or calendar read that has become *reachable from a hot-path
-/// kernel* is a `time-source` finding — a marked kernel must never time
-/// itself through a helper the per-file policy exempts.
 fn transitive_hot_path(
     files: &[SourceFile],
     parsed: &[FileItems],
@@ -734,7 +660,6 @@ fn transitive_hot_path(
         return;
     }
     let mut seen: BTreeSet<(usize, usize)> = BTreeSet::new();
-    let mut seen_time: BTreeSet<(usize, usize)> = BTreeSet::new();
     for root in 0..graph.fns.len() {
         let is_hot = graph
             .fns
@@ -758,14 +683,7 @@ fn transitive_hot_path(
                 continue;
             };
             let sites = alloc_sites(cf, open, close);
-            // Clock reads only matter where the per-file rules are off.
-            let exempt_file = cf.policy.wall_clock_allowed || !cf.policy.determinism;
-            let tsites = if exempt_file {
-                time_sites(cf, open + 1, close)
-            } else {
-                Vec::new()
-            };
-            if sites.is_empty() && tsites.is_empty() {
+            if sites.is_empty() {
                 continue;
             }
             let route: Vec<String> = chain
@@ -784,19 +702,6 @@ fn transitive_hot_path(
                     Category::HotPath,
                     "hot-path-alloc",
                     format!("`{what}` allocates on the hot path: {route}"),
-                );
-            }
-            for (pos, what) in tsites {
-                if !seen_time.insert((r.file, pos)) {
-                    continue;
-                }
-                push(
-                    cf,
-                    findings,
-                    pos,
-                    Category::Determinism,
-                    "time-source",
-                    format!("`{what}` reads the host clock/calendar on a hot path: {route}"),
                 );
             }
         }
@@ -1007,28 +912,21 @@ fn unused_allows(files: &[SourceFile], findings: &mut Vec<Finding>) {
     }
 }
 
-/// An `orphan-marker` finding on `line`: an `xtask:` marker that is
-/// malformed or consumed by nothing. Allow markers never reach it.
-pub(crate) fn orphan_marker(f: &SourceFile, line: usize, message: String) -> Finding {
-    Finding {
-        file: f.rel_path.clone(),
-        line,
-        category: Category::Hygiene,
-        rule: "orphan-marker",
-        message,
-    }
-}
-
 /// Every comment that starts with `xtask:` but is no live marker — a
-/// typo, a retired marker, a stray argument or a missing reason — is a
+/// typo, a retired marker or a stray argument — is an `orphan-marker`
 /// finding: it would otherwise arm nothing, silently.
 fn malformed_markers(files: &[SourceFile], findings: &mut Vec<Finding>) {
     for f in files {
         for t in f.tokens.iter().filter(|t| t.kind.is_trivia()) {
             let body = comment_body(t.text(&f.text));
             if let Some(Err(why)) = items::parse_marker(body) {
-                let message = format!("`// {}` {why}; fix or delete it", body.trim_end());
-                findings.push(orphan_marker(f, t.line, message));
+                findings.push(Finding {
+                    file: f.rel_path.clone(),
+                    line: t.line,
+                    category: Category::Hygiene,
+                    rule: "orphan-marker",
+                    message: format!("`// {}` {why}; fix or delete it", body.trim_end()),
+                });
             }
         }
     }
@@ -1065,59 +963,6 @@ mod tests {
             .into_iter()
             .map(|f| f.rule)
             .collect()
-    }
-
-    #[test]
-    fn detects_wall_clock_reads() {
-        assert_eq!(rules_of("let t = Instant::now();\n"), ["time-source"]);
-        assert_eq!(rules_of("let t = SystemTime::now();\n"), ["time-source"]);
-        // Unrelated identifiers do not trip word matching.
-        assert!(rules_of("let instant_rate = 1;\n").is_empty());
-    }
-
-    #[test]
-    fn time_source_flags_std_time_and_date_idents() {
-        assert_eq!(rules_of("use std::time::Duration;\n"), ["time-source"]);
-        assert_eq!(rules_of("let e = UNIX_EPOCH;\n"), ["time-source"]);
-        assert_eq!(
-            rules_of("let now = chrono::Utc::now();\n"),
-            ["time-source", "time-source"]
-        );
-        // Comments, strings, and the simulated time types stay quiet.
-        assert!(rules_of("// std::time\nlet s = \"UNIX_EPOCH\";\n").is_empty());
-        assert!(rules_of("let t = Timestamp::from_secs(0) + Duration::from_secs(5);\n").is_empty());
-        // A justified allow still works.
-        assert!(rules_of(
-            "use std::time::Duration; // xtask-allow: time-source -- tool self-timing\n"
-        )
-        .is_empty());
-    }
-
-    #[test]
-    fn time_source_guards_the_chaos_layer() {
-        let findings = workspace_findings(&[(
-            "crates/cloudsim/src/chaos.rs",
-            "use std::time::SystemTime;\n",
-        )]);
-        assert!(
-            findings.iter().any(|f| f.rule == "time-source"),
-            "findings: {findings:?}"
-        );
-    }
-
-    #[test]
-    fn time_source_reaches_exempt_files_through_hot_paths() {
-        let src = "// xtask: hot-path\nfn kernel() { let t0 = Instant::now(); }\n";
-        let findings = workspace_findings(&[("crates/bench/src/lib.rs", src)]);
-        assert_eq!(findings.len(), 1, "findings: {findings:?}");
-        assert_eq!(findings[0].rule, "time-source");
-        assert!(findings[0].message.contains("kernel"));
-        // Unmarked timing-harness code may read the clock freely.
-        let quiet = workspace_findings(&[(
-            "crates/bench/src/lib.rs",
-            "fn f() { let t0 = Instant::now(); }\n",
-        )]);
-        assert!(quiet.is_empty(), "findings: {quiet:?}");
     }
 
     #[test]
@@ -1356,13 +1201,17 @@ fn c() { let s = format!(\"x\"); }
     fn unused_allow_markers_are_findings() {
         let src = "fn f() {} // xtask-allow: index-in-loop -- nothing here uses it\n";
         assert_eq!(rules_of(src), ["unused-allow"]);
+        // A retired rule's allow suppresses nothing, even over its old site.
+        let retired = "let t = Instant::now(); // xtask-allow: time-source -- r\n";
+        assert_eq!(rules_of(retired), ["unused-allow"]);
         // A consumed marker is not reported.
         let used = "fn f() { for i in 0..n { g(v[i]); } } // xtask-allow: index-in-loop -- i < n\n";
         assert!(rules_of(used).is_empty());
     }
 
-    /// Typos, retired markers, stray kind words and missing reasons are
-    /// each an `orphan-marker` finding, and none of them arms anything.
+    /// Typos, retired markers (the taint engine's sink and sanitizer
+    /// among them) and stray arguments are each an `orphan-marker`
+    /// finding, and none of them arms anything.
     #[test]
     fn unknown_and_malformed_markers_are_orphans() {
         let src = "\
@@ -1372,9 +1221,9 @@ fn a() -> Vec<f64> { vec![0.0] }
 fn b() {}
 // xtask: taint-source nondet
 fn c() {}
-// xtask: taint-sink nondet
+// xtask: taint-sink
 fn d() {}
-// xtask: taint-sanitize
+// xtask: taint-sanitize -- r
 fn e() {}
 struct S {
     x: usize, // xtask: hot-path -- stray reason
@@ -1403,7 +1252,7 @@ fn live() {}
         let armed: Vec<&str> = it
             .fns
             .iter()
-            .filter(|x| x.hot || x.taint_sink || x.taint_sanitize.is_some())
+            .filter(|x| x.hot)
             .map(|x| x.name.as_str())
             .collect();
         assert_eq!(armed, ["live"]);
@@ -1413,7 +1262,7 @@ fn live() {}
     fn findings_are_sorted_and_labeled() {
         let findings = workspace_findings(&[(
             "crates/x/src/lib.rs",
-            "let t = Instant::now();\nfn f() { for i in 0..n { g(v[i]); } }\n",
+            "let b = x == 0.5;\nfn f() { for i in 0..n { g(v[i]); } }\n",
         )]);
         let lines: Vec<usize> = findings.iter().map(|f| f.line).collect();
         assert_eq!(lines, [1, 2]);

@@ -17,8 +17,6 @@ use std::path::{Path, PathBuf};
 pub struct FilePolicy {
     /// Determinism hazards are violations here (simulation-visible code).
     pub determinism: bool,
-    /// Wall-clock reads are tolerated (timing harnesses only).
-    pub wall_clock_allowed: bool,
     /// The NaN-safety rules and `index-in-loop` apply here (library code).
     pub nan_and_index_rules: bool,
 }
@@ -257,17 +255,13 @@ pub fn policy_for(rel: &str) -> FilePolicy {
     if test_like {
         return FilePolicy {
             determinism: false,
-            wall_clock_allowed: true,
             nan_and_index_rules: false,
         };
     }
-    // Timing harnesses: wall-clock reads are their purpose (Table I).
-    let timing = rel.starts_with("crates/bench/");
     // The task runner itself is a CLI tool, not simulation-visible code,
     // but it is held to the same indexing and determinism standard.
     FilePolicy {
         determinism: true,
-        wall_clock_allowed: timing,
         nan_and_index_rules: true,
     }
 }
@@ -534,9 +528,8 @@ pub fn f() -> f64 { g() }
     #[test]
     fn policies_by_path() {
         assert!(policy_for("crates/core/src/controller.rs").determinism);
-        assert!(!policy_for("crates/core/src/controller.rs").wall_clock_allowed);
+        assert!(policy_for("crates/bench/src/harness.rs").nan_and_index_rules);
         assert!(!policy_for("crates/apps/tests/app_properties.rs").nan_and_index_rules);
-        assert!(policy_for("crates/bench/src/harness.rs").wall_clock_allowed);
         assert!(!policy_for("examples/quickstart.rs").determinism);
     }
 
