@@ -60,6 +60,64 @@ impl ValueModel {
         })
     }
 
+    /// Serializes the chain's trained half: its count rows and `alpha`.
+    pub fn store_trained(&self, w: &mut Writer) {
+        match self {
+            ValueModel::Simple(m) => m.store_trained(w),
+            ValueModel::TwoDependent(m) => m.store_trained(w),
+        }
+    }
+
+    /// Serializes the chain's live half: its position, observation count
+    /// and, when `touched_rows` is set, the count rows bumped since
+    /// [`ValueModel::clear_marks`].
+    pub fn store_live(&self, w: &mut Writer, touched_rows: bool) {
+        match self {
+            ValueModel::Simple(m) => m.store_live(w, touched_rows),
+            ValueModel::TwoDependent(m) => m.store_live(w, touched_rows),
+        }
+    }
+
+    /// Restores a chain's trained half of `kind` over `n` states written
+    /// by [`ValueModel::store_trained`].
+    ///
+    /// # Errors
+    ///
+    /// The chain loader's.
+    pub fn load_trained(
+        r: &mut Reader<'_>,
+        kind: MarkovKind,
+        n: usize,
+    ) -> Result<Self, PersistError> {
+        Ok(match kind {
+            MarkovKind::Simple => ValueModel::Simple(SimpleMarkov::load_trained(r, n)?),
+            MarkovKind::TwoDependent => {
+                ValueModel::TwoDependent(TwoDependentMarkov::load_trained(r, n)?)
+            }
+        })
+    }
+
+    /// Reads a live half written by [`ValueModel::store_live`] over this
+    /// trained half.
+    ///
+    /// # Errors
+    ///
+    /// The chain loader's.
+    pub fn load_live(&mut self, r: &mut Reader<'_>) -> Result<(), PersistError> {
+        match self {
+            ValueModel::Simple(m) => m.load_live(r),
+            ValueModel::TwoDependent(m) => m.load_live(r),
+        }
+    }
+
+    /// Clears the marks of the chain's count rows.
+    pub fn clear_marks(&mut self) {
+        match self {
+            ValueModel::Simple(m) => m.clear_marks(),
+            ValueModel::TwoDependent(m) => m.clear_marks(),
+        }
+    }
+
     /// The underlying model's naive (non-snapshot) prediction path —
     /// bit-identical to [`ValuePredictor::predict`] but re-deriving every
     /// transition row per step. The referee of

@@ -217,6 +217,93 @@ impl AnomalyPredictor {
         })
     }
 
+    /// Serializes the trained half: the discretizer's ranges, each
+    /// attribute's count rows and the classifier — what does not change
+    /// until the next training, apart from the count rows observation
+    /// bumps. [`AnomalyPredictor::store_live`] writes the rest.
+    pub fn store_trained(&self, w: &mut Writer) {
+        let Self {
+            config: _, // supplied by PrepareConfig on load
+            discretizer,
+            value_models,
+            classifier,
+            last_time: _, // the live half's
+        } = self;
+        discretizer.store_state(w);
+        for m in value_models {
+            m.store_trained(w);
+        }
+        classifier.store_state(w);
+    }
+
+    /// Serializes the live half: each attribute's position and
+    /// observation count and, when `touched_rows` is set, its count rows
+    /// bumped since [`AnomalyPredictor::clear_marks`], then the stream
+    /// anchor. Read over the trained half it was written against, it
+    /// restores the predictor [`AnomalyPredictor::store_state`] would.
+    pub fn store_live(&self, w: &mut Writer, touched_rows: bool) {
+        let Self {
+            config: _,
+            discretizer: _, // the trained half's
+            value_models,
+            classifier: _, // the trained half's
+            last_time,
+        } = self;
+        for m in value_models {
+            m.store_live(w, touched_rows);
+        }
+        last_time.store(w);
+    }
+
+    /// Restores a trained half of shape `config` written by
+    /// [`AnomalyPredictor::store_trained`]: a predictor with no position
+    /// and no observations until [`AnomalyPredictor::load_live`].
+    ///
+    /// # Errors
+    ///
+    /// Any [`PersistError`] of the component loaders.
+    pub fn load_trained(
+        r: &mut Reader<'_>,
+        config: &PredictorConfig,
+    ) -> Result<Self, PersistError> {
+        let discretizer = prepare_metrics::VectorDiscretizer::load_state(r, config.bins)?;
+        let value_models = (0..ATTRIBUTE_COUNT)
+            .map(|_| ValueModel::load_trained(r, config.markov, config.bins))
+            .collect::<Result<_, _>>()?;
+        let classifier = TanClassifier::load_state(r, &[config.bins; ATTRIBUTE_COUNT])?;
+        Ok(AnomalyPredictor {
+            config: config.clone(),
+            discretizer,
+            value_models,
+            classifier,
+            last_time: None,
+        })
+    }
+
+    /// Reads a live half written by [`AnomalyPredictor::store_live`] over
+    /// this trained half. Its touched rows replace the trained ones and
+    /// stay marked.
+    ///
+    /// # Errors
+    ///
+    /// Any [`PersistError`] of the chain loaders, among them a touched
+    /// row with a count below its trained one.
+    pub fn load_live(&mut self, r: &mut Reader<'_>) -> Result<(), PersistError> {
+        for m in &mut self.value_models {
+            m.load_live(r)?;
+        }
+        self.last_time = Persist::load(r)?;
+        Ok(())
+    }
+
+    /// Clears the marks of every count row: the rows as they are now are
+    /// the trained half the next live halves are written against.
+    pub fn clear_marks(&mut self) {
+        for m in &mut self.value_models {
+            m.clear_marks();
+        }
+    }
+
     /// The trained TAN classifier (exposed for cause-inference reporting).
     pub fn classifier(&self) -> &TanClassifier {
         &self.classifier
@@ -590,6 +677,76 @@ mod tests {
             restored.predict(Duration::from_secs(25)),
             p.predict(Duration::from_secs(25))
         );
+    }
+
+    /// A predictor's trained half, written when its marks were cleared,
+    /// with a later live half read over it, is the predictor: same
+    /// counts, positions, anchor, bytes and predictions. A live half with
+    /// no touched rows restores it over a trained half written with it,
+    /// and a live half whose touched rows lag a later trained half is
+    /// refused.
+    #[test]
+    fn trained_and_live_halves_restore_the_predictor() {
+        let (series, slo) = ramp_fixture(400, 5, 40, 80.0);
+        for markov in [MarkovKind::Simple, MarkovKind::TwoDependent] {
+            let cfg = PredictorConfig {
+                markov,
+                ..PredictorConfig::default()
+            };
+            let mut p = AnomalyPredictor::train(&series, &slo, &cfg).unwrap();
+            for s in series.iter().take(20) {
+                p.observe(s);
+            }
+            p.clear_marks();
+            let mut base = Writer::new();
+            p.store_trained(&mut base);
+            for s in series.iter().skip(20).take(30) {
+                p.observe(s);
+            }
+            let mut live = Writer::new();
+            p.store_live(&mut live, true);
+            let halves = |trained: &[u8], live: &[u8]| {
+                let mut r = Reader::new(trained);
+                let mut back = AnomalyPredictor::load_trained(&mut r, &cfg)?;
+                assert!(r.is_exhausted());
+                let mut r = Reader::new(live);
+                back.load_live(&mut r)?;
+                assert!(r.is_exhausted());
+                Ok::<_, PersistError>(back)
+            };
+            let back = halves(base.bytes(), live.bytes()).expect("intact halves");
+            assert_eq!(back, p, "{markov:?}");
+            let inline = |p: &AnomalyPredictor| {
+                let mut w = Writer::new();
+                p.store_state(&mut w);
+                w.into_bytes()
+            };
+            assert_eq!(inline(&back), inline(&p), "{markov:?}");
+            let horizons = [0, 15, 60].map(Duration::from_secs);
+            assert_eq!(
+                back.predict_horizons(&horizons),
+                p.predict_horizons(&horizons)
+            );
+
+            let mut now = Writer::new();
+            p.store_trained(&mut now);
+            let mut untouched = Writer::new();
+            p.store_live(&mut untouched, false);
+            assert!(untouched.len() < live.len(), "{markov:?}");
+            let back = halves(now.bytes(), untouched.bytes()).expect("intact halves");
+            assert_eq!(back, p, "{markov:?}");
+
+            for s in series.iter().skip(50).take(40) {
+                p.observe(s);
+            }
+            let mut later = Writer::new();
+            p.store_trained(&mut later);
+            assert_eq!(
+                halves(later.bytes(), live.bytes()),
+                Err(PersistError::Invalid("Markov touched row below its base")),
+                "{markov:?}"
+            );
+        }
     }
 
     /// `p`'s state image, restored under `cfg`, with every byte consumed.

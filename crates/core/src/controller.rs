@@ -339,19 +339,37 @@ impl VmRecord {
     }
 }
 
-/// Where a VM record's metric series goes when the record is written.
+/// Where a VM record's metric series and predictor go when the record is
+/// written.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SeriesIn {
-    /// The whole series, inline: the one-piece encoding of
+enum Layout {
+    /// Both whole, inline: the one-piece encoding of
     /// [`PrepareController::store_state`], which the fingerprint hashes.
-    Record,
-    /// Only its length, the sealed sample count, in the series' place:
-    /// a checkpoint's state frame, whose samples are in its series frames.
-    Frames,
+    Inline,
+    /// A checkpoint's state frame, whose other frames hold the rest: the
+    /// series' length, the sealed sample count, in the series' place (the
+    /// samples are in the series frames), and the predictor's live half,
+    /// length-prefixed (its trained half is in the model frame). With
+    /// `touched_rows` the live half also carries the count rows bumped
+    /// since the model frame; without, the model frame is as of this
+    /// state frame and no row has been bumped since.
+    Framed {
+        /// Whether the live halves carry the touched count rows.
+        touched_rows: bool,
+    },
+}
+
+/// A framed state record's parts that the checkpoint's other frames
+/// complete, one entry per slot.
+pub(crate) struct FramedParts<'a> {
+    /// Each slot's sealed sample count.
+    pub(crate) sealed: Vec<usize>,
+    /// Each slot's predictor live half, if it has a predictor.
+    pub(crate) live: Vec<Option<&'a [u8]>>,
 }
 
 impl VmRecord {
-    fn store_state(&self, w: &mut Writer, series_in: SeriesIn) {
+    fn store_state(&self, w: &mut Writer, layout: Layout) {
         let Self {
             series,
             predictor,
@@ -362,15 +380,22 @@ impl VmRecord {
             imputer,
             degraded,
         } = self;
-        match series_in {
-            SeriesIn::Record => series.store(w),
-            SeriesIn::Frames => w.put_usize(series.len()),
+        match layout {
+            Layout::Inline => series.store(w),
+            Layout::Framed { .. } => w.put_usize(series.len()),
         }
-        match predictor {
-            None => w.put_u8(0),
-            Some(p) => {
+        match (predictor, layout) {
+            (None, _) => w.put_u8(0),
+            (Some(p), Layout::Inline) => {
                 w.put_u8(1);
                 p.store_state(w);
+            }
+            (Some(p), Layout::Framed { touched_rows }) => {
+                w.put_u8(1);
+                let at = w.len();
+                w.put_u64(0);
+                p.store_live(w, touched_rows);
+                w.patch_u64(at, (w.len() - at - 8) as u64);
             }
         }
         filter.store_state(w);
@@ -383,27 +408,35 @@ impl VmRecord {
 
     /// Restores a record written by [`VmRecord::store_state`]; the
     /// predictor's shape and the filter's k-of-W come from `config`. A
-    /// [`SeriesIn::Frames`] record comes back with an empty series and
-    /// its sealed sample count.
-    fn load_state(
-        r: &mut Reader<'_>,
+    /// [`Layout::Framed`] record comes back with an empty series and no
+    /// predictor, its sealed sample count, and its predictor's live half.
+    fn load_state<'a>(
+        r: &mut Reader<'a>,
         config: &PrepareConfig,
-        series_in: SeriesIn,
-    ) -> Result<(Self, usize), PersistError> {
-        let (series, sealed) = match series_in {
-            SeriesIn::Record => {
+        layout: Layout,
+    ) -> Result<(Self, usize, Option<&'a [u8]>), PersistError> {
+        let (series, sealed) = match layout {
+            Layout::Inline => {
                 let series = TimeSeries::load(r)?;
                 let len = series.len();
                 (series, len)
             }
-            SeriesIn::Frames => (TimeSeries::new(), r.get_usize()?),
+            Layout::Framed { .. } => (TimeSeries::new(), r.get_usize()?),
+        };
+        let (predictor, live) = match (r.get_bool()?, layout) {
+            (false, _) => (None, None),
+            (true, Layout::Inline) => (
+                Some(AnomalyPredictor::load_state(r, &config.predictor)?),
+                None,
+            ),
+            (true, Layout::Framed { .. }) => {
+                let len = r.get_usize()?;
+                (None, Some(r.get_raw(len)?))
+            }
         };
         let rec = VmRecord {
             series,
-            predictor: match r.get_bool()? {
-                false => None,
-                true => Some(AnomalyPredictor::load_state(r, &config.predictor)?),
-            },
+            predictor,
             filter: AlertFilter::load_state(r, config.filter_k, config.filter_w)?,
             episode: Option::load(r)?,
             last_migration: Option::load(r)?,
@@ -411,7 +444,7 @@ impl VmRecord {
             imputer: LastValueImputer::load(r)?,
             degraded: bool::load(r)?,
         };
-        Ok((rec, sealed))
+        Ok((rec, sealed, live))
     }
 }
 
@@ -1343,16 +1376,83 @@ impl PrepareController {
     /// The table is written as exactly `vms.len()` records with no length
     /// of its own: the VM count is stored once.
     pub(crate) fn store_core(&self, w: &mut Writer) {
-        self.store_core_parts(w, SeriesIn::Record, |_| {});
+        self.store_core_parts(w, Layout::Inline, |_| {});
     }
 
     /// The core as a checkpoint's state frame holds it:
     /// [`PrepareController::store_core`] with each VM's series replaced by
     /// its length, the count of samples the series frames sealed so far
-    /// hold. The samples themselves go to the frames
-    /// ([`TimeSeries::store_since`]).
-    pub(crate) fn store_core_framed(&self, w: &mut Writer) {
-        self.store_core_parts(w, SeriesIn::Frames, |_| {});
+    /// hold, and each predictor by its live half. The samples themselves
+    /// go to the series frames ([`TimeSeries::store_since`]), the trained
+    /// halves to the model frame ([`PrepareController::store_models`]).
+    /// With `touched_rows` each live half carries the count rows bumped
+    /// since the marks were last cleared
+    /// ([`PrepareController::clear_count_marks`]); without, none — for an
+    /// image whose model frame is written with this state.
+    pub(crate) fn store_core_framed(&self, w: &mut Writer, touched_rows: bool) {
+        self.store_core_parts(w, Layout::Framed { touched_rows }, |_| {});
+    }
+
+    /// A checkpoint's model frame payload: the number of predictors as a
+    /// varint, then each one's trained half
+    /// ([`AnomalyPredictor::store_trained`]) in slot order — every count
+    /// row as of now. Which slots hold one is the state frame's to say.
+    pub(crate) fn store_models(&self, w: &mut Writer) {
+        let predictors = || self.table.iter().filter_map(|rec| rec.predictor.as_ref());
+        w.put_varint(predictors().count() as u64);
+        for p in predictors() {
+            p.store_trained(w);
+        }
+    }
+
+    /// Clears every predictor's count-row marks: the rows as they are now
+    /// are the model frame's, which the next live halves are written
+    /// against.
+    pub(crate) fn clear_count_marks(&mut self) {
+        for p in self
+            .table
+            .iter_mut()
+            .filter_map(|rec| rec.predictor.as_mut())
+        {
+            p.clear_marks();
+        }
+    }
+
+    /// Gives each slot with a live half in the state frame its predictor:
+    /// the next trained half of the model frame payload `frame`
+    /// ([`PrepareController::store_models`]) with the live half read over
+    /// it, in slot order.
+    ///
+    /// # Errors
+    ///
+    /// [`PersistError::BrokenChain`] when the model frame holds another
+    /// number of predictors than the state frame has live halves; the
+    /// loaders' errors on damaged bytes.
+    pub(crate) fn adopt_models(
+        &mut self,
+        frame: &[u8],
+        live: &[Option<&[u8]>],
+    ) -> Result<(), PersistError> {
+        let mut r = Reader::new(frame);
+        if r.get_varint()? != live.iter().flatten().count() as u64 {
+            return Err(PersistError::BrokenChain);
+        }
+        for (rec, live) in self.table.iter_mut().zip(live) {
+            let Some(live) = live else {
+                continue;
+            };
+            let mut p = AnomalyPredictor::load_trained(&mut r, &self.config.predictor)?;
+            let mut lr = Reader::new(live);
+            p.load_live(&mut lr)?;
+            if !lr.is_exhausted() {
+                return Err(PersistError::Invalid("predictor live half trailing bytes"));
+            }
+            rec.predictor = Some(p);
+        }
+        if !r.is_exhausted() {
+            return Err(PersistError::Invalid("model frame trailing bytes"));
+        }
+        Ok(())
     }
 
     /// [`PrepareController::store_core`] in parts: the head, each VM's
@@ -1362,7 +1462,7 @@ impl PrepareController {
     fn store_core_parts(
         &self,
         w: &mut Writer,
-        series_in: SeriesIn,
+        layout: Layout,
         mut part_done: impl FnMut(&mut Writer),
     ) {
         let Self {
@@ -1385,7 +1485,7 @@ impl PrepareController {
         vms.store(w);
         part_done(w);
         for rec in table {
-            rec.store_state(w, series_in);
+            rec.store_state(w, layout);
             part_done(w);
         }
         slo.store(w);
@@ -1424,19 +1524,22 @@ impl PrepareController {
     /// VM id stored twice, an episode filed under another VM's slot, or
     /// inconsistent tunables.
     pub fn load_state(r: &mut Reader<'_>, par: ParConfig) -> Result<Self, PersistError> {
-        Self::load_parts(r, par, SeriesIn::Record).map(|(controller, _)| controller)
+        Self::load_parts(r, par, Layout::Inline).map(|(controller, _)| controller)
     }
 
     /// Restores the state frame [`PrepareController::store_core_framed`]
     /// and [`PrepareController::store_events`] wrote: a controller whose
-    /// series are empty, and each slot's sealed sample count, for the
-    /// caller to fill in from the series frames
-    /// ([`PrepareController::adopt_series`]).
-    pub(crate) fn load_framed(
-        r: &mut Reader<'_>,
+    /// series are empty and which has no predictor, and each slot's
+    /// sealed sample count and predictor live half, for the caller to
+    /// complete from the series frames
+    /// ([`PrepareController::adopt_series`]) and the model frame
+    /// ([`PrepareController::adopt_models`]).
+    pub(crate) fn load_framed<'a>(
+        r: &mut Reader<'a>,
         par: ParConfig,
-    ) -> Result<(Self, Vec<usize>), PersistError> {
-        Self::load_parts(r, par, SeriesIn::Frames)
+    ) -> Result<(Self, FramedParts<'a>), PersistError> {
+        // The flag shapes only the writing: a live half counts its rows.
+        Self::load_parts(r, par, Layout::Framed { touched_rows: true })
     }
 
     /// Hands each slot its series, in slot order: the other half of
@@ -1455,11 +1558,11 @@ impl PrepareController {
 
     /// [`PrepareController::load_state`] or
     /// [`PrepareController::load_framed`], by where the series are.
-    fn load_parts(
-        r: &mut Reader<'_>,
+    fn load_parts<'a>(
+        r: &mut Reader<'a>,
         par: ParConfig,
-        series_in: SeriesIn,
-    ) -> Result<(Self, Vec<usize>), PersistError> {
+        layout: Layout,
+    ) -> Result<(Self, FramedParts<'a>), PersistError> {
         let config = PrepareConfig::load_state(r, par)?;
         let scheme = Scheme::load(r)?;
         let vms = Vec::<VmId>::load(r)?;
@@ -1471,14 +1574,18 @@ impl PrepareController {
             return Err(PersistError::Invalid("PrepareController duplicate VM id"));
         }
         let mut table = Vec::with_capacity(bounded_capacity::<VmRecord>(vms.len(), r));
-        let mut sealed = Vec::with_capacity(table.capacity());
+        let mut parts = FramedParts {
+            sealed: Vec::with_capacity(table.capacity()),
+            live: Vec::with_capacity(table.capacity()),
+        };
         for &vm in &vms {
-            let (rec, len) = VmRecord::load_state(r, &config, series_in)?;
+            let (rec, len, live) = VmRecord::load_state(r, &config, layout)?;
             if rec.episode.as_ref().is_some_and(|ep| ep.vm != vm) {
                 return Err(PersistError::Invalid("PrepareController episode slot"));
             }
             table.push(rec);
-            sealed.push(len);
+            parts.sealed.push(len);
+            parts.live.push(live);
         }
         let slo = SloLog::load(r)?;
         let inference = CauseInference::load_state(
@@ -1508,7 +1615,7 @@ impl PrepareController {
             last_workload_change,
             events,
         };
-        Ok((controller, sealed))
+        Ok((controller, parts))
     }
 
     /// FNV-1a fingerprint of the serialized core state (everything except
@@ -1526,7 +1633,7 @@ impl PrepareController {
         let mut fp = Fingerprint64::new();
         fp.write_usize(self.core_state_bytes());
         let mut w = Writer::new();
-        self.store_core_parts(&mut w, SeriesIn::Record, |w| {
+        self.store_core_parts(&mut w, Layout::Inline, |w| {
             for &b in w.bytes() {
                 fp.write_u8(b);
             }
@@ -1543,7 +1650,7 @@ impl PrepareController {
     pub fn core_state_bytes(&self) -> usize {
         let mut bytes = 0;
         let mut w = Writer::new();
-        self.store_core_parts(&mut w, SeriesIn::Record, |w| {
+        self.store_core_parts(&mut w, Layout::Inline, |w| {
             bytes += w.len();
             w.clear();
         });

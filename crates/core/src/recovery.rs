@@ -3,16 +3,22 @@
 //!
 //! The durability model has two artifacts:
 //!
-//! 1. **Checkpoint** — a chain of immutable, checksummed frames, written
-//!    every `checkpoint_every` ticks. Each seal appends one *series
-//!    frame*, holding every VM's metric samples ingested since the
-//!    previous seal, and rewrites the *state frame*: magic + version, the
-//!    tick, the complete controller state with each VM's series reduced
-//!    to its sealed sample count, and the checksum of the last series
-//!    frame it covers. Each series frame names its predecessor's
-//!    checksum, so a frame dropped, repeated, reordered or taken from
-//!    another image is refused. The series are append-only, so a seal
-//!    writes only what changed since the last one.
+//! 1. **Checkpoint** — immutable, checksummed frames, written every
+//!    `checkpoint_every` ticks. Each seal appends one *series frame*,
+//!    holding every VM's metric samples ingested since the previous seal,
+//!    and rewrites the *state frame*: magic + version, the tick, the
+//!    controller state with each VM's series reduced to its sealed sample
+//!    count and each predictor reduced to its *live half* (chain
+//!    positions, observation counts, the count rows bumped since the
+//!    model frame), the checksum of the model frame and that of the last
+//!    series frame. A seal after a (re)training also writes a new *model
+//!    frame*, every predictor's *trained half* (discretizer ranges, TAN
+//!    tables, every count row as of the seal), which replaces the last
+//!    one. Each series frame names its predecessor's checksum, so a frame
+//!    dropped, repeated, reordered or taken from another image is
+//!    refused. The series are append-only and the trained halves change
+//!    only at a training, so a seal writes only what changed since the
+//!    last one.
 //! 2. **Write-ahead journal** — one [`TickRecord`] per control round
 //!    appended *after* the round ran: the round's inputs (timestamp,
 //!    stamped readings, SLO status) plus every cluster reply the round
@@ -50,8 +56,8 @@ use prepare_par::ParConfig;
 use std::sync::Arc;
 
 /// Magic + version opening a checkpoint's state frame ("PRPCKP" + version
-/// 10).
-pub const CHECKPOINT_MAGIC: u64 = u64::from_le_bytes(*b"PRPCKP10");
+/// 11).
+pub const CHECKPOINT_MAGIC: u64 = u64::from_le_bytes(*b"PRPCKP11");
 
 /// The predecessor checksum a checkpoint's first series frame names.
 const CHAIN_START: u64 = 0;
@@ -397,39 +403,52 @@ impl Journal {
 
 /// Checkpoint framing. An image is the state frame — magic + version,
 /// then a length-prefixed payload and its checksum — followed by its
-/// series frames, oldest first, each a length-prefixed payload and its
-/// checksum. The state payload is the tick, the controller state of
-/// [`PrepareController::store_state`] with each VM's series replaced by
-/// its sealed sample count, and the checksum of the last series frame. A
-/// series payload is its predecessor's checksum (the first names 0), then
-/// how many samples each VM gained since the previous frame, run-length
-/// coded, then those samples, VM by VM in slot order.
+/// model frame, then its series frames, oldest first, each a
+/// length-prefixed payload and its checksum. The state payload is the
+/// tick, the controller state of [`PrepareController::store_state`] with
+/// each VM's series replaced by its sealed sample count and each
+/// predictor by its length-prefixed live half, the event log, the model
+/// frame's checksum and the last series frame's. The model payload is
+/// the number of predictors, then each one's trained half in slot order. A series payload is its predecessor's checksum (the first names
+/// 0), then how many samples each VM gained since the previous frame,
+/// run-length coded, then those samples, VM by VM in slot order.
+///
+/// A predictor is its trained half with its live half read over it: the
+/// live half's touched count rows replace the trained ones, and a touched
+/// row with a count below its trained one is refused, because counts
+/// only grow.
 ///
 /// An image comes in two shapes that [`Checkpoint::read`] both reads: a
 /// [`RecoveryManager`]'s chain ([`CheckpointImage`]), each frame its own
 /// buffer, and the one-piece layout ([`Checkpoint::write`],
 /// [`CheckpointImage::to_vec`]), whose state frame's length and checksum
-/// run over the series frames too. Either way each series frame is
-/// checked on its own and against its neighbours.
+/// run over the model and series frames too. Either way each frame is
+/// checked on its own and against the state frame and its neighbours.
 #[derive(Debug)]
 pub struct Checkpoint;
 
 impl Checkpoint {
     /// Serializes `controller` (as of tick index `tick`) into a sealed
-    /// one-piece checkpoint with a single series frame.
+    /// one-piece checkpoint with a model frame as of now, so live halves
+    /// with no touched rows, and a single series frame.
     pub fn write(controller: &PrepareController, tick: u64) -> Vec<u8> {
         let mut w = Writer::new();
         w.put_u64(CHECKPOINT_MAGIC);
         let frame = open_frame(&mut w);
         w.put_u64(tick);
-        controller.store_core_framed(&mut w);
+        controller.store_core_framed(&mut w, false);
         controller.store_events(&mut w);
-        // The tip comes before the frame whose checksum it is: reserved
-        // here, patched once the frame is written.
-        let tip_at = w.len();
+        // The checksums come before the frames they name: reserved here,
+        // patched once the frames are written.
+        let links_at = w.len();
+        w.put_u64(0);
         w.put_u64(CHAIN_START);
+        let model_at = open_frame(&mut w);
+        controller.store_models(&mut w);
+        let model = close_frame(&mut w, model_at);
         let tip = write_series_frame(&mut w, controller, &[], CHAIN_START);
-        w.patch_u64(tip_at, tip);
+        w.patch_u64(links_at, model);
+        w.patch_u64(links_at + 8, tip);
         close_frame(&mut w, frame);
         w.into_bytes()
     }
@@ -441,9 +460,10 @@ impl Checkpoint {
     /// # Errors
     ///
     /// Returns a [`PersistError`] on a wrong magic/version, a torn or
-    /// corrupt frame (checksum mismatch), a series frame missing, extra,
-    /// out of order or from another image
-    /// ([`PersistError::BrokenChain`]), or invalid payload bytes.
+    /// corrupt frame (checksum mismatch), a model frame missing, stale or
+    /// from another image or a series frame missing, extra, out of order
+    /// or from another image ([`PersistError::BrokenChain`]), or invalid
+    /// payload bytes.
     pub fn read(
         image: &(impl CheckpointBytes + ?Sized),
         par: ParConfig,
@@ -477,19 +497,21 @@ impl CheckpointBytes for CheckpointImage {
     }
 }
 
-/// A checkpoint restored, with where its series frames end.
+/// A checkpoint restored, with the checksums its next seal links to.
 struct Restored {
     controller: PrepareController,
     tick: u64,
     /// Each slot's sealed sample count.
     sealed: Vec<usize>,
+    /// The checksum of the model frame.
+    model: u64,
     /// The checksum of the last series frame.
     tip: u64,
 }
 
 /// Reads a checkpoint from its pieces: the first holds the state frame
-/// (and, in the one-piece layout, the series frames inside it), the rest
-/// hold series frames.
+/// (and, in the one-piece layout, the model and series frames inside it),
+/// the rest hold the model frame and the series frames.
 fn restore(
     image: &(impl CheckpointBytes + ?Sized),
     par: ParConfig,
@@ -509,9 +531,23 @@ fn restore(
     }
     let mut pr = Reader::new(payload);
     let tick = pr.get_u64()?;
-    let (mut controller, sealed) = PrepareController::load_framed(&mut pr, par)?;
+    let (mut controller, parts) = PrepareController::load_framed(&mut pr, par)?;
+    let model = pr.get_u64()?;
     let tip = pr.get_u64()?;
     let inline = pr.get_raw(pr.remaining())?;
+    let mut frames = Vec::new();
+    for piece in std::iter::once(inline).chain(pieces) {
+        let mut fr = Reader::new(piece);
+        while !fr.is_exhausted() {
+            frames.push(get_summed_frame(&mut fr)?);
+        }
+    }
+    let mut frames = frames.into_iter();
+    match frames.next() {
+        Some((frame, sum)) if sum == model => controller.adopt_models(frame, &parts.live)?,
+        _ => return Err(PersistError::BrokenChain),
+    }
+    let sealed = parts.sealed;
     // Each series gets its sealed count's room up front, not a doubling
     // per frame; no more in all than the image has bytes for, so a
     // damaged count reserves nothing the image could not hold.
@@ -523,13 +559,9 @@ fn restore(
         room -= take;
     }
     let mut prev = CHAIN_START;
-    for piece in std::iter::once(inline).chain(pieces) {
-        let mut fr = Reader::new(piece);
-        while !fr.is_exhausted() {
-            let (frame, sum) = get_summed_frame(&mut fr)?;
-            load_series_frame(frame, prev, &mut series)?;
-            prev = sum;
-        }
+    for (frame, sum) in frames {
+        load_series_frame(frame, prev, &mut series)?;
+        prev = sum;
     }
     if prev != tip {
         return Err(PersistError::BrokenChain);
@@ -549,19 +581,28 @@ fn restore(
         controller,
         tick,
         sealed,
+        model,
         tip,
     })
 }
 
 /// A sealed checkpoint as a [`RecoveryManager`] keeps it: the state
-/// frame, which each seal replaces, and the series frames, to which each
-/// seal appends one. Every frame is an immutable buffer shared by `Arc`
-/// among the manager, its crash images and the managers recovered from
-/// them; cloning an image copies no frame.
+/// frame, which each seal replaces; the model frame, which a seal after a
+/// training replaces; and the series frames, to which each seal appends
+/// one. Every frame is an immutable buffer shared by `Arc` among the
+/// manager, its crash images and the managers recovered from them;
+/// cloning an image copies no frame.
+///
+/// The image holds exactly one model frame: each holds every predictor's
+/// trained half whole, as of its seal, so a new one supersedes the last
+/// and the state frames after it are written against it alone. Nothing
+/// accumulates, and nothing needs compacting.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CheckpointImage {
     /// The magic, then the state frame.
     state: Arc<Vec<u8>>,
+    /// The model frame; `None` only before the first seal.
+    model: Option<Arc<Vec<u8>>>,
     /// The series frames, oldest first.
     series: Vec<Arc<Vec<u8>>>,
 }
@@ -569,7 +610,7 @@ pub struct CheckpointImage {
 impl CheckpointImage {
     /// Bytes of every frame: what a seal has made durable.
     pub fn len(&self) -> usize {
-        self.state.len() + self.series_bytes()
+        self.state.len() + self.linked_bytes()
     }
 
     /// True for an image with no bytes, which no seal produces.
@@ -577,15 +618,22 @@ impl CheckpointImage {
         self.len() == 0
     }
 
-    /// Bytes of the series frames.
-    fn series_bytes(&self) -> usize {
-        self.series.iter().map(|f| f.len()).sum()
+    /// Bytes of the frames the state frame links to: the model frame and
+    /// the series frames.
+    fn linked_bytes(&self) -> usize {
+        self.linked().map(<[u8]>::len).sum()
+    }
+
+    /// The frames the state frame links to, in image order: the model
+    /// frame, then the series frames, oldest first.
+    fn linked(&self) -> impl Iterator<Item = &[u8]> {
+        self.model.iter().chain(&self.series).map(|f| f.as_slice())
     }
 
     /// The frames in image order: the state frame (with the magic), then
-    /// the series frames, oldest first.
+    /// the model frame and the series frames.
     fn frames(&self) -> impl Iterator<Item = &[u8]> {
-        std::iter::once(self.state.as_slice()).chain(self.series.iter().map(|f| f.as_slice()))
+        std::iter::once(self.state.as_slice()).chain(self.linked())
     }
 
     /// The image in the one-piece layout [`Checkpoint::write`] emits: the
@@ -601,7 +649,7 @@ impl CheckpointImage {
         w.put_u64(CHECKPOINT_MAGIC);
         let frame = open_frame(&mut w);
         w.put_raw(state_payload);
-        for f in &self.series {
+        for f in self.linked() {
             w.put_raw(f);
         }
         close_frame(&mut w, frame);
@@ -635,6 +683,11 @@ pub struct RecoveryManager {
     /// Each slot's samples the series frames hold: where the next series
     /// frame starts.
     sealed: Vec<usize>,
+    /// The checksum of the model frame, which each state frame names.
+    model: u64,
+    /// Whether a model landed since the model frame was written: the next
+    /// seal writes a new one.
+    retrained: bool,
     /// The checksum of the last series frame, which the next one names.
     tip: u64,
     /// The state frame `checkpoint` replaced, if no crash image still
@@ -662,9 +715,12 @@ impl RecoveryManager {
             tick: 0,
             checkpoint: CheckpointImage {
                 state: Arc::default(),
+                model: None,
                 series: Vec::new(),
             },
             sealed: Vec::new(),
+            model: 0,
+            retrained: false,
             tip: CHAIN_START,
             spare: Vec::new(),
             journal: Journal::new(),
@@ -710,6 +766,7 @@ impl RecoveryManager {
         self.journal
             .append_with(|w| store_tick(w, now, readings, slo_violated, &replies));
         self.journal.barrier();
+        self.retrained |= trains(&events);
         self.tick += 1;
         if self.tick.is_multiple_of(self.checkpoint_every) {
             let records = self.journal.records();
@@ -726,10 +783,12 @@ impl RecoveryManager {
         events
     }
 
-    /// Seals a checkpoint: appends a series frame with every VM's samples
-    /// since the last seal, then writes a fresh state frame. `bookkeeping`
-    /// runs after the state's core is written and before its event log,
-    /// with the size the seal reports: the series frames plus the core.
+    /// Seals a checkpoint: writes a model frame if a model landed since
+    /// the last one (or there is none yet) and clears the count-row marks,
+    /// appends a series frame with every VM's samples since the last
+    /// seal, then writes a fresh state frame. `bookkeeping` runs after the
+    /// state's core is written and before its event log, with the size
+    /// the seal reports: the model and series frames plus the core.
     /// Events it records therefore land in the frame, so a restore from
     /// this checkpoint carries them — otherwise a crash on the next round
     /// would rebuild a log missing its own truncation marker. The size
@@ -738,6 +797,17 @@ impl RecoveryManager {
     /// proofs compare post-recovery event streams byte-for-byte; the
     /// series frames a recovered run appends are its referee's.
     fn seal(&mut self, bookkeeping: impl FnOnce(&mut PrepareController, usize)) {
+        if self.retrained || self.checkpoint.model.is_none() {
+            let last = self.checkpoint.model.as_ref().map_or(0, |f| f.len());
+            let mut frame = Writer::reusing(Vec::with_capacity(seal_reserve(last)));
+            let at = open_frame(&mut frame);
+            self.controller.store_models(&mut frame);
+            self.model = close_frame(&mut frame, at);
+            self.checkpoint.model = Some(Arc::new(frame.into_bytes()));
+            self.controller.clear_count_marks();
+            self.retrained = false;
+        }
+
         // Each frame's buffer is allocated at a size that holds it, never
         // grown by doubling: that copied megabytes mid-seal and left holes
         // in the heap whose reuse, not the state, decided the process's
@@ -769,10 +839,11 @@ impl RecoveryManager {
         let at = open_frame(&mut state);
         state.put_u64(self.tick);
         let before_core = state.len();
-        self.controller.store_core_framed(&mut state);
-        let bytes = self.checkpoint.series_bytes() + (state.len() - before_core);
+        self.controller.store_core_framed(&mut state, true);
+        let bytes = self.checkpoint.linked_bytes() + (state.len() - before_core);
         bookkeeping(&mut self.controller, bytes);
         self.controller.store_events(&mut state);
+        state.put_u64(self.model);
         state.put_u64(self.tip);
         close_frame(&mut state, at);
         let old = std::mem::replace(&mut self.checkpoint.state, Arc::new(state.into_bytes()));
@@ -793,7 +864,9 @@ impl RecoveryManager {
     /// resumes with the journal contents intact for the next checkpoint.
     /// The recovered manager shares the image's frames and appends its
     /// next series frame after them, from the sample counts the image
-    /// sealed (the replayed samples are not sealed yet).
+    /// sealed (the replayed samples are not sealed yet); a model that
+    /// lands in a replayed round is written at its next seal, as the
+    /// crashed manager would have written it.
     /// Emits [`ControllerEvent::ControllerCrashed`] and
     /// [`ControllerEvent::RecoveryCompleted`] after the replay (both
     /// stamped `crashed_at`): replayed rounds carry pre-crash timestamps,
@@ -819,17 +892,20 @@ impl RecoveryManager {
             mut controller,
             tick: checkpoint_tick,
             sealed,
+            model,
             tip,
         } = restore(&image.checkpoint, par)?;
         let scan = Journal::scan(&image.journal);
         let mut journal = Journal::new();
+        let mut retrained = false;
         for record in &scan.records {
-            controller.on_readings_replay(
+            let events = controller.on_readings_replay(
                 record.now,
                 &record.readings,
                 record.slo_violated,
                 &record.replies,
             );
+            retrained |= trains(&events);
             journal.append(record);
             journal.barrier();
         }
@@ -845,11 +921,20 @@ impl RecoveryManager {
             tick: checkpoint_tick + replayed as u64,
             checkpoint: image.checkpoint.clone(),
             sealed,
+            model,
+            retrained,
             tip,
             spare: Vec::new(),
             journal,
         })
     }
+}
+
+/// Whether a round's events include a model landing.
+fn trains(events: &[ControllerEvent]) -> bool {
+    events
+        .iter()
+        .any(|e| matches!(e, ControllerEvent::ModelsTrained { .. }))
 }
 
 /// The most bytes one sample takes in a series frame: a ten-byte varint
@@ -863,6 +948,7 @@ const MIN_SAMPLE_BYTES: usize = 1 + ATTRIBUTE_COUNT * 8;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use prepare_anomaly::AnomalyPredictor;
     use prepare_metrics::{MetricSample, MetricVector};
 
     fn record(t: u64) -> TickRecord {
@@ -1015,6 +1101,7 @@ mod tests {
             b"PRPCKP07",
             b"PRPCKP08",
             b"PRPCKP09",
+            b"PRPCKP10",
         ] {
             let mut old = image.clone();
             old[..8].copy_from_slice(earlier);
@@ -1040,7 +1127,7 @@ mod tests {
 
     /// At every seal the manager's chain restores the controller the
     /// one-piece reference writer's image restores, and the reported size
-    /// is the series frames plus the state frame's core.
+    /// is the model and series frames plus the state frame's core.
     #[test]
     fn a_sealed_chain_restores_what_checkpoint_write_restores() {
         let mut cluster = Cluster::new();
@@ -1083,14 +1170,14 @@ mod tests {
             );
             assert_eq!(state(Checkpoint::read(&one_piece, par)), want, "tick {t}");
             let mut core = Writer::new();
-            manager.controller().store_core_framed(&mut core);
+            manager.controller().store_core_framed(&mut core, true);
             let reported = events.iter().find_map(|e| match e {
                 ControllerEvent::CheckpointTaken { bytes, .. } => Some(*bytes),
                 _ => None,
             });
             assert_eq!(
                 reported,
-                Some(image.series_bytes() + core.len()),
+                Some(image.linked_bytes() + core.len()),
                 "tick {t}"
             );
         }
@@ -1329,7 +1416,7 @@ mod tests {
         fp.write_bytes(&image);
         assert_eq!(
             (image.len(), fp.finish()),
-            (8_992, 0xcb61_35a6_6b73_6481),
+            (9_059, 0x7de2_a9e5_ea08_c2d0),
             "the checkpoint layout moved: bump `CHECKPOINT_MAGIC` and re-pin"
         );
     }
@@ -1345,6 +1432,8 @@ mod tests {
                 .expect("intact image");
         for holder in [&image.checkpoint, &recovered.checkpoint] {
             assert!(Arc::ptr_eq(&holder.state, &manager.checkpoint.state));
+            let model = |image: &CheckpointImage| image.model.clone().expect("a model frame");
+            assert!(Arc::ptr_eq(&model(holder), &model(&manager.checkpoint)));
             assert_eq!(holder.series.len(), manager.checkpoint.series.len());
             for (a, b) in holder.series.iter().zip(&manager.checkpoint.series) {
                 assert!(Arc::ptr_eq(a, b));
@@ -1352,6 +1441,7 @@ mod tests {
         }
         assert_eq!(recovered.checkpoint_bytes(), manager.checkpoint_bytes());
         assert_eq!(recovered.sealed, manager.sealed);
+        assert_eq!(recovered.model, manager.model);
         assert_eq!(recovered.tip, manager.tip);
     }
 
@@ -1433,6 +1523,217 @@ mod tests {
         );
     }
 
+    /// A managed [`trained_round`] scenario, every reading moved by
+    /// `offset`, sealed every round, with a model refresh every 20 s: the
+    /// images sealed in the round the models were first trained and in
+    /// the round they were first retrained.
+    fn retraining_images(offset: f64) -> (CheckpointImage, CheckpointImage) {
+        let mut cluster = two_vm_cluster();
+        let config = crate::PrepareConfig {
+            retrain_interval: Some(prepare_metrics::Duration::from_secs(20)),
+            ..small_config()
+        };
+        let controller =
+            PrepareController::new(vec![VmId(0), VmId(1)], config, crate::Scheme::Prepare);
+        let mut manager = RecoveryManager::new(controller, 1);
+        let mut images = Vec::new();
+        for i in 0..40u64 {
+            let (now, mut readings, sick) = trained_round(i);
+            for (_, reading) in &mut readings {
+                let values = reading.sample.values;
+                reading.sample.values = MetricVector::from_fn(|a| values[a] + offset);
+            }
+            let events = manager.tick(now, &readings, sick, &mut cluster);
+            if trains(&events) {
+                images.push(manager.crash_image().checkpoint);
+            }
+        }
+        assert!(images.len() >= 2, "the scenario trains, then retrains");
+        (images.swap_remove(0), images.swap_remove(0))
+    }
+
+    /// A manager sealing every round writes its model frame at the first
+    /// seal and a new one at the seal after the training, and none at the
+    /// six seals after that. Each of those state frames carries, per
+    /// predictor, exactly the count rows bumped since the model frame:
+    /// its live halves are those of the trained predictor, marks cleared,
+    /// fed the same samples. The chain restores the controller a
+    /// one-piece image restores.
+    #[test]
+    fn a_seal_writes_a_model_frame_only_after_training() {
+        let mut cluster = two_vm_cluster();
+        let controller = PrepareController::new(
+            vec![VmId(0), VmId(1)],
+            small_config(),
+            crate::Scheme::Prepare,
+        );
+        let mut manager = RecoveryManager::new(controller, 1);
+        let model = |m: &RecoveryManager| m.checkpoint.model.clone().expect("a model frame");
+        let first = model(&manager);
+        let mut round = 0;
+        while !manager.controller().is_trained() {
+            assert!(Arc::ptr_eq(&model(&manager), &first), "round {round}");
+            let (now, readings, sick) = trained_round(round);
+            manager.tick(now, &readings, sick, &mut cluster);
+            round += 1;
+            assert!(round < 15, "the scenario trains");
+        }
+        let trained = model(&manager);
+        assert!(!Arc::ptr_eq(&trained, &first));
+        let vms = [VmId(0), VmId(1)];
+        let mut bases: Vec<Option<AnomalyPredictor>> = vms
+            .iter()
+            .map(|&vm| {
+                let mut p = manager.controller().predictor(vm)?.clone();
+                p.clear_marks();
+                Some(p)
+            })
+            .collect();
+        assert!(bases.iter().any(Option::is_some));
+        for seal in 0..6 {
+            let (now, readings, sick) = trained_round(round + seal);
+            manager.tick(now, &readings, sick, &mut cluster);
+            assert!(Arc::ptr_eq(&model(&manager), &trained), "seal {seal}");
+            let state = &manager.checkpoint.state;
+            let mut r = Reader::new(&state[16..state.len() - 8]);
+            r.get_u64().expect("the tick");
+            let (_, parts) =
+                PrepareController::load_framed(&mut r, ParConfig::serial()).expect("intact");
+            for ((base, (_, reading)), live) in bases.iter_mut().zip(&readings).zip(&parts.live) {
+                let Some(base) = base else {
+                    assert!(live.is_none(), "seal {seal}");
+                    continue;
+                };
+                base.observe(&reading.sample);
+                let vm = reading_vm(&readings, reading);
+                assert_eq!(Some(&*base), manager.controller().predictor(vm));
+                let mut want = Writer::new();
+                base.store_live(&mut want, true);
+                assert_eq!(*live, Some(want.bytes()), "seal {seal}, {vm:?}");
+            }
+        }
+
+        let par = ParConfig::serial();
+        let (chain, _) =
+            Checkpoint::read(&manager.crash_image().checkpoint, par).expect("intact chain");
+        let one_piece = Checkpoint::write(manager.controller(), manager.tick_count());
+        let (single, _) = Checkpoint::read(&one_piece, par).expect("intact image");
+        assert_eq!(chain.model_fingerprint(), single.model_fingerprint());
+        assert_eq!(
+            chain.model_fingerprint(),
+            manager.controller().model_fingerprint()
+        );
+    }
+
+    /// A training in a round the journal holds, replayed by a recovery,
+    /// is sealed in a model frame at the next seal, as the run that never
+    /// crashed seals it: the model frames are byte for byte the referee's,
+    /// and the image restores the controller.
+    #[test]
+    fn a_replayed_training_is_sealed_in_a_model_frame() {
+        let start = || {
+            let controller = PrepareController::new(
+                vec![VmId(0), VmId(1)],
+                small_config(),
+                crate::Scheme::Prepare,
+            );
+            (RecoveryManager::new(controller, 20), two_vm_cluster())
+        };
+        let (mut referee, mut referee_cluster) = start();
+        let (mut crashed, mut cluster) = start();
+        let par = ParConfig::serial();
+        let mut replayed_training = false;
+        for i in 0..24u64 {
+            let (now, readings, sick) = trained_round(i);
+            referee.tick(now, &readings, sick, &mut referee_cluster);
+            let events = crashed.tick(now, &readings, sick, &mut cluster);
+            if trains(&events) {
+                assert!(
+                    !(i + 1).is_multiple_of(20),
+                    "the training round does not seal"
+                );
+                crashed = RecoveryManager::recover(&crashed.crash_image(), 20, par, now)
+                    .expect("intact image");
+                replayed_training = true;
+            }
+        }
+        assert!(replayed_training, "the scenario trains");
+        let model = |m: &RecoveryManager| m.checkpoint.model.clone().expect("a model frame");
+        assert_eq!(model(&crashed), model(&referee));
+        let now = Timestamp::from_secs(24 * 5);
+        let restored = RecoveryManager::recover(&crashed.crash_image(), 20, par, now)
+            .expect("the sealed image restores");
+        assert!(restored.controller().is_trained());
+        assert_eq!(
+            restored.controller().model_fingerprint(),
+            referee.controller().model_fingerprint()
+        );
+    }
+
+    /// The VM a reading of `readings` is for.
+    fn reading_vm(readings: &[(VmId, StampedSample)], reading: &StampedSample) -> VmId {
+        readings
+            .iter()
+            .find(|(_, r)| std::ptr::eq(r, reading))
+            .map(|&(vm, _)| vm)
+            .expect("a reading of the round")
+    }
+
+    /// A state frame whose touched count rows fall below the model frame's
+    /// never loads: here an early seal's state frame, relinked to the
+    /// model frame of a later seal, whose rows have grown since.
+    #[test]
+    fn a_touched_row_below_its_base_never_loads() {
+        let mut cluster = two_vm_cluster();
+        let mut controller = PrepareController::new(
+            vec![VmId(0), VmId(1)],
+            small_config(),
+            crate::Scheme::Prepare,
+        );
+        for i in 0..15u64 {
+            let (now, readings, sick) = trained_round(i);
+            controller.on_readings(now, &readings, sick, &mut cluster);
+        }
+        assert!(controller.is_trained());
+        let mut manager = RecoveryManager::new(controller, 1);
+        for i in 15..18 {
+            let (now, readings, sick) = trained_round(i);
+            manager.tick(now, &readings, sick, &mut cluster);
+        }
+        let early = manager.crash_image().checkpoint;
+        let mut later = Writer::new();
+        for i in 18..24 {
+            let (now, readings, sick) = trained_round(i);
+            manager.tick(now, &readings, sick, &mut cluster);
+        }
+        let at = open_frame(&mut later);
+        manager.controller().store_models(&mut later);
+        let sum = close_frame(&mut later, at);
+
+        let state = &early.state;
+        let mut payload = state[16..state.len() - 8].to_vec();
+        let link = payload.len() - 16;
+        payload[link..link + 8].copy_from_slice(&sum.to_le_bytes());
+        let mut w = Writer::new();
+        w.put_u64(CHECKPOINT_MAGIC);
+        let at = open_frame(&mut w);
+        w.put_raw(&payload);
+        close_frame(&mut w, at);
+        let mut bad = early.clone();
+        bad.state = Arc::new(w.into_bytes());
+        bad.model = Some(Arc::new(later.into_bytes()));
+        let par = ParConfig::serial();
+        assert!(Checkpoint::read(&early, par).is_ok());
+        assert_eq!(
+            Checkpoint::read(&bad, par).err(),
+            Some(PersistError::Invalid("Markov touched row below its base"))
+        );
+        assert_eq!(
+            Checkpoint::read(&bad.to_vec(), par).err(),
+            Some(PersistError::Invalid("Markov touched row below its base"))
+        );
+    }
+
     /// A series frame's runs cover the slots exactly: a run of no slots,
     /// one past the last slot, or samples left over are refused.
     #[test]
@@ -1473,6 +1774,8 @@ mod tests {
     /// A chain whose series frames were tampered with never loads, in
     /// either layout: a frame dropped (first, middle, last), repeated,
     /// swapped with another, or replaced by a frame of the same length
+    /// from another run. Neither does a chain whose model frame was
+    /// dropped, or replaced by the frame a retrain superseded or by one
     /// from another run. Each frame's own checksum holds; the links do
     /// not.
     #[test]
@@ -1506,6 +1809,20 @@ mod tests {
                 with(format!("frames {k} and {j} swapped"), &|f| f.swap(k, j));
             }
         }
+        let (trained, retrained) = retraining_images(0.0);
+        let (_, other) = retraining_images(2.5);
+        assert!(Checkpoint::read(&retrained, par).is_ok());
+        assert_ne!(trained.model, retrained.model);
+        assert_ne!(other.model, retrained.model);
+        for (what, model) in [
+            ("dropped", None),
+            ("stale", trained.model.clone()),
+            ("foreign", other.model.clone()),
+        ] {
+            let mut bad = retrained.clone();
+            bad.model = model;
+            damaged.push((format!("model frame {what}"), bad));
+        }
         for (what, bad) in &damaged {
             assert_eq!(
                 Checkpoint::read(bad, par).err(),
@@ -1521,16 +1838,21 @@ mod tests {
     }
 
     /// The bit-flip sweep, frame by frame: every bit of every frame of a
-    /// trained manager's chain — the state frame and each series frame —
-    /// flipped on its own, and each damaged chain is refused.
+    /// trained manager's chain — the state frame, the model frame and each
+    /// series frame — flipped on its own, and each damaged chain is
+    /// refused.
     #[test]
     fn every_bit_of_every_frame_of_a_chain_is_refused() {
         let image = trained_manager().crash_image().checkpoint;
         let par = ParConfig::serial();
         assert!(Checkpoint::read(&image, par).is_ok());
-        assert_eq!(image.frames().count(), 3, "a state and two series frames");
+        assert_eq!(
+            image.frames().count(),
+            4,
+            "a state, a model and two series frames"
+        );
         let mut flipped = 0;
-        for k in 0..=image.series.len() {
+        for k in 0..image.frames().count() {
             let frame = image.frames().nth(k).expect("frame k").to_vec();
             for bit in 0..frame.len() * 8 {
                 let mut bad_frame = frame.clone();
@@ -1538,7 +1860,8 @@ mod tests {
                 let mut bad = image.clone();
                 match k {
                     0 => bad.state = Arc::new(bad_frame),
-                    _ => bad.series[k - 1] = Arc::new(bad_frame),
+                    1 => bad.model = Some(Arc::new(bad_frame)),
+                    _ => bad.series[k - 2] = Arc::new(bad_frame),
                 }
                 assert!(Checkpoint::read(&bad, par).is_err(), "frame {k} bit {bit}");
                 flipped += 1;

@@ -41,12 +41,16 @@ mod tests {
         debug_assert_normalized(&[0.25, 0.25, 0.5], "test");
     }
 
+    // The assertion is a `debug_assert!`: a release build has none to trip.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "mass sums to")]
     fn unnormalized_vector_panics_in_debug() {
         debug_assert_normalized(&[0.5, 0.6], "test");
     }
 
+    // The assertion is a `debug_assert!`: a release build has none to trip.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "not a probability")]
     fn negative_mass_panics_in_debug() {

@@ -30,8 +30,11 @@
 //! assert_eq!(dist.most_likely(), 0); // last seen 1 → next 0
 //! ```
 
+mod counts;
 mod distribution;
 mod invariants;
+#[cfg(test)]
+mod referee;
 mod simple;
 mod snapshot;
 mod two_dep;

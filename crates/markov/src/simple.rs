@@ -1,6 +1,7 @@
 //! First-order ("simple") Markov chain value predictor — the baseline from
 //! the authors' earlier work \[10\] that Fig. 11 compares against.
 
+use crate::counts::CountRows;
 use crate::snapshot::{normalize_in_place, propagate, TransitionTable};
 use crate::MAX_STATES;
 use crate::{StateDistribution, ValuePredictor};
@@ -24,9 +25,9 @@ use std::sync::OnceLock;
 #[derive(Clone)]
 pub struct SimpleMarkov {
     n: usize,
-    /// Flat row-major transition counts: `counts[i * n + j]` = observed
-    /// transitions i → j.
-    counts: Vec<f64>,
+    /// Transition counts, one row per current state: cell `j` of row `i`
+    /// is the observed transitions i → j.
+    counts: CountRows,
     /// Laplace smoothing pseudo-count.
     alpha: f64,
     current: Option<usize>,
@@ -82,7 +83,7 @@ impl SimpleMarkov {
         assert!(alpha.is_finite() && alpha >= 0.0, "alpha must be >= 0");
         SimpleMarkov {
             n,
-            counts: vec![0.0; n * n],
+            counts: CountRows::new(n, n),
             alpha,
             current: None,
             observations: 0,
@@ -104,15 +105,17 @@ impl SimpleMarkov {
     /// unvisited state persisting is a far better guess than teleporting
     /// uniformly — and it keeps never-seen extreme states (a pinned CPU
     /// the model was never trained on) predicted as extreme.
+    ///
+    /// A row exists from its first transition on, so a row with no
+    /// counts is exactly a missing one. A count below 2^53 converts to
+    /// `f64` exactly, so the weights are those of a dense `f64` table.
     pub(crate) fn row(&self, i: usize) -> StateDistribution {
-        let row = &self.counts[i * self.n..(i + 1) * self.n];
-        let total: f64 = row.iter().sum();
-        // xtask-allow: float-eq -- counts are integer-valued; an exact zero sum means "never observed"
-        if total == 0.0 {
-            return StateDistribution::point(self.n, i);
+        match self.counts.row(i) {
+            None => StateDistribution::point(self.n, i),
+            Some(row) => StateDistribution::from_weights(
+                row.iter().map(|&c| c as f64 + self.alpha).collect(),
+            ),
         }
-        let weights: Vec<f64> = row.iter().map(|c| c + self.alpha).collect();
-        StateDistribution::from_weights(weights)
     }
 
     /// The frozen transition table, baking every smoothed row once (in
@@ -186,16 +189,48 @@ impl SimpleMarkov {
     /// position, the observation count; `n` is the owner's to supply on
     /// load.
     pub fn store_state(&self, w: &mut Writer) {
+        self.store_trained(w);
+        self.store_position(w);
+    }
+
+    /// Serializes the chain's trained half: `alpha` and every count row,
+    /// as [`SimpleMarkov::store_state`] writes them.
+    pub fn store_trained(&self, w: &mut Writer) {
         let Self {
-            n, // the row width; supplied by PrepareConfig on load
+            n: _, // the row width; supplied by PrepareConfig on load
             counts,
             alpha,
-            current,
-            observations,
-            table: _, // derived snapshot, rebuilt lazily on first predict
+            current: _,      // the live half's
+            observations: _, // the live half's
+            table: _,        // derived snapshot, rebuilt lazily on first predict
         } = self;
         w.put_f64(*alpha);
-        store_counts(w, counts, *n);
+        counts.store(w);
+    }
+
+    /// Serializes the chain's live half: the position, the observation
+    /// count and, when `touched_rows` is set, every count row bumped since
+    /// the marks were last cleared ([`SimpleMarkov::clear_marks`]), each
+    /// whole; otherwise no row.
+    pub fn store_live(&self, w: &mut Writer, touched_rows: bool) {
+        self.store_position(w);
+        if touched_rows {
+            self.counts.store_touched(w);
+        } else {
+            w.put_varint(0);
+        }
+    }
+
+    /// Serializes the position and the observation count.
+    fn store_position(&self, w: &mut Writer) {
+        let Self {
+            n: _,
+            counts: _, // the trained half's, and the live half's touched rows
+            alpha: _,  // the trained half's
+            current,
+            observations,
+            table: _,
+        } = self;
         current.store(w);
         w.put_usize(*observations);
     }
@@ -204,18 +239,46 @@ impl SimpleMarkov {
     /// [`SimpleMarkov::store_state`], refusing a negative or non-finite
     /// `alpha` and a position outside `0..n`.
     pub fn load_state(r: &mut Reader<'_>, n: usize) -> Result<Self, PersistError> {
+        let mut chain = Self::load_trained(r, n)?;
+        chain.current = load_position(r, n)?;
+        chain.observations = r.get_usize()?;
+        Ok(chain)
+    }
+
+    /// Restores a chain's trained half written by
+    /// [`SimpleMarkov::store_trained`], with no position and no
+    /// observations yet: [`SimpleMarkov::load_live`] supplies them.
+    pub fn load_trained(r: &mut Reader<'_>, n: usize) -> Result<Self, PersistError> {
         let alpha = r.get_f64()?;
         if !(alpha.is_finite() && alpha >= 0.0) {
             return Err(PersistError::Invalid("Markov alpha"));
         }
         Ok(SimpleMarkov {
             n,
-            counts: load_counts(r, n, n)?,
+            counts: CountRows::load(r, n, n)?,
             alpha,
-            current: load_position(r, n)?,
-            observations: r.get_usize()?,
+            current: None,
+            observations: 0,
             table: OnceLock::new(),
         })
+    }
+
+    /// Reads a live half written by [`SimpleMarkov::store_live`] over this
+    /// trained half: the position, the observation count, and the touched
+    /// rows in place of the trained rows, marked. A touched row with a
+    /// cell below its trained one is refused: counts only grow.
+    pub fn load_live(&mut self, r: &mut Reader<'_>) -> Result<(), PersistError> {
+        self.current = load_position(r, self.n)?;
+        self.observations = r.get_usize()?;
+        self.counts.load_touched(r)?;
+        self.table.take();
+        Ok(())
+    }
+
+    /// Clears the marks of every count row: the rows as they are now are
+    /// the trained half the next live half is written against.
+    pub fn clear_marks(&mut self) {
+        self.counts.clear_marks();
     }
 
     /// The Laplace pseudo-count.
@@ -241,109 +304,17 @@ impl SimpleMarkov {
     ) -> Self {
         assert_eq!(counts.len(), n * n);
         SimpleMarkov {
-            counts,
+            counts: CountRows::from_dense(n, &counts),
             current,
             observations,
             ..SimpleMarkov::new(n)
         }
     }
-}
 
-/// Writes a count table of rows `n` wide, each row sparse: its number of
-/// nonzero cells as a `u8`, then a `(u8 column, varint count)` pair per
-/// nonzero cell in increasing column order. Counts are whole numbers
-/// (`observe` only ever adds 1.0) and most cells of a trained chain are
-/// zero. No row count is written: the owner's state count fixes it.
-///
-/// One pass per row, with no per-cell work for a row of nothing but
-/// `+0.0` cells — most rows of a trained chain: one branch-free test
-/// writes its zero byte. Any other row reserves its cell count and
-/// patches it once the row's pairs are out. A cell is nonzero when it
-/// truncates to a nonzero `u64`, so the bytes are
-/// [`store_counts_reference`]'s for every table.
-// xtask: hot-path
-pub(crate) fn store_counts(w: &mut Writer, counts: &[f64], n: usize) {
-    for row in counts.chunks_exact(n) {
-        if row.iter().fold(0, |bits, c| bits | c.to_bits()) == 0 {
-            w.put_u8(0);
-            continue;
-        }
-        let at = w.len();
-        w.put_u8(0);
-        // `n <= MAX_STATES`, so both the cell count and a column fit a byte.
-        let mut nonzero = 0u8;
-        for (col, &c) in row.iter().enumerate() {
-            let c = c as u64;
-            if c != 0 {
-                w.put_u8(col as u8);
-                w.put_varint(c);
-                nonzero += 1;
-            }
-        }
-        w.patch_u8(at, nonzero);
+    /// The count store.
+    pub(crate) fn counts(&self) -> &CountRows {
+        &self.counts
     }
-}
-
-/// The two-pass encoder [`store_counts`] replaced, kept verbatim as the
-/// referee of its bytes.
-#[cfg(test)]
-pub(crate) fn store_counts_reference(w: &mut Writer, counts: &[f64], n: usize) {
-    for row in counts.chunks_exact(n) {
-        let nonzero = || {
-            row.iter()
-                .map(|&c| c as u64)
-                .enumerate()
-                .filter(|&(_, c)| c != 0)
-        };
-        // `n <= MAX_STATES`, so both the cell count and a column fit a byte.
-        w.put_u8(nonzero().count() as u8);
-        for (col, c) in nonzero() {
-            w.put_u8(col as u8);
-            w.put_varint(c);
-        }
-    }
-}
-
-/// Reads the `rows` sparse rows of `n` cells [`store_counts`] wrote,
-/// refusing a state count outside `1..=MAX_STATES`, a row claiming more
-/// than `n` nonzero cells, a column at or past `n` or not above the
-/// previous one, and a stored count of 0.
-pub(crate) fn load_counts(
-    r: &mut Reader<'_>,
-    rows: usize,
-    n: usize,
-) -> Result<Vec<f64>, PersistError> {
-    if !(1..=MAX_STATES).contains(&n) {
-        return Err(PersistError::Invalid("Markov state count"));
-    }
-    // Every row takes at least its one-byte cell count.
-    let mut counts = Vec::with_capacity(rows.min(r.remaining()) * n);
-    for _ in 0..rows {
-        let nonzero = usize::from(r.get_u8()?);
-        if nonzero > n {
-            return Err(PersistError::Invalid("Markov row nonzero count"));
-        }
-        let start = counts.len();
-        counts.resize(start + n, 0.0);
-        let (_, row) = counts.split_at_mut(start);
-        let mut first_free = 0;
-        for _ in 0..nonzero {
-            let col = usize::from(r.get_u8()?);
-            let c = r.get_varint()?;
-            if col < first_free {
-                return Err(PersistError::Invalid("Markov count columns out of order"));
-            }
-            if c == 0 {
-                return Err(PersistError::Invalid("Markov stored count of 0"));
-            }
-            let cell = row
-                .get_mut(col)
-                .ok_or(PersistError::Invalid("Markov count column"))?;
-            *cell = c as f64;
-            first_free = col + 1;
-        }
-    }
-    Ok(counts)
 }
 
 /// Reads an optional position among `n` states.
@@ -358,7 +329,7 @@ impl ValuePredictor for SimpleMarkov {
     fn observe(&mut self, state: usize) {
         assert!(state < self.n, "state {state} out of range (n={})", self.n);
         if let Some(prev) = self.current {
-            self.counts[prev * self.n + state] += 1.0;
+            self.counts.bump(prev, state);
         }
         self.current = Some(state);
         self.observations += 1;
@@ -547,7 +518,10 @@ mod tests {
         // Row 0: column 2 holds 300 (a two-byte varint); row 1: columns 0
         // and 1; row 2: empty.
         let m = load_rows(&[1, 2, 0xac, 0x02, 2, 0, 1, 1, 127, 0]).expect("valid rows");
-        assert_eq!(m.counts, [0.0, 0.0, 300.0, 1.0, 127.0, 0.0, 0.0, 0.0, 0.0]);
+        assert_eq!(
+            m.counts.dense(),
+            [0.0, 0.0, 300.0, 1.0, 127.0, 0.0, 0.0, 0.0, 0.0]
+        );
     }
 
     #[test]
@@ -603,6 +577,7 @@ mod tests {
 #[cfg(test)]
 mod codec_proptests {
     use super::*;
+    use crate::counts::store_counts_reference;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -647,9 +622,9 @@ mod codec_proptests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
         // For every state count a chain can have (which covers every
-        // `MAX_BINS`-bounded configuration), the one-pass encoder writes
-        // the reference encoder's bytes, and `load_counts` reads the
-        // table back exactly.
+        // `MAX_BINS`-bounded configuration), the row-sparse store writes
+        // the dense reference encoder's bytes, and `CountRows::load` reads
+        // the table back exactly.
         #[test]
         fn store_counts_writes_the_reference_bytes_and_load_counts_inverts_it(seed in 0u64..u64::MAX) {
             for n in 1..=MAX_STATES {
@@ -657,12 +632,14 @@ mod codec_proptests {
                 let counts = table(&mut rng, n);
                 let rows = counts.len() / n;
                 let mut fast = Writer::new();
-                store_counts(&mut fast, &counts, n);
+                CountRows::from_dense(n, &counts).store(&mut fast);
                 let mut reference = Writer::new();
                 store_counts_reference(&mut reference, &counts, n);
                 prop_assert_eq!(fast.bytes(), reference.bytes(), "n {}", n);
                 let mut r = Reader::new(fast.bytes());
-                let back = load_counts(&mut r, rows, n).expect("the encoder's own bytes");
+                let back = CountRows::load(&mut r, rows, n)
+                    .expect("the encoder's own bytes")
+                    .dense();
                 prop_assert!(r.is_exhausted(), "n {}", n);
                 prop_assert_eq!(back, counts, "n {}", n);
             }
@@ -670,7 +647,8 @@ mod codec_proptests {
     }
 
     /// Cells that are not whole positive numbers — what `observe` never
-    /// stores — still encode as the reference does: they truncate.
+    /// stores — still encode as the reference does: the dense test
+    /// constructor truncates them.
     #[test]
     fn cells_that_truncate_to_zero_match_the_reference() {
         let cells = [0.5, -0.0, -3.0, f64::NAN, 0.999, 2.5, f64::INFINITY, 1e300];
@@ -678,7 +656,7 @@ mod codec_proptests {
             for start in 0..cells.len() {
                 let row: Vec<f64> = cells.iter().cycle().skip(start).take(n).copied().collect();
                 let mut fast = Writer::new();
-                store_counts(&mut fast, &row, n);
+                CountRows::from_dense(n, &row).store(&mut fast);
                 let mut reference = Writer::new();
                 store_counts_reference(&mut reference, &row, n);
                 assert_eq!(fast.bytes(), reference.bytes(), "{row:?}");

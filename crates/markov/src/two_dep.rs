@@ -11,7 +11,8 @@
 //! combined states and marginalizes onto the current (most recent) single
 //! state.
 
-use crate::simple::{load_counts, load_position, store_counts};
+use crate::counts::CountRows;
+use crate::simple::load_position;
 use crate::snapshot::{propagate, TransitionTable};
 use crate::{SimpleMarkov, StateDistribution, ValuePredictor, MAX_STATES};
 use prepare_metrics::persist::{Persist, PersistError, Reader, Writer};
@@ -35,9 +36,9 @@ use std::sync::OnceLock;
 #[derive(Clone)]
 pub struct TwoDependentMarkov {
     n: usize,
-    /// Flat transition counts out of combined states:
-    /// `counts[(prev * n + cur) * n + next]`.
-    counts: Vec<f64>,
+    /// Transition counts out of combined states: cell `next` of row
+    /// `prev * n + cur`.
+    counts: CountRows,
     /// First-order fallback for unseen combined states. It observes every
     /// state this chain does, so it also holds the chain's `alpha`, its
     /// current state and its observation count.
@@ -92,7 +93,7 @@ impl TwoDependentMarkov {
         assert!(alpha.is_finite() && alpha >= 0.0, "alpha must be >= 0");
         TwoDependentMarkov {
             n,
-            counts: vec![0.0; n * n * n],
+            counts: CountRows::new(n * n, n),
             fallback: SimpleMarkov::with_smoothing(n, alpha),
             prev: None,
             table: OnceLock::new(),
@@ -109,12 +110,11 @@ impl TwoDependentMarkov {
     /// Distribution over the next single state out of combined state
     /// `(prev, cur)`, falling back to first-order stats for unseen rows.
     fn next_given(&self, prev: usize, cur: usize) -> StateDistribution {
-        let pc = prev * self.n + cur;
-        let row = &self.counts[pc * self.n..(pc + 1) * self.n];
-        let total: f64 = row.iter().sum();
-        if total > 0.0 {
+        // A row exists from its first transition on, so a seen row has a
+        // positive total. A count below 2^53 converts to `f64` exactly.
+        if let Some(row) = self.counts.row(prev * self.n + cur) {
             let alpha = self.fallback.alpha();
-            let weights: Vec<f64> = row.iter().map(|c| c + alpha).collect();
+            let weights: Vec<f64> = row.iter().map(|&c| c as f64 + alpha).collect();
             StateDistribution::from_weights(weights)
         } else {
             // Never saw this (prev, cur) pair: use the first-order view
@@ -251,15 +251,81 @@ impl TwoDependentMarkov {
     /// owner's to supply on load.
     pub fn store_state(&self, w: &mut Writer) {
         let Self {
-            n, // the row width; supplied by PrepareConfig on load
+            n: _, // the row width; supplied by PrepareConfig on load
             counts,
             fallback,
             prev,
             table: _, // derived snapshot, rebuilt lazily on first predict
         } = self;
         prev.store(w);
-        store_counts(w, counts, *n);
+        counts.store(w);
         fallback.store_state(w);
+    }
+
+    /// Serializes the chain's trained half: every combined-state count
+    /// row, then the fallback's trained half
+    /// ([`SimpleMarkov::store_trained`]).
+    pub fn store_trained(&self, w: &mut Writer) {
+        let Self {
+            n: _,
+            counts,
+            fallback,
+            prev: _,  // the live half's
+            table: _, // derived snapshot, rebuilt lazily on first predict
+        } = self;
+        counts.store(w);
+        fallback.store_trained(w);
+    }
+
+    /// Serializes the chain's live half: the previous state, the
+    /// combined-state rows bumped since the marks were last cleared when
+    /// `touched_rows` is set (each whole; otherwise none), then the
+    /// fallback's live half ([`SimpleMarkov::store_live`]).
+    pub fn store_live(&self, w: &mut Writer, touched_rows: bool) {
+        let Self {
+            n: _,
+            counts,
+            fallback,
+            prev,
+            table: _,
+        } = self;
+        prev.store(w);
+        if touched_rows {
+            counts.store_touched(w);
+        } else {
+            w.put_varint(0);
+        }
+        fallback.store_live(w, touched_rows);
+    }
+
+    /// Restores a chain's trained half written by
+    /// [`TwoDependentMarkov::store_trained`], with no position and no
+    /// observations yet: [`TwoDependentMarkov::load_live`] supplies them.
+    pub fn load_trained(r: &mut Reader<'_>, n: usize) -> Result<Self, PersistError> {
+        Ok(TwoDependentMarkov {
+            n,
+            prev: None,
+            counts: CountRows::load(r, n * n, n)?,
+            fallback: SimpleMarkov::load_trained(r, n)?,
+            table: OnceLock::new(),
+        })
+    }
+
+    /// Reads a live half written by [`TwoDependentMarkov::store_live`]
+    /// over this trained half, refusing what
+    /// [`SimpleMarkov::load_live`] refuses.
+    pub fn load_live(&mut self, r: &mut Reader<'_>) -> Result<(), PersistError> {
+        self.prev = load_position(r, self.n)?;
+        self.counts.load_touched(r)?;
+        self.fallback.load_live(r)?;
+        self.table.take();
+        Ok(())
+    }
+
+    /// Clears the marks of every count row, the fallback's too.
+    pub fn clear_marks(&mut self) {
+        self.counts.clear_marks();
+        self.fallback.clear_marks();
     }
 
     /// Restores a chain over `n` single states written by
@@ -270,7 +336,7 @@ impl TwoDependentMarkov {
         Ok(TwoDependentMarkov {
             n,
             prev: load_position(r, n)?,
-            counts: load_counts(r, n * n, n)?,
+            counts: CountRows::load(r, n * n, n)?,
             fallback: SimpleMarkov::load_state(r, n)?,
             table: OnceLock::new(),
         })
@@ -289,11 +355,21 @@ impl TwoDependentMarkov {
     ) -> Self {
         assert_eq!(counts.len(), n * n * n);
         TwoDependentMarkov {
-            counts,
+            counts: CountRows::from_dense(n, &counts),
             fallback,
             prev,
             ..TwoDependentMarkov::new(n)
         }
+    }
+
+    /// The combined-state count store.
+    pub(crate) fn counts(&self) -> &CountRows {
+        &self.counts
+    }
+
+    /// The first-order fallback chain.
+    pub(crate) fn fallback(&self) -> &SimpleMarkov {
+        &self.fallback
     }
 }
 
@@ -302,7 +378,7 @@ impl ValuePredictor for TwoDependentMarkov {
         assert!(state < self.n, "state {state} out of range (n={})", self.n);
         let current = self.fallback.current();
         if let (Some(p), Some(c)) = (self.prev, current) {
-            self.counts[(p * self.n + c) * self.n + state] += 1.0;
+            self.counts.bump(p * self.n + c, state);
         }
         self.fallback.observe(state);
         self.prev = current;
@@ -469,7 +545,7 @@ mod tests {
             let mut unseen = 0;
             for pc in 0..25 {
                 let (prev, cur) = (pc / 5, pc % 5);
-                if m.counts[pc * 5..(pc + 1) * 5].iter().sum::<f64>() == 0.0 {
+                if m.counts.row(pc).is_none() {
                     unseen += 1;
                     let bits = |d: StateDistribution| {
                         d.as_slice().iter().map(|p| p.to_bits()).collect::<Vec<u64>>()

@@ -42,12 +42,16 @@ mod tests {
         debug_assert_row_stochastic(&[0.5f64.ln(), 0.25f64.ln(), 0.25f64.ln()], "test");
     }
 
+    // The assertion is a `debug_assert!`: a release build has none to trip.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "row mass")]
     fn leaky_row_panics_in_debug() {
         debug_assert_row_stochastic(&[0.5f64.ln(), 0.25f64.ln()], "test");
     }
 
+    // The assertion is a `debug_assert!`: a release build has none to trip.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "not a log-probability")]
     fn non_finite_entry_panics_in_debug() {
