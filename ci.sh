@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Local mirror of the CI pipeline (.github/workflows/ci.yml): fmt,
 # clippy, rustdoc, xtask lint, prepare-tlc, the workspace tests at two
-# worker counts, the benchmark package tests and one traced
-# crash_recovery pass of the benchmark.
+# worker counts, the benchmark package tests, one traced crash_recovery
+# run and one untraced fleet_storm run of the benchmark.
 # CI-only steps, not run here: the recovery bench (--bin recovery),
 # whose BENCH_recovery.json CI uploads as an artifact, and the lint / tlc
 # report uploads.
@@ -93,5 +93,12 @@ cargo test --offline --quiet --manifest-path benchmark/Cargo.toml
 echo "==> crash_recovery smoke (benchmark, traced, 1 s)"
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
   --workload crash_recovery --seed 7 --seconds 1 --trace 1 > /dev/null
+
+# One untraced run of the only workload where chaos delivers readings
+# late or stale, sealing every 60 rounds. 5 s fit two passes (1 s fits
+# one), so it exits non-zero when their digests differ.
+echo "==> fleet_storm smoke (benchmark, untraced, 5 s)"
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+  --workload fleet_storm --seed 7 --seconds 5 --trace 0 > /dev/null
 
 echo "ci.sh: all checks passed"

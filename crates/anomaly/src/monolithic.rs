@@ -66,7 +66,7 @@ impl MonolithicPredictor {
         let mut value_models: Vec<ValueModel> = (0..n_attrs)
             .map(|_| ValueModel::new(config.markov, config.bins))
             .collect();
-        for (i, sample) in series[0].samples().iter().enumerate() {
+        for (i, sample) in series[0].iter().enumerate() {
             let row = Self::concat_row(&discretizers, series, i);
             for (m, &state) in value_models.iter_mut().zip(&row) {
                 m.observe(state);
@@ -101,7 +101,7 @@ impl MonolithicPredictor {
         let mut row = Vec::with_capacity(series.len() * ATTRIBUTE_COUNT);
         for (d, s) in discretizers.iter().zip(series) {
             // xtask-allow: index-in-loop -- callers pass i below the length train asserts for every trace
-            row.extend(d.discretize(&s.samples()[i].values));
+            row.extend(d.discretize(&s[i].values));
         }
         row
     }
@@ -171,10 +171,10 @@ impl MonolithicPredictor {
         if len == 0 {
             return matrix;
         }
-        let end = series[0].samples()[len - 1].time;
+        let end = series[0][len - 1].time;
         for i in 0..len {
             // xtask-allow: index-in-loop -- i < len, the length asserted for every trace above
-            let samples: Vec<MetricSample> = series.iter().map(|s| s.samples()[i]).collect();
+            let samples: Vec<MetricSample> = series.iter().map(|s| s[i]).collect();
             model.observe(&samples);
             let target = samples[0].time + look_ahead;
             if target > end {
@@ -252,7 +252,7 @@ mod tests {
         let (series, slo) = fixture(120);
         let cfg = PredictorConfig::default();
         let mut m = MonolithicPredictor::train(&series, &slo, &cfg).unwrap();
-        let s = series[0].samples()[0];
+        let s = series[0][0];
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             m.observe(&[s]);
         }));

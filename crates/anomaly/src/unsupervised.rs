@@ -193,7 +193,7 @@ mod tests {
             p.observe(s);
         }
         p.reset_position();
-        p.observe(&series.samples()[0]);
+        p.observe(&series[0]);
         assert_eq!(p.predict(Duration::from_secs(10)).label, Label::Normal);
     }
 

@@ -315,7 +315,7 @@ mod tests {
             series.push(MetricSample::new(Timestamp::from_secs(t), v));
         }
         let vd = VectorDiscretizer::fit(&series, 10);
-        let dv = vd.discretize(&series.samples()[10].values);
+        let dv = vd.discretize(&series[10].values);
         assert_eq!(dv.len(), ATTRIBUTE_COUNT);
         assert!(dv.iter().all(|&b| b < 10));
     }

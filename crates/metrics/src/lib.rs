@@ -47,7 +47,7 @@ pub use fingerprint::Fingerprint64;
 pub use label::{Label, SloLog};
 pub use persist::{Persist, PersistError, Reader, Writer};
 pub use sample::{MetricSample, MetricVector};
-pub use series::{SeriesStats, TimeSeries};
+pub use series::{SeriesIter, SeriesStats, TimeSeries};
 pub use staleness::{LastValueImputer, StalenessBudget, StampedSample, DEFAULT_STALENESS_SECS};
 pub use stats::{mean, mean_std, percentile, std_dev};
 pub use time::{Duration, Timestamp};

@@ -114,6 +114,16 @@ impl Writer {
         self.buf.push(v as u8);
     }
 
+    /// Appends `v`, read as a two's-complement `i64`, as the zigzag
+    /// varint of that: 0, −1, 1, −2 … become 0, 1, 2, 3 …, so a small
+    /// difference of either sign takes one byte. Meant for wrapping
+    /// differences (`x.wrapping_sub(base)`), which
+    /// [`Reader::get_zigzag`] and `base.wrapping_add` invert for every
+    /// `u64` pair.
+    pub fn put_zigzag(&mut self, v: u64) {
+        self.put_varint((v << 1) ^ ((v as i64 >> 63) as u64));
+    }
+
     /// Appends a `usize` as a `u64` (layout-stable across platforms).
     pub fn put_usize(&mut self, v: usize) {
         self.put_u64(v as u64);
@@ -273,6 +283,16 @@ impl<'a> Reader<'a> {
             }
         }
         Err(PersistError::Invalid("overlong varint"))
+    }
+
+    /// Reads a value [`Writer::put_zigzag`] wrote.
+    ///
+    /// # Errors
+    ///
+    /// As [`Reader::get_varint`].
+    pub fn get_zigzag(&mut self) -> Result<u64, PersistError> {
+        let z = self.get_varint()?;
+        Ok((z >> 1) ^ (z & 1).wrapping_neg())
     }
 
     /// Reads a `usize` (stored as `u64`).
@@ -729,6 +749,43 @@ mod tests {
         }
         assert_eq!(varint(&[0x7f]), Ok(127));
         assert_eq!(varint(&[0x80, 0x01]), Ok(128));
+    }
+
+    /// A wrapping difference of either sign round-trips for every pair
+    /// of `u64`s, and a small one takes one byte.
+    #[test]
+    fn zigzag_deltas_round_trip_every_pair() {
+        let edges = [
+            0u64,
+            1,
+            2,
+            63,
+            64,
+            65,
+            1 << 62,
+            i64::MAX as u64,
+            1 << 63,
+            u64::MAX - 1,
+            u64::MAX,
+        ];
+        for &base in &edges {
+            for &x in &edges {
+                let mut w = Writer::new();
+                w.put_zigzag(x.wrapping_sub(base));
+                let mut r = Reader::new(w.bytes());
+                assert_eq!(
+                    r.get_zigzag().map(|d| base.wrapping_add(d)),
+                    Ok(x),
+                    "{base} {x}"
+                );
+                assert!(r.is_exhausted());
+            }
+        }
+        for (delta, zigzag) in [(0i64, 0u64), (-1, 1), (1, 2), (-64, 127), (64, 128)] {
+            let mut w = Writer::new();
+            w.put_zigzag(delta as u64);
+            assert_eq!(varint(w.bytes()), Ok(zigzag), "{delta}");
+        }
     }
 
     #[test]

@@ -1,16 +1,27 @@
 //! Time-series storage and windowed statistics over metric samples.
 
-use crate::persist::{bounded_capacity, Persist, PersistError, Reader, Writer};
+use std::slice;
+
+use crate::persist::{Persist, PersistError, Reader, Writer};
 use crate::{mean, std_dev, AttributeKind, MetricSample, MetricVector, Timestamp};
+
+/// Samples per block of a [`TimeSeries`].
+const BLOCK: usize = 32;
 
 /// An append-only sequence of [`MetricSample`]s for one VM.
 ///
 /// Samples must be appended in non-decreasing timestamp order; this is the
 /// shape a real dom0 monitor produces and everything downstream (labeling,
 /// training, validation windows) relies on it.
-#[derive(Debug, Clone, Default, PartialEq)]
+///
+/// The samples live in fixed blocks of 32, each allocated once at its
+/// full size: every block but the last is full, and the last holds at
+/// least one sample. A push never moves a sample, and a series holds at
+/// most 31 empty slots, where one doubling buffer would hold up to its
+/// length again.
+#[derive(Debug, Default, PartialEq)]
 pub struct TimeSeries {
-    samples: Vec<MetricSample>,
+    blocks: Vec<Vec<MetricSample>>,
 }
 
 impl TimeSeries {
@@ -25,7 +36,7 @@ impl TimeSeries {
     ///
     /// Panics if `sample.time` precedes the last appended timestamp.
     pub fn push(&mut self, sample: MetricSample) {
-        if let Some(last) = self.samples.last() {
+        if let Some(last) = self.last() {
             assert!(
                 sample.time >= last.time,
                 "samples must be appended in time order ({} < {})",
@@ -33,59 +44,177 @@ impl TimeSeries {
                 last.time
             );
         }
-        self.samples.push(sample);
+        match self.blocks.last_mut() {
+            Some(block) if block.len() < BLOCK => block.push(sample),
+            _ => {
+                let mut block = Vec::with_capacity(BLOCK);
+                block.push(sample);
+                self.blocks.push(block);
+            }
+        }
     }
 
     /// Number of samples.
     pub fn len(&self) -> usize {
-        self.samples.len()
+        self.blocks
+            .last()
+            .map_or(0, |open| (self.blocks.len() - 1) * BLOCK + open.len())
     }
 
     /// True when no samples are stored.
     pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
+        self.blocks.is_empty()
     }
 
-    /// Makes room for at least `additional` more samples.
-    pub fn reserve(&mut self, additional: usize) {
-        self.samples.reserve_exact(additional);
+    /// The sample at index `i`, if there is one.
+    pub fn get(&self, i: usize) -> Option<&MetricSample> {
+        self.blocks.get(i / BLOCK)?.get(i % BLOCK)
     }
 
-    /// All samples in time order.
-    pub fn samples(&self) -> &[MetricSample] {
-        &self.samples
-    }
-
-    /// Iterator over samples.
-    pub fn iter(&self) -> std::slice::Iter<'_, MetricSample> {
-        self.samples.iter()
+    /// Iterator over samples, in time order.
+    pub fn iter(&self) -> SeriesIter<'_> {
+        self.between(0, self.len())
     }
 
     /// The most recent sample, if any.
     pub fn last(&self) -> Option<&MetricSample> {
-        self.samples.last()
+        self.blocks.last()?.last()
     }
 
     /// Samples whose timestamps fall in `[from, to)`.
-    pub fn range(&self, from: Timestamp, to: Timestamp) -> &[MetricSample] {
-        let start = self.samples.partition_point(|s| s.time < from);
-        let end = self.samples.partition_point(|s| s.time < to);
-        &self.samples[start..end]
+    pub fn range(&self, from: Timestamp, to: Timestamp) -> SeriesIter<'_> {
+        let start = self.before(from);
+        self.between(start, self.before(to).max(start))
     }
 
     /// The values of one attribute across the whole series.
     pub fn attribute_values(&self, a: AttributeKind) -> Vec<f64> {
-        self.samples.iter().map(|s| s.values.get(a)).collect()
+        self.iter().map(|s| s.values.get(a)).collect()
     }
 
     /// Summary statistics of one attribute over `[from, to)`.
     pub fn stats(&self, a: AttributeKind, from: Timestamp, to: Timestamp) -> SeriesStats {
-        let vals: Vec<f64> = self
-            .range(from, to)
-            .iter()
-            .map(|s| s.values.get(a))
-            .collect();
+        let vals: Vec<f64> = self.range(from, to).map(|s| s.values.get(a)).collect();
         SeriesStats::from_values(&vals)
+    }
+
+    /// How many samples are timed before `t`: a binary search over the
+    /// blocks' last samples, then one inside the block that holds `t`.
+    fn before(&self, t: Timestamp) -> usize {
+        let full = self
+            .blocks
+            .partition_point(|block| block.last().is_some_and(|s| s.time < t));
+        match self.blocks.get(full) {
+            Some(block) => full * BLOCK + block.partition_point(|s| s.time < t),
+            None => self.len(),
+        }
+    }
+
+    /// The samples at indices `[start, end)`; `start <= end <= len`.
+    fn between(&self, start: usize, end: usize) -> SeriesIter<'_> {
+        let (first, last) = (start / BLOCK, end / BLOCK);
+        let part = |b: usize, at: usize, to: usize| {
+            self.blocks
+                .get(b)
+                .and_then(|block| block.get(at..to.min(block.len())))
+                .unwrap_or_default()
+        };
+        let (front, blocks, back) = if first == last {
+            (part(first, start % BLOCK, end % BLOCK), &[][..], &[][..])
+        } else {
+            (
+                part(first, start % BLOCK, BLOCK),
+                self.blocks.get(first + 1..last).unwrap_or_default(),
+                part(last, 0, end % BLOCK),
+            )
+        };
+        SeriesIter {
+            front: front.iter(),
+            blocks: blocks.iter(),
+            back: back.iter(),
+            len: end - start,
+        }
+    }
+
+    /// Slots allocated for samples, filled or not: at most
+    /// [`TimeSeries::len`] plus 31.
+    pub fn capacity(&self) -> usize {
+        self.blocks.iter().map(Vec::capacity).sum()
+    }
+}
+
+/// A clone's blocks are full-sized too, so pushing to it moves no sample.
+impl Clone for TimeSeries {
+    fn clone(&self) -> Self {
+        let blocks = self
+            .blocks
+            .iter()
+            .map(|block| {
+                let mut copy = Vec::with_capacity(BLOCK);
+                copy.extend_from_slice(block);
+                copy
+            })
+            .collect();
+        TimeSeries { blocks }
+    }
+}
+
+/// The samples of a [`TimeSeries`] (or of a window of one), in time
+/// order: what is left of the first block, the whole blocks after it,
+/// and what is taken of the last.
+#[derive(Debug, Clone)]
+pub struct SeriesIter<'a> {
+    front: slice::Iter<'a, MetricSample>,
+    blocks: slice::Iter<'a, Vec<MetricSample>>,
+    back: slice::Iter<'a, MetricSample>,
+    len: usize,
+}
+
+impl<'a> Iterator for SeriesIter<'a> {
+    type Item = &'a MetricSample;
+
+    fn next(&mut self) -> Option<&'a MetricSample> {
+        let next = loop {
+            if let Some(s) = self.front.next() {
+                break Some(s);
+            }
+            match self.blocks.next() {
+                Some(block) => self.front = block.iter(),
+                None => break self.back.next(),
+            }
+        };
+        self.len -= usize::from(next.is_some());
+        next
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.len, Some(self.len))
+    }
+}
+
+impl<'a> DoubleEndedIterator for SeriesIter<'a> {
+    fn next_back(&mut self) -> Option<&'a MetricSample> {
+        let next = loop {
+            if let Some(s) = self.back.next_back() {
+                break Some(s);
+            }
+            match self.blocks.next_back() {
+                Some(block) => self.back = block.iter(),
+                None => break self.front.next_back(),
+            }
+        };
+        self.len -= usize::from(next.is_some());
+        next
+    }
+}
+
+impl ExactSizeIterator for SeriesIter<'_> {}
+
+/// Indexing reads like a slice's: an index past the end panics.
+impl std::ops::Index<usize> for TimeSeries {
+    type Output = MetricSample;
+    fn index(&self, i: usize) -> &MetricSample {
+        &self.blocks[i / BLOCK][i % BLOCK]
     }
 }
 
@@ -109,9 +238,9 @@ impl Extend<MetricSample> for TimeSeries {
 
 impl<'a> IntoIterator for &'a TimeSeries {
     type Item = &'a MetricSample;
-    type IntoIter = std::slice::Iter<'a, MetricSample>;
+    type IntoIter = SeriesIter<'a>;
     fn into_iter(self) -> Self::IntoIter {
-        self.samples.iter()
+        self.iter()
     }
 }
 
@@ -154,9 +283,13 @@ impl TimeSeries {
     /// frames; their count is the frame's to write.
     // xtask: hot-path
     pub fn store_since(&self, w: &mut Writer, from: usize) {
-        let (sealed, new) = self.samples.split_at(from.min(self.samples.len()));
-        let mut prev = sealed.last().map_or(0, |s| s.time.as_secs());
-        for MetricSample { time, values } in new {
+        let len = self.len();
+        let from = from.min(len);
+        let mut prev = from
+            .checked_sub(1)
+            .and_then(|i| self.get(i))
+            .map_or(0, |s| s.time.as_secs());
+        for MetricSample { time, values } in self.between(from, len) {
             // `push` and `load` keep the samples in time order.
             w.put_varint(time.as_secs() - prev);
             values.store(w);
@@ -167,23 +300,40 @@ impl TimeSeries {
     /// Appends `len` samples [`TimeSeries::store_since`] wrote, whose
     /// times continue from this series' last sample. The running time
     /// sum is checked, so a delta that would carry a time past
-    /// `u64::MAX` is refused, not wrapped.
+    /// `u64::MAX` is refused, not wrapped — which also keeps the samples
+    /// in time order, so they decode straight into the open block. A
+    /// block is allocated only once a sample for it has decoded, so a
+    /// damaged `len` reserves nothing.
     ///
     /// # Errors
     ///
     /// A [`PersistError`] when the bytes run out or a time overflows.
     pub fn load_since(&mut self, r: &mut Reader<'_>, len: usize) -> Result<(), PersistError> {
-        self.samples
-            .reserve(bounded_capacity::<MetricSample>(len, r));
-        let mut time = self.samples.last().map_or(0, |s| s.time.as_secs());
-        for _ in 0..len {
-            time = time
-                .checked_add(r.get_varint()?)
-                .ok_or(PersistError::Invalid("TimeSeries time overflows u64"))?;
-            self.samples.push(MetricSample::new(
-                Timestamp::from_secs(time),
-                MetricVector::load(r)?,
-            ));
+        let mut time = self.last().map_or(0, |s| s.time.as_secs());
+        let mut left = len;
+        while left > 0 {
+            let mut block = match self.blocks.pop() {
+                Some(open) if open.len() < BLOCK => open,
+                full => {
+                    self.blocks.extend(full);
+                    Vec::new()
+                }
+            };
+            let take = left.min(BLOCK - block.len());
+            let decoded = (0..take).try_for_each(|_| {
+                time = time
+                    .checked_add(r.get_varint()?)
+                    .ok_or(PersistError::Invalid("TimeSeries time overflows u64"))?;
+                let values = MetricVector::load(r)?;
+                block.reserve_exact(BLOCK - block.len());
+                block.push(MetricSample::new(Timestamp::from_secs(time), values));
+                Ok(())
+            });
+            if !block.is_empty() {
+                self.blocks.push(block);
+            }
+            decoded?;
+            left -= take;
         }
         Ok(())
     }
@@ -197,8 +347,8 @@ impl TimeSeries {
 /// would carry a time past `u64::MAX` is refused, not wrapped.
 impl Persist for TimeSeries {
     fn store(&self, w: &mut Writer) {
-        let Self { samples } = self;
-        w.put_usize(samples.len());
+        let Self { blocks: _ } = self;
+        w.put_usize(self.len());
         self.store_since(w, 0);
     }
     fn load(r: &mut Reader<'_>) -> Result<Self, PersistError> {
@@ -206,6 +356,87 @@ impl Persist for TimeSeries {
         let mut series = TimeSeries::new();
         series.load_since(r, len)?;
         Ok(series)
+    }
+}
+
+/// The one-buffer series the block store replaced, kept verbatim as the
+/// referee of its reads and its bytes.
+#[cfg(test)]
+mod reference {
+    use crate::persist::{bounded_capacity, PersistError, Reader, Writer};
+    use crate::{AttributeKind, MetricSample, MetricVector, Persist, SeriesStats, Timestamp};
+
+    #[derive(Debug, Clone, Default, PartialEq)]
+    pub(super) struct VecSeries {
+        pub(super) samples: Vec<MetricSample>,
+    }
+
+    impl VecSeries {
+        pub(super) fn push(&mut self, sample: MetricSample) {
+            if let Some(last) = self.samples.last() {
+                assert!(sample.time >= last.time);
+            }
+            self.samples.push(sample);
+        }
+
+        pub(super) fn range(&self, from: Timestamp, to: Timestamp) -> &[MetricSample] {
+            let start = self.samples.partition_point(|s| s.time < from);
+            let end = self.samples.partition_point(|s| s.time < to);
+            &self.samples[start..end]
+        }
+
+        pub(super) fn attribute_values(&self, a: AttributeKind) -> Vec<f64> {
+            self.samples.iter().map(|s| s.values.get(a)).collect()
+        }
+
+        pub(super) fn stats(
+            &self,
+            a: AttributeKind,
+            from: Timestamp,
+            to: Timestamp,
+        ) -> SeriesStats {
+            let vals: Vec<f64> = self
+                .range(from, to)
+                .iter()
+                .map(|s| s.values.get(a))
+                .collect();
+            SeriesStats::from_values(&vals)
+        }
+
+        pub(super) fn store_since(&self, w: &mut Writer, from: usize) {
+            let (sealed, new) = self.samples.split_at(from.min(self.samples.len()));
+            let mut prev = sealed.last().map_or(0, |s| s.time.as_secs());
+            for MetricSample { time, values } in new {
+                w.put_varint(time.as_secs() - prev);
+                values.store(w);
+                prev = time.as_secs();
+            }
+        }
+
+        pub(super) fn load_since(
+            &mut self,
+            r: &mut Reader<'_>,
+            len: usize,
+        ) -> Result<(), PersistError> {
+            self.samples
+                .reserve(bounded_capacity::<MetricSample>(len, r));
+            let mut time = self.samples.last().map_or(0, |s| s.time.as_secs());
+            for _ in 0..len {
+                time = time
+                    .checked_add(r.get_varint()?)
+                    .ok_or(PersistError::Invalid("TimeSeries time overflows u64"))?;
+                self.samples.push(MetricSample::new(
+                    Timestamp::from_secs(time),
+                    MetricVector::load(r)?,
+                ));
+            }
+            Ok(())
+        }
+
+        pub(super) fn store(&self, w: &mut Writer) {
+            w.put_usize(self.samples.len());
+            self.store_since(w, 0);
+        }
     }
 }
 
@@ -224,7 +455,9 @@ mod tests {
     fn push_and_range() {
         let ts: TimeSeries = (0..10).map(|t| sample(t * 5, t as f64)).collect();
         assert_eq!(ts.len(), 10);
-        let r = ts.range(Timestamp::from_secs(10), Timestamp::from_secs(25));
+        let r: Vec<_> = ts
+            .range(Timestamp::from_secs(10), Timestamp::from_secs(25))
+            .collect();
         assert_eq!(r.len(), 3); // t = 10, 15, 20
         assert_eq!(r[0].time.as_secs(), 10);
         assert_eq!(r.last().unwrap().time.as_secs(), 20);
@@ -292,14 +525,14 @@ mod tests {
         let whole = crate::persist::to_bytes(&ts);
         for split in 0..=ts.len() {
             let mut w = crate::persist::Writer::new();
-            let prefix: TimeSeries = ts.samples()[..split].iter().copied().collect();
+            let prefix: TimeSeries = ts.iter().take(split).copied().collect();
             prefix.store_since(&mut w, 0);
             ts.store_since(&mut w, split);
             assert_eq!(w.bytes(), &whole[8..], "split {split}");
             let mut r = crate::persist::Reader::new(w.bytes());
             let mut back = TimeSeries::new();
             back.load_since(&mut r, split).expect("head");
-            assert_eq!(back.samples(), &ts.samples()[..split]);
+            assert_eq!(back, prefix);
             back.load_since(&mut r, ts.len() - split).expect("tail");
             assert!(r.is_exhausted());
             assert_eq!(back, ts, "split {split}");
@@ -358,6 +591,178 @@ mod tests {
                 matches!(res, Err(PersistError::Truncated { .. })),
                 "cut {cut}"
             );
+        }
+    }
+
+    /// However a series grows — pushed one sample at a time, loaded in
+    /// one run or in runs that end mid-block, or cloned and pushed to —
+    /// it holds at most 31 empty slots: one block's worth less one. A
+    /// doubling buffer holds up to its length again.
+    #[test]
+    fn a_series_holds_at_most_one_open_block_of_room() {
+        let room = |ts: &TimeSeries| ts.capacity() - ts.len();
+        let mut pushed = TimeSeries::new();
+        assert_eq!(pushed.capacity(), 0);
+        for t in 0..5 * BLOCK as u64 + 1 {
+            pushed.push(sample(t, t as f64));
+            assert!(room(&pushed) < BLOCK, "after {} pushes", t + 1);
+            let mut clone = pushed.clone();
+            assert!(room(&clone) < BLOCK, "clone of {}", t + 1);
+            clone.push(sample(t + 1, 0.0));
+            assert!(room(&clone) < BLOCK, "clone of {} pushed to", t + 1);
+        }
+        let bytes = crate::persist::to_bytes(&pushed);
+        let loaded: TimeSeries = crate::persist::from_bytes(&bytes).unwrap();
+        assert_eq!(loaded, pushed);
+        assert!(room(&loaded) < BLOCK);
+        for split in [0, 1, 31, 32, 33, 100] {
+            let mut w = crate::persist::Writer::new();
+            pushed.store_since(&mut w, split);
+            let mut head: TimeSeries = pushed.iter().take(split).copied().collect();
+            head.load_since(
+                &mut crate::persist::Reader::new(w.bytes()),
+                pushed.len() - split,
+            )
+            .unwrap();
+            assert_eq!(head, pushed, "split {split}");
+            assert!(room(&head) < BLOCK, "split {split}");
+        }
+    }
+
+    /// A length the bytes cannot hold allocates no more than the samples
+    /// that did decode: blocks open only as their first sample lands.
+    #[test]
+    fn a_damaged_length_allocates_only_what_decodes() {
+        let ts: TimeSeries = (0..40).map(|t| sample(t, 0.0)).collect();
+        let mut w = crate::persist::Writer::new();
+        ts.store_since(&mut w, 0);
+        let mut back = TimeSeries::new();
+        let res = back.load_since(&mut crate::persist::Reader::new(w.bytes()), 1 << 40);
+        assert!(matches!(res, Err(PersistError::Truncated { .. })));
+        assert_eq!(back, ts);
+        assert_eq!(back.capacity(), 2 * BLOCK);
+        let mut empty = TimeSeries::new();
+        let res = empty.load_since(&mut crate::persist::Reader::new(&[]), usize::MAX);
+        assert!(matches!(res, Err(PersistError::Truncated { .. })));
+        assert_eq!(empty.capacity(), 0);
+    }
+}
+
+#[cfg(test)]
+mod referee_proptests {
+    use super::reference::VecSeries;
+    use super::*;
+    use crate::persist::{from_bytes, to_bytes};
+    use crate::ATTRIBUTE_COUNT;
+    use proptest::prelude::*;
+
+    /// The `i`-th sample at time `t`: every value distinct.
+    fn sample(i: usize, t: u64) -> MetricSample {
+        MetricSample::new(
+            Timestamp::from_secs(t),
+            MetricVector::from_fn(|a| (i * ATTRIBUTE_COUNT + a.index()) as f64 + 0.5),
+        )
+    }
+
+    fn store_since(ts: &TimeSeries, from: usize) -> Writer {
+        let mut w = Writer::new();
+        ts.store_since(&mut w, from);
+        w
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        // A series of up to five blocks, with repeated times, reads,
+        // writes, loads and clones exactly as the one-buffer referee does.
+        #[test]
+        fn the_block_store_reads_and_writes_as_the_referee(
+            start in 0u64..1_000,
+            gaps in proptest::collection::vec(0u64..3, 0..5 * BLOCK + 1),
+            windows in proptest::collection::vec((0u64..400, 0u64..200), 8),
+        ) {
+            let times: Vec<u64> = gaps
+                .iter()
+                .scan(start, |t, &gap| {
+                    *t += gap;
+                    Some(*t)
+                })
+                .collect();
+            let mut ts = TimeSeries::new();
+            let mut referee = VecSeries::default();
+            for (i, &t) in times.iter().enumerate() {
+                ts.push(sample(i, t));
+                referee.push(sample(i, t));
+            }
+            let want = &referee.samples;
+            let n = want.len();
+            prop_assert_eq!(ts.len(), n);
+            prop_assert_eq!(ts.is_empty(), n == 0);
+            for i in 0..n + 2 {
+                prop_assert_eq!(ts.get(i), want.get(i), "get {}", i);
+            }
+            prop_assert_eq!(ts.last(), want.last());
+            let forward: Vec<_> = ts.iter().copied().collect();
+            prop_assert_eq!(&forward, want);
+            let backward: Vec<_> = ts.iter().rev().copied().collect();
+            let want_backward: Vec<_> = want.iter().rev().copied().collect();
+            prop_assert_eq!(backward, want_backward);
+            // Taken from both ends at once, the iterator meets in the
+            // middle and counts down exactly.
+            let (mut it, mut lo, mut hi) = (ts.iter(), 0, n);
+            for k in 0..n {
+                prop_assert_eq!(it.len(), n - k);
+                if k % 3 == 0 {
+                    hi -= 1;
+                    prop_assert_eq!(it.next_back(), want.get(hi));
+                } else {
+                    prop_assert_eq!(it.next(), want.get(lo));
+                    lo += 1;
+                }
+            }
+            prop_assert_eq!((it.len(), it.next(), it.next_back()), (0, None, None));
+            for a in AttributeKind::ALL {
+                prop_assert_eq!(ts.attribute_values(a), referee.attribute_values(a));
+            }
+            for &(offset, width) in &windows {
+                let from = Timestamp::from_secs(start + offset);
+                let to = Timestamp::from_secs(start + offset + width);
+                let got: Vec<_> = ts.range(from, to).copied().collect();
+                prop_assert_eq!(&got[..], referee.range(from, to));
+                let mut ends = ts.range(from, to);
+                prop_assert_eq!(ends.next_back(), referee.range(from, to).last());
+                for a in [AttributeKind::CpuTotal, AttributeKind::PageFaults] {
+                    prop_assert_eq!(ts.stats(a, from, to), referee.stats(a, from, to));
+                }
+            }
+            for from in 0..=n + 1 {
+                let mut reference = Writer::new();
+                referee.store_since(&mut reference, from);
+                let bytes = store_since(&ts, from);
+                prop_assert_eq!(bytes.bytes(), reference.bytes(), "store_since {}", from);
+                // The tail loads onto the prefix it continues.
+                let split = from.min(n);
+                let mut head: TimeSeries = want[..split].iter().copied().collect();
+                let mut head_ref = VecSeries { samples: want[..split].to_vec() };
+                head.load_since(&mut Reader::new(bytes.bytes()), n - split).expect("tail");
+                head_ref.load_since(&mut Reader::new(bytes.bytes()), n - split).expect("tail");
+                let loaded: Vec<_> = head.iter().copied().collect();
+                prop_assert_eq!(&loaded, &head_ref.samples, "load_since {}", split);
+                prop_assert_eq!(&head, &ts, "load_since {}", split);
+            }
+            let mut reference = Writer::new();
+            referee.store(&mut reference);
+            let bytes = to_bytes(&ts);
+            prop_assert_eq!(&bytes[..], reference.bytes());
+            let back: TimeSeries = from_bytes(&bytes).expect("round trip");
+            prop_assert_eq!(&back, &ts);
+            let mut clone = ts.clone();
+            let mut clone_ref = referee.clone();
+            let next = sample(n, times.last().map_or(start, |&t| t + 1));
+            clone.push(next);
+            clone_ref.push(next);
+            let pushed: Vec<_> = clone.iter().copied().collect();
+            prop_assert_eq!(&pushed, &clone_ref.samples);
+            prop_assert_eq!(ts.len(), n, "pushing to a clone leaves the original");
         }
     }
 }
