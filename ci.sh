@@ -2,10 +2,11 @@
 # Local mirror of the CI pipeline (.github/workflows/ci.yml): fmt,
 # clippy, rustdoc, xtask lint, prepare-tlc, the workspace tests at two
 # worker counts, the benchmark package tests, one traced crash_recovery
-# run and one untraced fleet_storm run of the benchmark.
-# CI-only steps, not run here: the recovery bench (--bin recovery),
-# whose BENCH_recovery.json CI uploads as an artifact, and the lint / tlc
-# report uploads.
+# run and one untraced fleet_storm run of the benchmark, and the
+# fingerprint-gated recovery bench (--bin recovery), its JSON written to
+# target/BENCH_recovery.json.
+# CI-only steps, not run here: the upload of CI's BENCH_recovery.json as
+# an artifact, and the lint / tlc report uploads.
 # All steps run offline: every dependency is vendored in shims/.
 # rustc and clippy enforce what the xtask lint no longer repeats: the
 # workspace [lints] tables in Cargo.toml (unsafe_code forbidden, missing_docs
@@ -100,5 +101,15 @@ cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
 echo "==> fleet_storm smoke (benchmark, untraced, 5 s)"
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
   --workload fleet_storm --seed 7 --seconds 5 --trace 0 > /dev/null
+
+# The recovery bench: checkpoint size and serialize / restore time at
+# 256, 1 024 and 4 096 VMs, and journal replay time, each number gated on
+# the restored model_fingerprint() (a mismatch exits non-zero). It is the
+# only 4 096-VM round trip through the checkpoint codec. It runs from
+# target/, so its BENCH_recovery.json lands there and the committed one
+# stays as it is.
+echo "==> recovery bench (fingerprint-gated, JSON in target/)"
+cargo build --offline --quiet --release --package prepare-bench --bin recovery
+(cd target && cargo run --offline --quiet --release --package prepare-bench --bin recovery > /dev/null)
 
 echo "ci.sh: all checks passed"

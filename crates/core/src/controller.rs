@@ -2305,8 +2305,8 @@ mod tests {
 
     /// Each sample is held once: a quiet round (no violation, no alert, no
     /// episode) adds one encoded sample per VM to the core state — its
-    /// time as a varint delta (one byte for the 5 s step) and 13 × 8 B of
-    /// values — and nothing else.
+    /// time as a varint delta (one byte for the 5 s step) and its values
+    /// coded against the VM's sample before it — and nothing else.
     #[test]
     fn quiet_round_grows_the_core_state_by_one_sample_per_vm() {
         let mut c = test_cluster();
@@ -2315,11 +2315,16 @@ mod tests {
         for round in 10..30 {
             let before = ctl.core_state_bytes();
             drive(&mut ctl, &mut c, round..round + 1);
-            assert_eq!(
-                ctl.core_state_bytes() - before,
-                ctl.vms.len() * (1 + 13 * 8),
-                "round {round}"
-            );
+            let samples: usize = ctl
+                .table
+                .iter()
+                .map(|rec| {
+                    let mut newest = rec.series.iter().rev();
+                    let (last, prev) = (newest.next().unwrap(), newest.next().unwrap());
+                    1 + crate::recovery::coded_bytes(&last.values, &prev.values)
+                })
+                .sum();
+            assert_eq!(ctl.core_state_bytes() - before, samples, "round {round}");
         }
     }
 

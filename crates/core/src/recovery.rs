@@ -50,16 +50,16 @@
 
 use crate::{ClusterReply, ControllerEvent, PrepareController};
 use prepare_cloudsim::Cluster;
-use prepare_metrics::persist::{store_seq, Persist, PersistError, Reader, Writer};
-use prepare_metrics::{
-    MetricSample, MetricVector, StampedSample, TimeSeries, Timestamp, VmId, ATTRIBUTE_COUNT,
+use prepare_metrics::persist::{
+    bounded_capacity, store_seq, Persist, PersistError, Reader, Writer, MAX_VECTOR_BYTES,
 };
+use prepare_metrics::{MetricSample, MetricVector, StampedSample, TimeSeries, Timestamp, VmId};
 use prepare_par::ParConfig;
 use std::sync::Arc;
 
 /// Magic + version opening a checkpoint's state frame ("PRPCKP" + version
-/// 11).
-pub const CHECKPOINT_MAGIC: u64 = u64::from_le_bytes(*b"PRPCKP11");
+/// 12).
+pub const CHECKPOINT_MAGIC: u64 = u64::from_le_bytes(*b"PRPCKP12");
 
 /// The predecessor checksum a checkpoint's first series frame names.
 const CHAIN_START: u64 = 0;
@@ -245,9 +245,13 @@ pub struct TickRecord {
 /// and the replies. A reading is three zigzag varints of wrapping
 /// differences — its VM id from the previous reading's (the first from
 /// 0), its sample time from `now`, its collection stamp from its sample
-/// time — then its 13 values as [`MetricVector`]'s bit patterns. A fresh
-/// reading of the next VM, timed at `now`, takes 3 + 104 = 107 bytes,
-/// and any ids and times round-trip exactly.
+/// time — then its 13 values coded against the previous reading's
+/// ([`MetricVector::store_against`]; the first against zeros). A fresh
+/// reading of the next VM, timed at `now`, takes 3 + 4 bytes and the
+/// bytes its changed values need; any ids, times and values round-trip
+/// exactly. A record depends on no other, so a scan still stops at the
+/// first torn one and loses nothing before it.
+// xtask: hot-path
 fn store_tick(
     w: &mut Writer,
     now: Timestamp,
@@ -258,36 +262,39 @@ fn store_tick(
     now.store(w);
     w.put_usize(readings.len());
     let mut prev = 0u64;
+    let zeros = MetricVector::zeros();
+    let mut base = &zeros;
     for (VmId(vm), StampedSample { sample, collected }) in readings {
         let vm = *vm as u64;
         let time = sample.time.as_secs();
         w.put_zigzag(vm.wrapping_sub(prev));
         w.put_zigzag(time.wrapping_sub(now.as_secs()));
         w.put_zigzag(collected.as_secs().wrapping_sub(time));
-        sample.values.store(w);
+        sample.values.store_against(w, base);
         prev = vm;
+        base = &sample.values;
     }
     slo_violated.store(w);
     store_seq(w, replies.iter());
 }
 
-/// The fewest bytes a journaled reading takes: three one-byte varints
-/// and its values.
-const MIN_READING_BYTES: usize = 3 + ATTRIBUTE_COUNT * 8;
-
-/// Reads the readings [`store_tick`] wrote for a record timed `now`.
+/// Reads the readings [`store_tick`] wrote for a record timed `now` into
+/// `readings`. It reserves no more memory than the bytes left could
+/// decode to, so a damaged count reserves at most the record's length.
 fn load_readings(
     r: &mut Reader<'_>,
     now: Timestamp,
-) -> Result<Vec<(VmId, StampedSample)>, PersistError> {
+    readings: &mut Vec<(VmId, StampedSample)>,
+) -> Result<(), PersistError> {
     let len = r.get_usize()?;
-    let mut readings = Vec::with_capacity(len.min(r.remaining() / MIN_READING_BYTES));
+    readings.reserve(bounded_capacity::<(VmId, StampedSample)>(len, r));
     let mut vm = 0u64;
+    let mut values = MetricVector::zeros();
     for _ in 0..len {
         vm = vm.wrapping_add(r.get_zigzag()?);
         let time = now.as_secs().wrapping_add(r.get_zigzag()?);
         let collected = time.wrapping_add(r.get_zigzag()?);
-        let values = MetricVector::load(r)?;
+        values = MetricVector::load_against(r, &values)?;
         readings.push((
             VmId(usize::try_from(vm).map_err(|_| PersistError::Invalid("usize overflow"))?),
             StampedSample {
@@ -296,7 +303,7 @@ fn load_readings(
             },
         ));
     }
-    Ok(readings)
+    Ok(())
 }
 
 impl Persist for TickRecord {
@@ -311,9 +318,11 @@ impl Persist for TickRecord {
     }
     fn load(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         let now = Timestamp::load(r)?;
+        let mut readings = Vec::new();
+        load_readings(r, now, &mut readings)?;
         Ok(TickRecord {
             now,
-            readings: load_readings(r, now)?,
+            readings,
             slo_violated: bool::load(r)?,
             replies: Vec::load(r)?,
         })
@@ -981,12 +990,34 @@ fn trains(events: &[ControllerEvent]) -> bool {
 
 /// The most bytes one sample takes in a series frame: a ten-byte varint
 /// time delta and its values.
-const MAX_SAMPLE_BYTES: usize = 10 + ATTRIBUTE_COUNT * 8;
+const MAX_SAMPLE_BYTES: usize = 10 + MAX_VECTOR_BYTES;
+
+/// The bytes `values` takes coded against `base`, counted apart from the
+/// encoder: a four-byte header, then per value none when it repeats its
+/// base and otherwise 6, 7 or 8 bytes, the first that hold the highest
+/// set byte of its bits XOR the base's.
+#[cfg(test)]
+pub(crate) fn coded_bytes(values: &MetricVector, base: &MetricVector) -> usize {
+    let word = |(v, b): (&f64, &f64)| match (64 - (v.to_bits() ^ b.to_bits()).leading_zeros())
+        .div_ceil(8)
+    {
+        0 => 0,
+        1..=6 => 6,
+        n => n as usize,
+    };
+    4 + values
+        .as_slice()
+        .iter()
+        .zip(base.as_slice())
+        .map(word)
+        .sum::<usize>()
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use prepare_anomaly::AnomalyPredictor;
+    use prepare_metrics::ATTRIBUTE_COUNT;
 
     fn record(t: u64) -> TickRecord {
         let v = MetricVector::from_fn(|_| t as f64 + 0.25);
@@ -1094,33 +1125,114 @@ mod tests {
         assert!(Journal::scan(&j.crash_image(0)).records.is_empty());
     }
 
-    /// A record grows by 107 bytes per fresh reading of the next VM: the
-    /// id, time and stamp differences take one byte each, the 13 values
-    /// their bit patterns.
+    /// The bytes a record of `readings` takes.
+    fn record_bytes(now: Timestamp, readings: Vec<(VmId, StampedSample)>) -> usize {
+        let rec = TickRecord {
+            now,
+            readings,
+            slo_violated: false,
+            replies: vec![ClusterReply::Plan(None)],
+        };
+        prepare_metrics::persist::to_bytes(&rec).len()
+    }
+
+    /// A record grows by 61 bytes per fresh reading of the next VM when
+    /// each VM's values differ from the one before it in 9 of the 13
+    /// attributes by an eighth: the id, time and stamp differences take
+    /// one byte each, the codes four, and each moved value the low 6
+    /// bytes of its XOR word. The first reading, coded against zeros,
+    /// takes every value whole.
     #[test]
-    fn a_fresh_journaled_reading_is_107_bytes() {
+    fn a_fresh_journaled_reading_is_61_bytes() {
         const DELTAS: usize = 3;
-        const VALUES: usize = ATTRIBUTE_COUNT * 8;
         let now = Timestamp::from_secs(35);
+        let values = |vm: usize| {
+            MetricVector::from_fn(|a| {
+                let moved = a.index() < 9 && vm % 2 == 1;
+                50.0 + a.index() as f64 + if moved { 0.125 } else { 0.0 }
+            })
+        };
         let with = |n: usize| {
             let readings = (0..n)
                 .map(|vm| {
-                    let v = MetricVector::from_fn(|a| (vm * a.index()) as f64 + 0.25);
-                    (VmId(vm), StampedSample::fresh(MetricSample::new(now, v)))
+                    (
+                        VmId(vm),
+                        StampedSample::fresh(MetricSample::new(now, values(vm))),
+                    )
                 })
                 .collect();
-            let rec = TickRecord {
-                now,
-                readings,
-                slo_violated: false,
-                replies: vec![ClusterReply::Plan(None)],
-            };
-            prepare_metrics::persist::to_bytes(&rec).len()
+            record_bytes(now, readings)
         };
-        for n in 0..8 {
-            assert_eq!(with(n + 1) - with(n), DELTAS + VALUES, "reading {}", n + 1);
+        let zeros = MetricVector::zeros();
+        assert_eq!(with(1) - with(0), DELTAS + coded_bytes(&values(0), &zeros));
+        assert_eq!(with(1) - with(0), DELTAS + 4 + ATTRIBUTE_COUNT * 8);
+        for n in 1..8 {
+            let grown = with(n + 1) - with(n);
+            assert_eq!(
+                grown,
+                DELTAS + coded_bytes(&values(n), &values(n - 1)),
+                "reading {}",
+                n + 1
+            );
+            assert_eq!(grown, 61, "reading {}", n + 1);
         }
-        assert_eq!(DELTAS + VALUES, 107);
+    }
+
+    /// Readings that repeat the one before them cost their three
+    /// differences and a header of zero codes: 7 bytes, where each
+    /// carried its 104 bytes of values before.
+    #[test]
+    fn a_record_of_identical_readings_grows_by_seven_bytes_per_reading() {
+        let now = Timestamp::from_secs(35);
+        let values = MetricVector::from_fn(|a| a.index() as f64 * 1.5 + 0.25);
+        let with = |n: usize| {
+            let readings = (0..n)
+                .map(|vm| {
+                    (
+                        VmId(vm),
+                        StampedSample::fresh(MetricSample::new(now, values)),
+                    )
+                })
+                .collect();
+            record_bytes(now, readings)
+        };
+        for n in 1..8 {
+            assert_eq!(with(n + 1) - with(n), 3 + 4, "reading {}", n + 1);
+        }
+    }
+
+    /// A record whose reading count claims 2^40 readings, and whose first
+    /// reading is damaged, reserves no more memory than the record holds
+    /// bytes: everything it allocated before the error is that
+    /// reservation. Counted by the fewest bytes a reading can take (3 + 4),
+    /// it would reserve 18 times the record.
+    #[test]
+    fn a_damaged_reading_count_reserves_at_most_the_record() {
+        let now = Timestamp::from_secs(35);
+        let values = MetricVector::from_fn(|a| a.index() as f64);
+        let mut w = Writer::new();
+        w.put_usize(1 << 40);
+        let padding = w.len() + 3 + 3;
+        let mut base = MetricVector::zeros();
+        for vm in 0..100 {
+            w.put_zigzag(u64::from(vm > 0));
+            w.put_zigzag(0);
+            w.put_zigzag(0);
+            values.store_against(&mut w, &base);
+            base = values;
+        }
+        let mut record = w.into_bytes();
+        record[padding] |= 0x80;
+        let mut readings = Vec::new();
+        let res = load_readings(&mut Reader::new(&record), now, &mut readings);
+        assert_eq!(res, Err(PersistError::Invalid("value code padding")));
+        assert!(readings.is_empty());
+        let reserved = readings.capacity() * std::mem::size_of::<(VmId, StampedSample)>();
+        assert!(
+            reserved <= record.len(),
+            "{reserved} bytes for a {}-byte record",
+            record.len()
+        );
     }
 
     /// A time at an edge of `u64`, or `jitter` on either side of `near`.
@@ -1223,6 +1335,7 @@ mod tests {
             b"PRPCKP08",
             b"PRPCKP09",
             b"PRPCKP10",
+            b"PRPCKP11",
         ] {
             let mut old = image.clone();
             old[..8].copy_from_slice(earlier);
@@ -1569,9 +1682,24 @@ mod tests {
         let image = Checkpoint::write(manager.controller(), manager.tick_count());
         let mut fp = prepare_metrics::Fingerprint64::new();
         fp.write_bytes(&image);
+        // `PRPCKP11` wrote the same image in 9 059 bytes, every sample's
+        // values as 104 bytes of bit patterns; each is now coded against
+        // the sample before it.
+        let controller = manager.controller();
+        let (mut raw, mut coded) = (0, 0);
+        for vm in [VmId(0), VmId(1)] {
+            let series = controller.series(vm).expect("managed VM");
+            let zeros = MetricVector::zeros();
+            let bases = std::iter::once(&zeros).chain(series.iter().map(|s| &s.values));
+            for (s, base) in series.iter().zip(bases) {
+                raw += ATTRIBUTE_COUNT * 8;
+                coded += coded_bytes(&s.values, base);
+            }
+        }
+        assert_eq!(image.len() + raw, 9_059 + coded);
         assert_eq!(
             (image.len(), fp.finish()),
-            (9_059, 0x7de2_a9e5_ea08_c2d0),
+            (8_733, 0xe2f6_f256_3cd3_9bfe),
             "the checkpoint layout moved: bump `CHECKPOINT_MAGIC` and re-pin"
         );
     }
@@ -1657,9 +1785,17 @@ mod tests {
             let end = if k == 0 { 24 } else { 24 + k };
             assert!(decoded.iter().eq(series.iter().take(end)), "frame {k}");
             assert_eq!(before, if k == 0 { 0 } else { end - 1 }, "frame {k}");
-            // The frame is its link, one run and its samples.
-            let samples = 8 + 1 + 1 + (end - before) * (1 + ATTRIBUTE_COUNT * 8);
-            assert_eq!(payload.len(), samples, "frame {k}");
+            // The frame is its link, one run and its samples: each a
+            // one-byte time delta and its values coded against the
+            // sample before it.
+            let zeros = MetricVector::zeros();
+            let samples: usize = (before..end)
+                .map(|i| {
+                    let base = i.checked_sub(1).map_or(&zeros, |p| &series[p].values);
+                    1 + coded_bytes(&series[i].values, base)
+                })
+                .sum();
+            assert_eq!(payload.len(), 8 + 1 + 1 + samples, "frame {k}");
             prev = sum;
         }
         assert_eq!(prev, manager.tip);
@@ -1676,6 +1812,39 @@ mod tests {
             chain.model_fingerprint(),
             manager.controller().model_fingerprint()
         );
+    }
+
+    /// A VM whose reading is lost for a round is held at its last value,
+    /// and that held sample grows its series frame by its one-byte time
+    /// delta and a header of zero codes: 5 bytes, where its values took
+    /// 104 before.
+    #[test]
+    fn a_held_sample_costs_its_delta_and_a_header() {
+        let mut manager = sealing_manager(0.25, 1);
+        let mut cluster = Cluster::new();
+        let host = cluster.add_host(prepare_cloudsim::HostSpec::vcl_default());
+        cluster
+            .create_vm(host, 100.0, 512.0)
+            .expect("host has room");
+        let last = *manager
+            .controller()
+            .series(VmId(0))
+            .and_then(TimeSeries::last)
+            .expect("warmed up");
+        for k in 1..=2u64 {
+            let now = Timestamp::from_secs(last.time.as_secs() + 5 * k);
+            manager.tick(now, &[], false, &mut cluster);
+            let series = manager.controller().series(VmId(0)).expect("managed VM");
+            let held = series.last().expect("a held sample");
+            assert_eq!(
+                (held.time, held.values),
+                (now, last.values),
+                "gap round {k}"
+            );
+            let frame = manager.checkpoint.series.last().expect("a frame per seal");
+            let (payload, _) = get_summed_frame(&mut Reader::new(frame)).expect("intact");
+            assert_eq!(payload.len(), 8 + 1 + 1 + (1 + 4), "gap round {k}");
+        }
     }
 
     /// A managed [`trained_round`] scenario, every reading moved by

@@ -601,6 +601,191 @@ impl Persist for MetricVector {
     }
 }
 
+/// The most bytes [`MetricVector::store_against`] writes: the four-byte
+/// code header and 13 whole words.
+pub const MAX_VECTOR_BYTES: usize = 4 + ATTRIBUTE_COUNT * 8;
+
+/// The header bits the 13 two-bit codes fill; the bits above are padding.
+const CODE_BITS: usize = 2 * ATTRIBUTE_COUNT;
+
+/// The offset of the last word a whole vector can start at: 4 header
+/// bytes and 12 whole words in.
+const LAST_WORD: usize = 4 + (ATTRIBUTE_COUNT - 1) * 8;
+
+/// What each two-bit code means: the bytes its word takes, the bits they
+/// hold, and the least word that needs them. A word under its code is
+/// the shortest encoding exactly when it is at least that least word.
+struct Code {
+    bytes: usize,
+    mask: u64,
+    least: u64,
+}
+
+const CODES: [Code; 4] = [
+    Code {
+        bytes: 0,
+        mask: 0,
+        least: 0,
+    },
+    Code {
+        bytes: 6,
+        mask: (1 << 48) - 1,
+        least: 1,
+    },
+    Code {
+        bytes: 7,
+        mask: (1 << 56) - 1,
+        least: 1 << 48,
+    },
+    Code {
+        bytes: 8,
+        mask: u64::MAX,
+        least: 1 << 56,
+    },
+];
+
+/// The meaning of the two-bit code in the low bits of `bits`.
+fn code(bits: u32) -> &'static Code {
+    CODES.get(bits as usize & 3).unwrap_or(&CODES[0])
+}
+
+/// The shortest code that holds the XOR word `x`: 0 when it is zero (the
+/// value did not change), 1 when it fits its low 6 bytes, 2 when it fits
+/// its low 7, 3 otherwise.
+fn value_code(x: u64) -> u32 {
+    u32::from(x != 0) + u32::from(x >> 48 != 0) + u32::from(x >> 56 != 0)
+}
+
+/// The codec of a vector against a base: what a sample costs where the
+/// reader already holds the sample before it.
+impl MetricVector {
+    /// Appends this vector coded against `base`: a little-endian `u32` of
+    /// 13 two-bit codes (attribute `i` in bits `2i..2i + 2`, the six bits
+    /// above zero), then, in attribute order, each value's bit pattern
+    /// XOR `base`'s, in the bytes its code names — none when the value is
+    /// unchanged, the word's low 6 bytes, its low 7 or all 8, little-endian.
+    /// Each code is the shortest that holds its word, so every vector has
+    /// exactly one encoding against a base, of 4 to
+    /// [`MAX_VECTOR_BYTES`] bytes.
+    // xtask: hot-path
+    pub fn store_against(&self, w: &mut Writer, base: &MetricVector) {
+        let mut out = [0u8; MAX_VECTOR_BYTES];
+        let mut header = 0u32;
+        let mut at = 4;
+        for (i, (v, b)) in self.as_slice().iter().zip(base.as_slice()).enumerate() {
+            let x = v.to_bits() ^ b.to_bits();
+            let shortest = value_code(x);
+            header |= shortest << (2 * i);
+            // Every word is written whole; the next one starts where this
+            // one's code ends and overwrites the bytes past it. At most 12
+            // words precede this one, so `at` never passes `LAST_WORD`.
+            if let Some(window) = out.get_mut(at.min(LAST_WORD)..) {
+                if let Some(window) = window.first_chunk_mut::<8>() {
+                    *window = x.to_le_bytes();
+                }
+            }
+            at += code(shortest).bytes;
+        }
+        if let Some(head) = out.first_chunk_mut::<4>() {
+            *head = header.to_le_bytes();
+        }
+        w.put_raw(out.get(..at).unwrap_or_default());
+    }
+
+    /// Reads a vector [`MetricVector::store_against`] coded against
+    /// `base`. While a whole vector's worth of bytes is left, it reads
+    /// each word as an eight-byte window, masks it to its code and
+    /// advances by the code's length; on a buffer's tail it reads byte by
+    /// byte. Both decode the same bytes to the same values.
+    ///
+    /// # Errors
+    ///
+    /// [`PersistError::Truncated`] when the bytes run out, and
+    /// [`PersistError::Invalid`] for an encoding the writer never
+    /// produces: a padding bit set, or a code longer than its word needs.
+    // xtask: hot-path
+    pub fn load_against(
+        r: &mut Reader<'_>,
+        base: &MetricVector,
+    ) -> Result<MetricVector, PersistError> {
+        let whole = r
+            .buf
+            .get(r.pos..)
+            .and_then(|rest| rest.first_chunk::<MAX_VECTOR_BYTES>());
+        let Some(window) = whole else {
+            return load_bytewise(r, base);
+        };
+        let (values, used) = load_window(window, base)?;
+        r.pos += used;
+        Ok(values)
+    }
+}
+
+/// The codes of a vector's header, refusing a set padding bit.
+fn value_codes(head: [u8; 4]) -> Result<u32, PersistError> {
+    let header = u32::from_le_bytes(head);
+    if header >> CODE_BITS != 0 {
+        return Err(PersistError::Invalid("value code padding"));
+    }
+    Ok(header)
+}
+
+/// [`MetricVector::load_against`] where a whole vector's worth of bytes
+/// is left: one eight-byte read per word, whose bounds the window's one
+/// check covers. Returns the vector and the bytes it took.
+// xtask: hot-path
+#[inline]
+fn load_window(
+    bytes: &[u8; MAX_VECTOR_BYTES],
+    base: &MetricVector,
+) -> Result<(MetricVector, usize), PersistError> {
+    let header = value_codes(*bytes.first_chunk::<4>().unwrap_or(&[0; 4]))?;
+    let mut values = [0.0; ATTRIBUTE_COUNT];
+    let mut at = 4;
+    let mut shortest = true;
+    for (i, (v, b)) in values.iter_mut().zip(base.as_slice()).enumerate() {
+        let code = code(header >> (2 * i));
+        // At most 12 words precede this one, so `at` never passes
+        // `LAST_WORD`; the `min` only tells the compiler so.
+        let word = bytes
+            .get(at.min(LAST_WORD)..)
+            .and_then(|w| w.first_chunk::<8>())
+            .map_or(0, |w| u64::from_le_bytes(*w));
+        let x = word & code.mask;
+        shortest &= x >= code.least;
+        *v = f64::from_bits(b.to_bits() ^ x);
+        at += code.bytes;
+    }
+    if !shortest {
+        return Err(PersistError::Invalid("value code not the shortest"));
+    }
+    Ok((MetricVector::from(values), at))
+}
+
+/// [`MetricVector::load_against`] on a buffer's tail, a byte at a time.
+fn load_bytewise(r: &mut Reader<'_>, base: &MetricVector) -> Result<MetricVector, PersistError> {
+    let head = r
+        .take(4, "value codes")?
+        .first_chunk::<4>()
+        .copied()
+        .unwrap_or_default();
+    let header = value_codes(head)?;
+    let mut values = [0.0; ATTRIBUTE_COUNT];
+    for (i, (v, b)) in values.iter_mut().zip(base.as_slice()).enumerate() {
+        let code = code(header >> (2 * i));
+        let x = r
+            .take(code.bytes, "value word")?
+            .iter()
+            .rev()
+            .fold(0u64, |x, &byte| (x << 8) | u64::from(byte));
+        if x < code.least {
+            return Err(PersistError::Invalid("value code not the shortest"));
+        }
+        *v = f64::from_bits(b.to_bits() ^ x);
+    }
+    Ok(MetricVector::from(values))
+}
+
 impl Persist for MetricSample {
     fn store(&self, w: &mut Writer) {
         let Self { time, values } = self;
@@ -711,6 +896,105 @@ mod tests {
             assert!(
                 matches!(
                     from_bytes::<MetricVector>(&bytes[..cut]),
+                    Err(PersistError::Truncated { .. })
+                ),
+                "cut at {cut}"
+            );
+        }
+    }
+
+    /// The bytes a value's XOR word takes, from its highest set byte
+    /// alone: none when it is zero, else 6, 7 or 8, whichever is the
+    /// first that holds it.
+    pub(super) fn word_bytes(x: u64) -> usize {
+        match (64 - x.leading_zeros()).div_ceil(8) {
+            0 => 0,
+            1..=6 => 6,
+            n => n as usize,
+        }
+    }
+
+    fn against(v: &MetricVector, base: &MetricVector) -> Vec<u8> {
+        let mut w = Writer::new();
+        v.store_against(&mut w, base);
+        w.into_bytes()
+    }
+
+    /// A vector coded against itself is its header alone; against zeros
+    /// each value takes the bytes its own pattern needs.
+    #[test]
+    fn a_vector_against_a_base_takes_the_bytes_its_changes_need() {
+        let v = MetricVector::from_fn(|a| a.index() as f64 * -1.5 + 0.25);
+        assert_eq!(against(&v, &v), [0, 0, 0, 0]);
+        let zeros = MetricVector::zeros();
+        let want: usize = v.as_slice().iter().map(|x| word_bytes(x.to_bits())).sum();
+        assert_eq!(against(&v, &zeros).len(), 4 + want);
+        // One value moved in its last mantissa bit, one in its sign, one
+        // in its second byte from the top.
+        let mut moved = v;
+        moved.set(
+            AttributeKind::CpuTotal,
+            f64::from_bits(v[AttributeKind::CpuTotal].to_bits() ^ 1),
+        );
+        moved.set(AttributeKind::FreeMem, -v[AttributeKind::FreeMem]);
+        moved.set(
+            AttributeKind::NetIn,
+            f64::from_bits(v[AttributeKind::NetIn].to_bits() ^ 1 << 50),
+        );
+        let bytes = against(&moved, &v);
+        assert_eq!(bytes.len(), 4 + 6 + 8 + 7);
+        let codes = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+        for a in AttributeKind::ALL {
+            let want = match a {
+                AttributeKind::CpuTotal => 1,
+                AttributeKind::FreeMem => 3,
+                AttributeKind::NetIn => 2,
+                _ => 0,
+            };
+            assert_eq!((codes >> (2 * a.index())) & 3, want, "{a:?}");
+        }
+        let back = MetricVector::load_against(&mut Reader::new(&bytes), &v).unwrap();
+        assert_eq!(back, moved);
+    }
+
+    /// A longer code than the word needs, or a padding bit, is refused on
+    /// both decode paths; so is every cut of a vector.
+    #[test]
+    fn a_non_shortest_code_a_padding_bit_and_every_cut_are_refused() {
+        let base = MetricVector::zeros();
+        let mut v = base;
+        v.set(AttributeKind::CpuTotal, f64::from_bits(0xab));
+        let bytes = against(&v, &base);
+        assert_eq!(bytes.len(), 4 + 6);
+        // The same word under code 2 (7 bytes) and code 3 (8 bytes).
+        for (code, width) in [(2u8, 7), (3, 8)] {
+            let mut long = vec![code, 0, 0, 0, 0xab];
+            long.resize(4 + width, 0);
+            assert_eq!(
+                MetricVector::load_against(&mut Reader::new(&long), &base),
+                Err(PersistError::Invalid("value code not the shortest")),
+                "code {code}"
+            );
+        }
+        // An unchanged value under code 1.
+        let zero_word = [1u8, 0, 0, 0, 0, 0, 0, 0, 0, 0];
+        assert_eq!(
+            MetricVector::load_against(&mut Reader::new(&zero_word), &base),
+            Err(PersistError::Invalid("value code not the shortest"))
+        );
+        for bit in 26..32 {
+            let mut padded = bytes.clone();
+            padded[bit / 8] |= 1 << (bit % 8);
+            assert_eq!(
+                MetricVector::load_against(&mut Reader::new(&padded), &base),
+                Err(PersistError::Invalid("value code padding")),
+                "bit {bit}"
+            );
+        }
+        for cut in 0..bytes.len() {
+            assert!(
+                matches!(
+                    MetricVector::load_against(&mut Reader::new(&bytes[..cut]), &base),
                     Err(PersistError::Truncated { .. })
                 ),
                 "cut at {cut}"
@@ -908,6 +1192,169 @@ mod tests {
         ];
         for e in errs {
             assert!(!e.to_string().is_empty());
+        }
+    }
+}
+
+#[cfg(test)]
+mod value_codec_proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Bit patterns at the edges of `f64`: signed zeros, infinities, NaNs
+    /// with and without payloads, subnormals, the normal extremes and
+    /// all-ones.
+    const EDGES: [u64; 16] = [
+        0,
+        1 << 63,
+        0x7ff0_0000_0000_0000,
+        0xfff0_0000_0000_0000,
+        0x7ff8_0000_0000_0000,
+        0x7ff0_0000_0000_0001,
+        0xfff8_dead_beef_0001,
+        0x7fff_ffff_ffff_ffff,
+        1,
+        0x000f_ffff_ffff_ffff,
+        0x8000_0000_0000_0001,
+        0x0010_0000_0000_0000,
+        0x7fef_ffff_ffff_ffff,
+        0x3ff0_0000_0000_0000,
+        0x4059_0000_0000_0001,
+        u64::MAX,
+    ];
+
+    /// A word whose highest set byte is byte `len - 1` (zero for `len` 0),
+    /// its other bits from `bits`.
+    fn word_of_len(len: usize, bits: u64) -> u64 {
+        if len == 0 {
+            return 0;
+        }
+        let top = 8 * len as u32;
+        let low = bits & u64::MAX.checked_shr(64 - top).unwrap_or(0);
+        low | 1 << (top - 8 + (bits >> 61) as u32)
+    }
+
+    /// One attribute's (value, base) pair: both drawn from the edges or
+    /// raw bits, the value either independent or the base XOR a word of
+    /// every byte length.
+    fn pair((pick, e1, e2, raw, len): (u32, usize, usize, u64, usize)) -> (u64, u64) {
+        let base = if pick & 1 == 0 {
+            EDGES[e1]
+        } else {
+            raw.rotate_left(17)
+        };
+        let value = match pick {
+            0 | 1 => base ^ word_of_len(len, raw),
+            2 => EDGES[e2],
+            _ => raw,
+        };
+        (value, base)
+    }
+
+    fn vectors(pairs: &[(u64, u64)]) -> (MetricVector, MetricVector) {
+        let mut v = [0.0; ATTRIBUTE_COUNT];
+        let mut b = [0.0; ATTRIBUTE_COUNT];
+        for ((x, y), &(value, base)) in v.iter_mut().zip(&mut b).zip(pairs) {
+            *x = f64::from_bits(value);
+            *y = f64::from_bits(base);
+        }
+        (MetricVector::from(v), MetricVector::from(b))
+    }
+
+    fn bits(v: &MetricVector) -> Vec<u64> {
+        v.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Both decode paths over `bytes`: the window path on the bytes with
+    /// a whole vector's worth of filler behind them, the byte-wise path
+    /// on the bytes alone. Asserts they agree and returns the result.
+    fn decode_both(bytes: &[u8], base: &MetricVector) -> Result<(Vec<u64>, usize), PersistError> {
+        let mut padded = bytes.to_vec();
+        padded.resize(bytes.len() + MAX_VECTOR_BYTES, 0xa5);
+        let window = padded.first_chunk::<MAX_VECTOR_BYTES>().expect("padded");
+        let fast = load_window(window, base).map(|(v, used)| (bits(&v), used));
+        let mut r = Reader::new(bytes);
+        let slow = load_bytewise(&mut r, base).map(|v| (bits(&v), r.position()));
+        if bytes.len() >= MAX_VECTOR_BYTES || fast.is_ok() {
+            assert_eq!(fast, slow, "{bytes:02x?}");
+        }
+        slow
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        #[test]
+        fn every_vector_has_one_encoding_and_round_trips_bit_exactly(
+            draws in proptest::collection::vec(
+                (0u32..4, 0usize..16, 0usize..16, 0u64..=u64::MAX, 0usize..9),
+                ATTRIBUTE_COUNT,
+            ),
+            junk in proptest::collection::vec(0u64..=u64::MAX, 14),
+            flip in (0usize..ATTRIBUTE_COUNT, 0u32..6),
+        ) {
+            let pairs: Vec<(u64, u64)> = draws.into_iter().map(pair).collect();
+            let (v, base) = vectors(&pairs);
+            let mut w = Writer::new();
+            v.store_against(&mut w, &base);
+            let bytes = w.into_bytes();
+            // The size follows from the words alone.
+            let want: usize = pairs
+                .iter()
+                .map(|&(value, b)| super::tests::word_bytes(value ^ b))
+                .sum();
+            prop_assert_eq!(bytes.len(), 4 + want);
+            prop_assert_eq!(decode_both(&bytes, &base), Ok((bits(&v), bytes.len())));
+            // Through the public reader, with bytes after the vector (the
+            // window path) and without (the byte-wise path when short).
+            for tail in [&[][..], &[0xffu8; MAX_VECTOR_BYTES][..]] {
+                let mut buf = bytes.clone();
+                buf.extend_from_slice(tail);
+                let mut r = Reader::new(&buf);
+                let back = MetricVector::load_against(&mut r, &base).expect("decodes");
+                prop_assert_eq!(bits(&back), bits(&v));
+                prop_assert_eq!(r.position(), bytes.len());
+            }
+            // Every cut is truncation, on either path.
+            for cut in 0..bytes.len() {
+                let res = MetricVector::load_against(&mut Reader::new(&bytes[..cut]), &base);
+                prop_assert!(matches!(res, Err(PersistError::Truncated { .. })), "cut {}", cut);
+            }
+            // A padding bit is refused.
+            let (attr, bit) = flip;
+            let mut padded = bytes.clone();
+            padded[3] |= 1 << (2 + bit);
+            prop_assert_eq!(decode_both(&padded, &base), Err(PersistError::Invalid("value code padding")));
+            // A longer code for one word, its bytes widened with zeros, is
+            // refused.
+            let codes = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+            let code = (codes >> (2 * attr)) & 3;
+            if code < 3 {
+                let offset: usize = (0..attr).map(|i| super::code(codes >> (2 * i)).bytes).sum();
+                let (from, to) = (super::code(code).bytes, super::code(code + 1).bytes);
+                let mut long = bytes.clone();
+                let header = codes + (1 << (2 * attr));
+                long[..4].copy_from_slice(&header.to_le_bytes());
+                let at = 4 + offset + from;
+                long.splice(at..at, std::iter::repeat_n(0u8, to - from));
+                prop_assert_eq!(
+                    decode_both(&long, &base),
+                    Err(PersistError::Invalid("value code not the shortest"))
+                );
+            }
+            // Any bytes that do decode are the one encoding of what they
+            // decode to.
+            let mut any: Vec<u8> = junk.iter().flat_map(|x| x.to_le_bytes()).collect();
+            let header = (junk[0] as u32) & ((1 << CODE_BITS) - 1);
+            any[..4].copy_from_slice(&header.to_le_bytes());
+            if let Ok((decoded, used)) = decode_both(&any, &base) {
+                let mut v = [0.0; ATTRIBUTE_COUNT];
+                for (x, b) in v.iter_mut().zip(&decoded) {
+                    *x = f64::from_bits(*b);
+                }
+                let mut w = Writer::new();
+                MetricVector::from(v).store_against(&mut w, &base);
+                prop_assert_eq!(w.bytes(), &any[..used]);
+            }
         }
     }
 }

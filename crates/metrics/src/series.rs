@@ -278,27 +278,30 @@ impl SeriesStats {
 impl TimeSeries {
     /// Writes the samples from index `from` on — what a checkpoint's
     /// series frame holds of this series — in the whole-series layout,
-    /// the first one's time delta-coded from the sample before it (from 0
-    /// when there is none). The samples before `from` are in earlier
-    /// frames; their count is the frame's to write.
+    /// the first one coded against the sample before it (its time as a
+    /// delta, its values through [`MetricVector::store_against`]; a time
+    /// of 0 and zero values when there is none). The samples before
+    /// `from` are in earlier frames; their count is the frame's to write.
     // xtask: hot-path
     pub fn store_since(&self, w: &mut Writer, from: usize) {
         let len = self.len();
         let from = from.min(len);
-        let mut prev = from
+        let zeros = MetricVector::zeros();
+        let (mut prev, mut base) = from
             .checked_sub(1)
             .and_then(|i| self.get(i))
-            .map_or(0, |s| s.time.as_secs());
+            .map_or((0, &zeros), |s| (s.time.as_secs(), &s.values));
         for MetricSample { time, values } in self.between(from, len) {
             // `push` and `load` keep the samples in time order.
             w.put_varint(time.as_secs() - prev);
-            values.store(w);
+            values.store_against(w, base);
             prev = time.as_secs();
+            base = values;
         }
     }
 
-    /// Appends `len` samples [`TimeSeries::store_since`] wrote, whose
-    /// times continue from this series' last sample. The running time
+    /// Appends `len` samples [`TimeSeries::store_since`] wrote, which
+    /// continue from this series' last sample. The running time
     /// sum is checked, so a delta that would carry a time past
     /// `u64::MAX` is refused, not wrapped — which also keeps the samples
     /// in time order, so they decode straight into the open block. A
@@ -309,7 +312,9 @@ impl TimeSeries {
     ///
     /// A [`PersistError`] when the bytes run out or a time overflows.
     pub fn load_since(&mut self, r: &mut Reader<'_>, len: usize) -> Result<(), PersistError> {
-        let mut time = self.last().map_or(0, |s| s.time.as_secs());
+        let (mut time, mut base) = self
+            .last()
+            .map_or((0, MetricVector::zeros()), |s| (s.time.as_secs(), s.values));
         let mut left = len;
         while left > 0 {
             let mut block = match self.blocks.pop() {
@@ -324,9 +329,9 @@ impl TimeSeries {
                 time = time
                     .checked_add(r.get_varint()?)
                     .ok_or(PersistError::Invalid("TimeSeries time overflows u64"))?;
-                let values = MetricVector::load(r)?;
+                base = MetricVector::load_against(r, &base)?;
                 block.reserve_exact(BLOCK - block.len());
-                block.push(MetricSample::new(Timestamp::from_secs(time), values));
+                block.push(MetricSample::new(Timestamp::from_secs(time), base));
                 Ok(())
             });
             if !block.is_empty() {
@@ -341,10 +346,11 @@ impl TimeSeries {
 
 /// A series is its length, then its samples as [`TimeSeries::store_since`]
 /// writes them from index 0 — per sample the time as a varint delta from
-/// the previous sample's (the first from 0) and the 13 values as
-/// [`MetricVector`]'s bit patterns. Samples are in time order, so no delta
-/// is negative; on load the running sum is checked, so a delta that
-/// would carry a time past `u64::MAX` is refused, not wrapped.
+/// the previous sample's and the 13 values coded against the previous
+/// sample's ([`MetricVector::store_against`]); the first sample's are
+/// coded against a time of 0 and zero values. Samples are in time order,
+/// so no delta is negative; on load the running sum is checked, so a
+/// delta that would carry a time past `u64::MAX` is refused, not wrapped.
 impl Persist for TimeSeries {
     fn store(&self, w: &mut Writer) {
         let Self { blocks: _ } = self;
@@ -359,12 +365,13 @@ impl Persist for TimeSeries {
     }
 }
 
-/// The one-buffer series the block store replaced, kept verbatim as the
-/// referee of its reads and its bytes.
+/// The one-buffer series the block store replaced, kept as the referee
+/// of its reads and its bytes; its samples are coded as the block
+/// store's are.
 #[cfg(test)]
 mod reference {
     use crate::persist::{bounded_capacity, PersistError, Reader, Writer};
-    use crate::{AttributeKind, MetricSample, MetricVector, Persist, SeriesStats, Timestamp};
+    use crate::{AttributeKind, MetricSample, MetricVector, SeriesStats, Timestamp};
 
     #[derive(Debug, Clone, Default, PartialEq)]
     pub(super) struct VecSeries {
@@ -406,10 +413,12 @@ mod reference {
         pub(super) fn store_since(&self, w: &mut Writer, from: usize) {
             let (sealed, new) = self.samples.split_at(from.min(self.samples.len()));
             let mut prev = sealed.last().map_or(0, |s| s.time.as_secs());
+            let mut base = sealed.last().map_or(MetricVector::zeros(), |s| s.values);
             for MetricSample { time, values } in new {
                 w.put_varint(time.as_secs() - prev);
-                values.store(w);
+                values.store_against(w, &base);
                 prev = time.as_secs();
+                base = *values;
             }
         }
 
@@ -425,9 +434,13 @@ mod reference {
                 time = time
                     .checked_add(r.get_varint()?)
                     .ok_or(PersistError::Invalid("TimeSeries time overflows u64"))?;
+                let base = self
+                    .samples
+                    .last()
+                    .map_or(MetricVector::zeros(), |s| s.values);
                 self.samples.push(MetricSample::new(
                     Timestamp::from_secs(time),
-                    MetricVector::load(r)?,
+                    MetricVector::load_against(r, &base)?,
                 ));
             }
             Ok(())
@@ -494,13 +507,17 @@ mod tests {
 
     #[test]
     fn series_times_are_varint_deltas() {
-        // Length, then per sample a one-byte delta and 13 values.
+        // Length, then per sample its time delta (one byte, two for the
+        // 190 s step) and a four-byte header of value codes. Against the
+        // zeros before it, the first sample's CPU value, 1.0, differs in
+        // its top byte and takes a whole word; every later value repeats
+        // the one before it and takes none.
         let ts: TimeSeries = [0, 5, 10, 10, 200]
             .map(|t| sample(t, 1.0))
             .into_iter()
             .collect();
         let bytes = crate::persist::to_bytes(&ts);
-        assert_eq!(bytes.len(), 8 + 5 * (1 + 13 * 8) + 1);
+        assert_eq!(bytes.len(), 8 + (5 + 1) + 5 * 4 + 8);
         let back: TimeSeries = crate::persist::from_bytes(&bytes).unwrap();
         assert_eq!(back, ts);
         // A first sample far from 0 and a repeated time round-trip too.
@@ -563,7 +580,7 @@ mod tests {
         wtr.put_usize(2);
         for delta in [u64::MAX, 1] {
             wtr.put_varint(delta);
-            MetricVector::zeros().store(&mut wtr);
+            MetricVector::zeros().store_against(&mut wtr, &MetricVector::zeros());
         }
         let res: Result<TimeSeries, _> = crate::persist::from_bytes(&wtr.into_bytes());
         assert_eq!(
@@ -577,7 +594,9 @@ mod tests {
         let ts: TimeSeries = (0..3).map(|t| sample(t * 5, 0.0)).collect();
         let mut bytes = crate::persist::to_bytes(&ts);
         // The second sample's delta (5) becomes the non-minimal 0x85 0x00.
-        let at = 8 + 1 + 13 * 8;
+        // The first sample is a one-byte delta and, its values all zero,
+        // a header of zero codes.
+        let at = 8 + 1 + 4;
         assert_eq!(bytes[at], 5);
         bytes[at] = 0x85;
         bytes.insert(at + 1, 0);
